@@ -6,9 +6,24 @@ of the closed-form eigenvalue is negative) and exactly flat along the
 phase-offset direction. Direct simplex minimization of the eigenvalue
 would therefore diverge, and simplex collapse is meaningless in the
 flat valley. The optimizer instead drives the finite-difference
-gradient of the objective to zero: Nelder-Mead runs on the squared
-gradient norm over the active coordinates, and convergence is declared
-on the max-norm of the gradient, never on simplex geometry.
+gradient of the objective to zero, and convergence is declared on the
+max-norm of the gradient over all active coordinates, never on simplex
+geometry.
+
+Variable projection (Golub & Pereyra, 1973) removes the linear
+coordinates from the search. Nothing in the (S2, sigma2) subsystem
+depends on (S1, sigma1), which itself evolves linearly, and RK4
+preserves that linearity; so without a penalty the discrete eigenvalue
+is an exact quadratic in (S10, sigma10) at fixed (S20, sigma20), at
+every hbar_tilde. The active members of {S10, sigma10} are therefore
+eliminated by one Newton step fitted from a central stencil (a
+least-squares solve, so a direction the eigenvalue does not depend on,
+such as sigma10 at hbar_tilde = 0, is left where it is). Nelder-Mead
+then runs over the remaining active coordinates only, on the squared
+gradient along them at the projected point; it is skipped when none
+remain or the projected guess is already stationary. A penalty makes
+the objective quartic in (S10, sigma10), so penalised searches project
+nothing and Nelder-Mead runs over all active coordinates.
 
 Runs that blow up inside the horizon map to a large finite penalty so
 the simplex retreats; they are counted, not raised.
@@ -123,6 +138,29 @@ def parse_active(active) -> tuple[bool, bool, bool, bool]:
     return mask
 
 
+def _evaluate(
+    spec: OscillatorSpec, init: InitialData, penalty_weight: float, step: float, method: str
+) -> tuple[float, float]:
+    """Objective value and last integrable time (``spec.T`` when complete).
+
+    A run that blows up yields ``BLOWUP_PENALTY`` and the last good time
+    of the failed integration, which is always before ``spec.T``.
+    """
+    try:
+        if method == "rk4":
+            # storage-free fast path; bit-identical to the grid route
+            first = (init.S10, init.S20, init.sigma10, init.sigma20, 0.0, 0.0, 0.0, 0.0)
+            report = endpoint_report(spec, first, final_state(spec, init, step))
+        else:
+            report = eigenvalue(integrate(spec, init, step=step, method=method))
+    except BlowUpError as err:
+        return BLOWUP_PENALTY, float(err.t_last)
+    value = report.lam
+    if penalty_weight != 0.0:
+        value += penalty_weight * report.constraint_residual**2
+    return value, spec.T
+
+
 def objective(
     init: InitialData,
     spec: OscillatorSpec,
@@ -135,38 +173,33 @@ def objective(
     Deterministic scalar; blow-ups map to ``BLOWUP_PENALTY`` so a
     derivative-free search retreats from caustic regions.
     """
-    try:
-        if method == "rk4":
-            # storage-free fast path; bit-identical to the grid route
-            first = (init.S10, init.S20, init.sigma10, init.sigma20, 0.0, 0.0, 0.0, 0.0)
-            report = endpoint_report(spec, first, final_state(spec, init, step))
-        else:
-            report = eigenvalue(integrate(spec, init, step=step, method=method))
-    except BlowUpError:
-        return BLOWUP_PENALTY
-    value = report.lam
-    if penalty_weight != 0.0:
-        value += penalty_weight * report.constraint_residual**2
-    return value
+    return _evaluate(spec, init, penalty_weight, step, method)[0]
 
 
-def _central_gradient(f, z, h_fd):
-    n = len(z)
-    g = np.empty(n)
-    for i in range(n):
+def _central_gradient(f, z, h_fd, axes=None):
+    """Central differences of ``f`` at ``z`` along ``axes`` (default: all).
+
+    Returns the gradient and the largest probe value, so a caller can
+    tell whether any probe hit the blow-up penalty.
+    """
+    axes = range(len(z)) if axes is None else axes
+    g = np.empty(len(axes))
+    worst = -math.inf
+    for a, i in enumerate(axes):
         h = h_fd * max(1.0, abs(z[i]))
         zp = z.copy(); zp[i] += h
         zm = z.copy(); zm[i] -= h
-        g[i] = (f(zp) - f(zm)) / (2.0 * h)
-    return g
+        fp, fm = f(zp), f(zm)
+        g[a] = (fp - fm) / (2.0 * h)
+        worst = max(worst, fp, fm)
+    return g, worst
 
 
-def _central_hessian(f, z, h_fd):
+def _central_hessian(f, z, h_fd, f0):
     # second differences use sqrt(h_fd) steps: h_fd itself would put the
     # quotient below the objective's evaluation precision
     n = len(z)
     hs = [math.sqrt(h_fd) * max(1.0, abs(z[i])) for i in range(n)]
-    f0 = f(z)
     H = np.empty((n, n))
     for i in range(n):
         zp = z.copy(); zp[i] += hs[i]
@@ -199,12 +232,20 @@ def stationarity_check(
     penalty_weight: float = 0.0,
     step: float = 1e-3,
     method: str = "rk4",
+    *,
+    gradient: np.ndarray | None = None,
+    value: float | None = None,
 ) -> StationarityReport:
     """Verify stationarity of the objective at ``init`` by central differences.
 
     Gradient steps are h_fd * max(1, |coord|) per active coordinate.
     Raises ``FDFailureError`` when any probe integration blows up: a
     verification tool must not silently average over a caustic.
+
+    A caller that already holds the gradient at ``init`` (same ``h_fd``,
+    no probe blown up) and the objective value there passes them as
+    ``gradient`` and ``value``; the report is the same, without
+    repeating those solves.
     """
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]
@@ -214,14 +255,15 @@ def stationarity_check(
         vals = list(base)
         for j, i in enumerate(idx):
             vals[i] = z[j]
-        v = objective(InitialData(*vals), spec, penalty_weight, step, method)
+        v = _evaluate(spec, InitialData(*vals), penalty_weight, step, method)[0]
         if v >= BLOWUP_PENALTY:
             raise FDFailureError("finite-difference probe blew up")
         return v
 
     z = np.array([base[i] for i in idx], dtype=float)
-    gradient = _central_gradient(f, z, h_fd)
-    hessian = _central_hessian(f, z, h_fd)
+    if gradient is None:
+        gradient = _central_gradient(f, z, h_fd)[0]
+    hessian = _central_hessian(f, z, h_fd, f(z) if value is None else value)
     return StationarityReport(gradient, hessian, _signature(hessian))
 
 
@@ -240,17 +282,26 @@ def optimize(
 ) -> ExtremumResult:
     """Find a stationary point of the objective over the active coordinates.
 
-    Runs up to ``restarts`` Nelder-Mead searches (the first from
-    ``guess``, later ones from seeded perturbations of the best point)
-    on the squared finite-difference gradient. Each simplex starts at
-    scale 0.1 * max(1, |coord|) per coordinate and is capped at
-    ``max_iter`` iterations. Convergence means the gradient max-norm
-    fell to ``grad_tol``; otherwise the best point found is still
-    returned with ``converged=False``.
+    Without a penalty the active members of (S10, sigma10) are solved for
+    at every point by a Newton step on their exact quadratic (see the
+    module docstring), and the search runs over the other active
+    coordinates. It runs up to ``restarts`` Nelder-Mead searches (the
+    first from ``guess``, later ones from seeded perturbations of the
+    best point) on the squared finite-difference gradient along the
+    searched coordinates; none when nothing is left to search or the
+    projected guess is already stationary. Each simplex starts at scale
+    0.1 * max(1, |coord|) per coordinate and is capped at ``max_iter``
+    iterations. Convergence means the max-norm of the gradient over all
+    active coordinates fell to ``grad_tol``; otherwise the best point
+    found is still returned with ``converged=False``.
     """
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]
     base = list(guess.as_tuple())
+    # positions in the active vector: solved for (S10, sigma10) and searched
+    lin = [j for j, i in enumerate(idx) if i in (0, 2)] if penalty_weight == 0.0 else []
+    free = [j for j in range(len(idx)) if j not in lin]
+    z0 = np.array([base[i] for i in idx], dtype=float)
     blowups = 0
     T = spec.T
 
@@ -261,66 +312,99 @@ def optimize(
         return InitialData(*vals)
 
     def f_raw(z) -> tuple[float, float]:
-        """Objective value and last integrable time (T when complete)."""
         nonlocal blowups
-        init_z = make_init(z)
-        try:
-            if method == "rk4":
-                first = (init_z.S10, init_z.S20, init_z.sigma10, init_z.sigma20,
-                         0.0, 0.0, 0.0, 0.0)
-                rep = endpoint_report(spec, first, final_state(spec, init_z, step))
-            else:
-                rep = eigenvalue(integrate(spec, init_z, step=step, method=method))
-        except BlowUpError as err:
+        value, t_last = _evaluate(spec, make_init(z), penalty_weight, step, method)
+        if t_last < T:
             blowups += 1
-            return BLOWUP_PENALTY, float(err.t_last)
-        value = rep.lam
-        if penalty_weight != 0.0:
-            value += penalty_weight * rep.constraint_residual**2
-        return value, T
+        return value, t_last
 
     def f(z) -> float:
         return f_raw(z)[0]
 
-    def grad(z) -> np.ndarray:
-        return _central_gradient(f, z, fd_step)
+    def full(z_free) -> np.ndarray:
+        z = z0.copy()
+        z[free] = z_free
+        return z
 
-    def merit(z) -> float:
+    def project(z, f0) -> np.ndarray:
+        """Stationary point along ``lin`` of the quadratic through z (f0 = f(z)).
+
+        The quadratic is exact, so the stencil uses unit-scale steps,
+        where roundoff is smallest. A blown-up probe leaves z unprojected.
+        """
+        if not lin:
+            return z
+        h = np.maximum(1.0, np.abs(z[lin]))
+        n = len(lin)
+        eye = np.eye(n)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        shifts = [*eye, *(-eye), *(eye[a] + eye[b] for a, b in pairs)]
+        vals = []
+        for u in shifts:
+            zu = z.copy()
+            zu[lin] += h * u
+            vals.append(f(zu))
+        if max(vals) >= BLOWUP_PENALTY:
+            return z
+        fp, fm = np.array(vals[:n]), np.array(vals[n : 2 * n])
+        g = 0.5 * (fp - fm)
+        H = np.diag(fp - 2.0 * f0 + fm)
+        for (a, b), fab in zip(pairs, vals[2 * n :]):
+            H[a, b] = H[b, a] = fab - f0 - g[a] - g[b] - 0.5 * (H[a, a] + H[b, b])
+        # lstsq: a direction the objective does not depend on gets no step
+        du = np.linalg.lstsq(H, -g, rcond=None)[0]
+        out = z.copy()
+        out[lin] += h * du
+        return out
+
+    def settle(z):
+        """Projected point, its value, full gradient and largest gradient probe."""
+        fc = f(z)
+        if lin and fc < BLOWUP_PENALTY:
+            z = project(z, fc)
+            fc = f(z)
+        if fc >= BLOWUP_PENALTY:
+            return z, fc, None, math.inf
+        g, worst = _central_gradient(f, z, fd_step)
+        return z, fc, g, worst
+
+    def merit(z_free) -> float:
         # blown-up centers form a plateau at the raw penalty; ramp it by
         # how early the run died so the simplex has a slope back toward
         # integrable initial data
-        z = np.asarray(z, dtype=float)
+        z = full(z_free)
         fc, t_last = f_raw(z)
         if fc >= BLOWUP_PENALTY:
             frac = (T - min(max(t_last, 0.0), T)) / T
             return BLOWUP_PENALTY * (1.0 + frac)
-        g = grad(z)
+        # at the projected point the gradient along lin vanishes, so the
+        # gradient along the searched coordinates is the reduced gradient
+        g = _central_gradient(f, project(z, fc), fd_step, free)[0]
         if float(np.max(np.abs(g))) >= 0.5 * BLOWUP_PENALTY:
             # center fine, some probe blown: just below the plateau
             return 0.99 * BLOWUP_PENALTY
         return min(float(g @ g), 0.9 * BLOWUP_PENALTY)
 
     rng = np.random.default_rng(seed)
-    n = len(idx)
-    best_z = np.array([base[i] for i in idx], dtype=float)
-
-    if f(best_z) >= BLOWUP_PENALTY:
+    n = len(free)
+    best_free = z0[free]
+    best_z, best_f, best_g, worst = settle(z0)
+    if best_g is None:
         gradient_norm = math.inf
         best_merit = 2.0 * BLOWUP_PENALTY
     else:
-        g = grad(best_z)
-        gradient_norm = float(np.max(np.abs(g)))
-        best_merit = float(g @ g)
+        gradient_norm = float(np.max(np.abs(best_g)))
+        best_merit = float(best_g[free] @ best_g[free])
 
     converged = gradient_norm <= grad_tol
     iterations = 0
     attempt = 0
-    while not converged and attempt < max(1, restarts):
+    while n and not converged and attempt < max(1, restarts):
         if attempt == 0:
-            start = best_z.copy()
+            start = best_free.copy()
         else:
-            scales = 0.1 * np.maximum(1.0, np.abs(best_z))
-            start = best_z + scales * rng.standard_normal(n)
+            scales = 0.1 * np.maximum(1.0, np.abs(best_free))
+            start = best_free + scales * rng.standard_normal(n)
         simplex = np.tile(start, (n + 1, 1))
         for j in range(n):
             simplex[j + 1, j] += 0.1 * max(1.0, abs(start[j]))
@@ -339,22 +423,25 @@ def optimize(
         iterations += int(res.nit)
         if float(res.fun) < best_merit:
             best_merit = float(res.fun)
-            best_z = np.asarray(res.x, dtype=float)
-        if f(best_z) < BLOWUP_PENALTY:
-            g = grad(best_z)
-            gradient_norm = float(np.max(np.abs(g)))
+            best_free = np.asarray(res.x, dtype=float)
+        best_z, best_f, best_g, worst = settle(full(best_free))
+        if best_g is not None:
+            gradient_norm = float(np.max(np.abs(best_g)))
             converged = gradient_norm <= grad_tol
         attempt += 1
 
     final_init = make_init(best_z)
     grid = integrate(spec, final_init, step=step, method=method)
     report = eigenvalue(grid)
-    try:
-        signature = stationarity_check(
-            final_init, spec, fd_step, mask, penalty_weight, step, method
-        ).signature
-    except FDFailureError:
-        signature = None
+    signature = None
+    if best_g is not None and worst < BLOWUP_PENALTY:
+        try:
+            signature = stationarity_check(
+                final_init, spec, fd_step, mask, penalty_weight, step, method,
+                gradient=best_g, value=best_f,
+            ).signature
+        except FDFailureError:
+            pass
     return ExtremumResult(
         init=final_init,
         report=report,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -16,6 +17,7 @@ from qap import (
     stationarity_check,
     t0_to_S20,
 )
+import qap.extremize as extremize
 from qap.extremize import BLOWUP_PENALTY, parse_active
 
 
@@ -132,9 +134,11 @@ class TestOptimizeClassical:
         assert res.report.lam == pytest.approx(lambda_star(spec), abs=1e-8)
 
     def test_not_converged_returned_not_raised(self, spec):
+        # S10 alone is solved exactly; away from the classical limit S20
+        # is not flat, and one simplex iteration does not reach stationarity
         res = optimize(
-            spec, InitialData(S10=-3.0), active=("S10",),
-            max_iter=1, restarts=1, step=1e-2,
+            replace(spec, hbar_tilde=0.5), InitialData(S10=-3.0, sigma20=1.0),
+            active=("S10", "S20"), max_iter=1, restarts=1, step=1e-2,
         )
         assert not res.converged
         assert res.report is not None
@@ -155,6 +159,88 @@ class TestOptimizeClassical:
             "lambda", "boundary_term", "kinetic_term", "quantum_term",
             "constraint_residual",
         }
+
+
+class TestVariableProjection:
+    def test_eigenvalue_exactly_quadratic_in_linear_coordinates(self, spec):
+        # the invariant the projection rests on: RK4 keeps the (S1, sigma1)
+        # block linear, so the discrete eigenvalue is quadratic in
+        # (S10, sigma10) at every hbar_tilde
+        s = replace(spec, hbar_tilde=0.4, x0=0.2)
+        base = InitialData(S10=0.5, S20=0.3, sigma10=0.2, sigma20=0.8)
+        d = 0.3
+
+        def lam(a, b, c=0):
+            return objective(
+                replace(base, S10=base.S10 + a * d, sigma10=base.sigma10 + b * d,
+                        S20=base.S20 + c * d),
+                s, step=1e-2,
+            )
+
+        cubic = (1.0, -3.0, 3.0, -1.0)
+        along_s10 = sum(w * lam(3 - i, 0) for i, w in enumerate(cubic))
+        along_sigma10 = sum(w * lam(0, 3 - i) for i, w in enumerate(cubic))
+        # mixed third differences: second along one coordinate, first along the other
+        second = (1.0, -2.0, 1.0)
+        mixed_a = sum(w * (lam(2 - i, 1) - lam(2 - i, 0)) for i, w in enumerate(second))
+        mixed_b = sum(w * (lam(1, 2 - i) - lam(0, 2 - i)) for i, w in enumerate(second))
+        for third in (along_s10, along_sigma10, mixed_a, mixed_b):
+            assert abs(third) <= 1e-12
+        # S20 carries the Riccati nonlinearity: far from quadratic
+        along_s20 = sum(w * lam(0, 0, 3 - i) for i, w in enumerate(cubic))
+        assert abs(along_s20) > 1e-4
+
+    def test_classical_guess_needs_no_simplex(self, spec, monkeypatch):
+        solves = []
+        for name in ("final_state", "integrate"):
+            inner = getattr(extremize, name)
+
+            def counted(*args, _inner=inner, **kwargs):
+                solves.append(1)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(extremize, name, counted)
+        guess = InitialData(S10=0.0, S20=t0_to_S20(0.5, spec))
+        res = optimize(spec, guess, active=("S10", "S20"), step=1e-3)
+        assert res.converged
+        assert res.iterations == 0
+        assert len(solves) <= 20
+        assert res.report.lam == pytest.approx(lambda_star(spec), abs=1e-6)
+
+    def test_flat_sigma10_in_classical_limit(self, spec):
+        # at hbar_tilde = 0 the eigenvalue does not depend on sigma10: the
+        # stencil matrix is singular and lstsq leaves sigma10 where it is,
+        # up to the roundoff of the fitted mixed coefficient
+        t0 = 0.3
+        guess = InitialData(S10=0.0, S20=t0_to_S20(t0, spec), sigma10=0.7)
+        res = optimize(spec, guess, active=("S10", "sigma10"))
+        assert res.converged
+        assert res.iterations == 0
+        assert abs(res.init.sigma10 - guess.sigma10) <= 1e-12
+        assert res.init.S10 == pytest.approx(s10_star(t0, spec), abs=1e-6)
+        assert res.report.lam == pytest.approx(lambda_star(spec), abs=1e-8)
+        assert res.hessian_signature.negative == 1
+        assert res.hessian_signature.near_zero == 1
+
+    @pytest.mark.parametrize(
+        "guess,max_iter,restarts,digest",
+        [
+            ((1.0, 0.5, 0.1, 0.4), 400, 3,
+             "baeb1708e2b0ca8afdfdcccffc9b5c03eb46e2b884a9dee8e3bf32361581eded"),
+            # starts behind the caustic wall: ramped penalty and blow-up count
+            ((0.0, -2.0, 0.1, 0.4), 60, 2,
+             "06f45fca6fae72273d85855b906696ff31f21aa0b028fc2fd0c847e45449f42c"),
+        ],
+    )
+    def test_penalised_search_unchanged(self, spec, guess, max_iter, restarts, digest):
+        # a penalty makes the objective quartic in (S10, sigma10): nothing
+        # is projected, and the search reproduces the pinned bytes of the
+        # plain four-coordinate Nelder-Mead search
+        res = optimize(
+            replace(spec, hbar_tilde=0.3), InitialData(*guess), penalty_weight=0.5,
+            step=2e-2, max_iter=max_iter, restarts=restarts,
+        )
+        assert hashlib.sha256(res.to_json().encode()).hexdigest() == digest
 
 
 class TestOptimizeQuantum:

@@ -1,8 +1,9 @@
 import json
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qap import (
@@ -71,6 +72,10 @@ class TestOmega0:
         c=st.floats(1e-3, 1e3),
     )
     def test_scaling_in_stiffness(self, m, k, c):
+        # sqrt of a subnormal radicand has lost digits already, so the
+        # property is false in floating point there
+        for radicand in (k / m, c * c * k / m):
+            assume(radicand == 0.0 or radicand >= sys.float_info.min)
         lhs = omega0(OscillatorSpec(m=m, k=c * c * k))
         rhs = c * omega0(OscillatorSpec(m=m, k=k))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
