@@ -7,11 +7,9 @@ __version__ = "0.1.0"
 
 from .action import (
     EigenvalueReport,
-    FunctionalValue,
     composite_simpson,
     constraint_residual,
     eigenvalue,
-    functional_values,
     simpson_accumulators,
 )
 from .classical import (
@@ -21,13 +19,11 @@ from .classical import (
     s1_closed,
     s2_closed,
     s10_star,
-    xtilde,
 )
 from .dynamics import (
     SolutionGrid,
     convergence_order,
     integrate,
-    rhs,
 )
 from .errors import (
     BlowUpError,
@@ -73,7 +69,6 @@ __all__ = [
     "EigenvalueReport",
     "ExtremumResult",
     "FDFailureError",
-    "FunctionalValue",
     "HessianSignature",
     "IncompleteGridError",
     "InitialData",
@@ -93,7 +88,6 @@ __all__ = [
     "constraint_residual",
     "convergence_order",
     "eigenvalue",
-    "functional_values",
     "integrate",
     "lambda_classical",
     "lambda_star",
@@ -101,7 +95,6 @@ __all__ = [
     "omega0",
     "optimize",
     "resonant",
-    "rhs",
     "s10_star",
     "s1_closed",
     "s2_closed",
@@ -110,5 +103,4 @@ __all__ = [
     "t0_to_S20",
     "validate",
     "validation_errors",
-    "xtilde",
 ]

@@ -49,20 +49,6 @@ class EigenvalueReport:
         return json_17g(self.to_dict())
 
 
-@dataclass(frozen=True)
-class FunctionalValue:
-    """Truncated phase/amplitude functionals on one sampled trajectory.
-
-    ``psi_phase`` is None when hbar_tilde = 0 (the phase of the wave
-    functional is undefined without a quantum scale).
-    """
-
-    S_of_x: float
-    sigma_of_x: float
-    psi_magnitude_log: float
-    psi_phase: float | None
-
-
 def json_17g(obj) -> str:
     """json.dumps with floats rendered at 17 significant digits."""
 
@@ -168,25 +154,3 @@ def simpson_accumulators(grid: SolutionGrid) -> dict[str, float]:
         "qSigma": composite_simpson(grid.sigma1**2 + grid.sigma2, t),
         "qCon": composite_simpson(grid.sigma1 * grid.s1 + 2.0 * grid.s2, t),
     }
-
-
-def functional_values(trajectory, grid: SolutionGrid) -> FunctionalValue:
-    """Evaluate the truncated phase/amplitude functionals on ``trajectory``.
-
-    ``trajectory`` samples x(t) at the grid's time points. Diagnostic
-    only: the certified eigenvalue path never evaluates these.
-    """
-    x = np.asarray(trajectory, dtype=float)
-    if x.shape != grid.times.shape:
-        raise LengthMismatchError(
-            f"trajectory has {x.shape} samples, grid has {grid.times.shape}"
-        )
-    s_val = composite_simpson(grid.s1 * x + 0.5 * grid.s2 * x**2, grid.times)
-    sigma_val = composite_simpson(grid.sigma1 * x + 0.5 * grid.sigma2 * x**2, grid.times)
-    hb = grid.spec.hbar_tilde
-    return FunctionalValue(
-        S_of_x=s_val,
-        sigma_of_x=sigma_val,
-        psi_magnitude_log=sigma_val,
-        psi_phase=(s_val / hb) if hb > 0 else None,
-    )

@@ -12,12 +12,6 @@ the resulting degenerate value (the classical two-point action) are all
 elementary; they serve as independent oracles for the ODE/quadrature
 pipeline.
 
-``xtilde`` evaluates a reference-trajectory expression exactly as
-printed in its source; its time dependence is mutually inconsistent
-with the constant quadratic kernel implied by the phase parameterization
-it accompanies, so it is exposed as a diagnostic only and never used in
-any certified check.
-
 All trigonometric denominators are guarded at 1e-12: silently huge
 values would poison extremization.
 """
@@ -107,13 +101,3 @@ def lambda_star(spec: OscillatorSpec) -> float:
     sT = _guarded_sin_T(spec, w)
     cT = math.cos(w * spec.T)
     return smk * ((spec.xT**2 + spec.x0**2) * cT - 2.0 * spec.xT * spec.x0) / (2.0 * sT)
-
-
-def xtilde(t: float, t0: float, spec: OscillatorSpec) -> float:
-    """Reference trajectory value at ``t`` (diagnostic only; see module notes)."""
-    w = _require_stiffness(spec)
-    sT = _guarded_sin_T(spec, w)
-    st = math.sin(w * (t - t0))
-    if abs(st) < SINGULARITY_TOL:
-        raise SingularityError("sin(omega0*(t-t0))")
-    return (spec.xT * math.cos(w * t0) - spec.x0 * math.cos(w * (spec.T - t0))) / (sT * st)

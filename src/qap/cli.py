@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 
-from .config import load_config
+from .config import _require_step, load_config
 from .errors import ConfigError, QapError, ValidationError
 from .experiments import COMMANDS, EXIT_CONFIG, run_command
 
@@ -60,16 +60,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.h is not None:
+            cfg.step = _require_step(args.h)
     except (ConfigError, ValidationError, QapError, ValueError) as err:
         print(f"config error: {err}")
         return EXIT_CONFIG
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.h is not None:
-        cfg.step = args.h
-        if not cfg.step > 0:
-            print(f"config error: --h must be positive, got {cfg.step}")
-            return EXIT_CONFIG
     if args.method is not None:
         cfg.method = args.method
     out_dir = args.out or cfg.out_dir or "."

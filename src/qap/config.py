@@ -144,6 +144,13 @@ def _int(entries, key, default):
         raise ConfigError(f"{key} must be an integer, got {raw!r}") from err
 
 
+def _require_step(h: float) -> float:
+    """The step rule of ``[grid] h`` and of the CLI's ``--h``: positive and finite."""
+    if not (h > 0 and math.isfinite(h)):
+        raise ConfigError(f"h must be positive and finite, got {h}")
+    return h
+
+
 def load_config(path) -> ExperimentConfig:
     """Read and validate one INI or JSON config file."""
     path = Path(path)
@@ -173,20 +180,16 @@ def load_config(path) -> ExperimentConfig:
 
     if "init" in sections:
         entries = sections["init"]
-        t0 = _lookup(entries, "t0")
-        s20 = _lookup(entries, "S20")
-        if t0 is not None and s20 is not None:
+        init = {key: _float(entries, key, None) for key in _INIT_KEYS}
+        for key, v in init.items():
+            if v is not None and not math.isfinite(v):
+                raise ConfigError(f"{key} in [init] must be finite, got {v}")
+        t0 = init.pop("t0")
+        if t0 is not None and init["S20"] is not None:
             raise ConfigError("give either t0 or S20 in [init], not both")
         if t0 is not None:
-            s20_value = t0_to_S20(float(t0), cfg.spec)
-        else:
-            s20_value = _float(entries, "S20", 0.0)
-        cfg.init = InitialData(
-            S10=_float(entries, "S10", 0.0),
-            S20=s20_value,
-            sigma10=_float(entries, "sigma10", 0.0),
-            sigma20=_float(entries, "sigma20", 0.0),
-        )
+            init["S20"] = t0_to_S20(t0, cfg.spec)
+        cfg.init = InitialData(**{k: 0.0 if v is None else v for k, v in init.items()})
 
     grid_entries = sections.get("grid", {})
     cfg.step = _float(grid_entries, "h", cfg.step)
@@ -218,8 +221,7 @@ def load_config(path) -> ExperimentConfig:
     if out_dir is not None:
         cfg.out_dir = out_dir.strip()
 
-    if not (cfg.step > 0 and math.isfinite(cfg.step)):
-        raise ConfigError(f"h must be positive and finite, got {cfg.step}")
+    _require_step(cfg.step)
     if cfg.method not in ("rk4", "rk4_adaptive"):
         raise ConfigError(f"method must be rk4 or rk4_adaptive, got {cfg.method!r}")
     return cfg

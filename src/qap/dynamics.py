@@ -1,4 +1,4 @@
-"""Coefficient ODE system: right-hand side, time integration, diagnostics.
+"""Coefficient ODE system: time integration and its diagnostics.
 
 The flow couples the phase coefficients (S1, S2) to the amplitude
 coefficients (sigma1, sigma2):
@@ -20,6 +20,11 @@ A fourth internal accumulator tracks the plain integral of S2; it is a
 diagnostic used to verify the exponential identity
 sigma2(t) = sigma20 * exp(-qIntS2(t)/m) and is not part of the CSV
 contract.
+
+One fixed-step RK4 driver serves both ``integrate(method="rk4")``,
+which keeps the trajectory, and ``final_state``, which keeps only the
+endpoint; the step-doubling loop behind ``rk4_adaptive`` is separate.
+All of them share one input check and one blow-up exit.
 
 The S2 equation is of Riccati type and genuinely blows up in finite
 time when a caustic falls inside the horizon; integration reports the
@@ -63,22 +68,6 @@ def _stage(S1, S2, g1, g2, m_inv, k, hh):
         g1 * g1 + g2,                               # qSigma'
         g1 * S1 + 2.0 * S2,                         # qCon'
         S2,                                         # qIntS2'
-    )
-
-
-def rhs(state: CoefficientState, spec: OscillatorSpec) -> CoefficientState:
-    """Evaluate the right-hand side at ``state``.
-
-    Returned as a ``CoefficientState`` whose fields hold the time
-    derivatives of the corresponding components (and ``t`` = 1, the
-    trivial derivative of time itself).
-    """
-    m_inv = 1.0 / spec.m
-    hh = spec.hbar_tilde * spec.hbar_tilde * 0.5 * m_inv
-    d = _stage(state.S1, state.S2, state.sigma1, state.sigma2, m_inv, spec.k, hh)
-    return CoefficientState(
-        t=1.0, S1=d[0], S2=d[1], sigma1=d[2], sigma2=d[3],
-        qS=d[4], qSigma=d[5], qCon=d[6],
     )
 
 
@@ -148,10 +137,6 @@ class SolutionGrid:
             sigma1=float(row[2]), sigma2=float(row[3]),
             qS=float(row[4]), qSigma=float(row[5]), qCon=float(row[6]),
         )
-
-    @property
-    def states(self) -> list[CoefficientState]:
-        return [self.state(i) for i in range(len(self))]
 
     @property
     def final(self) -> CoefficientState:
@@ -263,16 +248,34 @@ def _rk4_step(y, h, m_inv, k, hh):
     )
 
 
-def _blow_up(spec, times, rows, method, step):
-    t_last = times[-1]
-    partial = SolutionGrid(
+def _grid(spec, times, rows, method, step):
+    return SolutionGrid(
         spec=spec,
         times=np.asarray(times, dtype=float),
         data=np.asarray(rows, dtype=float),
         method=method,
         step=step,
     )
+
+
+def _blow_up(spec, t_last, times, rows, method, step):
+    """Raise ``BlowUpError`` at ``t_last``, with the partial grid if rows were kept."""
+    partial = None if rows is None else _grid(spec, times, rows, method, step)
     raise BlowUpError(t_last, partial)
+
+
+def _start(spec, init, step):
+    """Shared input check; the start row and the flow coefficients (m_inv, k, hh)."""
+    require_valid(spec)
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    for name, v in zip(("S10", "S20", "sigma10", "sigma20"), init.as_tuple()):
+        if not math.isfinite(v):
+            raise ValueError(f"initial data {name} is not finite")
+    m_inv = 1.0 / spec.m
+    hh = spec.hbar_tilde * spec.hbar_tilde * 0.5 * m_inv
+    y = (init.S10, init.S20, init.sigma10, init.sigma20, 0.0, 0.0, 0.0, 0.0)
+    return y, m_inv, spec.k, hh
 
 
 def _n_steps(T, step):
@@ -282,34 +285,32 @@ def _n_steps(T, step):
     return n
 
 
-def _integrate_fixed(spec, init, step):
-    m_inv = 1.0 / spec.m
-    k = spec.k
-    hh = spec.hbar_tilde * spec.hbar_tilde * 0.5 * m_inv
+def _fixed(spec, init, step, keep):
+    """Fixed-step RK4 from 0 to T: the grid if ``keep``, else the endpoint row.
+
+    The grid has ceil(T/step) intervals, the last one shortened to land
+    on T exactly. A blow-up raises ``BlowUpError`` at the last good time,
+    carrying the partial grid only if ``keep``.
+    """
+    y, m_inv, k, hh = _start(spec, init, step)
     T = spec.T
     n = _n_steps(T, step)
-    y = (init.S10, init.S20, init.sigma10, init.sigma20, 0.0, 0.0, 0.0, 0.0)
-    times = [0.0]
-    rows = [y]
-    if not _finite_row(y):
-        _blow_up(spec, times, rows, "rk4", step)
+    times = [0.0] if keep else None
+    rows = [y] if keep else None
     t_prev = 0.0
+    if not _finite_row(y):
+        _blow_up(spec, t_prev, times, rows, "rk4", step)
     for i in range(1, n + 1):
         # last step shortened so the grid lands on T exactly
         t = i * step if i < n else T
         y = _rk4_step(y, t - t_prev, m_inv, k, hh)
         if not _finite_row(y):
-            _blow_up(spec, times, rows, "rk4", step)
-        times.append(t)
-        rows.append(y)
+            _blow_up(spec, t_prev, times, rows, "rk4", step)
+        if keep:
+            times.append(t)
+            rows.append(y)
         t_prev = t
-    return SolutionGrid(
-        spec=spec,
-        times=np.asarray(times, dtype=float),
-        data=np.asarray(rows, dtype=float),
-        method="rk4",
-        step=step,
-    )
+    return _grid(spec, times, rows, "rk4", step) if keep else y
 
 
 def final_state(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP):
@@ -318,45 +319,26 @@ def final_state(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_S
     Identical arithmetic to ``integrate(..., method='rk4')`` without the
     trajectory storage; this is the hot path of extremization, where
     every finite-difference probe needs just the final coefficients and
-    accumulators. Raises ``BlowUpError`` (without a partial grid) on the
-    same runs ``integrate`` would reject.
+    accumulators. Rejects the same inputs as ``integrate`` and raises
+    ``BlowUpError`` (without a partial grid) on the same runs.
     """
-    require_valid(spec)
-    m_inv = 1.0 / spec.m
-    k = spec.k
-    hh = spec.hbar_tilde * spec.hbar_tilde * 0.5 * m_inv
-    T = spec.T
-    n = _n_steps(T, step)
-    y = (init.S10, init.S20, init.sigma10, init.sigma20, 0.0, 0.0, 0.0, 0.0)
-    if not _finite_row(y):
-        raise BlowUpError(0.0)
-    t_prev = 0.0
-    for i in range(1, n + 1):
-        t = i * step if i < n else T
-        y = _rk4_step(y, t - t_prev, m_inv, k, hh)
-        if not _finite_row(y):
-            raise BlowUpError(t_prev)
-        t_prev = t
-    return y
+    return _fixed(spec, init, step, keep=False)
 
 
 def _integrate_adaptive(spec, init, step):
-    m_inv = 1.0 / spec.m
-    k = spec.k
-    hh = spec.hbar_tilde * spec.hbar_tilde * 0.5 * m_inv
+    y, m_inv, k, hh = _start(spec, init, step)
     T = spec.T
     times = [0.0]
-    rows = [(init.S10, init.S20, init.sigma10, init.sigma20, 0.0, 0.0, 0.0, 0.0)]
-    if not _finite_row(rows[0]):
-        _blow_up(spec, times, rows, "rk4_adaptive", step)
+    rows = [y]
     t = 0.0
-    y = rows[0]
+    if not _finite_row(y):
+        _blow_up(spec, t, times, rows, "rk4_adaptive", step)
     h = min(step, T)
     h_min = 1e-12 * max(1.0, T)
     while t < T:
         h = min(h, T - t)
         if h < h_min:
-            _blow_up(spec, times, rows, "rk4_adaptive", step)
+            _blow_up(spec, t, times, rows, "rk4_adaptive", step)
         coarse = _rk4_step(y, h, m_inv, k, hh)
         half = _rk4_step(y, 0.5 * h, m_inv, k, hh)
         fine = _rk4_step(half, 0.5 * h, m_inv, k, hh)
@@ -380,13 +362,7 @@ def _integrate_adaptive(spec, init, step):
             h *= max(0.2, 0.9 * ratio ** -0.2)
     # floating accumulation may land within one ulp of T; pin it
     times[-1] = T
-    return SolutionGrid(
-        spec=spec,
-        times=np.asarray(times, dtype=float),
-        data=np.asarray(rows, dtype=float),
-        method="rk4_adaptive",
-        step=step,
-    )
+    return _grid(spec, times, rows, "rk4_adaptive", step)
 
 
 def integrate(
@@ -403,16 +379,10 @@ def integrate(
     ``BlowUpError`` carrying the partial grid when any component exceeds
     ``BLOWUP_LIMIT`` or turns non-finite.
     """
-    require_valid(spec)
-    if not (step > 0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    for name, v in zip(("S10", "S20", "sigma10", "sigma20"), init.as_tuple()):
-        if not math.isfinite(v):
-            raise ValueError(f"initial data {name} is not finite")
     if method == "rk4":
-        return _integrate_fixed(spec, init, step)
+        return _fixed(spec, init, step, keep=True)
     return _integrate_adaptive(spec, init, step)
 
 

@@ -22,7 +22,7 @@ from . import __version__
 from .action import eigenvalue, json_17g
 from .classical import ClassicalParams, lambda_classical, lambda_star, s10_star
 from .config import ExperimentConfig
-from .dynamics import integrate, convergence_order
+from .dynamics import _g17, convergence_order, integrate
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -46,10 +46,6 @@ CLASSICAL_CHECK_TOL = 1e-6
 
 #: accepted integrator-order band for the convergence gate
 ORDER_BAND = (3.7, 4.3)
-
-
-def _g17(x) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass

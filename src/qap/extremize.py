@@ -293,7 +293,10 @@ def optimize(
     0.1 * max(1, |coord|) per coordinate and is capped at ``max_iter``
     iterations. Convergence means the max-norm of the gradient over all
     active coordinates fell to ``grad_tol``; otherwise the best point
-    found is still returned with ``converged=False``.
+    found is still returned with ``converged=False``. If that best point
+    itself blows up (no integrable point was found), the final
+    ``integrate`` raises ``BlowUpError`` with its partial grid instead:
+    the returned report needs a complete run.
     """
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
 from qap import InitialData, OscillatorSpec
+from qap.dynamics import _stage
 
 
 @pytest.fixture
@@ -13,3 +16,17 @@ def spec() -> OscillatorSpec:
 def classical_init() -> InitialData:
     """Unit linear coefficient, zero phase offset, silent amplitude sector."""
     return InitialData(S10=1.0, S20=0.0, sigma10=0.0, sigma20=0.0)
+
+
+@pytest.fixture
+def derivatives():
+    """Time derivatives from the reference stage ``_stage``, by component name."""
+
+    def evaluate(spec, S1=0.0, S2=0.0, sigma1=0.0, sigma2=0.0):
+        m_inv = 1.0 / spec.m
+        hh = spec.hbar_tilde * spec.hbar_tilde * 0.5 * m_inv
+        d = _stage(S1, S2, sigma1, sigma2, m_inv, spec.k, hh)
+        names = ("S1", "S2", "sigma1", "sigma2", "qS", "qSigma", "qCon", "qIntS2")
+        return SimpleNamespace(**dict(zip(names, d)))
+
+    return evaluate

@@ -14,7 +14,6 @@ from qap import (
     composite_simpson,
     constraint_residual,
     eigenvalue,
-    functional_values,
     integrate,
     lambda_star,
     s10_star,
@@ -23,16 +22,6 @@ from qap import (
 )
 from qap.action import endpoint_report
 from qap.dynamics import SolutionGrid
-
-
-def make_grid(spec, times, columns):
-    """Fabricate a grid with prescribed coefficient columns (tests only)."""
-    times = np.asarray(times, dtype=float)
-    data = np.zeros((len(times), 8))
-    for name, idx in (("S1", 0), ("S2", 1), ("sigma1", 2), ("sigma2", 3)):
-        if name in columns:
-            data[:, idx] = columns[name]
-    return SolutionGrid(spec=spec, times=times, data=data, method="rk4", step=1.0)
 
 
 class TestEigenvalue:
@@ -184,49 +173,6 @@ class TestCompositeSimpson:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             composite_simpson([1.0, 2.0], [0.0, 0.5, 1.0])
-
-
-class TestFunctionalValues:
-    def test_zero_trajectory(self, spec, classical_init):
-        grid = integrate(spec, classical_init, step=1e-2)
-        fv = functional_values(np.zeros(len(grid)), grid)
-        assert fv.S_of_x == 0.0
-        assert fv.sigma_of_x == 0.0
-
-    def test_constant_kernels_constant_trajectory(self, spec):
-        # S1 = 1, S2 = 0, x = c: the phase functional is just c*T
-        times = np.linspace(0.0, 1.0, 101)
-        grid = make_grid(spec, times, {"S1": 1.0})
-        c = 0.75
-        fv = functional_values(np.full(101, c), grid)
-        assert fv.S_of_x == pytest.approx(c, abs=1e-12)
-
-    def test_linear_trajectory_against_quadrature_oracle(self, spec):
-        # x(t) = t on the classical kernels; expected value computed with
-        # mpmath.quad on the closed forms (30 digits), frozen here
-        init = InitialData(S10=1.0, S20=t0_to_S20(0.3, spec))
-        grid = integrate(spec, init, step=1e-3)
-        fv = functional_values(np.asarray(grid.times), grid)
-        assert fv.S_of_x == pytest.approx(0.44619871794707023, abs=1e-6)
-        assert fv.sigma_of_x == 0.0
-
-    def test_phase_undefined_without_quantum_scale(self, spec, classical_init):
-        grid = integrate(spec, classical_init, step=1e-2)
-        fv = functional_values(np.zeros(len(grid)), grid)
-        assert fv.psi_phase is None
-        assert fv.psi_magnitude_log == fv.sigma_of_x
-
-    def test_phase_scales_inversely_with_quantum_scale(self, spec):
-        s = replace(spec, hbar_tilde=0.5)
-        grid = integrate(s, InitialData(1.0, 0.0, 0.3, 0.8), step=1e-2)
-        x = np.asarray(grid.times)
-        fv = functional_values(x, grid)
-        assert fv.psi_phase == pytest.approx(fv.S_of_x / 0.5, rel=1e-15)
-
-    def test_length_mismatch(self, spec, classical_init):
-        grid = integrate(spec, classical_init, step=1e-2)
-        with pytest.raises(LengthMismatchError):
-            functional_values(np.zeros(len(grid) - 1), grid)
 
 
 class TestJson17g:

@@ -16,14 +16,11 @@ from qap import (
     integrate,
     lambda_classical,
     lambda_star,
-    rhs,
     s1_closed,
     s2_closed,
     s10_star,
     t0_to_S20,
-    xtilde,
 )
-from qap.model import CoefficientState
 
 
 class TestClosedForms:
@@ -58,7 +55,7 @@ class TestClosedForms:
         with pytest.raises(ZeroStiffnessError):
             lambda_star(free)
 
-    def test_closed_forms_solve_the_flow(self, spec):
+    def test_closed_forms_solve_the_flow(self, spec, derivatives):
         # substitute into the phase equations: residual of central-difference
         # derivatives against the right-hand side stays below 1e-9
         params = ClassicalParams(1.3, 0.35)
@@ -66,13 +63,7 @@ class TestClosedForms:
         for t in [0.05 * i for i in range(1, 20)]:
             s1p = (s1_closed(t + h, params, spec) - s1_closed(t - h, params, spec)) / (2 * h)
             s2p = (s2_closed(t + h, params, spec) - s2_closed(t - h, params, spec)) / (2 * h)
-            state = CoefficientState(
-                t=t,
-                S1=s1_closed(t, params, spec),
-                S2=s2_closed(t, params, spec),
-                sigma1=0.0, sigma2=0.0, qS=0.0, qSigma=0.0, qCon=0.0,
-            )
-            d = rhs(state, spec)
+            d = derivatives(spec, s1_closed(t, params, spec), s2_closed(t, params, spec))
             assert abs(s1p - d.S1) <= 1e-9
             assert abs(s2p - d.S2) <= 1e-9
 
@@ -164,28 +155,3 @@ class TestDegenerateEigenvalue:
         a = lambda_star(OscillatorSpec(m=m, k=k, T=T, x0=x0, xT=xT))
         b = lambda_star(OscillatorSpec(m=m, k=k, T=T, x0=xT, xT=x0))
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
-
-
-class TestReferenceTrajectoryDiagnostic:
-    def test_zero_boundary(self):
-        spec = OscillatorSpec(x0=0.0, xT=0.0)
-        assert xtilde(0.75, 0.5, spec) == 0.0
-
-    def test_reference_value(self, spec):
-        # cos(0.5)/(sin(1)*sin(0.25)), evaluated verbatim
-        val = xtilde(0.75, 0.5, spec)
-        assert val == pytest.approx(
-            math.cos(0.5) / (math.sin(1.0) * math.sin(0.25)), rel=1e-15
-        )
-        assert val == pytest.approx(4.215433029484463, abs=1e-12)
-
-    def test_singular_at_offset_time(self, spec):
-        with pytest.raises(SingularityError):
-            xtilde(0.5, 0.5, spec)
-
-    def test_inconsistent_with_constant_kernel_parameterization(self, spec):
-        # the diagnostic's time dependence cannot reproduce the
-        # time-independent quadratic kernel its companion phase implies;
-        # surface the mutual residual instead of hiding it
-        vals = [xtilde(t, 0.5, spec) for t in (0.6, 0.75, 0.9)]
-        assert max(vals) - min(vals) > 1.0

@@ -96,6 +96,15 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="positive"):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("t0", "abc"), ("t0", "inf"), ("S10", "inf"), ("S20", "-inf"),
+        ("sigma10", "nan"), ("sigma20", "inf"),
+    ])
+    def test_bad_init_value_exits_2_naming_key(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, f"[init]\n{key} = {value}\n")
+        assert main(["integrate", "--config", path, "--out", str(tmp_path)]) == 2
+        assert f"config error: {key} " in capsys.readouterr().out
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.ini")
@@ -292,6 +301,17 @@ class TestExtremizeCommand:
         assert payload["active"] == ["S10", "S20"]
         assert payload["seed"] == 42
 
+    def test_blown_up_best_point_exits_3(self, tmp_path, capsys):
+        # a guess behind the caustic wall that one iteration cannot leave
+        path = write_config(
+            tmp_path,
+            "[init]\nS20 = -2.0\n[optimize]\nactive = S10,S20\nmax_iter = 1\nrestarts = 1\n",
+        )
+        out = tmp_path / "out"
+        assert main(["extremize", "--config", path, "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().out
+        assert not (out / "extremum.json").exists()
+
 
 class TestConvergenceCommand:
     def test_default_passes(self, config_path, tmp_path, capsys):
@@ -328,6 +348,13 @@ class TestOverridesAndLogging:
             "--method", "rk4_adaptive",
         ])
         assert "method=rk4_adaptive" in (out / "solution.csv").read_text()
+
+    @pytest.mark.parametrize("h", ["inf", "nan", "0", "-0.1"])
+    def test_bad_h_override_exits_2_before_running(self, config_path, tmp_path, capsys, h):
+        out = tmp_path / "out"
+        assert main(["extremize", "--config", config_path, "--out", str(out), "--h", h]) == 2
+        assert "h must be positive and finite" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_seed_override_lands_in_outputs(self, config_path, tmp_path):
         out = tmp_path / "out"

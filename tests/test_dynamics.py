@@ -9,40 +9,33 @@ from hypothesis import strategies as st
 
 from qap import (
     BlowUpError,
-    CoefficientState,
     DegenerateProbeError,
     InitialData,
     OscillatorSpec,
     convergence_order,
     integrate,
-    rhs,
     t0_to_S20,
 )
 from qap.dynamics import _rk4_step, _stage, final_state
 
 
-def state(S1=0.0, S2=0.0, sigma1=0.0, sigma2=0.0):
-    return CoefficientState(t=0.0, S1=S1, S2=S2, sigma1=sigma1, sigma2=sigma2,
-                            qS=0.0, qSigma=0.0, qCon=0.0)
-
-
 class TestRhs:
-    def test_all_zero_state(self, spec):
-        d = rhs(state(), spec)
+    def test_all_zero_state(self, spec, derivatives):
+        d = derivatives(spec)
         assert (d.sigma1, d.sigma2, d.S1, d.S2) == (0.0, 0.0, 0.0, -1.0)
         assert (d.qS, d.qSigma, d.qCon) == (0.0, 0.0, 0.0)
 
-    def test_unit_state_classical(self, spec):
-        d = rhs(state(1.0, 1.0, 1.0, 1.0), spec)
+    def test_unit_state_classical(self, spec, derivatives):
+        d = derivatives(spec, 1.0, 1.0, 1.0, 1.0)
         assert (d.sigma1, d.sigma2, d.S1, d.S2) == (-2.0, -1.0, -1.0, -2.0)
 
-    def test_unit_state_quantum(self, spec):
-        d = rhs(state(1.0, 1.0, 1.0, 1.0), replace(spec, hbar_tilde=1.0))
+    def test_unit_state_quantum(self, spec, derivatives):
+        d = derivatives(replace(spec, hbar_tilde=1.0), 1.0, 1.0, 1.0, 1.0)
         assert d.S1 == -0.5
         assert d.S2 == -1.0
 
-    def test_accumulator_integrands(self, spec):
-        d = rhs(state(2.0, 3.0, 0.5, -1.0), spec)
+    def test_accumulator_integrands(self, spec, derivatives):
+        d = derivatives(spec, 2.0, 3.0, 0.5, -1.0)
         assert d.qS == 4.0
         assert d.qSigma == 0.25 - 1.0
         assert d.qCon == 0.5 * 2.0 + 2.0 * 3.0
@@ -159,6 +152,19 @@ class TestIntegrate:
             integrate(spec, InitialData(S10=math.nan), step=1e-3)
 
 
+@pytest.mark.parametrize("solve", [integrate, final_state])
+class TestSharedInputCheck:
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
+    def test_rejects_bad_step(self, solve, spec, classical_init, step):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            solve(spec, classical_init, step)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_init(self, solve, spec, bad):
+        with pytest.raises(ValueError, match="sigma10 is not finite"):
+            solve(spec, InitialData(S10=1.0, sigma10=bad), 1e-3)
+
+
 class TestBlowUp:
     def test_caustic_inside_horizon_reports_last_good_time(self):
         # pole of -tan(t - t0) at t = t0 + pi/2 ~ 1.4138
@@ -177,20 +183,25 @@ class TestBlowUp:
     def test_final_state_fast_path_blows_up_identically(self):
         spec = OscillatorSpec(T=1.5)
         init = InitialData(S10=1.0, S20=t0_to_S20(-0.157, spec))
-        with pytest.raises(BlowUpError) as a:
-            integrate(spec, init, step=1e-3)
-        with pytest.raises(BlowUpError) as b:
-            final_state(spec, init, step=1e-3)
-        assert a.value.t_last == b.value.t_last
+        for step in (1e-3, 1e-2, 5e-2):
+            with pytest.raises(BlowUpError) as a:
+                integrate(spec, init, step=step)
+            with pytest.raises(BlowUpError) as b:
+                final_state(spec, init, step=step)
+            assert a.value.t_last == b.value.t_last, step
+            assert b.value.partial is None
 
 
 class TestFinalStateFastPath:
     def test_bitwise_equal_to_grid_endpoint(self, spec):
+        # steps 0.15 and 0.3 do not divide T, so the last step is shortened
         init = InitialData(1.0, 0.2, 0.3, 0.8)
-        s = replace(spec, hbar_tilde=0.4)
-        grid = integrate(s, init, step=1e-3)
-        fast = final_state(s, init, step=1e-3)
-        assert tuple(float(v) for v in grid.data[-1]) == fast
+        for step in (1e-3, 0.15, 0.3):
+            for hbar in (0.0, 0.4):
+                s = replace(spec, hbar_tilde=hbar)
+                grid = integrate(s, init, step=step)
+                fast = final_state(s, init, step=step)
+                assert tuple(float(v) for v in grid.data[-1]) == fast, (step, hbar)
 
 
 class TestAdaptive:

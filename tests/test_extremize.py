@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qap import (
+    BlowUpError,
     FDFailureError,
     InitialData,
     OscillatorSpec,
@@ -142,6 +143,17 @@ class TestOptimizeClassical:
         )
         assert not res.converged
         assert res.report is not None
+
+    def test_blown_up_best_point_raises_with_partial_grid(self, spec):
+        # behind the caustic wall, one iteration finds no integrable point;
+        # the report needs a complete run, so the final integrate raises
+        with pytest.raises(BlowUpError) as exc:
+            optimize(spec, InitialData(S20=-2.0), active=("S10", "S20"),
+                     max_iter=1, restarts=1)
+        partial = exc.value.partial
+        assert partial is not None
+        assert not partial.complete
+        assert float(partial.times[-1]) == exc.value.t_last < spec.T
 
     def test_determinism_bit_identical_json(self, spec):
         kwargs = dict(active=("S10",), step=5e-3, seed=123)
