@@ -74,9 +74,11 @@ def _require_complete(grid: SolutionGrid) -> None:
 def endpoint_report(spec, first, last) -> EigenvalueReport:
     """Eigenvalue report from the first/last state rows of a run.
 
-    ``first`` and ``last`` are eight-component state rows (coefficients
-    plus accumulators). Shared by ``eigenvalue`` and the extremizer's
-    storage-free fast path so both produce bit-identical reports.
+    ``last`` is an eight-component state row (coefficients plus
+    accumulators); of ``first`` only the four initial coefficients are
+    read, so it may be the start row or ``InitialData.as_tuple()``.
+    Shared by ``eigenvalue`` and the extremizer's storage-free fast path
+    so both produce bit-identical reports.
     """
     boundary = float(
         last[0] * spec.xT + 0.5 * last[1] * spec.xT**2

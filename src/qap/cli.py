@@ -16,8 +16,9 @@ import logging
 import os
 import sys
 
-from .config import _require_step, load_config
-from .errors import ConfigError, QapError, ValidationError
+from .config import _checked, load_config
+from .dynamics import METHODS
+from .errors import QapError
 from .experiments import COMMANDS, EXIT_CONFIG, run_command
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
@@ -48,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--h", type=float, default=None, help="override step size")
         cmd.add_argument(
             "--method",
-            choices=("rk4", "rk4_adaptive"),
+            choices=METHODS,
             default=None,
             help="override integration method",
         )
@@ -61,12 +62,12 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.h is not None:
-            cfg.step = _require_step(args.h)
-    except (ConfigError, ValidationError, QapError, ValueError) as err:
+            cfg.step = _checked("h", args.h)
+        if args.seed is not None:
+            cfg.seed = _checked("seed", args.seed)
+    except (QapError, ValueError) as err:
         print(f"config error: {err}")
         return EXIT_CONFIG
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.method is not None:
         cfg.method = args.method
     out_dir = args.out or cfg.out_dir or "."

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import METHODS
 from .errors import ConfigError
 from .model import InitialData, OscillatorSpec, t0_to_S20
 
@@ -40,6 +41,16 @@ _SECTIONS = {
     "optimize": _OPT_KEYS,
     "sweep": _SWEEP_KEYS,
     "output": _OUTPUT_KEYS,
+}
+
+_POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
+#: the rule a key's value must meet, and its wording in the error
+_RULES = {
+    **dict.fromkeys(_INIT_KEYS, (math.isfinite, "finite")),
+    **dict.fromkeys(("h", "t_probe", "grad_tol"), _POSITIVE),
+    "penalty_weight": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    **dict.fromkeys(("max_iter", "restarts"), (lambda v: v >= 1, ">= 1")),
+    "seed": (lambda v: v >= 0, ">= 0"),
 }
 
 
@@ -74,11 +85,17 @@ def parse_grid(text: str) -> list[float]:
         if count < 1:
             raise ConfigError(f"grid count must be >= 1, got {count}")
         return [float(v) for v in np.linspace(start, stop, count)]
-    values = [float(v) for v in text.split(",") if v.strip()]
-    return values
+    return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _check_grid(name: str, values: list[float]) -> list[float]:
+def _grid(entries, name: str) -> list[float] | None:
+    raw = _lookup(entries, name)
+    if raw is None:
+        return None
+    try:
+        values = parse_grid(raw)
+    except ValueError as err:
+        raise ConfigError(f"{name} entries must be numbers, got {raw!r}") from err
     if not values:
         raise ConfigError(f"{name} is empty")
     if any(not math.isfinite(v) for v in values):
@@ -124,31 +141,25 @@ def _lookup(entries: dict[str, str], key: str) -> str | None:
     return entries.get(key.lower())
 
 
-def _float(entries, key, default):
+def _checked(key: str, value):
+    """``value`` if it meets the rule of ``key``; the CLI's overrides go through it too."""
+    ok, wording = _RULES[key]
+    if not ok(value):
+        raise ConfigError(f"{key} must be {wording}, got {value}")
+    return value
+
+
+def _number(entries, key, default, kind=float):
+    """``key`` parsed as ``kind`` and checked by its rule, if any; ``default`` if absent."""
     raw = _lookup(entries, key)
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = kind(raw)
     except ValueError as err:
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from err
-
-
-def _int(entries, key, default):
-    raw = _lookup(entries, key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as err:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}") from err
-
-
-def _require_step(h: float) -> float:
-    """The step rule of ``[grid] h`` and of the CLI's ``--h``: positive and finite."""
-    if not (h > 0 and math.isfinite(h)):
-        raise ConfigError(f"h must be positive and finite, got {h}")
-    return h
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{key} must be {noun}, got {raw!r}") from err
+    return _checked(key, value) if key in _RULES else value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -170,20 +181,17 @@ def load_config(path) -> ExperimentConfig:
 
     spec_entries = sections.get("spec", {})
     cfg.spec = OscillatorSpec(
-        m=_float(spec_entries, "m", 1.0),
-        k=_float(spec_entries, "k", 1.0),
-        hbar_tilde=_float(spec_entries, "hbar_tilde", 0.0),
-        T=_float(spec_entries, "T", 1.0),
-        x0=_float(spec_entries, "x0", 0.0),
-        xT=_float(spec_entries, "xT", 1.0),
+        m=_number(spec_entries, "m", 1.0),
+        k=_number(spec_entries, "k", 1.0),
+        hbar_tilde=_number(spec_entries, "hbar_tilde", 0.0),
+        T=_number(spec_entries, "T", 1.0),
+        x0=_number(spec_entries, "x0", 0.0),
+        xT=_number(spec_entries, "xT", 1.0),
     )
 
     if "init" in sections:
         entries = sections["init"]
-        init = {key: _float(entries, key, None) for key in _INIT_KEYS}
-        for key, v in init.items():
-            if v is not None and not math.isfinite(v):
-                raise ConfigError(f"{key} in [init] must be finite, got {v}")
+        init = {key: _number(entries, key, None) for key in _INIT_KEYS}
         t0 = init.pop("t0")
         if t0 is not None and init["S20"] is not None:
             raise ConfigError("give either t0 or S20 in [init], not both")
@@ -192,36 +200,30 @@ def load_config(path) -> ExperimentConfig:
         cfg.init = InitialData(**{k: 0.0 if v is None else v for k, v in init.items()})
 
     grid_entries = sections.get("grid", {})
-    cfg.step = _float(grid_entries, "h", cfg.step)
+    cfg.step = _number(grid_entries, "h", cfg.step)
     method = _lookup(grid_entries, "method")
     if method is not None:
         cfg.method = method.strip()
-    cfg.t_probe = _float(grid_entries, "t_probe", cfg.t_probe)
+    if cfg.method not in METHODS:
+        raise ConfigError(f"method must be {' or '.join(METHODS)}, got {cfg.method!r}")
+    cfg.t_probe = _number(grid_entries, "t_probe", cfg.t_probe)
 
     opt_entries = sections.get("optimize", {})
     active = _lookup(opt_entries, "active")
     if active is not None:
         cfg.active = active.strip()
-    cfg.grad_tol = _float(opt_entries, "grad_tol", cfg.grad_tol)
-    cfg.max_iter = _int(opt_entries, "max_iter", cfg.max_iter)
-    cfg.penalty_weight = _float(opt_entries, "penalty_weight", cfg.penalty_weight)
-    cfg.restarts = _int(opt_entries, "restarts", cfg.restarts)
-    cfg.seed = _int(opt_entries, "seed", cfg.seed)
+    cfg.grad_tol = _number(opt_entries, "grad_tol", cfg.grad_tol)
+    cfg.max_iter = _number(opt_entries, "max_iter", cfg.max_iter, int)
+    cfg.penalty_weight = _number(opt_entries, "penalty_weight", cfg.penalty_weight)
+    cfg.restarts = _number(opt_entries, "restarts", cfg.restarts, int)
+    cfg.seed = _number(opt_entries, "seed", cfg.seed, int)
 
     sweep_entries = sections.get("sweep", {})
-    t0_grid = _lookup(sweep_entries, "t0_grid")
-    if t0_grid is not None:
-        cfg.t0_grid = _check_grid("t0_grid", parse_grid(t0_grid))
-    hbar_grid = _lookup(sweep_entries, "hbar_grid")
-    if hbar_grid is not None:
-        cfg.hbar_grid = _check_grid("hbar_grid", parse_grid(hbar_grid))
+    cfg.t0_grid = _grid(sweep_entries, "t0_grid")
+    cfg.hbar_grid = _grid(sweep_entries, "hbar_grid")
 
     out_entries = sections.get("output", {})
     out_dir = _lookup(out_entries, "out_dir")
     if out_dir is not None:
         cfg.out_dir = out_dir.strip()
-
-    _require_step(cfg.step)
-    if cfg.method not in ("rk4", "rk4_adaptive"):
-        raise ConfigError(f"method must be rk4 or rk4_adaptive, got {cfg.method!r}")
     return cfg

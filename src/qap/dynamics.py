@@ -24,7 +24,9 @@ contract.
 One fixed-step RK4 driver serves both ``integrate(method="rk4")``,
 which keeps the trajectory, and ``final_state``, which keeps only the
 endpoint; the step-doubling loop behind ``rk4_adaptive`` is separate.
-All of them share one input check and one blow-up exit.
+All of them share one entry (the input check, which hands the loop
+only Python floats, since the unrolled step runs about three times
+slower on numpy scalars) and one blow-up exit.
 
 The S2 equation is of Riccati type and genuinely blows up in finite
 time when a caustic falls inside the horizon; integration reports the
@@ -265,17 +267,19 @@ def _blow_up(spec, t_last, times, rows, method, step):
 
 
 def _start(spec, init, step):
-    """Shared input check; the start row and the flow coefficients (m_inv, k, hh)."""
+    """Shared input check, then, as Python floats, the start row, the flow
+    coefficients (m_inv, k, hh), the step and the horizon."""
     require_valid(spec)
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
     for name, v in zip(("S10", "S20", "sigma10", "sigma20"), init.as_tuple()):
         if not math.isfinite(v):
             raise ValueError(f"initial data {name} is not finite")
-    m_inv = 1.0 / spec.m
-    hh = spec.hbar_tilde * spec.hbar_tilde * 0.5 * m_inv
-    y = (init.S10, init.S20, init.sigma10, init.sigma20, 0.0, 0.0, 0.0, 0.0)
-    return y, m_inv, spec.k, hh
+    y = tuple(float(v) for v in init.as_tuple()) + (0.0, 0.0, 0.0, 0.0)
+    m_inv = 1.0 / float(spec.m)
+    hb = float(spec.hbar_tilde)
+    hh = hb * hb * 0.5 * m_inv
+    return y, m_inv, float(spec.k), hh, float(step), float(spec.T)
 
 
 def _n_steps(T, step):
@@ -292,8 +296,7 @@ def _fixed(spec, init, step, keep):
     on T exactly. A blow-up raises ``BlowUpError`` at the last good time,
     carrying the partial grid only if ``keep``.
     """
-    y, m_inv, k, hh = _start(spec, init, step)
-    T = spec.T
+    y, m_inv, k, hh, step, T = _start(spec, init, step)
     n = _n_steps(T, step)
     times = [0.0] if keep else None
     rows = [y] if keep else None
@@ -326,8 +329,7 @@ def final_state(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_S
 
 
 def _integrate_adaptive(spec, init, step):
-    y, m_inv, k, hh = _start(spec, init, step)
-    T = spec.T
+    y, m_inv, k, hh, step, T = _start(spec, init, step)
     times = [0.0]
     rows = [y]
     t = 0.0

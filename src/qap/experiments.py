@@ -97,9 +97,18 @@ def _require_init(cfg: ExperimentConfig) -> InitialData:
     return cfg.init
 
 
+def _require_classical(cfg: ExperimentConfig, command: str) -> None:
+    """Preconditions of the closed-form commands: hbar_tilde = 0, k > 0, off resonance."""
+    if cfg.spec.hbar_tilde != 0.0:
+        raise ConfigError(f"{command} needs hbar_tilde = 0")
+    if cfg.spec.k <= 0.0:
+        raise ConfigError(f"{command} needs k > 0")
+    if resonant(cfg.spec):
+        raise ConfigError(f"{command} is undefined at resonance (sin(omega0*T)=0)")
+
+
 def cmd_integrate(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Integrate once and write the solution grid CSV."""
-    require_valid(cfg.spec)
     init = _require_init(cfg)
     path = out_dir / "solution.csv"
     try:
@@ -123,7 +132,6 @@ def cmd_integrate(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_eigenvalue(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Integrate once and report the eigenvalue decomposition."""
-    require_valid(cfg.spec)
     init = _require_init(cfg)
     grid = integrate(cfg.spec, init, step=cfg.step, method=cfg.method)
     report = eigenvalue(grid)
@@ -141,13 +149,7 @@ def cmd_eigenvalue(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_classical_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Full pipeline against the closed-form degenerate eigenvalue."""
-    require_valid(cfg.spec)
-    if cfg.spec.hbar_tilde != 0.0:
-        raise ConfigError("classical-check needs hbar_tilde = 0")
-    if cfg.spec.k <= 0.0:
-        raise ConfigError("classical-check needs k > 0")
-    if resonant(cfg.spec):
-        raise ConfigError("classical-check is undefined at resonance (sin(omega0*T)=0)")
+    _require_classical(cfg, "classical-check")
 
     t0 = 0.5 * cfg.spec.T
     s20 = t0_to_S20(t0, cfg.spec)
@@ -178,15 +180,9 @@ def cmd_classical_check(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_scan_t0(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Sweep the phase offset: closed-form and ODE eigenvalues per point."""
-    require_valid(cfg.spec)
-    if cfg.spec.hbar_tilde != 0.0:
-        raise ConfigError("scan-t0 is a classical-mode sweep; set hbar_tilde = 0")
+    _require_classical(cfg, "scan-t0")
     if cfg.t0_grid is None:
         raise ConfigError("scan-t0 needs [sweep] t0_grid")
-    if cfg.spec.k <= 0.0:
-        raise ConfigError("scan-t0 needs k > 0")
-    if resonant(cfg.spec):
-        raise ConfigError("scan-t0 is undefined at resonance (sin(omega0*T)=0)")
 
     table = SweepTable(
         parameter="t0",
@@ -221,7 +217,6 @@ def cmd_scan_t0(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_sweep_hbar(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Sweep the quantum scale at fixed initial data; fit the correction power."""
-    require_valid(cfg.spec)
     init = _require_init(cfg)
     if cfg.hbar_grid is None:
         raise ConfigError("sweep-hbar needs [sweep] hbar_grid")
@@ -285,7 +280,6 @@ def cmd_sweep_hbar(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_extremize(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Extremize the eigenvalue over the configured active coordinates."""
-    require_valid(cfg.spec)
     guess = cfg.init if cfg.init is not None else InitialData()
     result = optimize(
         cfg.spec,
@@ -313,7 +307,6 @@ def cmd_extremize(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Integrator-order check on one classical and one quantum run."""
-    require_valid(cfg.spec)
     classical_spec = replace(cfg.spec, hbar_tilde=0.0)
     classical_init = InitialData(S10=1.0)
     hb = cfg.spec.hbar_tilde if cfg.spec.hbar_tilde > 0 else 0.5
@@ -370,8 +363,9 @@ def run_command(name: str, cfg: ExperimentConfig, out_dir) -> int:
     log.info("command=%s out=%s h=%g method=%s seed=%d",
              name, out_dir, cfg.step, cfg.method, cfg.seed)
     try:
+        require_valid(cfg.spec)
         return COMMANDS[name](cfg, out_dir)
-    except ConfigError as err:
+    except (ConfigError, ValueError) as err:
         print(f"config error: {err}")
         return EXIT_CONFIG
     except (BlowUpError, DegenerateProbeError) as err:
@@ -379,7 +373,4 @@ def run_command(name: str, cfg: ExperimentConfig, out_dir) -> int:
         return EXIT_NUMERIC
     except QapError as err:
         print(f"error: {err}")
-        return EXIT_CONFIG
-    except ValueError as err:
-        print(f"config error: {err}")
         return EXIT_CONFIG

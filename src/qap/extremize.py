@@ -25,8 +25,10 @@ remain or the projected guess is already stationary. A penalty makes
 the objective quartic in (S10, sigma10), so penalised searches project
 nothing and Nelder-Mead runs over all active coordinates.
 
-Runs that blow up inside the horizon map to a large finite penalty so
-the simplex retreats; they are counted, not raised.
+Every finite-difference gradient uses steps of ``FD_STEP`` times
+max(1, |coord|); Hessians use its square root. Runs that blow up
+inside the horizon map to a large finite penalty so the simplex
+retreats; they are counted, not raised.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ from .model import InitialData, OscillatorSpec
 
 #: objective value substituted for runs that blow up
 BLOWUP_PENALTY = 1e15
+
+#: relative step of every finite-difference gradient
+FD_STEP = 1e-5
 
 COORD_NAMES = ("S10", "S20", "sigma10", "sigma20")
 
@@ -125,17 +130,23 @@ def parse_active(active) -> tuple[bool, bool, bool, bool]:
         items = list(active)
     if len(items) == 4 and all(isinstance(b, (bool, np.bool_)) for b in items):
         mask = tuple(bool(b) for b in items)
-        if not any(mask):
-            raise ValueError("no active coordinates selected")
-        return mask
-    names = [str(s) for s in items]
-    unknown = [n for n in names if n not in COORD_NAMES]
-    if unknown:
-        raise ValueError(f"unknown coordinate names {unknown}; expected {COORD_NAMES}")
-    mask = tuple(n in names for n in COORD_NAMES)
+    else:
+        names = [str(s) for s in items]
+        unknown = [n for n in names if n not in COORD_NAMES]
+        if unknown:
+            raise ValueError(f"unknown coordinate names {unknown}; expected {COORD_NAMES}")
+        mask = tuple(n in names for n in COORD_NAMES)
     if not any(mask):
         raise ValueError("no active coordinates selected")
     return mask
+
+
+def _embed(base, idx, z) -> InitialData:
+    """``base`` with coordinates ``idx`` set to the active vector ``z``, as Python floats."""
+    vals = [float(v) for v in base]
+    for j, i in enumerate(idx):
+        vals[i] = float(z[j])
+    return InitialData(*vals)
 
 
 def _evaluate(
@@ -149,8 +160,7 @@ def _evaluate(
     try:
         if method == "rk4":
             # storage-free fast path; bit-identical to the grid route
-            first = (init.S10, init.S20, init.sigma10, init.sigma20, 0.0, 0.0, 0.0, 0.0)
-            report = endpoint_report(spec, first, final_state(spec, init, step))
+            report = endpoint_report(spec, init.as_tuple(), final_state(spec, init, step))
         else:
             report = eigenvalue(integrate(spec, init, step=step, method=method))
     except BlowUpError as err:
@@ -176,7 +186,7 @@ def objective(
     return _evaluate(spec, init, penalty_weight, step, method)[0]
 
 
-def _central_gradient(f, z, h_fd, axes=None):
+def _central_gradient(f, z, axes=None):
     """Central differences of ``f`` at ``z`` along ``axes`` (default: all).
 
     Returns the gradient and the largest probe value, so a caller can
@@ -186,7 +196,7 @@ def _central_gradient(f, z, h_fd, axes=None):
     g = np.empty(len(axes))
     worst = -math.inf
     for a, i in enumerate(axes):
-        h = h_fd * max(1.0, abs(z[i]))
+        h = FD_STEP * max(1.0, abs(z[i]))
         zp = z.copy(); zp[i] += h
         zm = z.copy(); zm[i] -= h
         fp, fm = f(zp), f(zm)
@@ -195,11 +205,11 @@ def _central_gradient(f, z, h_fd, axes=None):
     return g, worst
 
 
-def _central_hessian(f, z, h_fd, f0):
-    # second differences use sqrt(h_fd) steps: h_fd itself would put the
-    # quotient below the objective's evaluation precision
+def _central_hessian(f, z, f0):
+    # second differences use sqrt(FD_STEP) steps: FD_STEP itself would put
+    # the quotient below the objective's evaluation precision
     n = len(z)
-    hs = [math.sqrt(h_fd) * max(1.0, abs(z[i])) for i in range(n)]
+    hs = [math.sqrt(FD_STEP) * max(1.0, abs(z[i])) for i in range(n)]
     H = np.empty((n, n))
     for i in range(n):
         zp = z.copy(); zp[i] += hs[i]
@@ -227,7 +237,6 @@ def _signature(H: np.ndarray) -> HessianSignature:
 def stationarity_check(
     init: InitialData,
     spec: OscillatorSpec,
-    h_fd: float = 1e-5,
     active=None,
     penalty_weight: float = 0.0,
     step: float = 1e-3,
@@ -238,32 +247,30 @@ def stationarity_check(
 ) -> StationarityReport:
     """Verify stationarity of the objective at ``init`` by central differences.
 
-    Gradient steps are h_fd * max(1, |coord|) per active coordinate.
-    Raises ``FDFailureError`` when any probe integration blows up: a
+    Gradient steps are FD_STEP * max(1, |coord|) per active coordinate,
+    Hessian steps sqrt(FD_STEP) * max(1, |coord|). Raises
+    ``FDFailureError`` when any probe integration blows up: a
     verification tool must not silently average over a caustic.
 
-    A caller that already holds the gradient at ``init`` (same ``h_fd``,
-    no probe blown up) and the objective value there passes them as
+    A caller that already holds the gradient at ``init`` (no probe blown
+    up) and the objective value there passes them as
     ``gradient`` and ``value``; the report is the same, without
     repeating those solves.
     """
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]
-    base = list(init.as_tuple())
+    base = init.as_tuple()
 
     def f(z):
-        vals = list(base)
-        for j, i in enumerate(idx):
-            vals[i] = z[j]
-        v = _evaluate(spec, InitialData(*vals), penalty_weight, step, method)[0]
+        v = _evaluate(spec, _embed(base, idx, z), penalty_weight, step, method)[0]
         if v >= BLOWUP_PENALTY:
             raise FDFailureError("finite-difference probe blew up")
         return v
 
     z = np.array([base[i] for i in idx], dtype=float)
     if gradient is None:
-        gradient = _central_gradient(f, z, h_fd)[0]
-    hessian = _central_hessian(f, z, h_fd, f(z) if value is None else value)
+        gradient = _central_gradient(f, z)[0]
+    hessian = _central_hessian(f, z, f(z) if value is None else value)
     return StationarityReport(gradient, hessian, _signature(hessian))
 
 
@@ -277,7 +284,6 @@ def optimize(
     restarts: int = 5,
     seed: int = 42,
     step: float = 1e-3,
-    fd_step: float = 1e-5,
     method: str = "rk4",
 ) -> ExtremumResult:
     """Find a stationary point of the objective over the active coordinates.
@@ -300,7 +306,7 @@ def optimize(
     """
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]
-    base = list(guess.as_tuple())
+    base = guess.as_tuple()
     # positions in the active vector: solved for (S10, sigma10) and searched
     lin = [j for j, i in enumerate(idx) if i in (0, 2)] if penalty_weight == 0.0 else []
     free = [j for j in range(len(idx)) if j not in lin]
@@ -308,15 +314,9 @@ def optimize(
     blowups = 0
     T = spec.T
 
-    def make_init(z) -> InitialData:
-        vals = list(base)
-        for j, i in enumerate(idx):
-            vals[i] = float(z[j])
-        return InitialData(*vals)
-
     def f_raw(z) -> tuple[float, float]:
         nonlocal blowups
-        value, t_last = _evaluate(spec, make_init(z), penalty_weight, step, method)
+        value, t_last = _evaluate(spec, _embed(base, idx, z), penalty_weight, step, method)
         if t_last < T:
             blowups += 1
         return value, t_last
@@ -368,7 +368,7 @@ def optimize(
             fc = f(z)
         if fc >= BLOWUP_PENALTY:
             return z, fc, None, math.inf
-        g, worst = _central_gradient(f, z, fd_step)
+        g, worst = _central_gradient(f, z)
         return z, fc, g, worst
 
     def merit(z_free) -> float:
@@ -382,8 +382,8 @@ def optimize(
             return BLOWUP_PENALTY * (1.0 + frac)
         # at the projected point the gradient along lin vanishes, so the
         # gradient along the searched coordinates is the reduced gradient
-        g = _central_gradient(f, project(z, fc), fd_step, free)[0]
-        if float(np.max(np.abs(g))) >= 0.5 * BLOWUP_PENALTY:
+        g, worst = _central_gradient(f, project(z, fc), free)
+        if worst >= BLOWUP_PENALTY:
             # center fine, some probe blown: just below the plateau
             return 0.99 * BLOWUP_PENALTY
         return min(float(g @ g), 0.9 * BLOWUP_PENALTY)
@@ -433,14 +433,14 @@ def optimize(
             converged = gradient_norm <= grad_tol
         attempt += 1
 
-    final_init = make_init(best_z)
+    final_init = _embed(base, idx, best_z)
     grid = integrate(spec, final_init, step=step, method=method)
     report = eigenvalue(grid)
     signature = None
     if best_g is not None and worst < BLOWUP_PENALTY:
         try:
             signature = stationarity_check(
-                final_init, spec, fd_step, mask, penalty_weight, step, method,
+                final_init, spec, mask, penalty_weight, step, method,
                 gradient=best_g, value=best_f,
             ).signature
         except FDFailureError:

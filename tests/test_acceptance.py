@@ -15,7 +15,6 @@ from qap import (
     ClassicalParams,
     InitialData,
     OscillatorSpec,
-    composite_simpson,
     constraint_residual,
     eigenvalue,
     integrate,

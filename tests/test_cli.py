@@ -1,12 +1,12 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from qap.cli import main
 from qap.config import load_config, parse_grid
 from qap.errors import ConfigError
+from qap.experiments import COMMANDS
 
 BASE_INI = """\
 [spec]
@@ -105,6 +105,20 @@ class TestConfigLoading:
         assert main(["integrate", "--config", path, "--out", str(tmp_path)]) == 2
         assert f"config error: {key} " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("optimize", "penalty_weight", "nan"), ("optimize", "penalty_weight", "-1"),
+        ("optimize", "grad_tol", "-1"), ("optimize", "grad_tol", "0"),
+        ("optimize", "max_iter", "0"), ("optimize", "restarts", "0"),
+        ("optimize", "seed", "-1"), ("grid", "t_probe", "0"), ("grid", "t_probe", "inf"),
+        ("sweep", "t0_grid", "a:1:3"), ("sweep", "hbar_grid", "0.1,b"),
+    ])
+    def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, section, key, value):
+        path = write_config(tmp_path, f"[init]\nS10 = 1.0\n[{section}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["integrate", "--config", path, "--out", str(out)]) == 2
+        assert f"config error: {key} " in capsys.readouterr().out
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.ini")
@@ -179,6 +193,26 @@ class TestClassicalCheckCommand:
         path = write_config(tmp_path, "[spec]\nxT = 0.0\n")
         assert main(["classical-check", "--config", path, "--out", str(tmp_path)]) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["classical-check", "scan-t0"])
+class TestClassicalPreconditions:
+    @pytest.mark.parametrize("line, reason", [
+        ("hbar_tilde = 0.5", "needs hbar_tilde = 0"),
+        ("k = 0.0", "needs k > 0"),
+        (f"T = {math.pi}", "is undefined at resonance"),
+    ])
+    def test_rejected_with_reason(self, tmp_path, capsys, command, line, reason):
+        path = write_config(tmp_path, f"[spec]\n{line}\n[sweep]\nt0_grid = 0.1,0.2\n")
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert f"config error: {command} {reason}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_invalid_spec_exits_2_for_every_command(tmp_path, capsys, command):
+    path = write_config(tmp_path, "[spec]\nT = 0.0\nm = -1.0\n[init]\nS10 = 1.0\n")
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert "error: NonPositiveMass; NonPositiveHorizon" in capsys.readouterr().out
 
 
 class TestScanT0Command:
@@ -354,6 +388,12 @@ class TestOverridesAndLogging:
         out = tmp_path / "out"
         assert main(["extremize", "--config", config_path, "--out", str(out), "--h", h]) == 2
         assert "h must be positive and finite" in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_negative_seed_override_exits_2(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["integrate", "--config", config_path, "--out", str(out), "--seed", "-1"]) == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().out
         assert not out.exists()
 
     def test_seed_override_lands_in_outputs(self, config_path, tmp_path):

@@ -16,7 +16,7 @@ from qap import (
     integrate,
     t0_to_S20,
 )
-from qap.dynamics import _rk4_step, _stage, final_state
+from qap.dynamics import METHODS, _rk4_step, _stage, _start, final_state
 
 
 class TestRhs:
@@ -163,6 +163,36 @@ class TestSharedInputCheck:
     def test_rejects_non_finite_init(self, solve, spec, bad):
         with pytest.raises(ValueError, match="sigma10 is not finite"):
             solve(spec, InitialData(S10=1.0, sigma10=bad), 1e-3)
+
+
+class TestFloatEntry:
+    """The shared entry hands the RK4 loop Python floats, whatever the caller passes."""
+
+    VALUES = dict(m=1.3, k=0.7, hbar_tilde=0.4, T=1.0, x0=0.2, xT=1.1)
+    INIT = InitialData(1.0, 0.2, 0.3, 0.8)
+
+    def numpy_inputs(self, **values):
+        spec = OscillatorSpec(**{k: np.float64(v) for k, v in values.items()})
+        return spec, InitialData(*(np.float64(v) for v in self.INIT.as_tuple()))
+
+    def test_start_hands_loop_python_floats(self):
+        spec, init = self.numpy_inputs(**self.VALUES)
+        y, *coefficients = _start(spec, init, np.float64(0.15))
+        assert len(y) == 8 and len(coefficients) == 5
+        assert all(type(v) is float for v in (*y, *coefficients))
+
+    @pytest.mark.parametrize("hbar", [0.0, 0.4])
+    @pytest.mark.parametrize("step", [1e-3, 0.15])
+    def test_numpy_scalar_inputs_give_bit_equal_floats(self, hbar, step):
+        values = dict(self.VALUES, hbar_tilde=hbar)
+        spec = OscillatorSpec(**values)
+        np_spec, np_init = self.numpy_inputs(**values)
+        fast = final_state(np_spec, np_init, np.float64(step))
+        assert all(type(v) is float for v in fast)
+        assert fast == final_state(spec, self.INIT, step)
+        for method in METHODS:
+            grid = integrate(np_spec, np_init, np.float64(step), method)
+            assert np.array_equal(grid.data, integrate(spec, self.INIT, step, method).data)
 
 
 class TestBlowUp:

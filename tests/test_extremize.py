@@ -292,6 +292,15 @@ class TestStationarityCheck:
         with pytest.raises(FDFailureError):
             stationarity_check(init, spec, active=("S10", "S20"))
 
+    def test_numpy_scalar_init_gives_same_report(self, spec):
+        init = InitialData(S10=1.0, S20=0.3, sigma20=0.5)
+        np_init = InitialData(*(np.float64(v) for v in init.as_tuple()))
+        a = stationarity_check(init, spec, active=("S10", "S20"))
+        b = stationarity_check(np_init, spec, active=("S10", "S20"))
+        assert np.array_equal(a.gradient, b.gradient)
+        assert np.array_equal(a.hessian, b.hessian)
+        assert a.signature == b.signature
+
     def test_hessian_is_symmetric(self, spec):
         rep = stationarity_check(InitialData(S10=1.0), spec, active=("S10", "S20"))
         assert np.array_equal(rep.hessian, rep.hessian.T)
