@@ -50,7 +50,7 @@ _RULES = {
     **dict.fromkeys(("h", "t_probe", "grad_tol"), _POSITIVE),
     "penalty_weight": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
     **dict.fromkeys(("max_iter", "restarts"), (lambda v: v >= 1, ">= 1")),
-    "seed": (lambda v: v >= 0, ">= 0"),
+    **dict.fromkeys(("seed", "hbar_grid"), (lambda v: v >= 0, ">= 0")),
 }
 
 
@@ -75,15 +75,19 @@ class ExperimentConfig:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Parse ``a,b,c`` or ``start:stop:count`` into a float list."""
+    """Parse ``a,b,c`` or ``start:stop:count`` into a float list.
+
+    A malformed shorthand raises ``ConfigError``; its message is written
+    to follow the grid's key, which ``load_config`` puts in front.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"grid shorthand must be start:stop:count, got {text!r}")
+            raise ConfigError(f"shorthand must be start:stop:count, got {text!r}")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
-            raise ConfigError(f"grid count must be >= 1, got {count}")
+            raise ConfigError(f"count must be >= 1, got {count}")
         return [float(v) for v in np.linspace(start, stop, count)]
     return [float(v) for v in text.split(",") if v.strip()]
 
@@ -94,6 +98,8 @@ def _grid(entries, name: str) -> list[float] | None:
         return None
     try:
         values = parse_grid(raw)
+    except ConfigError as err:
+        raise ConfigError(f"{name} {err}") from err
     except ValueError as err:
         raise ConfigError(f"{name} entries must be numbers, got {raw!r}") from err
     if not values:
@@ -102,6 +108,9 @@ def _grid(entries, name: str) -> list[float] | None:
         raise ConfigError(f"{name} contains non-finite values")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError(f"{name} must be strictly increasing")
+    if name in _RULES:
+        for v in values:
+            _checked(name, v)
     return values
 
 
@@ -120,10 +129,14 @@ def _as_sections(path: Path) -> dict[str, dict[str, str]]:
                 return ",".join(str(x) for x in v)
             return str(v)
 
-        return {
-            str(sec): {str(k): as_text(v) for k, v in entries.items()}
-            for sec, entries in raw.items()
-        }
+        sections = {}
+        for sec, entries in raw.items():
+            if not isinstance(entries, dict):
+                raise ConfigError(
+                    f"section [{sec}] must be an object of keys, got {json.dumps(entries)}"
+                )
+            sections[str(sec)] = {str(k): as_text(v) for k, v in entries.items()}
+        return sections
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=(";", "#")
     )

@@ -220,8 +220,6 @@ def cmd_sweep_hbar(cfg: ExperimentConfig, out_dir: Path) -> int:
     init = _require_init(cfg)
     if cfg.hbar_grid is None:
         raise ConfigError("sweep-hbar needs [sweep] hbar_grid")
-    if any(h < 0 for h in cfg.hbar_grid):
-        raise ConfigError("hbar_grid values must be >= 0")
 
     base = replace(cfg.spec, hbar_tilde=0.0)
     grid0 = integrate(base, init, step=cfg.step, method=cfg.method)

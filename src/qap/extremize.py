@@ -13,17 +13,21 @@ geometry.
 Variable projection (Golub & Pereyra, 1973) removes the linear
 coordinates from the search. Nothing in the (S2, sigma2) subsystem
 depends on (S1, sigma1), which itself evolves linearly, and RK4
-preserves that linearity; so without a penalty the discrete eigenvalue
-is an exact quadratic in (S10, sigma10) at fixed (S20, sigma20), at
-every hbar_tilde. The active members of {S10, sigma10} are therefore
-eliminated by one Newton step fitted from a central stencil (a
-least-squares solve, so a direction the eigenvalue does not depend on,
-such as sigma10 at hbar_tilde = 0, is left where it is). Nelder-Mead
-then runs over the remaining active coordinates only, on the squared
-gradient along them at the projected point; it is skipped when none
-remain or the projected guess is already stationary. A penalty makes
-the objective quartic in (S10, sigma10), so penalised searches project
-nothing and Nelder-Mead runs over all active coordinates.
+preserves that linearity; so at fixed (S20, sigma20) the discrete
+eigenvalue and the constraint residual are both exact quadratics in
+(S10, sigma10), at every hbar_tilde. One central stencil around the
+current point fits both, and the active members of {S10, sigma10} are
+set to a stationary point of the fitted objective, with no further
+solves. Without a penalty that objective is the quadratic itself and
+one least-squares Newton step solves it (so a direction the eigenvalue
+does not depend on, such as sigma10 at hbar_tilde = 0, is left where it
+is). A penalty makes it quartic, eigenvalue + weight * residual**2, and
+Newton iterates from the current point, each step a least-squares
+solve on the two fitted models; a point where they do not settle, or a
+blown-up stencil probe, is left unprojected. Nelder-Mead then runs over
+the active members of (S20, sigma20) only, on the squared gradient
+along them at the projected point; it is skipped when none
+remain or the projected guess is already stationary.
 
 Every finite-difference gradient uses steps of ``FD_STEP`` times
 max(1, |coord|); Hessians use its square root. Runs that blow up
@@ -151,11 +155,12 @@ def _embed(base, idx, z) -> InitialData:
 
 def _evaluate(
     spec: OscillatorSpec, init: InitialData, penalty_weight: float, step: float, method: str
-) -> tuple[float, float]:
-    """Objective value and last integrable time (``spec.T`` when complete).
+) -> tuple[float, float, EigenvalueReport | None]:
+    """Objective value, last integrable time (``spec.T`` when complete) and report.
 
-    A run that blows up yields ``BLOWUP_PENALTY`` and the last good time
-    of the failed integration, which is always before ``spec.T``.
+    A run that blows up yields ``BLOWUP_PENALTY``, the last good time of
+    the failed integration, which is always before ``spec.T``, and no
+    report.
     """
     try:
         if method == "rk4":
@@ -164,11 +169,11 @@ def _evaluate(
         else:
             report = eigenvalue(integrate(spec, init, step=step, method=method))
     except BlowUpError as err:
-        return BLOWUP_PENALTY, float(err.t_last)
+        return BLOWUP_PENALTY, float(err.t_last), None
     value = report.lam
     if penalty_weight != 0.0:
         value += penalty_weight * report.constraint_residual**2
-    return value, spec.T
+    return value, spec.T, report
 
 
 def objective(
@@ -184,6 +189,45 @@ def objective(
     derivative-free search retreats from caustic regions.
     """
     return _evaluate(spec, init, penalty_weight, step, method)[0]
+
+
+def _quadratic_fit(vals, f0, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian, in stencil units, of the quadratic through a unit stencil.
+
+    ``vals`` holds the values at +e_a, then -e_a, then e_a + e_b for each
+    pair (a, b) of ``pairs``; ``f0`` is the centre value.
+    """
+    n = (len(vals) - len(pairs)) // 2
+    fp, fm = np.array(vals[:n]), np.array(vals[n : 2 * n])
+    g = 0.5 * (fp - fm)
+    H = np.diag(fp - 2.0 * f0 + fm)
+    for (a, b), fab in zip(pairs, vals[2 * n :]):
+        H[a, b] = H[b, a] = fab - f0 - g[a] - g[b] - 0.5 * (H[a, a] + H[b, b])
+    return g, H
+
+
+def _newton_quartic(gl, Hl, r0, gr, Hr, weight) -> np.ndarray | None:
+    """Stationary point of lam(u) + weight * r(u)**2 reached by Newton from u = 0.
+
+    lam and r are quadratic models with gradients ``gl``, ``gr`` and
+    Hessians ``Hl``, ``Hr`` at u = 0, where r is ``r0``. Each step is a
+    least-squares solve, like the penalty-free step. None when the
+    iterates do not settle within a few dozen steps.
+    """
+    u = np.zeros(len(gl))
+    for _ in range(40):
+        dr = gr + Hr @ u
+        wr = 2.0 * weight * (r0 + 0.5 * (gr + dr) @ u)
+        hess = Hl + 2.0 * weight * np.outer(dr, dr) + wr * Hr
+        grad = gl + Hl @ u + wr * dr
+        # diverging iterates overflow, and lstsq fails on non-finite input
+        if not math.isfinite(hess.sum() + grad.sum()):
+            return None
+        du = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        u = u + du
+        if abs(du).max() <= 1e-12 * max(1.0, abs(u).max()):
+            return u
+    return None
 
 
 def _central_gradient(f, z, axes=None):
@@ -288,10 +332,12 @@ def optimize(
 ) -> ExtremumResult:
     """Find a stationary point of the objective over the active coordinates.
 
-    Without a penalty the active members of (S10, sigma10) are solved for
-    at every point by a Newton step on their exact quadratic (see the
-    module docstring), and the search runs over the other active
-    coordinates. It runs up to ``restarts`` Nelder-Mead searches (the
+    The active members of (S10, sigma10) are solved for at every point
+    from the exact quadratic models of the eigenvalue and the constraint
+    residual in them: one Newton step without a penalty, Newton
+    iterations on the quartic objective with one (see the module
+    docstring). The search runs over the active members of
+    (S20, sigma20). It runs up to ``restarts`` Nelder-Mead searches (the
     first from ``guess``, later ones from seeded perturbations of the
     best point) on the squared finite-difference gradient along the
     searched coordinates; none when nothing is left to search or the
@@ -308,18 +354,24 @@ def optimize(
     idx = [i for i in range(4) if mask[i]]
     base = guess.as_tuple()
     # positions in the active vector: solved for (S10, sigma10) and searched
-    lin = [j for j, i in enumerate(idx) if i in (0, 2)] if penalty_weight == 0.0 else []
+    lin = [j for j, i in enumerate(idx) if i in (0, 2)]
     free = [j for j in range(len(idx)) if j not in lin]
     z0 = np.array([base[i] for i in idx], dtype=float)
     blowups = 0
     T = spec.T
+    # unit steps of the projection stencil: +-e_a, then e_a + e_b for a < b
+    eye = np.eye(len(lin))
+    pairs = [(a, b) for a in range(len(lin)) for b in range(a + 1, len(lin))]
+    shifts = [*eye, *(-eye), *(eye[a] + eye[b] for a, b in pairs)]
 
-    def f_raw(z) -> tuple[float, float]:
+    def f_raw(z) -> tuple[float, float, EigenvalueReport | None]:
         nonlocal blowups
-        value, t_last = _evaluate(spec, _embed(base, idx, z), penalty_weight, step, method)
+        value, t_last, report = _evaluate(
+            spec, _embed(base, idx, z), penalty_weight, step, method
+        )
         if t_last < T:
             blowups += 1
-        return value, t_last
+        return value, t_last, report
 
     def f(z) -> float:
         return f_raw(z)[0]
@@ -329,42 +381,45 @@ def optimize(
         z[free] = z_free
         return z
 
-    def project(z, f0) -> np.ndarray:
-        """Stationary point along ``lin`` of the quadratic through z (f0 = f(z)).
+    def project(z, centre: EigenvalueReport) -> np.ndarray:
+        """Stationary point along ``lin`` of the objective through z.
 
-        The quadratic is exact, so the stencil uses unit-scale steps,
-        where roundoff is smallest. A blown-up probe leaves z unprojected.
+        ``centre`` is the report at z. The eigenvalue and the constraint
+        residual are exact quadratics along ``lin``, so one stencil with
+        unit-scale steps, where roundoff is smallest, fits both, and the
+        stationary point follows from the two models without further
+        solves. A blown-up probe, or Newton iterates that do not settle,
+        leave z unprojected.
         """
         if not lin:
             return z
         h = np.maximum(1.0, np.abs(z[lin]))
-        n = len(lin)
-        eye = np.eye(n)
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        shifts = [*eye, *(-eye), *(eye[a] + eye[b] for a, b in pairs)]
-        vals = []
+        probes = []
         for u in shifts:
             zu = z.copy()
             zu[lin] += h * u
-            vals.append(f(zu))
-        if max(vals) >= BLOWUP_PENALTY:
+            probes.append(f_raw(zu))
+        if max(value for value, _, _ in probes) >= BLOWUP_PENALTY:
             return z
-        fp, fm = np.array(vals[:n]), np.array(vals[n : 2 * n])
-        g = 0.5 * (fp - fm)
-        H = np.diag(fp - 2.0 * f0 + fm)
-        for (a, b), fab in zip(pairs, vals[2 * n :]):
-            H[a, b] = H[b, a] = fab - f0 - g[a] - g[b] - 0.5 * (H[a, a] + H[b, b])
-        # lstsq: a direction the objective does not depend on gets no step
-        du = np.linalg.lstsq(H, -g, rcond=None)[0]
+        gl, Hl = _quadratic_fit([rep.lam for _, _, rep in probes], centre.lam, pairs)
+        if penalty_weight == 0.0:
+            # lstsq: a direction the objective does not depend on gets no step
+            du = np.linalg.lstsq(Hl, -gl, rcond=None)[0]
+        else:
+            r0 = centre.constraint_residual
+            gr, Hr = _quadratic_fit([rep.constraint_residual for _, _, rep in probes], r0, pairs)
+            du = _newton_quartic(gl, Hl, r0, gr, Hr, penalty_weight)
+            if du is None:
+                return z
         out = z.copy()
         out[lin] += h * du
         return out
 
     def settle(z):
         """Projected point, its value, full gradient and largest gradient probe."""
-        fc = f(z)
+        fc, _, report = f_raw(z)
         if lin and fc < BLOWUP_PENALTY:
-            z = project(z, fc)
+            z = project(z, report)
             fc = f(z)
         if fc >= BLOWUP_PENALTY:
             return z, fc, None, math.inf
@@ -376,13 +431,13 @@ def optimize(
         # how early the run died so the simplex has a slope back toward
         # integrable initial data
         z = full(z_free)
-        fc, t_last = f_raw(z)
+        fc, t_last, report = f_raw(z)
         if fc >= BLOWUP_PENALTY:
             frac = (T - min(max(t_last, 0.0), T)) / T
             return BLOWUP_PENALTY * (1.0 + frac)
         # at the projected point the gradient along lin vanishes, so the
         # gradient along the searched coordinates is the reduced gradient
-        g, worst = _central_gradient(f, project(z, fc), free)
+        g, worst = _central_gradient(f, project(z, report), free)
         if worst >= BLOWUP_PENALTY:
             # center fine, some probe blown: just below the plateau
             return 0.99 * BLOWUP_PENALTY

@@ -111,12 +111,21 @@ class TestConfigLoading:
         ("optimize", "max_iter", "0"), ("optimize", "restarts", "0"),
         ("optimize", "seed", "-1"), ("grid", "t_probe", "0"), ("grid", "t_probe", "inf"),
         ("sweep", "t0_grid", "a:1:3"), ("sweep", "hbar_grid", "0.1,b"),
+        ("sweep", "t0_grid", "0:1"), ("sweep", "t0_grid", "0:1:0"),
+        ("sweep", "hbar_grid", "-0.1,0.2"),
     ])
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, section, key, value):
         path = write_config(tmp_path, f"[init]\nS10 = 1.0\n[{section}]\n{key} = {value}\n")
         out = tmp_path / "out"
         assert main(["integrate", "--config", path, "--out", str(out)]) == 2
         assert f"config error: {key} " in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_json_section_not_an_object_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, '{"spec": 3}', name="exp.json")
+        out = tmp_path / "out"
+        assert main(["integrate", "--config", path, "--out", str(out)]) == 2
+        assert "config error: section [spec] must be an object" in capsys.readouterr().out
         assert not out.exists()
 
     def test_missing_file(self, tmp_path):
@@ -308,6 +317,14 @@ class TestSweepHbarCommand:
         ][1:]
         assert float(rows[0][1]) == summary["lambda_at_zero"]
         assert float(rows[0][2]) == 0.0
+
+    def test_negative_hbar_rejected_before_output(self, tmp_path, capsys):
+        text = QUANTUM_INI.replace("hbar_grid = 0.02,0.04,0.08,0.16", "hbar_grid = -0.1,0.2")
+        path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["sweep-hbar", "--config", path, "--out", str(out)]) == 2
+        assert "config error: hbar_grid must be >= 0" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_silent_amplitude_rows_identical(self, tmp_path):
         text = QUANTUM_INI.replace("sigma10 = 0.3", "sigma10 = 0.0").replace(

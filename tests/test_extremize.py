@@ -11,6 +11,8 @@ from qap import (
     FDFailureError,
     InitialData,
     OscillatorSpec,
+    eigenvalue,
+    integrate,
     lambda_star,
     objective,
     optimize,
@@ -173,6 +175,36 @@ class TestOptimizeClassical:
         }
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """List that grows by one entry per ODE solve the extremizer makes."""
+    calls = []
+    for name in ("final_state", "integrate"):
+        inner = getattr(extremize, name)
+
+        def counted(*args, _inner=inner, **kwargs):
+            calls.append(1)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(extremize, name, counted)
+    return calls
+
+
+#: where the penalised search at hbar_tilde = 0.3, weight 0.5, h = 2e-2 from
+#: (1.0, 0.5, 0.1, 0.4) converged with the plain four-coordinate Nelder-Mead
+#: search (371 iterations, 5766 solves)
+PENALISED_LAMBDA = 0.28461699919073352
+PENALISED_INIT = (1.1527523364744867, 0.4368528249248399, -0.47347624342850492,
+                  -1.7964455363771274)
+
+
+def penalised_search(spec, guess, max_iter, restarts):
+    return optimize(
+        replace(spec, hbar_tilde=0.3), InitialData(*guess), penalty_weight=0.5,
+        step=2e-2, max_iter=max_iter, restarts=restarts,
+    )
+
+
 class TestVariableProjection:
     def test_eigenvalue_exactly_quadratic_in_linear_coordinates(self, spec):
         # the invariant the projection rests on: RK4 keeps the (S1, sigma1)
@@ -200,6 +232,29 @@ class TestVariableProjection:
             assert abs(third) <= 1e-12
         # S20 carries the Riccati nonlinearity: far from quadratic
         along_s20 = sum(w * lam(0, 0, 3 - i) for i, w in enumerate(cubic))
+        assert abs(along_s20) > 1e-4
+
+    def test_constraint_residual_exactly_quadratic_in_linear_coordinates(self, spec):
+        # the penalised projection fits the constraint residual from the same
+        # stencil, so it must be an exact quadratic in (S10, sigma10) too
+        s = replace(spec, hbar_tilde=0.4, x0=0.2)
+        base = InitialData(S10=0.5, S20=0.3, sigma10=0.2, sigma20=0.8)
+        d = 0.3
+
+        def res(a, b, c=0):
+            init = replace(base, S10=base.S10 + a * d, sigma10=base.sigma10 + b * d,
+                           S20=base.S20 + c * d)
+            return eigenvalue(integrate(s, init, step=1e-2)).constraint_residual
+
+        cubic = (1.0, -3.0, 3.0, -1.0)
+        along_s10 = sum(w * res(3 - i, 0) for i, w in enumerate(cubic))
+        along_sigma10 = sum(w * res(0, 3 - i) for i, w in enumerate(cubic))
+        second = (1.0, -2.0, 1.0)
+        mixed_a = sum(w * (res(2 - i, 1) - res(2 - i, 0)) for i, w in enumerate(second))
+        mixed_b = sum(w * (res(1, 2 - i) - res(0, 2 - i)) for i, w in enumerate(second))
+        for third in (along_s10, along_sigma10, mixed_a, mixed_b):
+            assert abs(third) <= 1e-12
+        along_s20 = sum(w * res(0, 0, 3 - i) for i, w in enumerate(cubic))
         assert abs(along_s20) > 1e-4
 
     def test_classical_guess_needs_no_simplex(self, spec, monkeypatch):
@@ -234,25 +289,49 @@ class TestVariableProjection:
         assert res.hessian_signature.negative == 1
         assert res.hessian_signature.near_zero == 1
 
-    @pytest.mark.parametrize(
-        "guess,max_iter,restarts,digest",
-        [
-            ((1.0, 0.5, 0.1, 0.4), 400, 3,
-             "baeb1708e2b0ca8afdfdcccffc9b5c03eb46e2b884a9dee8e3bf32361581eded"),
-            # starts behind the caustic wall: ramped penalty and blow-up count
-            ((0.0, -2.0, 0.1, 0.4), 60, 2,
-             "06f45fca6fae72273d85855b906696ff31f21aa0b028fc2fd0c847e45449f42c"),
-        ],
-    )
-    def test_penalised_search_unchanged(self, spec, guess, max_iter, restarts, digest):
-        # a penalty makes the objective quartic in (S10, sigma10): nothing
-        # is projected, and the search reproduces the pinned bytes of the
-        # plain four-coordinate Nelder-Mead search
+    def test_penalty_free_search_unchanged(self, spec):
+        # without a penalty the projection is one lstsq step on the fitted
+        # quadratic; pinned to the bytes of that search, simplex included
+        # (191 Nelder-Mead iterations)
         res = optimize(
-            replace(spec, hbar_tilde=0.3), InitialData(*guess), penalty_weight=0.5,
-            step=2e-2, max_iter=max_iter, restarts=restarts,
+            replace(spec, hbar_tilde=0.5), InitialData(S10=-3.0, sigma20=1.0),
+            active=("S10", "S20"), step=1e-2,
         )
-        assert hashlib.sha256(res.to_json().encode()).hexdigest() == digest
+        assert res.iterations > 0
+        assert (hashlib.sha256(res.to_json().encode()).hexdigest()
+                == "49112efb4fe89d8177cb55ae0ae24836904032524e3b555a9bdeab2aecc5d1b3")
+
+    def test_newton_on_quartic_settles_or_gives_up(self):
+        # lam = 2u - u^2 and r = u^2 / 2 at weight 1 give the gradient
+        # u^3 - 2u + 2, whose Newton iterates from 0 cycle between 0 and 1
+        one, zero = np.eye(1), np.zeros(1)
+        assert extremize._newton_quartic(2.0 * one[0], -2.0 * one, 0.0, zero, one, 1.0) is None
+        # lam = u1 - u2 + u1 u2 and r = u1 + u2 - 1: Newton lands where the
+        # model gradient vanishes
+        gl, Hl = np.array([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        gr, Hr = np.ones(2), np.zeros((2, 2))
+        u = extremize._newton_quartic(gl, Hl, -1.0, gr, Hr, 0.5)
+        r = -1.0 + gr @ u
+        assert np.max(np.abs(gl + Hl @ u + r * gr)) <= 1e-12
+
+    def test_penalised_search_projects_linear_coordinates(self, spec, solves):
+        # the penalty makes the objective quartic in (S10, sigma10); Newton
+        # on the fitted models solves them, and the simplex searches only
+        # (S20, sigma20), with at most half the solves of the four-coordinate
+        # search
+        res = penalised_search(spec, (1.0, 0.5, 0.1, 0.4), 400, 3)
+        assert res.converged
+        assert np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-6
+        assert res.report.lam == pytest.approx(PENALISED_LAMBDA, abs=1e-9)
+        assert len(solves) <= 5766 // 2
+
+    def test_penalised_search_from_behind_caustic_wall(self, spec):
+        # the four-coordinate search ended unconverged here (gradient norm 0.135)
+        res = penalised_search(spec, (0.0, -2.0, 0.1, 0.4), 60, 2)
+        assert res.converged
+        assert res.blowups > 0
+        assert np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-6
+        assert res.report.lam == pytest.approx(PENALISED_LAMBDA, abs=1e-9)
 
 
 class TestOptimizeQuantum:
