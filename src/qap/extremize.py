@@ -24,10 +24,17 @@ does not depend on, such as sigma10 at hbar_tilde = 0, is left where it
 is). A penalty makes it quartic, eigenvalue + weight * residual**2, and
 Newton iterates from the current point, each step a least-squares
 solve on the two fitted models; a point where they do not settle, or a
-blown-up stencil probe, is left unprojected. Nelder-Mead then runs over
-the active members of (S20, sigma20) only, on the squared gradient
-along them at the projected point; it is skipped when none
-remain or the projected guess is already stationary.
+blown-up stencil probe, is left unprojected.
+
+What is left is a root of the reduced gradient g, the gradient along
+the active members of (S20, sigma20) at the projected point. Nelder-Mead
+on the merit |g|**2 finds the basin: it is robust to blown-up regions,
+but converges only linearly, so each run stops once its best merit
+reaches ``HANDOFF_MERIT``. Newton on g = 0 then polishes that point
+(``_newton_root``: forward-difference Jacobian, least-squares steps,
+halved while |g| does not fall) to ``POLISH_TOL`` times the gradient
+tolerance. Both are skipped when no search coordinate remains or the
+projected guess is already stationary.
 
 Every finite-difference gradient uses steps of ``FD_STEP`` times
 max(1, |coord|); Hessians use its square root. Runs that blow up
@@ -53,6 +60,14 @@ BLOWUP_PENALTY = 1e15
 
 #: relative step of every finite-difference gradient
 FD_STEP = 1e-5
+
+#: merit (squared reduced gradient) at which a Nelder-Mead run stops and
+#: hands its best point to the Newton polish
+HANDOFF_MERIT = 1e-2
+
+#: the polish stops once the reduced gradient's max-norm is this fraction
+#: of ``grad_tol``
+POLISH_TOL = 1e-3
 
 COORD_NAMES = ("S10", "S20", "sigma10", "sigma20")
 
@@ -230,6 +245,46 @@ def _newton_quartic(gl, Hl, r0, gr, Hr, weight) -> np.ndarray | None:
     return None
 
 
+def _handoff(intermediate_result) -> None:
+    """Nelder-Mead callback: stop once the best merit reaches ``HANDOFF_MERIT``."""
+    if intermediate_result.fun <= HANDOFF_MERIT:
+        raise StopIteration
+
+
+def _newton_root(g, x, gx, tol, max_iter):
+    """Newton on ``g(x) = 0`` from ``x``, where ``g(x)`` is ``gx``.
+
+    The Jacobian is a forward difference at steps sqrt(FD_STEP) *
+    max(1, |x_i|), and each step a least-squares solve. A step that does
+    not lower |g|, or where ``g`` returns None (a blow-up), is halved, at
+    most four times. Stops once max|g| <= ``tol``, at a step that cannot
+    be accepted, at a blown Jacobian probe, or after ``max_iter`` steps.
+    Returns the last accepted point, ``g`` there and the steps taken.
+    """
+    steps = 0
+    while steps < max_iter and np.max(np.abs(gx)) > tol:
+        J = np.empty((len(gx), len(x)))
+        for i in range(len(x)):
+            h = math.sqrt(FD_STEP) * max(1.0, abs(x[i]))
+            xp = x.copy(); xp[i] += h
+            gp = g(xp)
+            if gp is None:
+                return x, gx, steps
+            J[:, i] = (gp - gx) / h
+        dx = np.linalg.lstsq(J, -gx, rcond=None)[0]
+        for _ in range(5):
+            xt = x + dx
+            gt = g(xt)
+            if gt is not None and gt @ gt < gx @ gx:
+                break
+            dx = 0.5 * dx
+        else:
+            return x, gx, steps
+        x, gx = xt, gt
+        steps += 1
+    return x, gx, steps
+
+
 def _central_gradient(f, z, axes=None):
     """Central differences of ``f`` at ``z`` along ``axes`` (default: all).
 
@@ -337,13 +392,17 @@ def optimize(
     residual in them: one Newton step without a penalty, Newton
     iterations on the quartic objective with one (see the module
     docstring). The search runs over the active members of
-    (S20, sigma20). It runs up to ``restarts`` Nelder-Mead searches (the
-    first from ``guess``, later ones from seeded perturbations of the
-    best point) on the squared finite-difference gradient along the
-    searched coordinates; none when nothing is left to search or the
-    projected guess is already stationary. Each simplex starts at scale
-    0.1 * max(1, |coord|) per coordinate and is capped at ``max_iter``
-    iterations. Convergence means the max-norm of the gradient over all
+    (S20, sigma20). It makes up to ``restarts`` attempts (the first from
+    ``guess``, later ones from seeded perturbations of the best point);
+    none when nothing is left to search or the projected guess is
+    already stationary. Each attempt runs Nelder-Mead on the squared
+    finite-difference gradient along the searched coordinates until its
+    best value falls to ``HANDOFF_MERIT``, then Newton on that gradient
+    until its max-norm falls to ``POLISH_TOL * grad_tol`` or no step
+    lowers it. Each simplex starts at scale 0.1 * max(1, |coord|) per
+    coordinate. ``max_iter`` caps the Nelder-Mead iterations and the
+    Newton steps of each attempt, and ``iterations`` counts both.
+    Convergence means the max-norm of the gradient over all
     active coordinates fell to ``grad_tol``; otherwise the best point
     found is still returned with ``converged=False``. If that best point
     itself blows up (no integrable point was found), the final
@@ -426,22 +485,32 @@ def optimize(
         g, worst = _central_gradient(f, z)
         return z, fc, g, worst
 
-    def merit(z_free) -> float:
-        # blown-up centers form a plateau at the raw penalty; ramp it by
-        # how early the run died so the simplex has a slope back toward
-        # integrable initial data
+    def reduced(z_free) -> tuple[np.ndarray | None, float]:
+        """Reduced gradient at ``z_free`` and its merit, the squared gradient.
+
+        The centre is solved and projected, and the gradient is taken
+        along the searched coordinates; at the projected point the
+        gradient along lin vanishes, so this is the reduced gradient. It
+        is None when the centre or a probe blew up, and the merit is then
+        a plateau near the penalty: blown-up centres ramp it by how early
+        the run died, so the simplex has a slope back toward integrable
+        initial data; a blown probe around a fine centre sits just below.
+        """
         z = full(z_free)
         fc, t_last, report = f_raw(z)
         if fc >= BLOWUP_PENALTY:
             frac = (T - min(max(t_last, 0.0), T)) / T
-            return BLOWUP_PENALTY * (1.0 + frac)
-        # at the projected point the gradient along lin vanishes, so the
-        # gradient along the searched coordinates is the reduced gradient
+            return None, BLOWUP_PENALTY * (1.0 + frac)
         g, worst = _central_gradient(f, project(z, report), free)
         if worst >= BLOWUP_PENALTY:
-            # center fine, some probe blown: just below the plateau
-            return 0.99 * BLOWUP_PENALTY
-        return min(float(g @ g), 0.9 * BLOWUP_PENALTY)
+            return None, 0.99 * BLOWUP_PENALTY
+        return g, min(float(g @ g), 0.9 * BLOWUP_PENALTY)
+
+    def merit(z_free) -> float:
+        return reduced(z_free)[1]
+
+    def gradient(z_free) -> np.ndarray | None:
+        return reduced(z_free)[0]
 
     rng = np.random.default_rng(seed)
     n = len(free)
@@ -470,6 +539,7 @@ def optimize(
             merit,
             start,
             method="Nelder-Mead",
+            callback=_handoff,
             options={
                 "initial_simplex": simplex,
                 "maxiter": max_iter,
@@ -479,9 +549,16 @@ def optimize(
             },
         )
         iterations += int(res.nit)
-        if float(res.fun) < best_merit:
-            best_merit = float(res.fun)
-            best_free = np.asarray(res.x, dtype=float)
+        x, fx = np.asarray(res.x, dtype=float), float(res.fun)
+        if fx <= HANDOFF_MERIT:
+            x, gx, steps = _newton_root(
+                gradient, x, gradient(x), POLISH_TOL * grad_tol, max_iter
+            )
+            iterations += steps
+            fx = float(gx @ gx)
+        if fx < best_merit:
+            best_merit = fx
+            best_free = x
         best_z, best_f, best_g, worst = settle(full(best_free))
         if best_g is not None:
             gradient_norm = float(np.max(np.abs(best_g)))
