@@ -30,11 +30,11 @@ What is left is a root of the reduced gradient g, the gradient along
 the active members of (S20, sigma20) at the projected point. Nelder-Mead
 on the merit |g|**2 finds the basin: it is robust to blown-up regions,
 but converges only linearly, so each run stops once its best merit
-reaches ``HANDOFF_MERIT``. Newton on g = 0 then polishes that point
-(``_newton_root``: forward-difference Jacobian, least-squares steps,
-halved while |g| does not fall) to ``POLISH_TOL`` times the gradient
-tolerance. Both are skipped when no search coordinate remains or the
-projected guess is already stationary.
+reaches ``HANDOFF_MERIT``. Powell's hybrid method (MINPACK's hybrd,
+through ``scipy.optimize.root``) then solves g = 0 from that point, with
+its default tolerances; its result is kept only if it lowers |g|. Both
+are skipped when no search coordinate remains or the projected guess is
+already stationary.
 
 Every finite-difference gradient uses steps of ``FD_STEP`` times
 max(1, |coord|); Hessians use its square root. Runs that blow up
@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, root
 
 from .action import EigenvalueReport, eigenvalue, endpoint_report, json_17g
 from .dynamics import final_state, integrate
@@ -62,12 +62,8 @@ BLOWUP_PENALTY = 1e15
 FD_STEP = 1e-5
 
 #: merit (squared reduced gradient) at which a Nelder-Mead run stops and
-#: hands its best point to the Newton polish
+#: hands its best point to the root solve
 HANDOFF_MERIT = 1e-2
-
-#: the polish stops once the reduced gradient's max-norm is this fraction
-#: of ``grad_tol``
-POLISH_TOL = 1e-3
 
 COORD_NAMES = ("S10", "S20", "sigma10", "sigma20")
 
@@ -185,10 +181,7 @@ def _evaluate(
             report = eigenvalue(integrate(spec, init, step=step, method=method))
     except BlowUpError as err:
         return BLOWUP_PENALTY, float(err.t_last), None
-    value = report.lam
-    if penalty_weight != 0.0:
-        value += penalty_weight * report.constraint_residual**2
-    return value, spec.T, report
+    return report.lam + penalty_weight * report.constraint_residual**2, spec.T, report
 
 
 def objective(
@@ -251,40 +244,6 @@ def _handoff(intermediate_result) -> None:
         raise StopIteration
 
 
-def _newton_root(g, x, gx, tol, max_iter):
-    """Newton on ``g(x) = 0`` from ``x``, where ``g(x)`` is ``gx``.
-
-    The Jacobian is a forward difference at steps sqrt(FD_STEP) *
-    max(1, |x_i|), and each step a least-squares solve. A step that does
-    not lower |g|, or where ``g`` returns None (a blow-up), is halved, at
-    most four times. Stops once max|g| <= ``tol``, at a step that cannot
-    be accepted, at a blown Jacobian probe, or after ``max_iter`` steps.
-    Returns the last accepted point, ``g`` there and the steps taken.
-    """
-    steps = 0
-    while steps < max_iter and np.max(np.abs(gx)) > tol:
-        J = np.empty((len(gx), len(x)))
-        for i in range(len(x)):
-            h = math.sqrt(FD_STEP) * max(1.0, abs(x[i]))
-            xp = x.copy(); xp[i] += h
-            gp = g(xp)
-            if gp is None:
-                return x, gx, steps
-            J[:, i] = (gp - gx) / h
-        dx = np.linalg.lstsq(J, -gx, rcond=None)[0]
-        for _ in range(5):
-            xt = x + dx
-            gt = g(xt)
-            if gt is not None and gt @ gt < gx @ gx:
-                break
-            dx = 0.5 * dx
-        else:
-            return x, gx, steps
-        x, gx = xt, gt
-        steps += 1
-    return x, gx, steps
-
-
 def _central_gradient(f, z, axes=None):
     """Central differences of ``f`` at ``z`` along ``axes`` (default: all).
 
@@ -342,7 +301,6 @@ def stationarity_check(
     method: str = "rk4",
     *,
     gradient: np.ndarray | None = None,
-    value: float | None = None,
 ) -> StationarityReport:
     """Verify stationarity of the objective at ``init`` by central differences.
 
@@ -352,8 +310,7 @@ def stationarity_check(
     verification tool must not silently average over a caustic.
 
     A caller that already holds the gradient at ``init`` (no probe blown
-    up) and the objective value there passes them as
-    ``gradient`` and ``value``; the report is the same, without
+    up) passes it as ``gradient``; the report is the same, without
     repeating those solves.
     """
     mask = parse_active(active)
@@ -369,7 +326,7 @@ def stationarity_check(
     z = np.array([base[i] for i in idx], dtype=float)
     if gradient is None:
         gradient = _central_gradient(f, z)[0]
-    hessian = _central_hessian(f, z, f(z) if value is None else value)
+    hessian = _central_hessian(f, z, f(z))
     return StationarityReport(gradient, hessian, _signature(hessian))
 
 
@@ -397,11 +354,13 @@ def optimize(
     none when nothing is left to search or the projected guess is
     already stationary. Each attempt runs Nelder-Mead on the squared
     finite-difference gradient along the searched coordinates until its
-    best value falls to ``HANDOFF_MERIT``, then Newton on that gradient
-    until its max-norm falls to ``POLISH_TOL * grad_tol`` or no step
-    lowers it. Each simplex starts at scale 0.1 * max(1, |coord|) per
+    best value falls to ``HANDOFF_MERIT``, then ``scipy.optimize.root``
+    (method ``hybr``, default tolerances) on that gradient from the
+    simplex's best vertex; the root is kept only if it lowers the squared
+    gradient. Each simplex starts at scale 0.1 * max(1, |coord|) per
     coordinate. ``max_iter`` caps the Nelder-Mead iterations and the
-    Newton steps of each attempt, and ``iterations`` counts both.
+    root solve's gradient evaluations of each attempt, and
+    ``iterations`` counts both.
     Convergence means the max-norm of the gradient over all
     active coordinates fell to ``grad_tol``; otherwise the best point
     found is still returned with ``converged=False``. If that best point
@@ -475,17 +434,21 @@ def optimize(
         return out
 
     def settle(z):
-        """Projected point, its value, full gradient and largest gradient probe."""
-        fc, _, report = f_raw(z)
-        if lin and fc < BLOWUP_PENALTY:
-            z = project(z, report)
-            fc = f(z)
-        if fc >= BLOWUP_PENALTY:
-            return z, fc, None, math.inf
-        g, worst = _central_gradient(f, z)
-        return z, fc, g, worst
+        """Projected point, full gradient and largest gradient probe.
 
-    def reduced(z_free) -> tuple[np.ndarray | None, float]:
+        The gradient is None when the centre blew up. The projected
+        centre is not solved again: the projection moves only
+        (S10, sigma10), and the Riccati pair that blows up does not
+        depend on them.
+        """
+        fc, _, report = f_raw(z)
+        if fc >= BLOWUP_PENALTY:
+            return z, None, math.inf
+        z = project(z, report)
+        g, worst = _central_gradient(f, z)
+        return z, g, worst
+
+    def solve_reduced(z_free) -> tuple[np.ndarray | None, float]:
         """Reduced gradient at ``z_free`` and its merit, the squared gradient.
 
         The centre is solved and projected, and the gradient is taken
@@ -506,16 +469,27 @@ def optimize(
             return None, 0.99 * BLOWUP_PENALTY
         return g, min(float(g @ g), 0.9 * BLOWUP_PENALTY)
 
+    # the evaluations of the current attempt: the root solve starts at the
+    # simplex's best vertex, which Nelder-Mead has already solved
+    seen = {}
+
+    def reduced(z_free) -> tuple[np.ndarray | None, float]:
+        key = z_free.tobytes()
+        if key not in seen:
+            seen[key] = solve_reduced(z_free)
+        return seen[key]
+
     def merit(z_free) -> float:
         return reduced(z_free)[1]
 
-    def gradient(z_free) -> np.ndarray | None:
-        return reduced(z_free)[0]
+    def residual(z_free) -> np.ndarray:
+        g = reduced(z_free)[0]
+        return np.full(len(z_free), BLOWUP_PENALTY) if g is None else g
 
     rng = np.random.default_rng(seed)
     n = len(free)
     best_free = z0[free]
-    best_z, best_f, best_g, worst = settle(z0)
+    best_z, best_g, worst = settle(z0)
     if best_g is None:
         gradient_norm = math.inf
         best_merit = 2.0 * BLOWUP_PENALTY
@@ -527,6 +501,7 @@ def optimize(
     iterations = 0
     attempt = 0
     while n and not converged and attempt < max(1, restarts):
+        seen.clear()
         if attempt == 0:
             start = best_free.copy()
         else:
@@ -551,18 +526,17 @@ def optimize(
         iterations += int(res.nit)
         x, fx = np.asarray(res.x, dtype=float), float(res.fun)
         if fx <= HANDOFF_MERIT:
-            x, gx, steps = _newton_root(
-                gradient, x, gradient(x), POLISH_TOL * grad_tol, max_iter
-            )
-            iterations += steps
-            fx = float(gx @ gx)
+            sol = root(residual, x, method="hybr", options={"maxfev": max_iter})
+            iterations += int(sol.nfev)
+            if float(sol.fun @ sol.fun) < fx:
+                x, fx = sol.x, float(sol.fun @ sol.fun)
         if fx < best_merit:
             best_merit = fx
             best_free = x
-        best_z, best_f, best_g, worst = settle(full(best_free))
-        if best_g is not None:
-            gradient_norm = float(np.max(np.abs(best_g)))
-            converged = gradient_norm <= grad_tol
+            best_z, best_g, worst = settle(full(best_free))
+            if best_g is not None:
+                gradient_norm = float(np.max(np.abs(best_g)))
+                converged = gradient_norm <= grad_tol
         attempt += 1
 
     final_init = _embed(base, idx, best_z)
@@ -573,7 +547,7 @@ def optimize(
         try:
             signature = stationarity_check(
                 final_init, spec, mask, penalty_weight, step, method,
-                gradient=best_g, value=best_f,
+                gradient=best_g,
             ).signature
         except FDFailureError:
             pass

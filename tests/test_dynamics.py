@@ -16,6 +16,7 @@ from qap import (
     integrate,
     t0_to_S20,
 )
+import qap.dynamics as dynamics
 from qap.dynamics import METHODS, _rk4_step, _stage, _start, final_state
 
 
@@ -256,6 +257,26 @@ class TestAdaptive:
         init = InitialData(S10=1.0, S20=t0_to_S20(-0.157, spec))
         with pytest.raises(BlowUpError):
             integrate(spec, init, step=1e-2, method="rk4_adaptive")
+
+    def test_non_finite_trial_step_is_retried_smaller(self, monkeypatch):
+        # k = m = 1 and S20 = -5 put the caustic at t = atan(0.2); the first
+        # trial step of 0.5 jumps across it and overflows, so it is rejected
+        # and cut, and the shorter steps close in on the pole
+        rejected = []
+        finite_row = dynamics._finite_row
+
+        def counted(row):
+            ok = finite_row(row)
+            if not ok:
+                rejected.append(row)
+            return ok
+
+        monkeypatch.setattr(dynamics, "_finite_row", counted)
+        with pytest.raises(BlowUpError) as exc:
+            integrate(OscillatorSpec(T=1.5), InitialData(S10=1.0, S20=-5.0), step=0.5,
+                      method="rk4_adaptive")
+        assert len(rejected) == 1
+        assert abs(exc.value.t_last - math.atan(0.2)) <= 1e-8
 
 
 class TestConvergenceOrder:
