@@ -34,7 +34,6 @@ from .errors import (
     LengthMismatchError,
     QapError,
     ResonanceError,
-    ResonanceWarning,
     SingularityError,
     ValidationError,
     ZeroFrequencyError,
@@ -49,7 +48,6 @@ from .extremize import (
     stationarity_check,
 )
 from .model import (
-    CoefficientState,
     InitialData,
     OscillatorSpec,
     S20_to_t0,
@@ -63,7 +61,6 @@ from .model import (
 __all__ = [
     "BlowUpError",
     "ClassicalParams",
-    "CoefficientState",
     "ConfigError",
     "DegenerateProbeError",
     "EigenvalueReport",
@@ -76,7 +73,6 @@ __all__ = [
     "OscillatorSpec",
     "QapError",
     "ResonanceError",
-    "ResonanceWarning",
     "S20_to_t0",
     "SingularityError",
     "SolutionGrid",

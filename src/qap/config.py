@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import METHODS
 from .errors import ConfigError
-from .model import InitialData, OscillatorSpec, t0_to_S20
+from .model import InitialData, OscillatorSpec, t0_to_S20, validate
 
 _SPEC_KEYS = ("m", "k", "hbar_tilde", "T", "x0", "xT")
 _INIT_KEYS = ("S10", "S20", "sigma10", "sigma20", "t0")
@@ -201,6 +201,8 @@ def load_config(path) -> ExperimentConfig:
         x0=_number(spec_entries, "x0", 0.0),
         xT=_number(spec_entries, "xT", 1.0),
     )
+    # before anything reads the spec: t0_to_S20 divides by m
+    validate(cfg.spec)
 
     if "init" in sections:
         entries = sections["init"]

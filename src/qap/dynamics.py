@@ -42,7 +42,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import BlowUpError, DegenerateProbeError
-from .model import CoefficientState, InitialData, OscillatorSpec, require_valid
+from .model import InitialData, OscillatorSpec, validate
 
 #: any state component beyond this magnitude counts as a blow-up
 BLOWUP_LIMIT = 1e12
@@ -131,18 +131,6 @@ class SolutionGrid:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def state(self, i: int) -> CoefficientState:
-        row = self.data[i]
-        return CoefficientState(
-            t=float(self.times[i]), S1=float(row[0]), S2=float(row[1]),
-            sigma1=float(row[2]), sigma2=float(row[3]),
-            qS=float(row[4]), qSigma=float(row[5]), qCon=float(row[6]),
-        )
-
-    @property
-    def final(self) -> CoefficientState:
-        return self.state(len(self) - 1)
 
     def write_csv(self, out: TextIO, footer: str | None = None) -> None:
         """Emit the grid as CSV: '#' metadata lines, header, 17-digit rows."""
@@ -269,7 +257,7 @@ def _blow_up(spec, t_last, times, rows, method, step):
 def _start(spec, init, step):
     """Shared input check, then, as Python floats, the start row, the flow
     coefficients (m_inv, k, hh), the step and the horizon."""
-    require_valid(spec)
+    validate(spec)
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
     for name, v in zip(("S10", "S20", "sigma10", "sigma20"), init.as_tuple()):

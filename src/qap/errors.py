@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 from __future__ import annotations
 
@@ -21,10 +21,6 @@ class ValidationError(QapError):
 
 class ConfigError(QapError):
     """Malformed or inconsistent experiment configuration."""
-
-
-class ResonanceWarning(UserWarning):
-    """sin(omega0*T) is numerically zero; classical closed forms are unusable."""
 
 
 class ResonanceError(QapError):

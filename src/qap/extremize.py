@@ -99,7 +99,9 @@ class ExtremumResult:
 
     ``report`` is recomputed by a fresh integration at ``init``, never
     cached from a simplex vertex. ``hessian_signature`` is None when the
-    finite-difference probes around the final point failed.
+    finite-difference probes around the final point failed. ``blowups``
+    counts the search's solves that blew up; the stationarity check and
+    the final integration are not among them.
     """
 
     init: InitialData
@@ -361,6 +363,10 @@ def optimize(
     coordinate. ``max_iter`` caps the Nelder-Mead iterations and the
     root solve's gradient evaluations of each attempt, and
     ``iterations`` counts both.
+    Each point is solved once per call: its cached record serves the
+    simplex, the root solve and the certificate, which adds the gradient
+    along (S10, sigma10); only the returned point is solved again, by
+    the final ``integrate`` and the Hessian's centre.
     Convergence means the max-norm of the gradient over all
     active coordinates fell to ``grad_tol``; otherwise the best point
     found is still returned with ``converged=False``. If that best point
@@ -433,75 +439,72 @@ def optimize(
         out[lin] += h * du
         return out
 
-    def settle(z):
-        """Projected point, full gradient and largest gradient probe.
+    # records of the current attempt, keyed on z_free.tobytes(); the guess's
+    # record starts the first attempt, and each attempt settles its best point
+    seen = {}
 
-        The gradient is None when the centre blew up. The projected
-        centre is not solved again: the projection moves only
-        (S10, sigma10), and the Riccati pair that blows up does not
-        depend on them.
-        """
-        fc, _, report = f_raw(z)
-        if fc >= BLOWUP_PENALTY:
-            return z, None, math.inf
-        z = project(z, report)
-        g, worst = _central_gradient(f, z)
-        return z, g, worst
-
-    def solve_reduced(z_free) -> tuple[np.ndarray | None, float]:
-        """Reduced gradient at ``z_free`` and its merit, the squared gradient.
+    def reduced(z_free) -> tuple[np.ndarray, np.ndarray | None, float, float]:
+        """Projected point, reduced gradient, largest probe value and merit.
 
         The centre is solved and projected, and the gradient is taken
         along the searched coordinates; at the projected point the
-        gradient along lin vanishes, so this is the reduced gradient. It
-        is None when the centre or a probe blew up, and the merit is then
-        a plateau near the penalty: blown-up centres ramp it by how early
-        the run died, so the simplex has a slope back toward integrable
-        initial data; a blown probe around a fine centre sits just below.
+        gradient along lin vanishes, so this is the reduced gradient.
+        The projected point is not solved again: the projection moves only
+        (S10, sigma10), and the Riccati pair that blows up does not depend
+        on them. When the centre blew up there is no projection and no
+        gradient (None, largest probe inf). The merit is the squared gradient,
+        except for a plateau near the penalty: blown-up centres ramp it by
+        how early the run died, so the simplex has a slope back toward
+        integrable initial data; a blown probe around a fine centre sits
+        just below.
         """
-        z = full(z_free)
-        fc, t_last, report = f_raw(z)
-        if fc >= BLOWUP_PENALTY:
-            frac = (T - min(max(t_last, 0.0), T)) / T
-            return None, BLOWUP_PENALTY * (1.0 + frac)
-        g, worst = _central_gradient(f, project(z, report), free)
-        if worst >= BLOWUP_PENALTY:
-            return None, 0.99 * BLOWUP_PENALTY
-        return g, min(float(g @ g), 0.9 * BLOWUP_PENALTY)
-
-    # the evaluations of the current attempt: the root solve starts at the
-    # simplex's best vertex, which Nelder-Mead has already solved
-    seen = {}
-
-    def reduced(z_free) -> tuple[np.ndarray | None, float]:
         key = z_free.tobytes()
         if key not in seen:
-            seen[key] = solve_reduced(z_free)
+            z = full(z_free)
+            fc, t_last, report = f_raw(z)
+            if fc >= BLOWUP_PENALTY:
+                frac = (T - min(max(t_last, 0.0), T)) / T
+                seen[key] = z, None, math.inf, BLOWUP_PENALTY * (1.0 + frac)
+            else:
+                z = project(z, report)
+                g, worst = _central_gradient(f, z, free)
+                value = (0.99 * BLOWUP_PENALTY if worst >= BLOWUP_PENALTY
+                         else min(float(g @ g), 0.9 * BLOWUP_PENALTY))
+                seen[key] = z, g, worst, value
         return seen[key]
 
     def merit(z_free) -> float:
-        return reduced(z_free)[1]
+        return reduced(z_free)[3]
 
     def residual(z_free) -> np.ndarray:
-        g = reduced(z_free)[0]
-        return np.full(len(z_free), BLOWUP_PENALTY) if g is None else g
+        _, g, worst, _ = reduced(z_free)
+        return np.full(len(z_free), BLOWUP_PENALTY) if worst >= BLOWUP_PENALTY else g
+
+    def settle(z_free):
+        """Projected point, full gradient and largest gradient probe.
+
+        The record of ``z_free`` plus the central gradient along lin at
+        its projected point, two solves per projected coordinate. The
+        gradient is None when the centre blew up.
+        """
+        z, g, worst, _ = reduced(z_free)
+        if g is None:
+            return z, None, worst
+        g_full = np.empty(len(z))
+        g_full[lin], worst_lin = _central_gradient(f, z, lin)
+        g_full[free] = g
+        return z, g_full, max(worst, worst_lin)
 
     rng = np.random.default_rng(seed)
     n = len(free)
     best_free = z0[free]
-    best_z, best_g, worst = settle(z0)
-    if best_g is None:
-        gradient_norm = math.inf
-        best_merit = 2.0 * BLOWUP_PENALTY
-    else:
-        gradient_norm = float(np.max(np.abs(best_g)))
-        best_merit = float(best_g[free] @ best_g[free])
-
+    best_merit = merit(best_free)
+    best_z, best_g, worst = settle(best_free)
+    gradient_norm = math.inf if best_g is None else float(np.max(np.abs(best_g)))
     converged = gradient_norm <= grad_tol
     iterations = 0
     attempt = 0
     while n and not converged and attempt < max(1, restarts):
-        seen.clear()
         if attempt == 0:
             start = best_free.copy()
         else:
@@ -533,10 +536,11 @@ def optimize(
         if fx < best_merit:
             best_merit = fx
             best_free = x
-            best_z, best_g, worst = settle(full(best_free))
+            best_z, best_g, worst = settle(best_free)
             if best_g is not None:
                 gradient_norm = float(np.max(np.abs(best_g)))
                 converged = gradient_norm <= grad_tol
+        seen.clear()
         attempt += 1
 
     final_init = _embed(base, idx, best_z)

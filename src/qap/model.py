@@ -3,24 +3,17 @@
 All quantities are dimensionless. ``OscillatorSpec`` fixes the physical
 setup (mass, stiffness, quantum scale, horizon, boundary positions);
 ``InitialData`` holds the four coefficient values the action eigenvalue
-is extremized over; ``CoefficientState`` is one instant of the
-coefficient flow together with the three quadrature accumulators that
-feed the eigenvalue and the initial-data constraint.
+is extremized over. ``validate`` checks a spec's invariants; the config
+loader and every integration call it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
-from .errors import (
-    ResonanceWarning,
-    SingularityError,
-    ValidationError,
-    ZeroFrequencyError,
-)
+from .errors import SingularityError, ValidationError, ZeroFrequencyError
 
 #: |cos| or |sin| below this is treated as a vanishing denominator.
 SINGULARITY_TOL = 1e-12
@@ -71,25 +64,6 @@ class InitialData:
         return (self.S10, self.S20, self.sigma10, self.sigma20)
 
 
-@dataclass(frozen=True)
-class CoefficientState:
-    """Coefficient values at one time, plus running quadrature accumulators.
-
-    ``qS`` accumulates the squared linear phase coefficient, ``qSigma``
-    the quantum integrand (sigma1^2 + sigma2), and ``qCon`` the
-    constraint integrand (sigma1*S1 + 2*S2), each from 0 to ``t``.
-    """
-
-    t: float
-    S1: float
-    S2: float
-    sigma1: float
-    sigma2: float
-    qS: float
-    qSigma: float
-    qCon: float
-
-
 def validation_errors(spec: OscillatorSpec) -> list[str]:
     """Return every violated parameter invariant (empty list when valid)."""
     errors = []
@@ -112,25 +86,10 @@ def validate(spec: OscillatorSpec) -> OscillatorSpec:
     """Check all invariants, returning the spec unchanged when they hold.
 
     Raises ``ValidationError`` carrying every violation. Resonance
-    (sin(omega0*T) numerically zero) is not an error: the ODE path is
-    well-defined there, only the classical closed forms divide by it,
-    so it is surfaced as a ``ResonanceWarning``.
+    (sin(omega0*T) numerically zero) is not a violation: the ODE path is
+    well-defined there, and only the classical closed forms, which divide
+    by it, raise ``ResonanceError``.
     """
-    errors = validation_errors(spec)
-    if errors:
-        raise ValidationError(errors)
-    if resonant(spec):
-        warnings.warn(
-            f"sin(omega0*T) = {math.sin(omega0(spec) * spec.T):.3e}: "
-            "classical closed forms are unavailable for this spec",
-            ResonanceWarning,
-            stacklevel=2,
-        )
-    return spec
-
-
-def require_valid(spec: OscillatorSpec) -> OscillatorSpec:
-    """Like ``validate`` but silent about resonance (for ODE-path callers)."""
     errors = validation_errors(spec)
     if errors:
         raise ValidationError(errors)

@@ -219,9 +219,14 @@ class TestClassicalPreconditions:
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_invalid_spec_exits_2_for_every_command(tmp_path, capsys, command):
-    path = write_config(tmp_path, "[spec]\nT = 0.0\nm = -1.0\n[init]\nS10 = 1.0\n")
-    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
-    assert "error: NonPositiveMass; NonPositiveHorizon" in capsys.readouterr().out
+    # the spec is checked as the config loads, before t0 -> S20 divides by
+    # m and before any output directory is made
+    out = tmp_path / "out"
+    for init in ("S10 = 1.0", "t0 = 0.5"):
+        path = write_config(tmp_path, f"[spec]\nT = 0.0\nm = -1.0\n[init]\n{init}\n")
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert "error: NonPositiveMass; NonPositiveHorizon" in capsys.readouterr().out
+        assert not out.exists()
 
 
 class TestScanT0Command:

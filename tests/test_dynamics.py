@@ -94,8 +94,7 @@ class TestIntegrate:
 
     def test_accumulators_start_at_zero(self, spec, classical_init):
         grid = integrate(spec, classical_init, step=0.1)
-        first = grid.state(0)
-        assert (first.qS, first.qSigma, first.qCon) == (0.0, 0.0, 0.0)
+        assert (grid.qS[0], grid.qSigma[0], grid.qCon[0]) == (0.0, 0.0, 0.0)
 
     def test_qS_non_decreasing(self, spec):
         grid = integrate(spec, InitialData(S10=1.0, S20=0.5, sigma10=0.2, sigma20=0.4),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qap import (
     InitialData,
     OscillatorSpec,
-    ResonanceWarning,
     S20_to_t0,
     SingularityError,
     ValidationError,
@@ -49,8 +48,7 @@ class TestValidate:
     def test_resonance_is_warning_not_error(self):
         res = OscillatorSpec(T=math.pi)
         assert resonant(res)
-        with pytest.warns(ResonanceWarning):
-            assert validate(res) == res
+        assert validate(res) == res
 
     def test_free_particle_not_resonant(self):
         assert not resonant(OscillatorSpec(k=0.0))
