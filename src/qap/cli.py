@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 
-from .config import _checked, load_config
+from .config import _read, load_config
 from .dynamics import METHODS
 from .errors import QapError
 from .experiments import COMMANDS, EXIT_CONFIG, run_command
@@ -62,9 +62,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.h is not None:
-            cfg.step = _checked("h", args.h)
+            cfg.step = _read("grid", "h", args.h)
         if args.seed is not None:
-            cfg.seed = _checked("seed", args.seed)
+            cfg.seed = _read("optimize", "seed", args.seed)
     except (QapError, ValueError) as err:
         print(f"config error: {err}")
         return EXIT_CONFIG

@@ -1,6 +1,6 @@
 """Experiment configuration: flat key/value files (INI sections or JSON).
 
-Sections and keys:
+Sections and keys, in the order they are read:
 
     [spec]      m, k, hbar_tilde, T, x0, xT
     [init]      S10, S20, sigma10, sigma20, or t0 in place of S20
@@ -9,9 +9,11 @@ Sections and keys:
     [sweep]     t0_grid, hbar_grid
     [output]    out_dir
 
-Grids are comma-separated values or a ``start:stop:count`` linspace
-shorthand. Unknown sections or keys are rejected: silently ignored
-typos are worse than a hard error in a reproducibility tool.
+``_KEYS`` holds each key's parser and the rule its value must meet;
+``_read`` applies both, and its errors begin with the key. Grids are
+comma-separated values or a ``start:stop:count`` linspace shorthand.
+Unknown sections or keys are rejected: silently ignored typos are
+worse than a hard error in a reproducibility tool.
 """
 
 from __future__ import annotations
@@ -25,33 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import METHODS
-from .errors import ConfigError
-from .model import InitialData, OscillatorSpec, t0_to_S20, validate
-
-_SPEC_KEYS = ("m", "k", "hbar_tilde", "T", "x0", "xT")
-_INIT_KEYS = ("S10", "S20", "sigma10", "sigma20", "t0")
-_GRID_KEYS = ("h", "method", "t_probe")
-_OPT_KEYS = ("active", "grad_tol", "max_iter", "penalty_weight", "restarts", "seed")
-_SWEEP_KEYS = ("t0_grid", "hbar_grid")
-_OUTPUT_KEYS = ("out_dir",)
-_SECTIONS = {
-    "spec": _SPEC_KEYS,
-    "init": _INIT_KEYS,
-    "grid": _GRID_KEYS,
-    "optimize": _OPT_KEYS,
-    "sweep": _SWEEP_KEYS,
-    "output": _OUTPUT_KEYS,
-}
-
-_POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
-#: the rule a key's value must meet, and its wording in the error
-_RULES = {
-    **dict.fromkeys(_INIT_KEYS, (math.isfinite, "finite")),
-    **dict.fromkeys(("h", "t_probe", "grad_tol"), _POSITIVE),
-    "penalty_weight": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
-    **dict.fromkeys(("max_iter", "restarts"), (lambda v: v >= 1, ">= 1")),
-    **dict.fromkeys(("seed", "hbar_grid"), (lambda v: v >= 0, ">= 0")),
-}
+from .errors import ConfigError, SingularityError
+from .model import COORD_NAMES, InitialData, OscillatorSpec, parse_active, t0_to_S20, validate
 
 
 @dataclass
@@ -92,30 +69,11 @@ def parse_grid(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _grid(entries, name: str) -> list[float] | None:
-    raw = _lookup(entries, name)
-    if raw is None:
-        return None
-    try:
-        values = parse_grid(raw)
-    except ConfigError as err:
-        raise ConfigError(f"{name} {err}") from err
-    except ValueError as err:
-        raise ConfigError(f"{name} entries must be numbers, got {raw!r}") from err
-    if not values:
-        raise ConfigError(f"{name} is empty")
-    if any(not math.isfinite(v) for v in values):
-        raise ConfigError(f"{name} contains non-finite values")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError(f"{name} must be strictly increasing")
-    if name in _RULES:
-        for v in values:
-            _checked(name, v)
-    return values
-
-
 def _as_sections(path: Path) -> dict[str, dict[str, str]]:
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except OSError as err:
+        raise ConfigError(f"cannot read config file: {err}") from err
     if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         try:
             raw = json.loads(text)
@@ -137,9 +95,7 @@ def _as_sections(path: Path) -> dict[str, dict[str, str]]:
                 )
             sections[str(sec)] = {str(k): as_text(v) for k, v in entries.items()}
         return sections
-    parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=(";", "#")
-    )
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text)
     except configparser.Error as err:
@@ -147,32 +103,68 @@ def _as_sections(path: Path) -> dict[str, dict[str, str]]:
     return {sec: dict(parser.items(sec)) for sec in parser.sections()}
 
 
-def _lookup(entries: dict[str, str], key: str) -> str | None:
-    # configparser lower-cases keys; accept either spelling
-    if key in entries:
-        return entries[key]
-    return entries.get(key.lower())
-
-
-def _checked(key: str, value):
-    """``value`` if it meets the rule of ``key``; the CLI's overrides go through it too."""
-    ok, wording = _RULES[key]
-    if not ok(value):
-        raise ConfigError(f"{key} must be {wording}, got {value}")
-    return value
-
-
-def _number(entries, key, default, kind=float):
-    """``key`` parsed as ``kind`` and checked by its rule, if any; ``default`` if absent."""
-    raw = _lookup(entries, key)
-    if raw is None:
-        return default
+def _valid_active(text: str) -> bool:
     try:
-        value = kind(raw)
+        return any(parse_active(text))
+    except ValueError:
+        return False
+
+
+_POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+
+#: section -> key -> (parser, rule), in reading order; a rule is a
+#: predicate and its wording in the error, or None
+_KEYS = {
+    "spec": dict.fromkeys(("m", "k", "hbar_tilde", "T", "x0", "xT"), (float, None)),
+    "init": dict.fromkeys((*COORD_NAMES, "t0"), (float, (math.isfinite, "finite"))),
+    "grid": {
+        "h": (float, _POSITIVE),
+        "method": (str.strip, (METHODS.__contains__, " or ".join(METHODS))),
+        "t_probe": (float, _POSITIVE),
+    },
+    "optimize": {
+        "active": (str.strip, (_valid_active, "one or more of " + ", ".join(COORD_NAMES))),
+        "grad_tol": (float, _POSITIVE),
+        "max_iter": (int, _AT_LEAST_ONE),
+        "penalty_weight": (float, (lambda v: 0 <= v < math.inf, "finite and >= 0")),
+        "restarts": (int, _AT_LEAST_ONE),
+        "seed": (int, _NON_NEGATIVE),
+    },
+    "sweep": {"t0_grid": (parse_grid, None), "hbar_grid": (parse_grid, _NON_NEGATIVE)},
+    "output": {"out_dir": (str.strip, None)},
+}
+
+
+def _read(section: str, key: str, raw):
+    """``raw`` parsed as ``key`` of ``section`` and checked by its rule.
+
+    A grid must also be non-empty, finite and strictly increasing, and
+    each of its entries must meet the rule. The CLI's overrides go
+    through here too.
+    """
+    parse, rule = _KEYS[section][key]
+    try:
+        value = parse(raw)
+    except ConfigError as err:
+        raise ConfigError(f"{key} {err}") from err
     except ValueError as err:
-        noun = "a number" if kind is float else "an integer"
-        raise ConfigError(f"{key} must be {noun}, got {raw!r}") from err
-    return _checked(key, value) if key in _RULES else value
+        noun = {int: "must be an integer", parse_grid: "entries must be numbers"}
+        raise ConfigError(f"{key} {noun.get(parse, 'must be a number')}, got {raw!r}") from err
+    if parse is parse_grid:
+        if not value:
+            raise ConfigError(f"{key} is empty")
+        if not all(map(math.isfinite, value)):
+            raise ConfigError(f"{key} contains non-finite values")
+        if any(b <= a for a, b in zip(value, value[1:])):
+            raise ConfigError(f"{key} must be strictly increasing")
+    if rule is not None:
+        ok, wording = rule
+        for v in value if parse is parse_grid else [value]:
+            if not ok(v):
+                raise ConfigError(f"{key} must be {wording}, got {v!r}")
+    return value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -183,62 +175,34 @@ def load_config(path) -> ExperimentConfig:
     sections = _as_sections(path)
 
     for sec, entries in sections.items():
-        if sec not in _SECTIONS:
+        if sec not in _KEYS:
             raise ConfigError(f"unknown config section [{sec}]")
-        allowed = {k.lower() for k in _SECTIONS[sec]}
+        allowed = {k.lower() for k in _KEYS[sec]}
         for key in entries:
             if key.lower() not in allowed:
                 raise ConfigError(f"unknown key {key!r} in section [{sec}]")
 
-    cfg = ExperimentConfig()
+    values = {}
+    for sec, keys in _KEYS.items():
+        entries = sections.get(sec, {})
+        for key in keys:
+            # configparser lower-cases keys; accept either spelling
+            raw = entries.get(key, entries.get(key.lower()))
+            if raw is not None:
+                values[key] = _read(sec, key, raw)
+        if sec == "spec":
+            # before any [init] value is read: t0_to_S20 divides by m
+            spec = validate(OscillatorSpec(**{k: values.pop(k) for k in keys if k in values}))
+        if sec == "init" and "t0" in values:
+            if "S20" in values:
+                raise ConfigError("give either t0 or S20 in [init], not both")
+            t0 = values.pop("t0")
+            try:
+                values["S20"] = t0_to_S20(t0, spec)
+            except SingularityError as err:
+                raise ConfigError(f"t0 must not be a pole of tan(omega0*t0), got {t0!r}") from err
 
-    spec_entries = sections.get("spec", {})
-    cfg.spec = OscillatorSpec(
-        m=_number(spec_entries, "m", 1.0),
-        k=_number(spec_entries, "k", 1.0),
-        hbar_tilde=_number(spec_entries, "hbar_tilde", 0.0),
-        T=_number(spec_entries, "T", 1.0),
-        x0=_number(spec_entries, "x0", 0.0),
-        xT=_number(spec_entries, "xT", 1.0),
-    )
-    # before anything reads the spec: t0_to_S20 divides by m
-    validate(cfg.spec)
-
-    if "init" in sections:
-        entries = sections["init"]
-        init = {key: _number(entries, key, None) for key in _INIT_KEYS}
-        t0 = init.pop("t0")
-        if t0 is not None and init["S20"] is not None:
-            raise ConfigError("give either t0 or S20 in [init], not both")
-        if t0 is not None:
-            init["S20"] = t0_to_S20(t0, cfg.spec)
-        cfg.init = InitialData(**{k: 0.0 if v is None else v for k, v in init.items()})
-
-    grid_entries = sections.get("grid", {})
-    cfg.step = _number(grid_entries, "h", cfg.step)
-    method = _lookup(grid_entries, "method")
-    if method is not None:
-        cfg.method = method.strip()
-    if cfg.method not in METHODS:
-        raise ConfigError(f"method must be {' or '.join(METHODS)}, got {cfg.method!r}")
-    cfg.t_probe = _number(grid_entries, "t_probe", cfg.t_probe)
-
-    opt_entries = sections.get("optimize", {})
-    active = _lookup(opt_entries, "active")
-    if active is not None:
-        cfg.active = active.strip()
-    cfg.grad_tol = _number(opt_entries, "grad_tol", cfg.grad_tol)
-    cfg.max_iter = _number(opt_entries, "max_iter", cfg.max_iter, int)
-    cfg.penalty_weight = _number(opt_entries, "penalty_weight", cfg.penalty_weight)
-    cfg.restarts = _number(opt_entries, "restarts", cfg.restarts, int)
-    cfg.seed = _number(opt_entries, "seed", cfg.seed, int)
-
-    sweep_entries = sections.get("sweep", {})
-    cfg.t0_grid = _grid(sweep_entries, "t0_grid")
-    cfg.hbar_grid = _grid(sweep_entries, "hbar_grid")
-
-    out_entries = sections.get("output", {})
-    out_dir = _lookup(out_entries, "out_dir")
-    if out_dir is not None:
-        cfg.out_dir = out_dir.strip()
-    return cfg
+    init = InitialData(**{k: values.pop(k) for k in COORD_NAMES if k in values})
+    if "h" in values:
+        values["step"] = values.pop("h")
+    return ExperimentConfig(spec=spec, init=init if "init" in sections else None, **values)

@@ -53,7 +53,7 @@ from scipy.optimize import minimize, root
 from .action import EigenvalueReport, eigenvalue, endpoint_report, json_17g
 from .dynamics import final_state, integrate
 from .errors import BlowUpError, FDFailureError
-from .model import InitialData, OscillatorSpec
+from .model import COORD_NAMES, InitialData, OscillatorSpec, parse_active
 
 #: objective value substituted for runs that blow up
 BLOWUP_PENALTY = 1e15
@@ -64,9 +64,6 @@ FD_STEP = 1e-5
 #: merit (squared reduced gradient) at which a Nelder-Mead run stops and
 #: hands its best point to the root solve
 HANDOFF_MERIT = 1e-2
-
-COORD_NAMES = ("S10", "S20", "sigma10", "sigma20")
-
 
 @dataclass(frozen=True)
 class HessianSignature:
@@ -131,31 +128,6 @@ class ExtremumResult:
                 "seed": self.seed,
             }
         )
-
-
-def parse_active(active) -> tuple[bool, bool, bool, bool]:
-    """Normalize an active-coordinate selection to a 4-tuple of flags.
-
-    Accepts None (all four), a 4-sequence of bools, an iterable of
-    coordinate names, or a comma-separated name string.
-    """
-    if active is None:
-        return (True, True, True, True)
-    if isinstance(active, str):
-        items = [s.strip() for s in active.split(",") if s.strip()]
-    else:
-        items = list(active)
-    if len(items) == 4 and all(isinstance(b, (bool, np.bool_)) for b in items):
-        mask = tuple(bool(b) for b in items)
-    else:
-        names = [str(s) for s in items]
-        unknown = [n for n in names if n not in COORD_NAMES]
-        if unknown:
-            raise ValueError(f"unknown coordinate names {unknown}; expected {COORD_NAMES}")
-        mask = tuple(n in names for n in COORD_NAMES)
-    if not any(mask):
-        raise ValueError("no active coordinates selected")
-    return mask
 
 
 def _embed(base, idx, z) -> InitialData:

@@ -3,8 +3,9 @@
 All quantities are dimensionless. ``OscillatorSpec`` fixes the physical
 setup (mass, stiffness, quantum scale, horizon, boundary positions);
 ``InitialData`` holds the four coefficient values the action eigenvalue
-is extremized over. ``validate`` checks a spec's invariants; the config
-loader and every integration call it.
+is extremized over; ``COORD_NAMES`` names them and ``parse_active``
+turns a selection of them into four flags. ``validate`` checks a spec's
+invariants; the config loader and every integration call it.
 """
 
 from __future__ import annotations
@@ -13,10 +14,15 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .errors import SingularityError, ValidationError, ZeroFrequencyError
 
 #: |cos| or |sin| below this is treated as a vanishing denominator.
 SINGULARITY_TOL = 1e-12
+
+#: the four coordinates of ``InitialData``, in field order
+COORD_NAMES = ("S10", "S20", "sigma10", "sigma20")
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,31 @@ class InitialData:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.S10, self.S20, self.sigma10, self.sigma20)
+
+
+def parse_active(active) -> tuple[bool, bool, bool, bool]:
+    """Normalize an active-coordinate selection to a 4-tuple of flags.
+
+    Accepts None (all four), a 4-sequence of bools, an iterable of
+    coordinate names, or a comma-separated name string.
+    """
+    if active is None:
+        return (True, True, True, True)
+    if isinstance(active, str):
+        items = [s.strip() for s in active.split(",") if s.strip()]
+    else:
+        items = list(active)
+    if len(items) == 4 and all(isinstance(b, (bool, np.bool_)) for b in items):
+        mask = tuple(bool(b) for b in items)
+    else:
+        names = [str(s) for s in items]
+        unknown = [n for n in names if n not in COORD_NAMES]
+        if unknown:
+            raise ValueError(f"unknown coordinate names {unknown}; expected {COORD_NAMES}")
+        mask = tuple(n in names for n in COORD_NAMES)
+    if not any(mask):
+        raise ValueError("no active coordinates selected")
+    return mask
 
 
 def validation_errors(spec: OscillatorSpec) -> list[str]:

@@ -1,12 +1,18 @@
+import configparser
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from qap.cli import main
-from qap.config import load_config, parse_grid
+from qap.config import _KEYS, load_config, parse_grid
 from qap.errors import ConfigError
 from qap.experiments import COMMANDS
+from qap.model import OscillatorSpec, t0_to_S20
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 BASE_INI = """\
 [spec]
@@ -98,7 +104,7 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize("key, value", [
         ("t0", "abc"), ("t0", "inf"), ("S10", "inf"), ("S20", "-inf"),
-        ("sigma10", "nan"), ("sigma20", "inf"),
+        ("sigma10", "nan"), ("sigma20", "inf"), ("t0", "1.5707963267948966"),
     ])
     def test_bad_init_value_exits_2_naming_key(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, f"[init]\n{key} = {value}\n")
@@ -112,7 +118,8 @@ class TestConfigLoading:
         ("optimize", "seed", "-1"), ("grid", "t_probe", "0"), ("grid", "t_probe", "inf"),
         ("sweep", "t0_grid", "a:1:3"), ("sweep", "hbar_grid", "0.1,b"),
         ("sweep", "t0_grid", "0:1"), ("sweep", "t0_grid", "0:1:0"),
-        ("sweep", "hbar_grid", "-0.1,0.2"),
+        ("sweep", "hbar_grid", "-0.1,0.2"), ("optimize", "active", "S10,foo"),
+        ("optimize", "active", ""),
     ])
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, section, key, value):
         path = write_config(tmp_path, f"[init]\nS10 = 1.0\n[{section}]\n{key} = {value}\n")
@@ -131,6 +138,60 @@ class TestConfigLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.ini")
+
+    def test_unreadable_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["integrate", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert "config error: cannot read config file" in capsys.readouterr().out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["ini", "json"])
+    @pytest.mark.parametrize("s20_key", ["S20", "t0"])
+    def test_every_key_reaches_its_field(self, tmp_path, fmt, s20_key):
+        # a valid non-default value for every key of the table
+        values = {
+            "spec": {"m": 2.0, "k": 3.0, "hbar_tilde": 0.25, "T": 1.5, "x0": 0.5, "xT": 2.0},
+            "init": {"S10": 0.75, s20_key: 0.125, "sigma10": 0.2, "sigma20": 0.4},
+            "grid": {"h": 0.01, "method": "rk4_adaptive", "t_probe": 0.25},
+            "optimize": {
+                "active": "S20,sigma20", "grad_tol": 1e-5, "max_iter": 7,
+                "penalty_weight": 0.5, "restarts": 2, "seed": 9,
+            },
+            "sweep": {"t0_grid": [0.1, 0.2], "hbar_grid": [0.0, 0.3]},
+            "output": {"out_dir": "elsewhere"},
+        }
+        covered = {sec: set(keys) for sec, keys in values.items()}
+        covered["init"] |= {"S20", "t0"}
+        assert covered == {sec: set(keys) for sec, keys in _KEYS.items()}
+        if fmt == "json":
+            path = write_config(tmp_path, json.dumps(values), name="every.json")
+        else:
+            text = ""
+            for sec, keys in values.items():
+                text += f"[{sec}]\n"
+                for key, v in keys.items():
+                    text += f"{key} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
+            path = write_config(tmp_path, text)
+        cfg = load_config(path)
+        spec = OscillatorSpec(**values["spec"])
+        assert cfg.spec == spec
+        init = dict(values["init"])
+        if "t0" in init:
+            init["S20"] = t0_to_S20(init.pop("t0"), spec)
+        assert cfg.init.to_dict() == init
+        fields = {**values["grid"], **values["optimize"], **values["sweep"], **values["output"]}
+        fields["step"] = fields.pop("h")
+        assert {k: getattr(cfg, k) for k in fields} == fields
+
+    def test_readme_names_every_key(self):
+        block = re.search(r"### Config format.*?```ini\n(.*?)```", README.read_text(), re.S)
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        parser.optionxform = str
+        parser.read_string(block.group(1))
+        documented = {sec: list(parser[sec]) for sec in parser.sections()}
+        table = {sec: [k for k in keys if k != "S20"] for sec, keys in _KEYS.items()}
+        assert list(documented) == list(table)
+        assert {s: set(k) for s, k in documented.items()} == {s: set(k) for s, k in table.items()}
 
     def test_parse_grid_forms(self):
         assert parse_grid("1,2,3") == [1.0, 2.0, 3.0]
@@ -367,6 +428,15 @@ class TestExtremizeCommand:
         assert main(["extremize", "--config", path, "--out", str(out)]) == 3
         assert "numerical failure" in capsys.readouterr().out
         assert not (out / "extremum.json").exists()
+
+    def test_unknown_active_name_rejected_before_output(self, config_path, tmp_path, capsys):
+        path = write_config(tmp_path, Path(config_path).read_text().replace(
+            "active = S10,S20", "active = S10,foo"
+        ))
+        out = tmp_path / "out"
+        assert main(["extremize", "--config", path, "--out", str(out)]) == 2
+        assert "config error: active must be one or more of" in capsys.readouterr().out
+        assert not out.exists()
 
 
 class TestConvergenceCommand:
