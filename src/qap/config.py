@@ -52,21 +52,30 @@ class ExperimentConfig:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Parse ``a,b,c`` or ``start:stop:count`` into a float list.
-
-    A malformed shorthand raises ``ConfigError``; its message is written
-    to follow the grid's key, which ``load_config`` puts in front.
-    """
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"shorthand must be start:stop:count, got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ConfigError(f"count must be >= 1, got {count}")
-        return [float(v) for v in np.linspace(start, stop, count)]
-    return [float(v) for v in text.split(",") if v.strip()]
+    """Parse ``a,b,c`` or ``start:stop:count`` into a non-empty, finite,
+    strictly increasing float list. Each error is a ``ConfigError`` whose
+    message is written to follow the grid's key, which ``_read`` puts in front."""
+    shorthand = text.strip()
+    try:
+        if ":" in shorthand:
+            parts = shorthand.split(":")
+            if len(parts) != 3:
+                raise ConfigError(f"shorthand must be start:stop:count, got {shorthand!r}")
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            if count < 1:
+                raise ConfigError(f"count must be >= 1, got {count}")
+            values = [float(v) for v in np.linspace(start, stop, count)]
+        else:
+            values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as err:
+        raise ConfigError(f"entries must be numbers, got {text!r}") from err
+    if not values:
+        raise ConfigError("is empty")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError("contains non-finite values")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError("must be strictly increasing")
+    return values
 
 
 def _as_sections(path: Path) -> dict[str, dict[str, str]]:
@@ -95,7 +104,9 @@ def _as_sections(path: Path) -> dict[str, dict[str, str]]:
                 )
             sections[str(sec)] = {str(k): as_text(v) for k, v in entries.items()}
         return sections
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=(";", "#")
+    )
     try:
         parser.read_string(text)
     except configparser.Error as err:
@@ -105,7 +116,8 @@ def _as_sections(path: Path) -> dict[str, dict[str, str]]:
 
 def _valid_active(text: str) -> bool:
     try:
-        return any(parse_active(text))
+        parse_active(text)
+        return True
     except ValueError:
         return False
 
@@ -138,30 +150,19 @@ _KEYS = {
 
 
 def _read(section: str, key: str, raw):
-    """``raw`` parsed as ``key`` of ``section`` and checked by its rule.
-
-    A grid must also be non-empty, finite and strictly increasing, and
-    each of its entries must meet the rule. The CLI's overrides go
-    through here too.
-    """
+    """``raw`` parsed as ``key`` of ``section`` and checked by its rule, entry
+    by entry for a grid. The CLI's overrides go through here too."""
     parse, rule = _KEYS[section][key]
     try:
         value = parse(raw)
     except ConfigError as err:
         raise ConfigError(f"{key} {err}") from err
     except ValueError as err:
-        noun = {int: "must be an integer", parse_grid: "entries must be numbers"}
-        raise ConfigError(f"{key} {noun.get(parse, 'must be a number')}, got {raw!r}") from err
-    if parse is parse_grid:
-        if not value:
-            raise ConfigError(f"{key} is empty")
-        if not all(map(math.isfinite, value)):
-            raise ConfigError(f"{key} contains non-finite values")
-        if any(b <= a for a, b in zip(value, value[1:])):
-            raise ConfigError(f"{key} must be strictly increasing")
+        noun = "an integer" if parse is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {raw!r}") from err
     if rule is not None:
         ok, wording = rule
-        for v in value if parse is parse_grid else [value]:
+        for v in value if isinstance(value, list) else [value]:
             if not ok(v):
                 raise ConfigError(f"{key} must be {wording}, got {v!r}")
     return value

@@ -197,6 +197,21 @@ class TestConfigLoading:
         assert parse_grid("1,2,3") == [1.0, 2.0, 3.0]
         assert parse_grid("0:1:5") == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
+    @pytest.mark.parametrize("line, error", [
+        ("hbar_grid = 0,0.5", None),
+        ("hbar_grid = -1,0", "hbar_grid must be >= 0, got -1.0"),
+        ("t0_grid = 0.5,0.4", "t0_grid must be strictly increasing"),
+    ])
+    def test_grids_checked_with_parse_grid_wrapped(self, tmp_path, monkeypatch, line, error):
+        # perfbench's traced pass replaces qap.config.parse_grid by a wrapper
+        monkeypatch.setattr("qap.config.parse_grid", lambda text: parse_grid(text))
+        path = write_config(tmp_path, f"[sweep]\n{line}\n")
+        if error is None:
+            assert load_config(path).hbar_grid == [0.0, 0.5]
+            return
+        with pytest.raises(ConfigError, match=re.escape(error)):
+            load_config(path)
+
 
 class TestIntegrateCommand:
     def test_writes_grid_and_summary(self, config_path, tmp_path, capsys):
