@@ -7,7 +7,9 @@ exact floating-point sum of the three parts. The constraint residual is
 the analogous amplitude-side expression; zero means the initial data
 satisfies the algebraic compatibility condition. The residual is always
 reported, never enforced (extremization may attach a quadratic penalty
-to it, weight 0 by default).
+to it, weight 0 by default). From the end row of a propagator run,
+``endpoint_models`` gives both as exact quadratics in (S10, sigma10),
+for the extremizer's projection.
 
 Simpson recomputation of the accumulated integrals from the stored
 coefficient columns provides an independent quadrature cross-check of
@@ -98,6 +100,33 @@ def endpoint_report(spec, first, last) -> EigenvalueReport:
         quantum_term=quantum,
         constraint_residual=residual,
     )
+
+
+def endpoint_models(spec, first, end):
+    """Exact quadratic models of the eigenvalue and the residual in (S10, sigma10).
+
+    ``end`` is the end row of ``dynamics.propagator`` from the initial
+    data ``first``. With u = (S10, sigma10), the run's (S1, sigma1)(T) is
+    P u, and its qS, qSigma and qCon are u.A u, u.B u + int(sigma2) and
+    u.C u + 2 int(S2), with the row's propagator columns P and integral
+    matrices A, B, C. Returns ((lam, gradient, Hessian), (residual,
+    gradient, Hessian)) at u; the two values are those of
+    ``endpoint_report`` on the state row this rebuilds.
+    """
+    S2, g2, p0, q0, p1, q1, A00, A01, A11, B00, B01, B11, C00, C01, C11, I2, IS = end
+    P = np.array([[p0, p1], [q0, q1]])
+    A = np.array([[A00, A01], [A01, A11]])
+    B = np.array([[B00, B01], [B01, B11]])
+    C = np.array([[C00, C01], [C01, C11]])
+    u = np.array([first[0], first[2]], dtype=float)
+    S1, g1 = P @ u
+    row = (S1, S2, g1, g2, u @ A @ u, u @ B @ u + I2, u @ C @ u + 2.0 * IS, IS)
+    report = endpoint_report(spec, first, row)
+    H_lam = (spec.hbar_tilde**2 * B - A) / spec.m
+    H_res = -2.0 * C / spec.m
+    g_lam = spec.xT * P[0] - (spec.x0, 0.0) + H_lam @ u
+    g_res = spec.xT * P[1] - (0.0, spec.x0) + H_res @ u
+    return (report.lam, g_lam, H_lam), (report.constraint_residual, g_res, H_res)
 
 
 def constraint_residual(grid: SolutionGrid) -> float:

@@ -21,12 +21,21 @@ diagnostic used to verify the exponential identity
 sigma2(t) = sigma20 * exp(-qIntS2(t)/m) and is not part of the CSV
 contract.
 
-One fixed-step RK4 driver serves both ``integrate(method="rk4")``,
-which keeps the trajectory, and ``final_state``, which keeps only the
-endpoint; the step-doubling loop behind ``rk4_adaptive`` is separate.
-All of them share one entry (the input check, which hands the loop
-only Python floats, since the unrolled step runs about three times
-slower on numpy scalars) and one blow-up exit.
+One fixed-step loop drives two unrolled RK4 kernels. ``_rk4_step``
+steps the eight-component state, for ``integrate(method="rk4")``,
+which keeps the trajectory, and for ``final_state``, which keeps only
+the endpoint. ``_propagator_step`` steps a 17-component row for
+``propagator``: (S2, sigma2), the linear (S1, sigma1) flow from two unit
+starts and the integrals of their products, from which
+``action.endpoint_models`` builds the eigenvalue and the constraint
+residual as exact quadratics in (S10, sigma10). The step-doubling loop
+behind ``rk4_adaptive`` is separate and reuses ``_rk4_step``. All of
+them share one entry (the input check, which hands the loop only
+Python floats, since the unrolled step runs about three times slower
+on numpy scalars) and one blow-up exit. Each kernel bounds its new row
+itself, one chained comparison per component: a component outside
+[-BLOWUP_LIMIT, BLOWUP_LIMIT], or NaN, makes it return None, and the
+loop raises ``BlowUpError`` at the last good time.
 
 The S2 equation is of Riccati type and genuinely blows up in finite
 time when a caustic falls inside the horizon; integration reports the
@@ -158,20 +167,15 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _finite_row(row) -> bool:
-    for v in row:
-        if not math.isfinite(v) or abs(v) > BLOWUP_LIMIT:
-            return False
-    return True
-
-
 def _rk4_step(y, h, m_inv, k, hh):
     """One classic RK4 step of the eight-component state tuple.
 
     Unrolled scalar arithmetic: this is the hot loop of every
     finite-difference probe inside extremization, and tuple-of-stage
     indirection costs ~3x here. Each stage mirrors ``_stage`` exactly;
-    a regression test pins the two against each other.
+    a regression test pins the two against each other. Returns None
+    when a component of the new state leaves [-BLOWUP_LIMIT,
+    BLOWUP_LIMIT]; the chained comparisons are False for NaN too.
     """
     S1, S2, g1, g2, qS, qG, qC, qI = y
     hh2 = 2.0 * hh
@@ -226,16 +230,108 @@ def _rk4_step(y, h, m_inv, k, hh):
     dqI = wS2
 
     w6 = h / 6.0
-    return (
-        S1 + w6 * (aS1 + 2.0 * (bS1 + cS1) + dS1),
-        S2 + w6 * (aS2 + 2.0 * (bS2 + cS2) + dS2),
-        g1 + w6 * (ag1 + 2.0 * (bg1 + cg1) + dg1),
-        g2 + w6 * (ag2 + 2.0 * (bg2 + cg2) + dg2),
-        qS + w6 * (aqS + 2.0 * (bqS + cqS) + dqS),
-        qG + w6 * (aqG + 2.0 * (bqG + cqG) + dqG),
-        qC + w6 * (aqC + 2.0 * (bqC + cqC) + dqC),
-        qI + w6 * (aqI + 2.0 * (bqI + cqI) + dqI),
-    )
+    S1 += w6 * (aS1 + 2.0 * (bS1 + cS1) + dS1)
+    S2 += w6 * (aS2 + 2.0 * (bS2 + cS2) + dS2)
+    g1 += w6 * (ag1 + 2.0 * (bg1 + cg1) + dg1)
+    g2 += w6 * (ag2 + 2.0 * (bg2 + cg2) + dg2)
+    qS += w6 * (aqS + 2.0 * (bqS + cqS) + dqS)
+    qG += w6 * (aqG + 2.0 * (bqG + cqG) + dqG)
+    qC += w6 * (aqC + 2.0 * (bqC + cqC) + dqC)
+    qI += w6 * (aqI + 2.0 * (bqI + cqI) + dqI)
+    L = BLOWUP_LIMIT
+    if (-L <= S1 <= L and -L <= S2 <= L and -L <= g1 <= L and -L <= g2 <= L
+            and -L <= qS <= L and -L <= qG <= L and -L <= qC <= L and -L <= qI <= L):
+        return S1, S2, g1, g2, qS, qG, qC, qI
+    return None
+
+
+def _propagator_step(y, h, m_inv, k, hh):
+    """One classic RK4 step of the 17-component propagator row.
+
+    (S2, sigma2) and the integral of S2 take exactly the arithmetic of
+    ``_rk4_step``. The (S1, sigma1) solutions (p0, q0) and (p1, q1),
+    started at (1, 0) and (0, 1), take its linear stages, and the
+    integrals of their pairwise products take its quadrature weights; so
+    the quadratic models built from the end row are those of the
+    discrete run itself. Unrolled for the same reason as ``_rk4_step``.
+    """
+    S2, g2, p0, q0, p1, q1, A00, A01, A11, B00, B01, B11, C00, C01, C11, I2, IS = y
+    hh2 = 2.0 * hh
+
+    aS2 = -S2 * S2 * m_inv - k + hh2 * g2 * g2
+    ag2 = -g2 * S2 * m_inv
+    ap0 = -p0 * S2 * m_inv + hh * q0 * g2
+    aq0 = -(q0 * S2 + g2 * p0) * m_inv
+    ap1 = -p1 * S2 * m_inv + hh * q1 * g2
+    aq1 = -(q1 * S2 + g2 * p1) * m_inv
+
+    h2 = 0.5 * h
+    uS2 = S2 + h2 * aS2
+    ug2 = g2 + h2 * ag2
+    up0 = p0 + h2 * ap0
+    uq0 = q0 + h2 * aq0
+    up1 = p1 + h2 * ap1
+    uq1 = q1 + h2 * aq1
+    bS2 = -uS2 * uS2 * m_inv - k + hh2 * ug2 * ug2
+    bg2 = -ug2 * uS2 * m_inv
+    bp0 = -up0 * uS2 * m_inv + hh * uq0 * ug2
+    bq0 = -(uq0 * uS2 + ug2 * up0) * m_inv
+    bp1 = -up1 * uS2 * m_inv + hh * uq1 * ug2
+    bq1 = -(uq1 * uS2 + ug2 * up1) * m_inv
+
+    vS2 = S2 + h2 * bS2
+    vg2 = g2 + h2 * bg2
+    vp0 = p0 + h2 * bp0
+    vq0 = q0 + h2 * bq0
+    vp1 = p1 + h2 * bp1
+    vq1 = q1 + h2 * bq1
+    cS2 = -vS2 * vS2 * m_inv - k + hh2 * vg2 * vg2
+    cg2 = -vg2 * vS2 * m_inv
+    cp0 = -vp0 * vS2 * m_inv + hh * vq0 * vg2
+    cq0 = -(vq0 * vS2 + vg2 * vp0) * m_inv
+    cp1 = -vp1 * vS2 * m_inv + hh * vq1 * vg2
+    cq1 = -(vq1 * vS2 + vg2 * vp1) * m_inv
+
+    wS2 = S2 + h * cS2
+    wg2 = g2 + h * cg2
+    wp0 = p0 + h * cp0
+    wq0 = q0 + h * cq0
+    wp1 = p1 + h * cp1
+    wq1 = q1 + h * cq1
+    dS2 = -wS2 * wS2 * m_inv - k + hh2 * wg2 * wg2
+    dg2 = -wg2 * wS2 * m_inv
+    dp0 = -wp0 * wS2 * m_inv + hh * wq0 * wg2
+    dq0 = -(wq0 * wS2 + wg2 * wp0) * m_inv
+    dp1 = -wp1 * wS2 * m_inv + hh * wq1 * wg2
+    dq1 = -(wq1 * wS2 + wg2 * wp1) * m_inv
+
+    w6 = h / 6.0
+    A00 += w6 * (p0 * p0 + 2.0 * (up0 * up0 + vp0 * vp0) + wp0 * wp0)
+    A01 += w6 * (p0 * p1 + 2.0 * (up0 * up1 + vp0 * vp1) + wp0 * wp1)
+    A11 += w6 * (p1 * p1 + 2.0 * (up1 * up1 + vp1 * vp1) + wp1 * wp1)
+    B00 += w6 * (q0 * q0 + 2.0 * (uq0 * uq0 + vq0 * vq0) + wq0 * wq0)
+    B01 += w6 * (q0 * q1 + 2.0 * (uq0 * uq1 + vq0 * vq1) + wq0 * wq1)
+    B11 += w6 * (q1 * q1 + 2.0 * (uq1 * uq1 + vq1 * vq1) + wq1 * wq1)
+    C00 += w6 * (q0 * p0 + 2.0 * (uq0 * up0 + vq0 * vp0) + wq0 * wp0)
+    C01 += 0.5 * w6 * (q0 * p1 + q1 * p0 + 2.0 * (uq0 * up1 + uq1 * up0 + vq0 * vp1 + vq1 * vp0)
+                       + wq0 * wp1 + wq1 * wp0)
+    C11 += w6 * (q1 * p1 + 2.0 * (uq1 * up1 + vq1 * vp1) + wq1 * wp1)
+    I2 += w6 * (g2 + 2.0 * (ug2 + vg2) + wg2)
+    IS += w6 * (S2 + 2.0 * (uS2 + vS2) + wS2)
+    S2 += w6 * (aS2 + 2.0 * (bS2 + cS2) + dS2)
+    g2 += w6 * (ag2 + 2.0 * (bg2 + cg2) + dg2)
+    p0 += w6 * (ap0 + 2.0 * (bp0 + cp0) + dp0)
+    q0 += w6 * (aq0 + 2.0 * (bq0 + cq0) + dq0)
+    p1 += w6 * (ap1 + 2.0 * (bp1 + cp1) + dp1)
+    q1 += w6 * (aq1 + 2.0 * (bq1 + cq1) + dq1)
+    L = BLOWUP_LIMIT
+    if (-L <= S2 <= L and -L <= g2 <= L and -L <= p0 <= L and -L <= q0 <= L
+            and -L <= p1 <= L and -L <= q1 <= L and -L <= A00 <= L and -L <= A01 <= L
+            and -L <= A11 <= L and -L <= B00 <= L and -L <= B01 <= L and -L <= B11 <= L
+            and -L <= C00 <= L and -L <= C01 <= L and -L <= C11 <= L and -L <= I2 <= L
+            and -L <= IS <= L):
+        return S2, g2, p0, q0, p1, q1, A00, A01, A11, B00, B01, B11, C00, C01, C11, I2, IS
+    return None
 
 
 def _grid(spec, times, rows, method, step):
@@ -277,25 +373,32 @@ def _n_steps(T, step):
     return n
 
 
-def _fixed(spec, init, step, keep):
+def _fixed(spec, init, step, keep, propagate=False):
     """Fixed-step RK4 from 0 to T: the grid if ``keep``, else the endpoint row.
 
     The grid has ceil(T/step) intervals, the last one shortened to land
     on T exactly. A blow-up raises ``BlowUpError`` at the last good time,
-    carrying the partial grid only if ``keep``.
+    carrying the partial grid only if ``keep``. With ``propagate`` the
+    kernel is ``_propagator_step``, from its own start row, after the
+    same check of the initial data.
     """
     y, m_inv, k, hh, step, T = _start(spec, init, step)
     n = _n_steps(T, step)
     times = [0.0] if keep else None
     rows = [y] if keep else None
     t_prev = 0.0
-    if not _finite_row(y):
+    if not all(-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT for v in y):
         _blow_up(spec, t_prev, times, rows, "rk4", step)
+    kernel = _rk4_step
+    if propagate:
+        # (S2, sigma2), the (S1, sigma1) solutions from (1, 0) and (0, 1), zero integrals
+        y = (y[1], y[3], 1.0, 0.0, 0.0, 1.0) + (0.0,) * 11
+        kernel = _propagator_step
     for i in range(1, n + 1):
         # last step shortened so the grid lands on T exactly
         t = i * step if i < n else T
-        y = _rk4_step(y, t - t_prev, m_inv, k, hh)
-        if not _finite_row(y):
+        y = kernel(y, t - t_prev, m_inv, k, hh)
+        if y is None:
             _blow_up(spec, t_prev, times, rows, "rk4", step)
         if keep:
             times.append(t)
@@ -316,12 +419,29 @@ def final_state(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_S
     return _fixed(spec, init, step, keep=False)
 
 
+def propagator(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP):
+    """Fixed-step propagator run: the end row of the linear (S1, sigma1) flow.
+
+    At fixed (S20, sigma20), (S1, sigma1) evolve linearly, and RK4 keeps
+    them linear; so one run carries everything the eigenvalue and the
+    constraint residual need as functions of (S10, sigma10). The row
+    holds, at t = T: S2, sigma2; the solutions (S1, sigma1) started at
+    (1, 0) and at (0, 1); the integrals of S1_i S1_j, sigma1_i sigma1_j
+    and (sigma1_i S1_j + sigma1_j S1_i)/2 for i <= j; and the integrals
+    of sigma2 and S2. Its S2, sigma2 and integral of S2 are bit-equal to
+    ``final_state``'s. ``action.endpoint_models`` turns the row into the
+    models. Same input check and blow-up exit as ``final_state``; the
+    bound applies to the row's own 17 components.
+    """
+    return _fixed(spec, init, step, keep=False, propagate=True)
+
+
 def _integrate_adaptive(spec, init, step):
     y, m_inv, k, hh, step, T = _start(spec, init, step)
     times = [0.0]
     rows = [y]
     t = 0.0
-    if not _finite_row(y):
+    if not all(-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT for v in y):
         _blow_up(spec, t, times, rows, "rk4_adaptive", step)
     h = min(step, T)
     h_min = 1e-12 * max(1.0, T)
@@ -331,8 +451,8 @@ def _integrate_adaptive(spec, init, step):
             _blow_up(spec, t, times, rows, "rk4_adaptive", step)
         coarse = _rk4_step(y, h, m_inv, k, hh)
         half = _rk4_step(y, 0.5 * h, m_inv, k, hh)
-        fine = _rk4_step(half, 0.5 * h, m_inv, k, hh)
-        if not (_finite_row(coarse) and _finite_row(fine)):
+        fine = None if half is None else _rk4_step(half, 0.5 * h, m_inv, k, hh)
+        if coarse is None or fine is None:
             h *= 0.25
             continue
         # step-doubling error estimate for a 4th-order step

@@ -91,10 +91,9 @@ def _spec_metadata(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _require_init(cfg: ExperimentConfig) -> InitialData:
+def _require_init(cfg: ExperimentConfig, command: str) -> None:
     if cfg.init is None:
         raise ConfigError("this command needs an [init] section")
-    return cfg.init
 
 
 def _require_classical(cfg: ExperimentConfig, command: str) -> None:
@@ -107,12 +106,27 @@ def _require_classical(cfg: ExperimentConfig, command: str) -> None:
         raise ConfigError(f"{command} is undefined at resonance (sin(omega0*T)=0)")
 
 
+def _require_rk4(cfg: ExperimentConfig, command: str) -> None:
+    """The extremizer's projection is exact only for the fixed-step run."""
+    if cfg.method != "rk4":
+        raise ConfigError(f"{command} needs method = rk4, got {cfg.method}")
+
+
+def _require_t0_grid(cfg: ExperimentConfig, command: str) -> None:
+    if cfg.t0_grid is None:
+        raise ConfigError(f"{command} needs [sweep] t0_grid")
+
+
+def _require_hbar_grid(cfg: ExperimentConfig, command: str) -> None:
+    if cfg.hbar_grid is None:
+        raise ConfigError(f"{command} needs [sweep] hbar_grid")
+
+
 def cmd_integrate(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Integrate once and write the solution grid CSV."""
-    init = _require_init(cfg)
     path = out_dir / "solution.csv"
     try:
-        grid = integrate(cfg.spec, init, step=cfg.step, method=cfg.method)
+        grid = integrate(cfg.spec, cfg.init, step=cfg.step, method=cfg.method)
     except BlowUpError as err:
         log.info("blow-up at t=%.6g; writing partial grid", err.t_last)
         if err.partial is not None:
@@ -129,8 +143,7 @@ def cmd_integrate(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_eigenvalue(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Integrate once and report the eigenvalue decomposition."""
-    init = _require_init(cfg)
-    grid = integrate(cfg.spec, init, step=cfg.step, method=cfg.method)
+    grid = integrate(cfg.spec, cfg.init, step=cfg.step, method=cfg.method)
     report = eigenvalue(grid)
     path = out_dir / "eigenvalue.json"
     path.write_text(report.to_json() + "\n")
@@ -146,8 +159,6 @@ def cmd_eigenvalue(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_classical_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Full pipeline against the closed-form degenerate eigenvalue."""
-    _require_classical(cfg, "classical-check")
-
     t0 = 0.5 * cfg.spec.T
     s20 = t0_to_S20(t0, cfg.spec)
     s10_guess = cfg.init.S10 if cfg.init is not None else 0.0
@@ -177,10 +188,6 @@ def cmd_classical_check(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_scan_t0(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Sweep the phase offset: closed-form and ODE eigenvalues per point."""
-    _require_classical(cfg, "scan-t0")
-    if cfg.t0_grid is None:
-        raise ConfigError("scan-t0 needs [sweep] t0_grid")
-
     table = SweepTable(
         parameter="t0",
         columns=("t0", "S10", "lambda_closed", "lambda_ode", "constraint_residual", "status"),
@@ -214,10 +221,7 @@ def cmd_scan_t0(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_sweep_hbar(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Sweep the quantum scale at fixed initial data; fit the correction power."""
-    init = _require_init(cfg)
-    if cfg.hbar_grid is None:
-        raise ConfigError("sweep-hbar needs [sweep] hbar_grid")
-
+    init = cfg.init
     base = replace(cfg.spec, hbar_tilde=0.0)
     grid0 = integrate(base, init, step=cfg.step, method=cfg.method)
     lam0 = eigenvalue(grid0).lam
@@ -347,8 +351,30 @@ COMMANDS = {
 }
 
 
+#: each command's config preconditions, checked in order before any output exists
+PRECONDITIONS = {
+    "integrate": (_require_init,),
+    "eigenvalue": (_require_init,),
+    "classical-check": (_require_classical, _require_rk4),
+    "scan-t0": (_require_classical, _require_t0_grid),
+    "sweep-hbar": (_require_init, _require_hbar_grid),
+    "extremize": (_require_rk4,),
+    "convergence": (),
+}
+
+
 def run_command(name: str, cfg: ExperimentConfig, out_dir) -> int:
-    """Dispatch one named experiment, mapping failures to exit codes."""
+    """Dispatch one named experiment, mapping failures to exit codes.
+
+    The command's ``PRECONDITIONS`` are checked before the output
+    directory is made, so a config that fails them leaves nothing behind.
+    """
+    try:
+        for require in PRECONDITIONS[name]:
+            require(cfg, name)
+    except ConfigError as err:
+        print(f"config error: {err}")
+        return EXIT_CONFIG
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

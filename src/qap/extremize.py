@@ -15,16 +15,21 @@ coordinates from the search. Nothing in the (S2, sigma2) subsystem
 depends on (S1, sigma1), which itself evolves linearly, and RK4
 preserves that linearity; so at fixed (S20, sigma20) the discrete
 eigenvalue and the constraint residual are both exact quadratics in
-(S10, sigma10), at every hbar_tilde. One central stencil around the
-current point fits both, and the active members of {S10, sigma10} are
-set to a stationary point of the fitted objective, with no further
+(S10, sigma10), at every hbar_tilde. One propagator run
+(``dynamics.propagator``) at the current point carries the discrete
+(S1, sigma1) flow from both unit starts, and ``action.endpoint_models``
+turns its end row into the value, gradient and Hessian of both
+quadratics. The active members of {S10, sigma10} are set to a
+stationary point of the objective on these models, with no further
 solves. Without a penalty that objective is the quadratic itself and
 one least-squares Newton step solves it (so a direction the eigenvalue
-does not depend on, such as sigma10 at hbar_tilde = 0, is left where it
-is). A penalty makes it quartic, eigenvalue + weight * residual**2, and
-Newton iterates from the current point, each step a least-squares
-solve on the two fitted models; a point where they do not settle, or a
-blown-up stencil probe, is left unprojected.
+does not depend on, such as sigma10 at hbar_tilde = 0, where its row of
+the models is exactly zero, is left where it is). A penalty makes it
+quartic, eigenvalue + weight * residual**2, and Newton iterates from the
+current point, each step a least-squares solve on the two models; a
+point where they do not settle is left unprojected. The models are exact
+only for the fixed-step run, so ``optimize`` accepts only method
+``rk4``: the adaptive step control sees S1.
 
 What is left is a root of the reduced gradient g, the gradient along
 the active members of (S20, sigma20) at the projected point. Nelder-Mead
@@ -50,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, root
 
-from .action import EigenvalueReport, eigenvalue, endpoint_report, json_17g
-from .dynamics import final_state, integrate
+from .action import EigenvalueReport, eigenvalue, endpoint_models, endpoint_report, json_17g
+from .dynamics import final_state, integrate, propagator
 from .errors import BlowUpError, FDFailureError
 from .model import COORD_NAMES, InitialData, OscillatorSpec, parse_active
 
@@ -97,8 +102,8 @@ class ExtremumResult:
     ``report`` is recomputed by a fresh integration at ``init``, never
     cached from a simplex vertex. ``hessian_signature`` is None when the
     finite-difference probes around the final point failed. ``blowups``
-    counts the search's solves that blew up; the stationarity check and
-    the final integration are not among them.
+    counts the search's solves and propagator runs that blew up; the
+    stationarity check and the final integration are not among them.
     """
 
     init: InitialData
@@ -171,21 +176,6 @@ def objective(
     derivative-free search retreats from caustic regions.
     """
     return _evaluate(spec, init, penalty_weight, step, method)[0]
-
-
-def _quadratic_fit(vals, f0, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian, in stencil units, of the quadratic through a unit stencil.
-
-    ``vals`` holds the values at +e_a, then -e_a, then e_a + e_b for each
-    pair (a, b) of ``pairs``; ``f0`` is the centre value.
-    """
-    n = (len(vals) - len(pairs)) // 2
-    fp, fm = np.array(vals[:n]), np.array(vals[n : 2 * n])
-    g = 0.5 * (fp - fm)
-    H = np.diag(fp - 2.0 * f0 + fm)
-    for (a, b), fab in zip(pairs, vals[2 * n :]):
-        H[a, b] = H[b, a] = fab - f0 - g[a] - g[b] - 0.5 * (H[a, a] + H[b, b])
-    return g, H
 
 
 def _newton_quartic(gl, Hl, r0, gr, Hr, weight) -> np.ndarray | None:
@@ -318,12 +308,13 @@ def optimize(
 ) -> ExtremumResult:
     """Find a stationary point of the objective over the active coordinates.
 
-    The active members of (S10, sigma10) are solved for at every point
-    from the exact quadratic models of the eigenvalue and the constraint
-    residual in them: one Newton step without a penalty, Newton
-    iterations on the quartic objective with one (see the module
-    docstring). The search runs over the active members of
-    (S20, sigma20). It makes up to ``restarts`` attempts (the first from
+    ``method`` must be ``rk4`` (``ValueError`` otherwise). The active
+    members of (S10, sigma10) are solved for at every point from the
+    exact quadratic models of the eigenvalue and the constraint residual
+    in them, which one propagator run gives: one Newton step without a
+    penalty, Newton iterations on the quartic objective with one (see the
+    module docstring); with neither active the point is one plain solve.
+    The search runs over the active members of (S20, sigma20). It makes up to ``restarts`` attempts (the first from
     ``guess``, later ones from seeded perturbations of the best point);
     none when nothing is left to search or the projected guess is
     already stationary. Each attempt runs Nelder-Mead on the squared
@@ -335,10 +326,11 @@ def optimize(
     coordinate. ``max_iter`` caps the Nelder-Mead iterations and the
     root solve's gradient evaluations of each attempt, and
     ``iterations`` counts both.
-    Each point is solved once per call: its cached record serves the
-    simplex, the root solve and the certificate, which adds the gradient
-    along (S10, sigma10); only the returned point is solved again, by
-    the final ``integrate`` and the Hessian's centre.
+    Each point is solved once per call (its propagator run counts as its
+    solve): its cached record serves the simplex, the root solve and the
+    certificate, which adds the gradient along (S10, sigma10); only the
+    returned point is solved again, by the final ``integrate`` and the
+    Hessian's centre.
     Convergence means the max-norm of the gradient over all
     active coordinates fell to ``grad_tol``; otherwise the best point
     found is still returned with ``converged=False``. If that best point
@@ -346,70 +338,68 @@ def optimize(
     ``integrate`` raises ``BlowUpError`` with its partial grid instead:
     the returned report needs a complete run.
     """
+    if method != "rk4":
+        raise ValueError(
+            f"optimize needs method 'rk4', got {method!r}: the projection's "
+            "models are exact only for the fixed-step run"
+        )
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]
     base = guess.as_tuple()
     # positions in the active vector: solved for (S10, sigma10) and searched
     lin = [j for j, i in enumerate(idx) if i in (0, 2)]
     free = [j for j in range(len(idx)) if j not in lin]
+    # rows and columns of the active ones in the (S10, sigma10) models
+    pos = [idx[j] // 2 for j in lin]
+    block = np.ix_(pos, pos)
     z0 = np.array([base[i] for i in idx], dtype=float)
     blowups = 0
     T = spec.T
-    # unit steps of the projection stencil: +-e_a, then e_a + e_b for a < b
-    eye = np.eye(len(lin))
-    pairs = [(a, b) for a in range(len(lin)) for b in range(a + 1, len(lin))]
-    shifts = [*eye, *(-eye), *(eye[a] + eye[b] for a, b in pairs)]
-
-    def f_raw(z) -> tuple[float, float, EigenvalueReport | None]:
-        nonlocal blowups
-        value, t_last, report = _evaluate(
-            spec, _embed(base, idx, z), penalty_weight, step, method
-        )
-        if t_last < T:
-            blowups += 1
-        return value, t_last, report
 
     def f(z) -> float:
-        return f_raw(z)[0]
+        nonlocal blowups
+        value, t_last, _ = _evaluate(spec, _embed(base, idx, z), penalty_weight, step, method)
+        if t_last < T:
+            blowups += 1
+        return value
 
     def full(z_free) -> np.ndarray:
         z = z0.copy()
         z[free] = z_free
         return z
 
-    def project(z, centre: EigenvalueReport) -> np.ndarray:
-        """Stationary point along ``lin`` of the objective through z.
+    def centre(z) -> tuple[float, np.ndarray]:
+        """Last integrable time (``T`` when complete) and z projected along ``lin``.
 
-        ``centre`` is the report at z. The eigenvalue and the constraint
-        residual are exact quadratics along ``lin``, so one stencil with
-        unit-scale steps, where roundoff is smallest, fits both, and the
-        stationary point follows from the two models without further
-        solves. A blown-up probe, or Newton iterates that do not settle,
-        leave z unprojected.
+        With no member of (S10, sigma10) active this is one plain solve.
+        Otherwise one propagator run gives the exact quadratic models of
+        the eigenvalue and the constraint residual along ``lin``, and the
+        stationary point of the objective follows from them without
+        further solves. Newton iterates that do not settle leave z
+        unprojected.
         """
-        if not lin:
-            return z
-        h = np.maximum(1.0, np.abs(z[lin]))
-        probes = []
-        for u in shifts:
-            zu = z.copy()
-            zu[lin] += h * u
-            probes.append(f_raw(zu))
-        if max(value for value, _, _ in probes) >= BLOWUP_PENALTY:
-            return z
-        gl, Hl = _quadratic_fit([rep.lam for _, _, rep in probes], centre.lam, pairs)
+        nonlocal blowups
+        init = _embed(base, idx, z)
+        try:
+            if not lin:
+                final_state(spec, init, step)
+                return T, z
+            models = endpoint_models(spec, init.as_tuple(), propagator(spec, init, step))
+        except BlowUpError as err:
+            blowups += 1
+            return float(err.t_last), z
+        (_, gl, Hl), (r0, gr, Hr) = models
+        gl, Hl = gl[pos], Hl[block]
         if penalty_weight == 0.0:
             # lstsq: a direction the objective does not depend on gets no step
             du = np.linalg.lstsq(Hl, -gl, rcond=None)[0]
         else:
-            r0 = centre.constraint_residual
-            gr, Hr = _quadratic_fit([rep.constraint_residual for _, _, rep in probes], r0, pairs)
-            du = _newton_quartic(gl, Hl, r0, gr, Hr, penalty_weight)
+            du = _newton_quartic(gl, Hl, r0, gr[pos], Hr[block], penalty_weight)
             if du is None:
-                return z
+                return T, z
         out = z.copy()
-        out[lin] += h * du
-        return out
+        out[lin] += du
+        return T, out
 
     # records of the current attempt, keyed on z_free.tobytes(); the guess's
     # record starts the first attempt, and each attempt settles its best point
@@ -418,7 +408,7 @@ def optimize(
     def reduced(z_free) -> tuple[np.ndarray, np.ndarray | None, float, float]:
         """Projected point, reduced gradient, largest probe value and merit.
 
-        The centre is solved and projected, and the gradient is taken
+        The centre is run and projected, and the gradient is taken
         along the searched coordinates; at the projected point the
         gradient along lin vanishes, so this is the reduced gradient.
         The projected point is not solved again: the projection moves only
@@ -432,13 +422,11 @@ def optimize(
         """
         key = z_free.tobytes()
         if key not in seen:
-            z = full(z_free)
-            fc, t_last, report = f_raw(z)
-            if fc >= BLOWUP_PENALTY:
+            t_last, z = centre(full(z_free))
+            if t_last < T:
                 frac = (T - min(max(t_last, 0.0), T)) / T
                 seen[key] = z, None, math.inf, BLOWUP_PENALTY * (1.0 + frac)
             else:
-                z = project(z, report)
                 g, worst = _central_gradient(f, z, free)
                 value = (0.99 * BLOWUP_PENALTY if worst >= BLOWUP_PENALTY
                          else min(float(g @ g), 0.9 * BLOWUP_PENALTY))

@@ -305,6 +305,41 @@ def test_invalid_spec_exits_2_for_every_command(tmp_path, capsys, command):
         assert not out.exists()
 
 
+NO_INIT = "[spec]\nm = 1.0\n"
+GRID = "\n[sweep]\nt0_grid = 0.1,0.2\n"
+ADAPTIVE = "[grid]\nmethod = rk4_adaptive\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("integrate", NO_INIT, "this command needs an [init] section"),
+    ("eigenvalue", NO_INIT, "this command needs an [init] section"),
+    ("sweep-hbar", NO_INIT, "this command needs an [init] section"),
+    ("sweep-hbar", "[init]\nS10 = 1.0\n", "sweep-hbar needs [sweep] hbar_grid"),
+    ("scan-t0", NO_INIT, "scan-t0 needs [sweep] t0_grid"),
+    ("scan-t0", "[spec]\nhbar_tilde = 0.5" + GRID, "scan-t0 needs hbar_tilde = 0"),
+    ("scan-t0", "[spec]\nk = 0.0" + GRID, "scan-t0 needs k > 0"),
+    ("scan-t0", f"[spec]\nT = {math.pi}" + GRID, "scan-t0 is undefined at resonance"),
+    ("classical-check", "[spec]\nhbar_tilde = 0.5\n", "classical-check needs hbar_tilde = 0"),
+    ("classical-check", "[spec]\nk = 0.0\n", "classical-check needs k > 0"),
+    ("classical-check", f"[spec]\nT = {math.pi}\n", "classical-check is undefined at resonance"),
+    ("classical-check", ADAPTIVE, "classical-check needs method = rk4, got rk4_adaptive"),
+    ("extremize", ADAPTIVE, "extremize needs method = rk4, got rk4_adaptive"),
+])
+def test_command_precondition_exits_2_before_output(tmp_path, capsys, command, text, message):
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().out
+    assert not out.exists()
+
+
+def test_adaptive_method_override_rejected_for_extremize(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["extremize", "--config", config_path, "--out", str(out),
+                 "--method", "rk4_adaptive"]) == 2
+    assert "config error: extremize needs method = rk4" in capsys.readouterr().out
+    assert not out.exists()
+
+
 class TestScanT0Command:
     def test_degenerate_eigenvalue_across_grid(self, config_path, tmp_path):
         out = tmp_path / "out"

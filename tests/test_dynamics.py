@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,11 @@ from qap import (
     t0_to_S20,
 )
 import qap.dynamics as dynamics
-from qap.dynamics import METHODS, _rk4_step, _stage, _start, final_state
+from qap.action import endpoint_models, endpoint_report
+from qap.config import load_config
+from qap.dynamics import BLOWUP_LIMIT, METHODS, _rk4_step, _stage, _start, final_state, propagator
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestRhs:
@@ -222,6 +227,97 @@ class TestBlowUp:
             assert b.value.partial is None
 
 
+#: each kernel with a run it drives and the length of its row
+KERNELS = [
+    ("_rk4_step", lambda s, i: final_state(s, i, step=0.25), 8),
+    ("_rk4_step", lambda s, i: integrate(s, i, step=0.25, method="rk4_adaptive").data[-1], 8),
+    ("_propagator_step", lambda s, i: propagator(s, i, step=0.25), 17),
+]
+PAST_LIMIT = [math.nan, math.inf, -math.inf, math.nextafter(BLOWUP_LIMIT, math.inf),
+              -math.nextafter(BLOWUP_LIMIT, math.inf)]
+
+
+@pytest.mark.parametrize("kernel, run, width", KERNELS, ids=["fixed", "adaptive", "propagator"])
+class TestBoundCheck:
+    """Each kernel bounds every component of its new row by BLOWUP_LIMIT.
+
+    The kernel is wrapped so that its new row is its input with one
+    component replaced (a step of length 0): values past the limit, NaN
+    and +-inf must blow the run up, +-BLOWUP_LIMIT itself must not.
+    """
+
+    @staticmethod
+    def inject(monkeypatch, kernel, component, value):
+        inner = getattr(dynamics, kernel)
+
+        def stepped(y, h, *args):
+            y = list(y)
+            y[component] = value
+            return inner(tuple(y), 0.0, *args)
+
+        monkeypatch.setattr(dynamics, kernel, stepped)
+
+    @pytest.mark.parametrize("value", PAST_LIMIT)
+    def test_past_limit_blows_up(self, monkeypatch, spec, kernel, run, width, value):
+        for component in range(width):
+            self.inject(monkeypatch, kernel, component, value)
+            with pytest.raises(BlowUpError):
+                run(spec, InitialData(1.0, 0.2, 0.3, 0.8))
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("value", [BLOWUP_LIMIT, -BLOWUP_LIMIT])
+    def test_limit_itself_is_kept(self, monkeypatch, spec, kernel, run, width, value):
+        for component in range(width):
+            self.inject(monkeypatch, kernel, component, value)
+            assert run(spec, InitialData(1.0, 0.2, 0.3, 0.8))[component] == value
+            monkeypatch.undo()
+
+
+def pin_cases():
+    """Seeded specs, initial data and steps (some not dividing T) that stay integrable."""
+    rng = np.random.default_rng(20240611)
+    for _ in range(12):
+        # omega0 * T <= 1.12 and S20 >= -0.3 keep every caustic past T
+        m, k = rng.uniform(0.8, 2.0), rng.uniform(0.0, 1.0)
+        hbar = float(rng.choice([0.0, rng.uniform(0.1, 0.8)]))
+        spec = OscillatorSpec(m=m, k=k, hbar_tilde=hbar, T=rng.uniform(0.5, 1.0),
+                              x0=rng.uniform(-1.0, 1.0), xT=rng.uniform(-1.0, 1.0))
+        init = InitialData(rng.uniform(-2.0, 2.0), rng.uniform(-0.3, 1.0),
+                           rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
+        yield spec, init, float(rng.choice([1e-3, 1e-2, 0.15]))
+
+
+class TestPropagator:
+    def test_riccati_pair_bit_equal_to_final_state(self):
+        for spec, init, step in pin_cases():
+            row, state = propagator(spec, init, step), final_state(spec, init, step)
+            # S2, sigma2 and the integral of S2
+            assert (row[0], row[1], row[16]) == (state[1], state[3], state[7])
+
+    def test_models_match_the_solve_at_and_around_the_point(self):
+        # the models are exact: at the point, and at displaced (S10, sigma10)
+        # through their gradient and Hessian, they give the solve's report
+        for spec, init, step in pin_cases():
+            first = init.as_tuple()
+            lam, res = endpoint_models(spec, first, propagator(spec, init, step))
+            for du in ((0.0, 0.0), (0.5, 0.0), (0.0, -0.5), (0.7, 0.4)):
+                moved = replace(init, S10=init.S10 + du[0], sigma10=init.sigma10 + du[1])
+                report = endpoint_report(spec, moved.as_tuple(), final_state(spec, moved, step))
+                for (value, grad, hess), want in ((lam, report.lam),
+                                                  (res, report.constraint_residual)):
+                    model = value + grad @ du + 0.5 * np.asarray(du) @ hess @ du
+                    assert abs(model - want) <= 1e-12 * abs(want), (spec, init, step, du)
+
+    def test_caustic_blows_up_where_final_state_does(self):
+        cfg = load_config(ROOT / "configs" / "caustic.ini")
+        with pytest.raises(BlowUpError) as a:
+            final_state(cfg.spec, cfg.init, cfg.step)
+        with pytest.raises(BlowUpError) as b:
+            propagator(cfg.spec, cfg.init, cfg.step)
+        assert b.value.t_last == a.value.t_last < cfg.spec.T
+        assert b.value.partial is None
+
+
 class TestFinalStateFastPath:
     def test_bitwise_equal_to_grid_endpoint(self, spec):
         # steps 0.15 and 0.3 do not divide T, so the last step is shortened
@@ -262,15 +358,15 @@ class TestAdaptive:
         # trial step of 0.5 jumps across it and overflows, so it is rejected
         # and cut, and the shorter steps close in on the pole
         rejected = []
-        finite_row = dynamics._finite_row
+        rk4_step = dynamics._rk4_step
 
-        def counted(row):
-            ok = finite_row(row)
-            if not ok:
-                rejected.append(row)
-            return ok
+        def counted(y, *args):
+            row = rk4_step(y, *args)
+            if row is None:
+                rejected.append(y)
+            return row
 
-        monkeypatch.setattr(dynamics, "_finite_row", counted)
+        monkeypatch.setattr(dynamics, "_rk4_step", counted)
         with pytest.raises(BlowUpError) as exc:
             integrate(OscillatorSpec(T=1.5), InitialData(S10=1.0, S20=-5.0), step=0.5,
                       method="rk4_adaptive")

@@ -165,6 +165,12 @@ class TestOptimizeClassical:
         b = optimize(spec, InitialData(S10=-1.0), **kwargs)
         assert a.to_json() == b.to_json()
 
+    def test_adaptive_method_rejected(self, spec):
+        # its step control sees S1, so the eigenvalue is not exactly quadratic
+        # in (S10, sigma10) and the projection's models would not hold
+        with pytest.raises(ValueError, match="needs method 'rk4'"):
+            optimize(spec, InitialData(), active=("S10", "S20"), method="rk4_adaptive")
+
     def test_json_payload_fields(self, spec):
         res = optimize(spec, InitialData(), active=("S10",), step=1e-2)
         payload = json.loads(res.to_json())
@@ -179,9 +185,9 @@ class TestOptimizeClassical:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """List that grows by one entry per ODE solve the extremizer makes."""
+    """List that grows by one entry per ODE solve or propagator run the extremizer makes."""
     calls = []
-    for name in ("final_state", "integrate"):
+    for name in ("final_state", "integrate", "propagator"):
         inner = getattr(extremize, name)
 
         def counted(*args, _inner=inner, **kwargs):
@@ -264,40 +270,41 @@ class TestVariableProjection:
         res = optimize(spec, guess, active=("S10", "S20"), step=1e-3)
         assert res.converged
         assert res.iterations == 0
-        assert len(solves) <= 20
+        # 14 solves and one propagator run (17 solves with the projection stencil)
+        assert len(solves) <= 15
         assert res.report.lam == pytest.approx(lambda_star(spec), abs=1e-6)
 
     def test_flat_sigma10_in_classical_limit(self, spec):
         # at hbar_tilde = 0 the eigenvalue does not depend on sigma10: the
-        # stencil matrix is singular and lstsq leaves sigma10 where it is,
-        # up to the roundoff of the fitted mixed coefficient
+        # S1 solution started from sigma10 stays exactly 0, so the sigma10
+        # row of the models is exactly zero and lstsq leaves sigma10 where it is
         t0 = 0.3
         guess = InitialData(S10=0.0, S20=t0_to_S20(t0, spec), sigma10=0.7)
         res = optimize(spec, guess, active=("S10", "sigma10"))
         assert res.converged
         assert res.iterations == 0
-        assert abs(res.init.sigma10 - guess.sigma10) <= 1e-12
+        assert res.init.sigma10 == guess.sigma10
         assert res.init.S10 == pytest.approx(s10_star(t0, spec), abs=1e-6)
         assert res.report.lam == pytest.approx(lambda_star(spec), abs=1e-8)
         assert res.hessian_signature.negative == 1
         assert res.hessian_signature.near_zero == 1
 
     def test_penalty_free_search_unchanged(self, spec, solves):
-        # without a penalty the projection is one lstsq step on the fitted
+        # without a penalty the projection is one lstsq step on the exact
         # quadratic. This search ends unconverged at S20 ~ 90.3, where
         # h * S20 / m ~ 0.9: the step no longer resolves the Riccati flow, so
         # the point is an artefact. Nelder-Mead alone ended at the same kind
         # of point (same gradient norm) after 2296 solves. The search takes
-        # 313; the bound is the 323 it took while some points were solved twice
+        # 189 solves and propagator runs (313 solves with the projection stencil)
         res = optimize(
             replace(spec, hbar_tilde=0.5), InitialData(S10=-3.0, sigma20=1.0),
             active=("S10", "S20"), step=1e-2,
         )
         assert res.converged is False
         assert res.gradient_norm == pytest.approx(7.40e-5, abs=1e-6)
-        assert len(solves) <= 323
+        assert len(solves) <= 189
         assert (hashlib.sha256(res.to_json().encode()).hexdigest()
-                == "807b5cffc92ce714005427c6cc9fd1729349ad885dc6d090f63b610dcddea27c")
+                == "9cf44391f1954d1e044a78108fbaae498ae905e337fbbb7347d7b4a2b8a7ff37")
 
     def test_newton_on_quartic_settles_or_gives_up(self):
         # lam = 2u - u^2 and r = u^2 / 2 at weight 1 give the gradient
@@ -319,24 +326,25 @@ class TestVariableProjection:
 
     def test_penalised_search_projects_linear_coordinates(self, spec, solves):
         # the penalty makes the objective quartic in (S10, sigma10); Newton
-        # on the fitted models solves them, and the search runs over
-        # (S20, sigma20) only. It takes 392 solves (Nelder-Mead alone: 2332);
-        # the bound is the 412 it took while some points were solved twice
+        # on the exact models solves them, and the search runs over
+        # (S20, sigma20) only. It takes 212 solves and propagator runs (392
+        # solves with the projection stencil; Nelder-Mead alone: 2332)
         res = penalised_search(spec, (1.0, 0.5, 0.1, 0.4), 400, 3)
         assert res.converged
         assert np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-6
         assert res.report.lam == pytest.approx(PENALISED_LAMBDA, abs=1e-9)
-        assert len(solves) <= 412
+        assert len(solves) <= 212
 
     def test_negative_x0_stall_ends_fast(self, solves):
         # the reduced gradient has a local minimum without a root here
         # (|g| of a few 1e-3); Nelder-Mead alone spent 238,132 solves before giving
-        # up. The search still finds no root, but now says so quickly
+        # up. The search still finds no root, but now says so quickly: 1390
+        # solves and propagator runs (2722 solves with the projection stencil)
         spec = OscillatorSpec(m=0.9, k=0.86, hbar_tilde=0.42, T=1, x0=-0.73, xT=0.89)
         res = optimize(spec, InitialData(0.3, 0.2, 0.08, 0.4), penalty_weight=0.25,
                        step=1e-2, seed=104)
         assert res.converged is False
-        assert len(solves) <= 5000
+        assert len(solves) <= 1390
 
     def test_root_solve_kept_only_if_it_lowers_the_gradient(self, spec, monkeypatch):
         # a root solve that ends on the blow-up wall must leave the search at
@@ -369,9 +377,10 @@ class TestVariableProjection:
     def test_each_point_solved_once(self, spec, monkeypatch, guess, max_iter, restarts):
         # one cached record per point serves the simplex, the root solve and
         # the settled gradient; only the returned point is solved twice, by
-        # the final integrate and by the centre of the Hessian
+        # the final integrate and by the centre of the Hessian. A propagator
+        # run counts as a solve of its point
         points = Counter()
-        for name in ("final_state", "integrate"):
+        for name in ("final_state", "integrate", "propagator"):
             inner = getattr(extremize, name)
 
             def recorded(spec, init, *args, _inner=inner, **kwargs):
