@@ -5,8 +5,8 @@ classical regime it is a maximum along S10 (the quadratic coefficient
 of the closed-form eigenvalue is negative) and exactly flat along the
 phase-offset direction. Direct simplex minimization of the eigenvalue
 would therefore diverge, and simplex collapse is meaningless in the
-flat valley. The optimizer instead drives the finite-difference
-gradient of the objective to zero, and convergence is declared on the
+flat valley. The optimizer instead drives the gradient of the
+objective to zero, and convergence is declared on the
 max-norm of the gradient over all active coordinates, never on simplex
 geometry.
 
@@ -19,7 +19,8 @@ eigenvalue and the constraint residual are both exact quadratics in
 (``dynamics.propagator``) at the current point carries the discrete
 (S1, sigma1) flow from both unit starts, and ``action.endpoint_models``
 turns its end row into the value, gradient and Hessian of both
-quadratics. The active members of {S10, sigma10} are set to a
+quadratics, and so the objective's exact value, gradient and Hessian
+along the active members of {S10, sigma10}. Those members are set to a
 stationary point of the objective on these models, with no further
 solves. Without a penalty that objective is the quadratic itself and
 one least-squares Newton step solves it (so a direction the eigenvalue
@@ -28,8 +29,8 @@ the models is exactly zero, is left where it is). A penalty makes it
 quartic, eigenvalue + weight * residual**2, and Newton iterates from the
 current point, each step a least-squares solve on the two models; a
 point where they do not settle is left unprojected. The models are exact
-only for the fixed-step run, so ``optimize`` accepts only method
-``rk4``: the adaptive step control sees S1.
+only for the fixed-step run, so ``optimize`` and ``stationarity_check``
+accept only method ``rk4``: the adaptive step control sees S1.
 
 What is left is a root of the reduced gradient g, the gradient along
 the active members of (S20, sigma20) at the projected point. Nelder-Mead
@@ -41,10 +42,13 @@ its default tolerances; its result is kept only if it lowers |g|. Both
 are skipped when no search coordinate remains or the projected guess is
 already stationary.
 
-Every finite-difference gradient uses steps of ``FD_STEP`` times
-max(1, |coord|); Hessians use its square root. Runs that blow up
-inside the horizon map to a large finite penalty so the simplex
-retreats; they are counted, not raised.
+Along (S10, sigma10) every derivative comes from the models. Along
+(S20, sigma20) the gradient takes central differences with steps of
+``FD_STEP`` times max(1, |coord|), and the certificate's Hessian steps
+of its square root, on the models' value and gradient (see
+``stationarity_check``). Runs that blow up inside the horizon map to a
+large finite penalty so the simplex retreats; they are counted, not
+raised.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ HANDOFF_MERIT = 1e-2
 
 @dataclass(frozen=True)
 class HessianSignature:
-    """Eigenvalue sign counts of the finite-difference Hessian."""
+    """Eigenvalue sign counts of ``stationarity_check``'s Hessian."""
 
     positive: int
     negative: int
@@ -88,7 +92,11 @@ class HessianSignature:
 
 @dataclass(frozen=True)
 class StationarityReport:
-    """Finite-difference gradient and Hessian of the objective at a point."""
+    """Gradient and Hessian of the objective at a point.
+
+    Exact along the active members of (S10, sigma10), from the
+    propagator run's models; by differences along (S20, sigma20).
+    """
 
     gradient: np.ndarray
     hessian: np.ndarray
@@ -100,10 +108,11 @@ class ExtremumResult:
     """Outcome of one extremization run.
 
     ``report`` is recomputed by a fresh integration at ``init``, never
-    cached from a simplex vertex. ``hessian_signature`` is None when the
-    finite-difference probes around the final point failed. ``blowups``
-    counts the search's solves and propagator runs that blew up; the
-    stationarity check and the final integration are not among them.
+    cached from a simplex vertex. ``hessian_signature`` is None when a
+    probe of ``stationarity_check`` around the final point blew up.
+    ``blowups`` counts the search's solves and propagator runs that blew
+    up; the stationarity check and the final integration are not among
+    them.
     """
 
     init: InitialData
@@ -178,20 +187,40 @@ def objective(
     return _evaluate(spec, init, penalty_weight, step, method)[0]
 
 
-def _newton_quartic(gl, Hl, r0, gr, Hr, weight) -> np.ndarray | None:
-    """Stationary point of lam(u) + weight * r(u)**2 reached by Newton from u = 0.
+def _linear_models(spec: OscillatorSpec, init: InitialData, pos, step: float):
+    """``action.endpoint_models`` at ``init``, restricted to its rows ``pos``.
 
-    lam and r are quadratic models with gradients ``gl``, ``gr`` and
-    Hessians ``Hl``, ``Hr`` at u = 0, where r is ``r0``. Each step is a
-    least-squares solve, like the penalty-free step. None when the
-    iterates do not settle within a few dozen steps.
+    One propagator run; with ``pos`` empty, one plain solve gives the two
+    values. Raises ``BlowUpError``.
     """
-    u = np.zeros(len(gl))
+    if not pos:
+        report = endpoint_report(spec, init.as_tuple(), final_state(spec, init, step))
+        flat, empty = np.zeros(0), np.zeros((0, 0))
+        return (report.lam, flat, empty), (report.constraint_residual, flat, empty)
+    block = np.ix_(pos, pos)
+    models = endpoint_models(spec, init.as_tuple(), propagator(spec, init, step))
+    return tuple((value, g[pos], H[block]) for value, g, H in models)
+
+
+def _objective_at(models, weight: float, u: np.ndarray):
+    """Value, gradient and Hessian of lam + weight * r**2 at offset ``u`` on ``models``."""
+    (lam, gl, Hl), (r0, gr, Hr) = models
+    dl, dr = gl + Hl @ u, gr + Hr @ u
+    r = r0 + 0.5 * (gr + dr) @ u
+    wr = 2.0 * weight * r
+    value = lam + 0.5 * (gl + dl) @ u + weight * r**2
+    return value, dl + wr * dr, Hl + 2.0 * weight * np.outer(dr, dr) + wr * Hr
+
+
+def _newton_quartic(models, weight: float) -> np.ndarray | None:
+    """Stationary offset of lam + weight * r**2 on ``models``, by Newton from u = 0.
+
+    Each step is a least-squares solve, like the penalty-free step. None
+    when the iterates do not settle within a few dozen steps.
+    """
+    u = np.zeros(len(models[0][1]))
     for _ in range(40):
-        dr = gr + Hr @ u
-        wr = 2.0 * weight * (r0 + 0.5 * (gr + dr) @ u)
-        hess = Hl + 2.0 * weight * np.outer(dr, dr) + wr * Hr
-        grad = gl + Hl @ u + wr * dr
+        _, grad, hess = _objective_at(models, weight, u)
         # diverging iterates overflow, and lstsq fails on non-finite input
         if not math.isfinite(hess.sum() + grad.sum()):
             return None
@@ -208,13 +237,12 @@ def _handoff(intermediate_result) -> None:
         raise StopIteration
 
 
-def _central_gradient(f, z, axes=None):
-    """Central differences of ``f`` at ``z`` along ``axes`` (default: all).
+def _central_gradient(f, z, axes):
+    """Central differences of ``f`` at ``z`` along ``axes``.
 
     Returns the gradient and the largest probe value, so a caller can
     tell whether any probe hit the blow-up penalty.
     """
-    axes = range(len(z)) if axes is None else axes
     g = np.empty(len(axes))
     worst = -math.inf
     for a, i in enumerate(axes):
@@ -227,26 +255,6 @@ def _central_gradient(f, z, axes=None):
     return g, worst
 
 
-def _central_hessian(f, z, f0):
-    # second differences use sqrt(FD_STEP) steps: FD_STEP itself would put
-    # the quotient below the objective's evaluation precision
-    n = len(z)
-    hs = [math.sqrt(FD_STEP) * max(1.0, abs(z[i])) for i in range(n)]
-    H = np.empty((n, n))
-    for i in range(n):
-        zp = z.copy(); zp[i] += hs[i]
-        zm = z.copy(); zm[i] -= hs[i]
-        H[i, i] = (f(zp) - 2.0 * f0 + f(zm)) / hs[i] ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            zpp = z.copy(); zpp[i] += hs[i]; zpp[j] += hs[j]
-            zpm = z.copy(); zpm[i] += hs[i]; zpm[j] -= hs[j]
-            zmp = z.copy(); zmp[i] -= hs[i]; zmp[j] += hs[j]
-            zmm = z.copy(); zmm[i] -= hs[i]; zmm[j] -= hs[j]
-            H[i, j] = H[j, i] = (f(zpp) - f(zpm) - f(zmp) + f(zmm)) / (4.0 * hs[i] * hs[j])
-    return H
-
-
 def _signature(H: np.ndarray) -> HessianSignature:
     eigs = np.linalg.eigvalsh(H)
     scale = max(1.0, float(np.max(np.abs(eigs))) if len(eigs) else 0.0)
@@ -254,6 +262,25 @@ def _signature(H: np.ndarray) -> HessianSignature:
     positive = int(np.sum(eigs > thresh))
     negative = int(np.sum(eigs < -thresh))
     return HessianSignature(positive, negative, len(eigs) - positive - negative)
+
+
+def _require_rk4(caller: str, method: str) -> None:
+    if method != "rk4":
+        raise ValueError(
+            f"{caller} needs method 'rk4', got {method!r}: the propagator "
+            "run's models are exact only for the fixed-step run"
+        )
+
+
+def _split(idx):
+    """Positions in the active vector ``idx``: along (S10, sigma10) and searched.
+
+    The third list holds the rows of the active ones in
+    ``action.endpoint_models``.
+    """
+    lin = [j for j, i in enumerate(idx) if i in (0, 2)]
+    free = [j for j in range(len(idx)) if j not in lin]
+    return lin, free, [idx[j] // 2 for j in lin]
 
 
 def stationarity_check(
@@ -264,22 +291,37 @@ def stationarity_check(
     step: float = 1e-3,
     method: str = "rk4",
     *,
-    gradient: np.ndarray | None = None,
+    centre: tuple[float, np.ndarray, np.ndarray] | None = None,
 ) -> StationarityReport:
-    """Verify stationarity of the objective at ``init`` by central differences.
+    """Gradient and Hessian of the objective at ``init``, and the Hessian's signature.
 
-    Gradient steps are FD_STEP * max(1, |coord|) per active coordinate,
-    Hessian steps sqrt(FD_STEP) * max(1, |coord|). Raises
-    ``FDFailureError`` when any probe integration blows up: a
-    verification tool must not silently average over a caustic.
+    Along the active members of (S10, sigma10) the gradient and the
+    Hessian block come exactly from the propagator run's models. Along
+    the searched coordinates (S20, sigma20) the gradient takes central
+    differences with steps FD_STEP * max(1, |coord|), and the Hessian
+    steps of hs = sqrt(FD_STEP) * max(1, |coord|): per coordinate, one
+    model evaluation (a propagator run) at each of z +- hs gives the
+    diagonal entry, a second difference of the objective, and the row's
+    coupling to (S10, sigma10), a central difference of the exact model
+    gradient; the S20-sigma20 entry takes four corner solves. With no
+    member of (S10, sigma10) active each model evaluation is one plain
+    solve. ``method`` must be ``rk4`` (``ValueError`` otherwise). Raises
+    ``FDFailureError`` when any probe blows up: a verification tool must
+    not silently average over a caustic.
 
-    A caller that already holds the gradient at ``init`` (no probe blown
-    up) passes it as ``gradient``; the report is the same, without
-    repeating those solves.
+    A caller that already holds, at ``init``, the objective's value, its
+    gradient over the active coordinates and its Hessian along the active
+    members of (S10, sigma10) (no probe blown up) passes them as
+    ``centre``; the report is the same up to roundoff, without the
+    centre's run and the gradient's solves.
     """
+    _require_rk4("stationarity_check", method)
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]
+    lin, free, pos = _split(idx)
     base = init.as_tuple()
+    z = np.array([base[i] for i in idx], dtype=float)
+    n = len(idx)
 
     def f(z):
         v = _evaluate(spec, _embed(base, idx, z), penalty_weight, step, method)[0]
@@ -287,11 +329,39 @@ def stationarity_check(
             raise FDFailureError("finite-difference probe blew up")
         return v
 
-    z = np.array([base[i] for i in idx], dtype=float)
-    if gradient is None:
-        gradient = _central_gradient(f, z)[0]
-    hessian = _central_hessian(f, z, f(z))
-    return StationarityReport(gradient, hessian, _signature(hessian))
+    def at(z):
+        try:
+            models = _linear_models(spec, _embed(base, idx, z), pos, step)
+        except BlowUpError:
+            raise FDFailureError("finite-difference probe blew up") from None
+        return _objective_at(models, penalty_weight, np.zeros(len(lin)))
+
+    if centre is None:
+        v0, g_lin, H_lin = at(z)
+        gradient = np.empty(n)
+        gradient[lin] = g_lin
+        gradient[free] = _central_gradient(f, z, free)[0]
+    else:
+        v0, gradient, H_lin = centre
+    # second differences use sqrt(FD_STEP) steps: FD_STEP itself would put
+    # the quotient below the objective's evaluation precision
+    hs = [math.sqrt(FD_STEP) * max(1.0, abs(v)) for v in z]
+    H = np.empty((n, n))
+    H[np.ix_(lin, lin)] = H_lin
+    for i in free:
+        zp = z.copy(); zp[i] += hs[i]
+        zm = z.copy(); zm[i] -= hs[i]
+        (vp, gp, _), (vm, gm, _) = at(zp), at(zm)
+        H[i, i] = (vp - 2.0 * v0 + vm) / hs[i] ** 2
+        H[i, lin] = H[lin, i] = (gp - gm) / (2.0 * hs[i])
+    for a, i in enumerate(free):
+        for j in free[a + 1:]:
+            zpp = z.copy(); zpp[i] += hs[i]; zpp[j] += hs[j]
+            zpm = z.copy(); zpm[i] += hs[i]; zpm[j] -= hs[j]
+            zmp = z.copy(); zmp[i] -= hs[i]; zmp[j] += hs[j]
+            zmm = z.copy(); zmm[i] -= hs[i]; zmm[j] -= hs[j]
+            H[i, j] = H[j, i] = (f(zpp) - f(zpm) - f(zmp) + f(zmm)) / (4.0 * hs[i] * hs[j])
+    return StationarityReport(gradient, H, _signature(H))
 
 
 def optimize(
@@ -328,9 +398,11 @@ def optimize(
     ``iterations`` counts both.
     Each point is solved once per call (its propagator run counts as its
     solve): its cached record serves the simplex, the root solve and the
-    certificate, which adds the gradient along (S10, sigma10); only the
-    returned point is solved again, by the final ``integrate`` and the
-    Hessian's centre.
+    certificate. The record also holds the objective's exact value,
+    gradient and Hessian along (S10, sigma10) at the projected point, from
+    the same run's models: the certificate's gradient along (S10, sigma10)
+    and ``stationarity_check``'s centre are read from it, so the returned
+    point is solved only by the final ``integrate``.
     Convergence means the max-norm of the gradient over all
     active coordinates fell to ``grad_tol``; otherwise the best point
     found is still returned with ``converged=False``. If that best point
@@ -338,20 +410,11 @@ def optimize(
     ``integrate`` raises ``BlowUpError`` with its partial grid instead:
     the returned report needs a complete run.
     """
-    if method != "rk4":
-        raise ValueError(
-            f"optimize needs method 'rk4', got {method!r}: the projection's "
-            "models are exact only for the fixed-step run"
-        )
+    _require_rk4("optimize", method)
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]
     base = guess.as_tuple()
-    # positions in the active vector: solved for (S10, sigma10) and searched
-    lin = [j for j, i in enumerate(idx) if i in (0, 2)]
-    free = [j for j in range(len(idx)) if j not in lin]
-    # rows and columns of the active ones in the (S10, sigma10) models
-    pos = [idx[j] // 2 for j in lin]
-    block = np.ix_(pos, pos)
+    lin, free, pos = _split(idx)
     z0 = np.array([base[i] for i in idx], dtype=float)
     blowups = 0
     T = spec.T
@@ -368,10 +431,12 @@ def optimize(
         z[free] = z_free
         return z
 
-    def centre(z) -> tuple[float, np.ndarray]:
-        """Last integrable time (``T`` when complete) and z projected along ``lin``.
+    def centre(z) -> tuple[float, np.ndarray, tuple | None]:
+        """Last integrable time, projected point, and the objective there.
 
-        With no member of (S10, sigma10) active this is one plain solve.
+        The time is ``T`` when the run completed; the point is z
+        projected along ``lin``; the objective is its value, gradient and
+        Hessian along ``lin``, None when the run blew up. With no member of (S10, sigma10) active this is one plain solve.
         Otherwise one propagator run gives the exact quadratic models of
         the eigenvalue and the constraint residual along ``lin``, and the
         stationary point of the objective follows from them without
@@ -379,34 +444,31 @@ def optimize(
         unprojected.
         """
         nonlocal blowups
-        init = _embed(base, idx, z)
         try:
-            if not lin:
-                final_state(spec, init, step)
-                return T, z
-            models = endpoint_models(spec, init.as_tuple(), propagator(spec, init, step))
+            models = _linear_models(spec, _embed(base, idx, z), pos, step)
         except BlowUpError as err:
             blowups += 1
-            return float(err.t_last), z
-        (_, gl, Hl), (r0, gr, Hr) = models
-        gl, Hl = gl[pos], Hl[block]
-        if penalty_weight == 0.0:
+            return float(err.t_last), z, None
+        du = np.zeros(len(lin))
+        if lin and penalty_weight == 0.0:
             # lstsq: a direction the objective does not depend on gets no step
+            (_, gl, Hl), _ = models
             du = np.linalg.lstsq(Hl, -gl, rcond=None)[0]
-        else:
-            du = _newton_quartic(gl, Hl, r0, gr[pos], Hr[block], penalty_weight)
+        elif lin:
+            du = _newton_quartic(models, penalty_weight)
             if du is None:
-                return T, z
+                return T, z, _objective_at(models, penalty_weight, np.zeros(len(lin)))
         out = z.copy()
         out[lin] += du
-        return T, out
+        return T, out, _objective_at(models, penalty_weight, du)
 
     # records of the current attempt, keyed on z_free.tobytes(); the guess's
     # record starts the first attempt, and each attempt settles its best point
     seen = {}
 
-    def reduced(z_free) -> tuple[np.ndarray, np.ndarray | None, float, float]:
-        """Projected point, reduced gradient, largest probe value and merit.
+    def reduced(z_free):
+        """Projected point, reduced gradient, largest probe value, merit, and
+        the objective along lin there (``centre``'s last item).
 
         The centre is run and projected, and the gradient is taken
         along the searched coordinates; at the projected point the
@@ -422,45 +484,46 @@ def optimize(
         """
         key = z_free.tobytes()
         if key not in seen:
-            t_last, z = centre(full(z_free))
+            t_last, z, at = centre(full(z_free))
             if t_last < T:
                 frac = (T - min(max(t_last, 0.0), T)) / T
-                seen[key] = z, None, math.inf, BLOWUP_PENALTY * (1.0 + frac)
+                seen[key] = z, None, math.inf, BLOWUP_PENALTY * (1.0 + frac), None
             else:
                 g, worst = _central_gradient(f, z, free)
                 value = (0.99 * BLOWUP_PENALTY if worst >= BLOWUP_PENALTY
                          else min(float(g @ g), 0.9 * BLOWUP_PENALTY))
-                seen[key] = z, g, worst, value
+                seen[key] = z, g, worst, value, at
         return seen[key]
 
     def merit(z_free) -> float:
         return reduced(z_free)[3]
 
     def residual(z_free) -> np.ndarray:
-        _, g, worst, _ = reduced(z_free)
+        _, g, worst, _, _ = reduced(z_free)
         return np.full(len(z_free), BLOWUP_PENALTY) if worst >= BLOWUP_PENALTY else g
 
     def settle(z_free):
-        """Projected point, full gradient and largest gradient probe.
+        """Projected point, largest gradient probe, and the centre for the check.
 
-        The record of ``z_free`` plus the central gradient along lin at
-        its projected point, two solves per projected coordinate. The
-        gradient is None when the centre blew up.
+        The centre is the objective's value, full gradient and Hessian
+        along lin at the projected point, all from the record of
+        ``z_free``; None when the centre blew up.
         """
-        z, g, worst, _ = reduced(z_free)
+        z, g, worst, _, at = reduced(z_free)
         if g is None:
-            return z, None, worst
+            return z, worst, None
+        value, g_lin, H_lin = at
         g_full = np.empty(len(z))
-        g_full[lin], worst_lin = _central_gradient(f, z, lin)
+        g_full[lin] = g_lin
         g_full[free] = g
-        return z, g_full, max(worst, worst_lin)
+        return z, worst, (value, g_full, H_lin)
 
     rng = np.random.default_rng(seed)
     n = len(free)
     best_free = z0[free]
     best_merit = merit(best_free)
-    best_z, best_g, worst = settle(best_free)
-    gradient_norm = math.inf if best_g is None else float(np.max(np.abs(best_g)))
+    best_z, worst, best_centre = settle(best_free)
+    gradient_norm = math.inf if best_centre is None else float(np.max(np.abs(best_centre[1])))
     converged = gradient_norm <= grad_tol
     iterations = 0
     attempt = 0
@@ -496,9 +559,9 @@ def optimize(
         if fx < best_merit:
             best_merit = fx
             best_free = x
-            best_z, best_g, worst = settle(best_free)
-            if best_g is not None:
-                gradient_norm = float(np.max(np.abs(best_g)))
+            best_z, worst, best_centre = settle(best_free)
+            if best_centre is not None:
+                gradient_norm = float(np.max(np.abs(best_centre[1])))
                 converged = gradient_norm <= grad_tol
         seen.clear()
         attempt += 1
@@ -507,11 +570,11 @@ def optimize(
     grid = integrate(spec, final_init, step=step, method=method)
     report = eigenvalue(grid)
     signature = None
-    if best_g is not None and worst < BLOWUP_PENALTY:
+    if best_centre is not None and worst < BLOWUP_PENALTY:
         try:
             signature = stationarity_check(
                 final_init, spec, mask, penalty_weight, step, method,
-                gradient=best_g,
+                centre=best_centre,
             ).signature
         except FDFailureError:
             pass

@@ -23,7 +23,9 @@ from qap import (
     t0_to_S20,
 )
 import qap.extremize as extremize
-from qap.extremize import BLOWUP_PENALTY, parse_active
+from qap.action import endpoint_models
+from qap.dynamics import propagator
+from qap.extremize import BLOWUP_PENALTY, FD_STEP, parse_active
 
 
 class TestParseActive:
@@ -167,9 +169,13 @@ class TestOptimizeClassical:
 
     def test_adaptive_method_rejected(self, spec):
         # its step control sees S1, so the eigenvalue is not exactly quadratic
-        # in (S10, sigma10) and the projection's models would not hold
-        with pytest.raises(ValueError, match="needs method 'rk4'"):
+        # in (S10, sigma10) and the models of the projection and of the
+        # check would not hold
+        with pytest.raises(ValueError, match="^optimize needs method 'rk4'"):
             optimize(spec, InitialData(), active=("S10", "S20"), method="rk4_adaptive")
+        with pytest.raises(ValueError, match="^stationarity_check needs method 'rk4'"):
+            stationarity_check(InitialData(), spec, active=("S10", "S20"),
+                               method="rk4_adaptive")
 
     def test_json_payload_fields(self, spec):
         res = optimize(spec, InitialData(), active=("S10",), step=1e-2)
@@ -270,8 +276,11 @@ class TestVariableProjection:
         res = optimize(spec, guess, active=("S10", "S20"), step=1e-3)
         assert res.converged
         assert res.iterations == 0
-        # 14 solves and one propagator run (17 solves with the projection stencil)
-        assert len(solves) <= 15
+        # 3 solves and 3 propagator runs: the guess's run, its gradient along
+        # S20 and the final integrate, then the check's two runs at S20 +- hs
+        # (14 solves and 1 run when the check took central differences; 17
+        # solves with the projection stencil)
+        assert len(solves) <= 6
         assert res.report.lam == pytest.approx(lambda_star(spec), abs=1e-6)
 
     def test_flat_sigma10_in_classical_limit(self, spec):
@@ -295,14 +304,15 @@ class TestVariableProjection:
         # h * S20 / m ~ 0.9: the step no longer resolves the Riccati flow, so
         # the point is an artefact. Nelder-Mead alone ended at the same kind
         # of point (same gradient norm) after 2296 solves. The search takes
-        # 189 solves and propagator runs (313 solves with the projection stencil)
+        # 178 solves and propagator runs (189 when the certificate took
+        # central differences along S10, 313 with the projection stencil)
         res = optimize(
             replace(spec, hbar_tilde=0.5), InitialData(S10=-3.0, sigma20=1.0),
             active=("S10", "S20"), step=1e-2,
         )
         assert res.converged is False
         assert res.gradient_norm == pytest.approx(7.40e-5, abs=1e-6)
-        assert len(solves) <= 189
+        assert len(solves) <= 178
         assert (hashlib.sha256(res.to_json().encode()).hexdigest()
                 == "9cf44391f1954d1e044a78108fbaae498ae905e337fbbb7347d7b4a2b8a7ff37")
 
@@ -310,41 +320,63 @@ class TestVariableProjection:
         # lam = 2u - u^2 and r = u^2 / 2 at weight 1 give the gradient
         # u^3 - 2u + 2, whose Newton iterates from 0 cycle between 0 and 1
         one, zero = np.eye(1), np.zeros(1)
-        assert extremize._newton_quartic(2.0 * one[0], -2.0 * one, 0.0, zero, one, 1.0) is None
+        models = (0.0, 2.0 * one[0], -2.0 * one), (0.0, zero, one)
+        assert extremize._newton_quartic(models, 1.0) is None
         # lam = u1 - u2 + u1 u2 and r = u1 + u2 - 1: Newton lands where the
         # model gradient vanishes
         gl, Hl = np.array([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
         gr, Hr = np.ones(2), np.zeros((2, 2))
-        u = extremize._newton_quartic(gl, Hl, -1.0, gr, Hr, 0.5)
+        u = extremize._newton_quartic(((0.0, gl, Hl), (-1.0, gr, Hr)), 0.5)
         r = -1.0 + gr @ u
         assert np.max(np.abs(gl + Hl @ u + r * gr)) <= 1e-12
         # lam = u + 1e-200 u^2 / 2 and r = u^2 / 2: the near-flat start sends
         # the first step to u ~ -1e200, where the models overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            u = extremize._newton_quartic(one[0], 1e-200 * one, 0.0, zero, one, 1.0)
+            u = extremize._newton_quartic(((0.0, one[0], 1e-200 * one), (0.0, zero, one)), 1.0)
         assert u is None
 
     def test_penalised_search_projects_linear_coordinates(self, spec, solves):
         # the penalty makes the objective quartic in (S10, sigma10); Newton
         # on the exact models solves them, and the search runs over
-        # (S20, sigma20) only. It takes 212 solves and propagator runs (392
-        # solves with the projection stencil; Nelder-Mead alone: 2332)
+        # (S20, sigma20) only. It takes 179 solves and propagator runs (212
+        # when the certificate took central differences along (S10, sigma10),
+        # 392 solves with the projection stencil; Nelder-Mead alone: 2332)
         res = penalised_search(spec, (1.0, 0.5, 0.1, 0.4), 400, 3)
         assert res.converged
         assert np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-6
         assert res.report.lam == pytest.approx(PENALISED_LAMBDA, abs=1e-9)
-        assert len(solves) <= 212
+        assert len(solves) <= 179
 
     def test_negative_x0_stall_ends_fast(self, solves):
         # the reduced gradient has a local minimum without a root here
         # (|g| of a few 1e-3); Nelder-Mead alone spent 238,132 solves before giving
-        # up. The search still finds no root, but now says so quickly: 1390
-        # solves and propagator runs (2722 solves with the projection stencil)
+        # up. The search still finds no root, but now says so quickly: 1349
+        # solves and propagator runs (1390 when the certificate took central
+        # differences along (S10, sigma10), 2722 with the projection stencil)
         spec = OscillatorSpec(m=0.9, k=0.86, hbar_tilde=0.42, T=1, x0=-0.73, xT=0.89)
         res = optimize(spec, InitialData(0.3, 0.2, 0.08, 0.4), penalty_weight=0.25,
                        step=1e-2, seed=104)
         assert res.converged is False
-        assert len(solves) <= 1390
+        assert len(solves) <= 1349
+
+    def test_unsettled_newton_records_model_gradient(self, spec, monkeypatch):
+        # a point where Newton does not settle stays unprojected; its gradient
+        # along (S10, sigma10) is then the models' gradient of the objective
+        # at that point, which is not zero
+        monkeypatch.setattr(extremize, "_newton_quartic", lambda models, weight: None)
+        s = replace(spec, hbar_tilde=0.3, x0=0.2)
+        guess = InitialData(S10=0.4, S20=0.2, sigma10=0.1, sigma20=0.6)
+        res = optimize(s, guess, active=("S10", "sigma10"), penalty_weight=0.5, step=1e-2)
+        assert res.init == guess
+        assert not res.converged
+        (_, gl, _), (r, gr, _) = endpoint_models(s, guess.as_tuple(), propagator(s, guess, 1e-2))
+        g = gl + 2.0 * 0.5 * r * gr
+        assert res.gradient_norm == pytest.approx(np.max(np.abs(g)), rel=1e-12)
+        for name, g_i in zip(("S10", "sigma10"), g):
+            up, down = (objective(replace(guess, **{name: getattr(guess, name) + d}), s, 0.5, 1e-2)
+                        for d in (FD_STEP, -FD_STEP))
+            assert (up - down) / (2.0 * FD_STEP) == pytest.approx(g_i, abs=1e-7)
+        assert res.gradient_norm > 1e-3
 
     def test_root_solve_kept_only_if_it_lowers_the_gradient(self, spec, monkeypatch):
         # a root solve that ends on the blow-up wall must leave the search at
@@ -376,8 +408,8 @@ class TestVariableProjection:
     ])
     def test_each_point_solved_once(self, spec, monkeypatch, guess, max_iter, restarts):
         # one cached record per point serves the simplex, the root solve and
-        # the settled gradient; only the returned point is solved twice, by
-        # the final integrate and by the centre of the Hessian. A propagator
+        # the certificate, whose centre comes from the record's models; the
+        # returned point is solved only by the final integrate. A propagator
         # run counts as a solve of its point
         points = Counter()
         for name in ("final_state", "integrate", "propagator"):
@@ -389,7 +421,8 @@ class TestVariableProjection:
 
             monkeypatch.setattr(extremize, name, recorded)
         res = penalised_search(spec, guess, max_iter, restarts)
-        assert [p for p, count in points.items() if count > 1] == [res.init.as_tuple()]
+        assert res.init.as_tuple() in points
+        assert [p for p, count in points.items() if count > 1] == []
 
     def test_penalised_search_from_behind_caustic_wall(self, spec):
         # the four-coordinate search ended unconverged here (gradient norm 0.135)
@@ -449,3 +482,61 @@ class TestStationarityCheck:
     def test_hessian_is_symmetric(self, spec):
         rep = stationarity_check(InitialData(S10=1.0), spec, active=("S10", "S20"))
         assert np.array_equal(rep.hessian, rep.hessian.T)
+
+    @pytest.mark.parametrize("active", [("S10", "S20"), ("S20", "sigma20"), None])
+    @pytest.mark.parametrize("penalty_weight", [0.0, 0.5])
+    @pytest.mark.parametrize("hbar_tilde", [0.0, 0.4])
+    def test_hessian_matches_central_differences(self, spec, active, penalty_weight,
+                                                 hbar_tilde):
+        # the check reads the (S10, sigma10) block from the models and takes
+        # the rest from model runs and corner solves (plain solves when no
+        # member of (S10, sigma10) is active); the reference takes every
+        # entry by central differences of the objective
+        s = replace(spec, hbar_tilde=hbar_tilde, x0=0.2)
+        idx = [i for i, on in enumerate(parse_active(active)) if on]
+        lin = [j for j, i in enumerate(idx) if i in (0, 2)]
+        rng = np.random.default_rng(12)
+        for _ in range(2):
+            init = InitialData(*rng.uniform((-1.0, -0.3, -0.5, 0.2), (1.0, 0.5, 0.5, 1.0)))
+            rep = stationarity_check(init, s, active, penalty_weight, step=1e-2)
+            ref = central_hessian(init, s, idx, penalty_weight, 1e-2)
+            assert np.all(np.abs(rep.hessian - ref) <= 1e-4 * np.maximum(1.0, np.abs(ref)))
+            assert rep.signature == extremize._signature(ref)
+            (_, _, Hl), (r, gr, Hr) = endpoint_models(
+                s, init.as_tuple(), propagator(s, init, 1e-2))
+            exact = Hl + 2.0 * penalty_weight * (np.outer(gr, gr) + r * Hr)
+            pos = [idx[j] // 2 for j in lin]
+            block = exact[np.ix_(pos, pos)]
+            scale = max(1.0, np.abs(block).max(initial=0.0))
+            assert np.all(np.abs(rep.hessian[np.ix_(lin, lin)] - block) <= 1e-12 * scale)
+
+
+def central_hessian(init, spec, idx, penalty_weight, step):
+    """Hessian of ``objective`` along ``idx`` by central differences only.
+
+    Steps sqrt(FD_STEP) * max(1, |coord|); the diagonal from second
+    differences, every other entry from four corner solves.
+    """
+    z = np.array([init.as_tuple()[i] for i in idx])
+
+    def f(z):
+        vals = list(init.as_tuple())
+        for j, i in enumerate(idx):
+            vals[i] = float(z[j])
+        return objective(InitialData(*vals), spec, penalty_weight, step)
+
+    n = len(z)
+    hs = [math.sqrt(FD_STEP) * max(1.0, abs(z[i])) for i in range(n)]
+    H = np.empty((n, n))
+    for i in range(n):
+        zp = z.copy(); zp[i] += hs[i]
+        zm = z.copy(); zm[i] -= hs[i]
+        H[i, i] = (f(zp) - 2.0 * f(z) + f(zm)) / hs[i] ** 2
+    for i in range(n):
+        for j in range(i + 1, n):
+            zpp = z.copy(); zpp[i] += hs[i]; zpp[j] += hs[j]
+            zpm = z.copy(); zpm[i] += hs[i]; zpm[j] -= hs[j]
+            zmp = z.copy(); zmp[i] -= hs[i]; zmp[j] += hs[j]
+            zmm = z.copy(); zmm[i] -= hs[i]; zmm[j] -= hs[j]
+            H[i, j] = H[j, i] = (f(zpp) - f(zpm) - f(zmp) + f(zmm)) / (4.0 * hs[i] * hs[j])
+    return H
