@@ -436,12 +436,12 @@ def optimize(
 
         The time is ``T`` when the run completed; the point is z
         projected along ``lin``; the objective is its value, gradient and
-        Hessian along ``lin``, None when the run blew up. With no member of (S10, sigma10) active this is one plain solve.
-        Otherwise one propagator run gives the exact quadratic models of
-        the eigenvalue and the constraint residual along ``lin``, and the
-        stationary point of the objective follows from them without
-        further solves. Newton iterates that do not settle leave z
-        unprojected.
+        Hessian along ``lin``, None when the run blew up. With no member
+        of (S10, sigma10) active this is one plain solve. Otherwise one
+        propagator run gives the exact quadratic models of the eigenvalue
+        and the constraint residual along ``lin``, and the stationary point
+        of the objective follows from them without further solves. Newton
+        iterates that do not settle leave z unprojected.
         """
         nonlocal blowups
         try:
@@ -456,8 +456,8 @@ def optimize(
             du = np.linalg.lstsq(Hl, -gl, rcond=None)[0]
         elif lin:
             du = _newton_quartic(models, penalty_weight)
-            if du is None:
-                return T, z, _objective_at(models, penalty_weight, np.zeros(len(lin)))
+        if du is None:
+            return T, z, _objective_at(models, penalty_weight, np.zeros(len(lin)))
         out = z.copy()
         out[lin] += du
         return T, out, _objective_at(models, penalty_weight, du)
