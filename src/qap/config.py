@@ -122,6 +122,7 @@ def _valid_active(text: str) -> bool:
         return False
 
 
+_FINITE = (math.isfinite, "finite")
 _POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
 _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
@@ -129,8 +130,8 @@ _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 #: section -> key -> (parser, rule), in reading order; a rule is a
 #: predicate and its wording in the error, or None
 _KEYS = {
-    "spec": dict.fromkeys(("m", "k", "hbar_tilde", "T", "x0", "xT"), (float, None)),
-    "init": dict.fromkeys((*COORD_NAMES, "t0"), (float, (math.isfinite, "finite"))),
+    "spec": dict.fromkeys(("m", "k", "hbar_tilde", "T", "x0", "xT"), (float, _FINITE)),
+    "init": dict.fromkeys((*COORD_NAMES, "t0"), (float, _FINITE)),
     "grid": {
         "h": (float, _POSITIVE),
         "method": (str.strip, (METHODS.__contains__, " or ".join(METHODS))),

@@ -49,6 +49,9 @@ of its square root, on the models' value and gradient (see
 ``stationarity_check``). Runs that blow up inside the horizon map to a
 large finite penalty so the simplex retreats; they are counted, not
 raised.
+
+``scipy.optimize`` is imported only when a search reaches Nelder-Mead, so
+the commands that never search start without it.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, root
 
 from .action import EigenvalueReport, eigenvalue, endpoint_models, endpoint_report, json_17g
 from .dynamics import final_state, integrate, propagator
@@ -229,6 +231,14 @@ def _newton_quartic(models, weight: float) -> np.ndarray | None:
         if abs(du).max() <= 1e-12 * max(1.0, abs(u).max()):
             return u
     return None
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported at the call: only a search that
+    reaches the simplex loads ``scipy.optimize``."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def _handoff(intermediate_result) -> None:
@@ -552,6 +562,8 @@ def optimize(
         iterations += int(res.nit)
         x, fx = np.asarray(res.x, dtype=float), float(res.fun)
         if fx <= HANDOFF_MERIT:
+            from scipy.optimize import root
+
             sol = root(residual, x, method="hybr", options={"maxfev": max_iter})
             iterations += int(sol.nfev)
             if float(sol.fun @ sol.fun) < fx:

@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -30,3 +31,18 @@ def derivatives():
         return SimpleNamespace(**dict(zip(names, d)))
 
     return evaluate
+
+
+@pytest.fixture
+def search_config(tmp_path) -> str:
+    """Path of a config whose penalised four-coordinate search, in front of
+    the caustic wall, reaches Nelder-Mead."""
+    path = tmp_path / "search.json"
+    path.write_text(json.dumps({
+        "spec": {"hbar_tilde": 0.3},
+        "init": {"S10": 1.0, "S20": 0.5, "sigma10": 0.1, "sigma20": 0.4},
+        "grid": {"h": 2e-2},
+        "optimize": {"active": "S10,S20,sigma10,sigma20", "penalty_weight": 0.5,
+                     "max_iter": 400, "restarts": 1},
+    }))
+    return str(path)

@@ -2,6 +2,8 @@ import configparser
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,8 @@ from qap.errors import ConfigError
 from qap.experiments import COMMANDS
 from qap.model import OscillatorSpec, t0_to_S20
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 BASE_INI = """\
 [spec]
@@ -119,7 +122,7 @@ class TestConfigLoading:
         ("sweep", "t0_grid", "a:1:3"), ("sweep", "hbar_grid", "0.1,b"),
         ("sweep", "t0_grid", "0:1"), ("sweep", "t0_grid", "0:1:0"),
         ("sweep", "hbar_grid", "-0.1,0.2"), ("optimize", "active", "S10,foo"),
-        ("optimize", "active", ""),
+        ("optimize", "active", ""), ("spec", "T", "nan"), ("spec", "m", "inf"),
     ])
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, section, key, value):
         path = write_config(tmp_path, f"[init]\nS10 = 1.0\n[{section}]\n{key} = {value}\n")
@@ -552,3 +555,24 @@ class TestOverridesAndLogging:
         monkeypatch.delenv("QAP_LOG", raising=False)
         main(["integrate", "--config", config_path, "--out", str(tmp_path)])
         assert capsys.readouterr().err == ""
+
+
+def test_only_a_search_loads_scipy(tmp_path, search_config):
+    # a fresh interpreter, so no module of the test session is loaded
+    configs = ROOT / "configs"
+    runs = [[cmd, "--config", str(configs / "classical.ini")] for cmd in
+            ("integrate", "eigenvalue", "scan-t0", "convergence", "classical-check")]
+    runs.append(["sweep-hbar", "--config", str(configs / "quantum_sweep.ini")])
+    search = ["extremize", "--config", search_config, "--out", str(tmp_path / "search")]
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}]\n"
+        "import qap.cli\n"
+        f"for i, argv in enumerate({runs!r}):\n"
+        f"    assert qap.cli.main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}']) == 0, argv\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded before any search'\n"
+        f"assert qap.cli.main({search!r}) == 0\n"
+        "assert 'scipy.optimize' in sys.modules, 'the search did not load scipy.optimize'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import OptimizeResult
 
 from qap import (
@@ -393,7 +394,7 @@ class TestVariableProjection:
             return OptimizeResult(x=x0 + 1.0, fun=np.full(len(x0), BLOWUP_PENALTY), nfev=7)
 
         monkeypatch.setattr(extremize, "minimize", recorded_minimize)
-        monkeypatch.setattr(extremize, "root", wall)
+        monkeypatch.setattr(scipy.optimize, "root", wall)
         res = penalised_search(spec, (1.0, 0.5, 0.1, 0.4), 400, 1)
         assert len(starts) == 1
         assert np.array_equal(starts[0], nm_runs[0].x)
