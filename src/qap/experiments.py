@@ -93,7 +93,7 @@ def _spec_metadata(cfg: ExperimentConfig) -> dict:
 
 def _require_init(cfg: ExperimentConfig, command: str) -> None:
     if cfg.init is None:
-        raise ConfigError("this command needs an [init] section")
+        raise ConfigError(f"{command} needs an [init] section")
 
 
 def _require_classical(cfg: ExperimentConfig, command: str) -> None:
@@ -172,7 +172,6 @@ def cmd_classical_check(cfg: ExperimentConfig, out_dir: Path) -> int:
         restarts=cfg.restarts,
         seed=cfg.seed,
         step=cfg.step,
-        method=cfg.method,
     )
     target = lambda_star(cfg.spec)
     delta = abs(result.report.lam - target)
@@ -290,7 +289,6 @@ def cmd_extremize(cfg: ExperimentConfig, out_dir: Path) -> int:
         restarts=cfg.restarts,
         seed=cfg.seed,
         step=cfg.step,
-        method=cfg.method,
     )
     path = out_dir / "extremum.json"
     path.write_text(result.to_json() + "\n")

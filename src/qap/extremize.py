@@ -29,8 +29,9 @@ the models is exactly zero, is left where it is). A penalty makes it
 quartic, eigenvalue + weight * residual**2, and Newton iterates from the
 current point, each step a least-squares solve on the two models; a
 point where they do not settle is left unprojected. The models are exact
-only for the fixed-step run, so ``optimize`` and ``stationarity_check``
-accept only method ``rk4``: the adaptive step control sees S1.
+only for the fixed-step run (the adaptive step control sees S1), so the
+extremizer always runs fixed-step rk4 and takes no ``method``; the
+``extremize`` and ``classical-check`` commands exit 2 for rk4_adaptive.
 
 What is left is a root of the reduced gradient g, the gradient along
 the active members of (S20, sigma20) at the projected point. Nelder-Mead
@@ -154,39 +155,21 @@ def _embed(base, idx, z) -> InitialData:
     return InitialData(*vals)
 
 
-def _evaluate(
-    spec: OscillatorSpec, init: InitialData, penalty_weight: float, step: float, method: str
-) -> tuple[float, float, EigenvalueReport | None]:
-    """Objective value, last integrable time (``spec.T`` when complete) and report.
-
-    A run that blows up yields ``BLOWUP_PENALTY``, the last good time of
-    the failed integration, which is always before ``spec.T``, and no
-    report.
-    """
-    try:
-        if method == "rk4":
-            # storage-free fast path; bit-identical to the grid route
-            report = endpoint_report(spec, init.as_tuple(), final_state(spec, init, step))
-        else:
-            report = eigenvalue(integrate(spec, init, step=step, method=method))
-    except BlowUpError as err:
-        return BLOWUP_PENALTY, float(err.t_last), None
-    return report.lam + penalty_weight * report.constraint_residual**2, spec.T, report
-
-
 def objective(
     init: InitialData,
     spec: OscillatorSpec,
     penalty_weight: float = 0.0,
     step: float = 1e-3,
-    method: str = "rk4",
 ) -> float:
     """Eigenvalue plus optional quadratic constraint penalty.
 
     Deterministic scalar; blow-ups map to ``BLOWUP_PENALTY`` so a
     derivative-free search retreats from caustic regions.
     """
-    return _evaluate(spec, init, penalty_weight, step, method)[0]
+    try:
+        return _value(spec, init, penalty_weight, step)
+    except BlowUpError:
+        return BLOWUP_PENALTY
 
 
 def _linear_models(spec: OscillatorSpec, init: InitialData, pos, step: float):
@@ -202,6 +185,12 @@ def _linear_models(spec: OscillatorSpec, init: InitialData, pos, step: float):
     block = np.ix_(pos, pos)
     models = endpoint_models(spec, init.as_tuple(), propagator(spec, init, step))
     return tuple((value, g[pos], H[block]) for value, g, H in models)
+
+
+def _value(spec: OscillatorSpec, init: InitialData, weight: float, step: float) -> float:
+    """lam + weight * r**2 at ``init``, from one plain solve. Raises ``BlowUpError``."""
+    (lam, _, _), (r, _, _) = _linear_models(spec, init, (), step)
+    return lam + weight * r**2
 
 
 def _objective_at(models, weight: float, u: np.ndarray):
@@ -274,14 +263,6 @@ def _signature(H: np.ndarray) -> HessianSignature:
     return HessianSignature(positive, negative, len(eigs) - positive - negative)
 
 
-def _require_rk4(caller: str, method: str) -> None:
-    if method != "rk4":
-        raise ValueError(
-            f"{caller} needs method 'rk4', got {method!r}: the propagator "
-            "run's models are exact only for the fixed-step run"
-        )
-
-
 def _split(idx):
     """Positions in the active vector ``idx``: along (S10, sigma10) and searched.
 
@@ -299,7 +280,6 @@ def stationarity_check(
     active=None,
     penalty_weight: float = 0.0,
     step: float = 1e-3,
-    method: str = "rk4",
     *,
     centre: tuple[float, np.ndarray, np.ndarray] | None = None,
 ) -> StationarityReport:
@@ -315,9 +295,9 @@ def stationarity_check(
     coupling to (S10, sigma10), a central difference of the exact model
     gradient; the S20-sigma20 entry takes four corner solves. With no
     member of (S10, sigma10) active each model evaluation is one plain
-    solve. ``method`` must be ``rk4`` (``ValueError`` otherwise). Raises
-    ``FDFailureError`` when any probe blows up: a verification tool must
-    not silently average over a caustic.
+    solve. Every solve is fixed-step rk4: the models are exact only for
+    it. Raises ``FDFailureError`` when any probe blows up: a verification
+    tool must not silently average over a caustic.
 
     A caller that already holds, at ``init``, the objective's value, its
     gradient over the active coordinates and its Hessian along the active
@@ -325,7 +305,6 @@ def stationarity_check(
     ``centre``; the report is the same up to roundoff, without the
     centre's run and the gradient's solves.
     """
-    _require_rk4("stationarity_check", method)
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]
     lin, free, pos = _split(idx)
@@ -334,10 +313,10 @@ def stationarity_check(
     n = len(idx)
 
     def f(z):
-        v = _evaluate(spec, _embed(base, idx, z), penalty_weight, step, method)[0]
-        if v >= BLOWUP_PENALTY:
-            raise FDFailureError("finite-difference probe blew up")
-        return v
+        try:
+            return _value(spec, _embed(base, idx, z), penalty_weight, step)
+        except BlowUpError:
+            raise FDFailureError("finite-difference probe blew up") from None
 
     def at(z):
         try:
@@ -384,17 +363,17 @@ def optimize(
     restarts: int = 5,
     seed: int = 42,
     step: float = 1e-3,
-    method: str = "rk4",
 ) -> ExtremumResult:
     """Find a stationary point of the objective over the active coordinates.
 
-    ``method`` must be ``rk4`` (``ValueError`` otherwise). The active
-    members of (S10, sigma10) are solved for at every point from the
-    exact quadratic models of the eigenvalue and the constraint residual
-    in them, which one propagator run gives: one Newton step without a
-    penalty, Newton iterations on the quartic objective with one (see the
-    module docstring); with neither active the point is one plain solve.
-    The search runs over the active members of (S20, sigma20). It makes up to ``restarts`` attempts (the first from
+    Every solve is fixed-step rk4. The active members of (S10, sigma10)
+    are solved for at every point from the exact quadratic models of the
+    eigenvalue and the constraint residual in them, which one propagator
+    run gives (and which hold only for the fixed-step run): one Newton
+    step without a penalty, Newton iterations on the quartic objective
+    with one (see the module docstring); with neither active the point is
+    one plain solve. The search runs over the active members of (S20,
+    sigma20). It makes up to ``restarts`` attempts (the first from
     ``guess``, later ones from seeded perturbations of the best point);
     none when nothing is left to search or the projected guess is
     already stationary. Each attempt runs Nelder-Mead on the squared
@@ -408,10 +387,11 @@ def optimize(
     ``iterations`` counts both.
     Each point is solved once per call (its propagator run counts as its
     solve): its cached record serves the simplex, the root solve and the
-    certificate. The record also holds the objective's exact value,
-    gradient and Hessian along (S10, sigma10) at the projected point, from
-    the same run's models: the certificate's gradient along (S10, sigma10)
-    and ``stationarity_check``'s centre are read from it, so the returned
+    certificate. The record also holds the objective's value, its
+    gradient over all active coordinates (exact along (S10, sigma10),
+    from the same run's models) and its Hessian along (S10, sigma10) at
+    the projected point: the certificate's gradient and
+    ``stationarity_check``'s centre are read from it, so the returned
     point is solved only by the final ``integrate``.
     Convergence means the max-norm of the gradient over all
     active coordinates fell to ``grad_tol``; otherwise the best point
@@ -420,7 +400,6 @@ def optimize(
     ``integrate`` raises ``BlowUpError`` with its partial grid instead:
     the returned report needs a complete run.
     """
-    _require_rk4("optimize", method)
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]
     base = guess.as_tuple()
@@ -431,10 +410,11 @@ def optimize(
 
     def f(z) -> float:
         nonlocal blowups
-        value, t_last, _ = _evaluate(spec, _embed(base, idx, z), penalty_weight, step, method)
-        if t_last < T:
+        try:
+            return _value(spec, _embed(base, idx, z), penalty_weight, step)
+        except BlowUpError:
             blowups += 1
-        return value
+            return BLOWUP_PENALTY
 
     def full(z_free) -> np.ndarray:
         z = z0.copy()
@@ -473,66 +453,52 @@ def optimize(
         return T, out, _objective_at(models, penalty_weight, du)
 
     # records of the current attempt, keyed on z_free.tobytes(); the guess's
-    # record starts the first attempt, and each attempt settles its best point
+    # record starts the first attempt, and each attempt reads its best point
     seen = {}
 
     def reduced(z_free):
-        """Projected point, reduced gradient, largest probe value, merit, and
-        the objective along lin there (``centre``'s last item).
+        """Projected point, largest probe value, merit, and the centre for the check.
 
         The centre is run and projected, and the gradient is taken
         along the searched coordinates; at the projected point the
         gradient along lin vanishes, so this is the reduced gradient.
         The projected point is not solved again: the projection moves only
         (S10, sigma10), and the Riccati pair that blows up does not depend
-        on them. When the centre blew up there is no projection and no
-        gradient (None, largest probe inf). The merit is the squared gradient,
-        except for a plateau near the penalty: blown-up centres ramp it by
-        how early the run died, so the simplex has a slope back toward
-        integrable initial data; a blown probe around a fine centre sits
-        just below.
+        on them. The centre for the check is the objective's value, its
+        gradient over all active coordinates (along lin from the models) and
+        its Hessian along lin; None when the centre blew up, which leaves no
+        projection and no gradient (largest probe inf). The merit is the
+        squared reduced gradient, except for a plateau near the penalty:
+        blown-up centres ramp it by how early the run died, so the simplex
+        has a slope back toward integrable initial data; a blown probe
+        around a fine centre sits just below.
         """
         key = z_free.tobytes()
         if key not in seen:
             t_last, z, at = centre(full(z_free))
             if t_last < T:
                 frac = (T - min(max(t_last, 0.0), T)) / T
-                seen[key] = z, None, math.inf, BLOWUP_PENALTY * (1.0 + frac), None
+                seen[key] = z, math.inf, BLOWUP_PENALTY * (1.0 + frac), None
             else:
                 g, worst = _central_gradient(f, z, free)
+                gradient = np.empty(len(z))
+                gradient[lin], gradient[free] = at[1], g
                 value = (0.99 * BLOWUP_PENALTY if worst >= BLOWUP_PENALTY
                          else min(float(g @ g), 0.9 * BLOWUP_PENALTY))
-                seen[key] = z, g, worst, value, at
+                seen[key] = z, worst, value, (at[0], gradient, at[2])
         return seen[key]
 
     def merit(z_free) -> float:
-        return reduced(z_free)[3]
+        return reduced(z_free)[2]
 
     def residual(z_free) -> np.ndarray:
-        _, g, worst, _, _ = reduced(z_free)
-        return np.full(len(z_free), BLOWUP_PENALTY) if worst >= BLOWUP_PENALTY else g
-
-    def settle(z_free):
-        """Projected point, largest gradient probe, and the centre for the check.
-
-        The centre is the objective's value, full gradient and Hessian
-        along lin at the projected point, all from the record of
-        ``z_free``; None when the centre blew up.
-        """
-        z, g, worst, _, at = reduced(z_free)
-        if g is None:
-            return z, worst, None
-        value, g_lin, H_lin = at
-        g_full = np.empty(len(z))
-        g_full[lin] = g_lin
-        g_full[free] = g
-        return z, worst, (value, g_full, H_lin)
+        _, worst, _, at = reduced(z_free)
+        return np.full(len(z_free), BLOWUP_PENALTY) if worst >= BLOWUP_PENALTY else at[1][free]
 
     rng = np.random.default_rng(seed)
     n = len(free)
     best_free = z0[free]
-    best_merit = merit(best_free)
-    best_z, worst, best_centre = settle(best_free)
+    best_z, worst, best_merit, best_centre = reduced(best_free)
     gradient_norm = math.inf if best_centre is None else float(np.max(np.abs(best_centre[1])))
     converged = gradient_norm <= grad_tol
     iterations = 0
@@ -571,7 +537,7 @@ def optimize(
         if fx < best_merit:
             best_merit = fx
             best_free = x
-            best_z, worst, best_centre = settle(best_free)
+            best_z, worst, _, best_centre = reduced(best_free)
             if best_centre is not None:
                 gradient_norm = float(np.max(np.abs(best_centre[1])))
                 converged = gradient_norm <= grad_tol
@@ -579,14 +545,13 @@ def optimize(
         attempt += 1
 
     final_init = _embed(base, idx, best_z)
-    grid = integrate(spec, final_init, step=step, method=method)
+    grid = integrate(spec, final_init, step=step)
     report = eigenvalue(grid)
     signature = None
     if best_centre is not None and worst < BLOWUP_PENALTY:
         try:
             signature = stationarity_check(
-                final_init, spec, mask, penalty_weight, step, method,
-                centre=best_centre,
+                final_init, spec, mask, penalty_weight, step, centre=best_centre,
             ).signature
         except FDFailureError:
             pass

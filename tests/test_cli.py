@@ -314,9 +314,9 @@ ADAPTIVE = "[grid]\nmethod = rk4_adaptive\n"
 
 
 @pytest.mark.parametrize("command, text, message", [
-    ("integrate", NO_INIT, "this command needs an [init] section"),
-    ("eigenvalue", NO_INIT, "this command needs an [init] section"),
-    ("sweep-hbar", NO_INIT, "this command needs an [init] section"),
+    ("integrate", NO_INIT, "integrate needs an [init] section"),
+    ("eigenvalue", NO_INIT, "eigenvalue needs an [init] section"),
+    ("sweep-hbar", NO_INIT, "sweep-hbar needs an [init] section"),
     ("sweep-hbar", "[init]\nS10 = 1.0\n", "sweep-hbar needs [sweep] hbar_grid"),
     ("scan-t0", NO_INIT, "scan-t0 needs [sweep] t0_grid"),
     ("scan-t0", "[spec]\nhbar_tilde = 0.5" + GRID, "scan-t0 needs hbar_tilde = 0"),

@@ -47,3 +47,6 @@ def test_tracer_records_the_simplex(tmp_path, search_config):
     assert code == 0
     assert metrics["extremize.minimize.calls"] >= 1
     assert metrics["extremize.nm_iterations"] > 0
+    # the final integrate takes no method argument: the tracer must still
+    # count it as rk4, from integrate's default
+    assert metrics["dynamics.integrate.rk4.calls"] == 1
