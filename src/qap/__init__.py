@@ -1,7 +1,11 @@
 """Numerical realization of a quantum action principle for the harmonic
 oscillator: the coefficient ODE flow, the action eigenvalue and its
 initial-data constraint, extremization over initial data, and exact
-classical-limit oracles."""
+classical-limit oracles.
+
+The extremizer's names load ``qap.extremize``, and with it numpy, on
+first access (PEP 562), so importing the package or running a command
+that never searches loads no numpy."""
 
 __version__ = "0.1.0"
 
@@ -38,14 +42,6 @@ from .errors import (
     ValidationError,
     ZeroFrequencyError,
     ZeroStiffnessError,
-)
-from .extremize import (
-    ExtremumResult,
-    HessianSignature,
-    StationarityReport,
-    objective,
-    optimize,
-    stationarity_check,
 )
 from .model import (
     InitialData,
@@ -100,3 +96,12 @@ __all__ = [
     "validate",
     "validation_errors",
 ]
+
+
+def __getattr__(name):
+    if name in ("ExtremumResult", "HessianSignature", "StationarityReport",
+                "objective", "optimize", "stationarity_check"):
+        from . import extremize
+
+        return getattr(extremize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,9 +7,9 @@ exact floating-point sum of the three parts. The constraint residual is
 the analogous amplitude-side expression; zero means the initial data
 satisfies the algebraic compatibility condition. The residual is always
 reported, never enforced (extremization may attach a quadratic penalty
-to it, weight 0 by default). From the end row of a propagator run,
-``endpoint_models`` gives both as exact quadratics in (S10, sigma10),
-for the extremizer's projection.
+to it, weight 0 by default). Both come from the first and last state
+rows of a run (``endpoint_report``), which a grid stores as Python
+tuples; nothing here imports numpy.
 
 Simpson recomputation of the accumulated integrals from the stored
 coefficient columns provides an independent quadrature cross-check of
@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dynamics import SolutionGrid
 from .errors import IncompleteGridError, LengthMismatchError
@@ -69,7 +67,7 @@ def json_17g(obj) -> str:
 def _require_complete(grid: SolutionGrid) -> None:
     if not grid.complete:
         raise IncompleteGridError(
-            f"grid ends at t = {float(grid.times[-1]):.6g} < T = {grid.spec.T:.6g}"
+            f"grid ends at t = {grid._times[-1]:.6g} < T = {grid.spec.T:.6g}"
         )
 
 
@@ -102,33 +100,6 @@ def endpoint_report(spec, first, last) -> EigenvalueReport:
     )
 
 
-def endpoint_models(spec, first, end):
-    """Exact quadratic models of the eigenvalue and the residual in (S10, sigma10).
-
-    ``end`` is the end row of ``dynamics.propagator`` from the initial
-    data ``first``. With u = (S10, sigma10), the run's (S1, sigma1)(T) is
-    P u, and its qS, qSigma and qCon are u.A u, u.B u + int(sigma2) and
-    u.C u + 2 int(S2), with the row's propagator columns P and integral
-    matrices A, B, C. Returns ((lam, gradient, Hessian), (residual,
-    gradient, Hessian)) at u; the two values are those of
-    ``endpoint_report`` on the state row this rebuilds.
-    """
-    S2, g2, p0, q0, p1, q1, A00, A01, A11, B00, B01, B11, C00, C01, C11, I2, IS = end
-    P = np.array([[p0, p1], [q0, q1]])
-    A = np.array([[A00, A01], [A01, A11]])
-    B = np.array([[B00, B01], [B01, B11]])
-    C = np.array([[C00, C01], [C01, C11]])
-    u = np.array([first[0], first[2]], dtype=float)
-    S1, g1 = P @ u
-    row = (S1, S2, g1, g2, u @ A @ u, u @ B @ u + I2, u @ C @ u + 2.0 * IS, IS)
-    report = endpoint_report(spec, first, row)
-    H_lam = (spec.hbar_tilde**2 * B - A) / spec.m
-    H_res = -2.0 * C / spec.m
-    g_lam = spec.xT * P[0] - (spec.x0, 0.0) + H_lam @ u
-    g_res = spec.xT * P[1] - (0.0, spec.x0) + H_res @ u
-    return (report.lam, g_lam, H_lam), (report.constraint_residual, g_res, H_res)
-
-
 def constraint_residual(grid: SolutionGrid) -> float:
     """Amplitude-side compatibility residual of the run's initial data."""
     _require_complete(grid)
@@ -142,7 +113,7 @@ def eigenvalue(grid: SolutionGrid) -> EigenvalueReport:
     term fields.
     """
     _require_complete(grid)
-    return endpoint_report(grid.spec, grid.data[0], grid.data[-1])
+    return endpoint_report(grid.spec, grid._rows[0], grid._rows[-1])
 
 
 def composite_simpson(values, times) -> float:
@@ -151,8 +122,8 @@ def composite_simpson(values, times) -> float:
     Handles non-uniform spacing via the three-point quadratic rule; a
     leftover final interval falls back to the trapezoid rule.
     """
-    y = np.asarray(values, dtype=float)
-    x = np.asarray(times, dtype=float)
+    y = [float(v) for v in values]
+    x = [float(t) for t in times]
     if len(y) != len(x):
         raise LengthMismatchError(f"{len(y)} values vs {len(x)} times")
     total = 0.0
@@ -170,7 +141,7 @@ def composite_simpson(values, times) -> float:
         i += 2
     if i < n:
         total += 0.5 * (x[i + 1] - x[i]) * (y[i] + y[i + 1])
-    return float(total)
+    return total
 
 
 def simpson_accumulators(grid: SolutionGrid) -> dict[str, float]:

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .dynamics import METHODS
 from .errors import ConfigError, SingularityError
 from .model import COORD_NAMES, InitialData, OscillatorSpec, parse_active, t0_to_S20, validate
@@ -64,7 +62,12 @@ def parse_grid(text: str) -> list[float]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 1:
                 raise ConfigError(f"count must be >= 1, got {count}")
-            values = [float(v) for v in np.linspace(start, stop, count)]
+            # numpy.linspace's own formula, so the points are its floats
+            div = count - 1
+            step = (stop - start) / div if div else stop - start
+            values = [i * step + start for i in range(count)]
+            if div:
+                values[-1] = stop
         else:
             values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as err:

@@ -27,7 +27,7 @@ which keeps the trajectory, and for ``final_state``, which keeps only
 the endpoint. ``_propagator_step`` steps a 17-component row for
 ``propagator``: (S2, sigma2), the linear (S1, sigma1) flow from two unit
 starts and the integrals of their products, from which
-``action.endpoint_models`` builds the eigenvalue and the constraint
+``extremize.endpoint_models`` builds the eigenvalue and the constraint
 residual as exact quadratics in (S10, sigma10). The step-doubling loop
 behind ``rk4_adaptive`` is separate and reuses ``_rk4_step``. All of
 them share one entry (the input check, which hands the loop only
@@ -37,6 +37,12 @@ itself, one chained comparison per component: a component outside
 [-BLOWUP_LIMIT, BLOWUP_LIMIT], or NaN, makes it return None, and the
 loop raises ``BlowUpError`` at the last good time.
 
+A kept trajectory is a ``SolutionGrid`` of the rows the loop builds,
+stored as tuples of Python floats. Its CSV writer and its readers in
+``action`` and ``experiments`` use those rows; numpy arrays exist only
+once a caller asks for ``times``, ``data`` or a column, so the commands
+that never search run without numpy.
+
 The S2 equation is of Riccati type and genuinely blows up in finite
 time when a caustic falls inside the horizon; integration reports the
 last good time rather than regularizing.
@@ -45,10 +51,8 @@ last good time rather than regularizing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, replace
 from typing import TextIO
-
-import numpy as np
 
 from .errors import BlowUpError, DegenerateProbeError
 from .model import InitialData, OscillatorSpec, validate
@@ -82,64 +86,92 @@ def _stage(S1, S2, g1, g2, m_inv, k, hh):
     )
 
 
-@dataclass(frozen=True)
 class SolutionGrid:
     """Time-ordered coefficient states from one integration run.
 
-    ``data`` has one row per time point with columns
-    S1, S2, sigma1, sigma2, qS, qSigma, qCon, qIntS2. A grid is
-    ``complete`` when it reaches t = T; partial grids only occur inside
-    ``BlowUpError``.
+    Each row holds S1, S2, sigma1, sigma2, qS, qSigma, qCon, qIntS2 at
+    one time point. The grid keeps its times and rows as the Python
+    floats and tuples the stepping loop builds; ``times``, ``data`` and
+    the column properties are read-only numpy arrays built on first
+    access, and only they import numpy. A grid is ``complete`` when it
+    reaches t = T; partial grids only occur inside ``BlowUpError``.
+    Immutable: setting an attribute raises ``FrozenInstanceError``.
     """
 
-    spec: OscillatorSpec
-    times: np.ndarray
-    data: np.ndarray
-    method: str
-    step: float
+    __slots__ = ("spec", "method", "step", "_times", "_rows", "_arrays")
 
-    def __post_init__(self):
-        self.times.setflags(write=False)
-        self.data.setflags(write=False)
+    def __init__(self, spec: OscillatorSpec, times, data, method: str, step: float):
+        put = object.__setattr__
+        put(self, "spec", spec)
+        put(self, "method", method)
+        put(self, "step", step)
+        put(self, "_times", tuple(map(float, times)))
+        put(self, "_rows", tuple(r if type(r) is tuple else tuple(map(float, r)) for r in data))
+        put(self, "_arrays", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _array_pair(self):
+        if self._arrays is None:
+            import numpy as np
+
+            times = np.array(self._times, dtype=float)
+            data = np.array(self._rows, dtype=float)
+            times.setflags(write=False)
+            data.setflags(write=False)
+            object.__setattr__(self, "_arrays", (times, data))
+        return self._arrays
 
     @property
-    def s1(self) -> np.ndarray:
+    def times(self):
+        return self._array_pair()[0]
+
+    @property
+    def data(self):
+        return self._array_pair()[1]
+
+    @property
+    def s1(self):
         return self.data[:, 0]
 
     @property
-    def s2(self) -> np.ndarray:
+    def s2(self):
         return self.data[:, 1]
 
     @property
-    def sigma1(self) -> np.ndarray:
+    def sigma1(self):
         return self.data[:, 2]
 
     @property
-    def sigma2(self) -> np.ndarray:
+    def sigma2(self):
         return self.data[:, 3]
 
     @property
-    def qS(self) -> np.ndarray:
+    def qS(self):
         return self.data[:, 4]
 
     @property
-    def qSigma(self) -> np.ndarray:
+    def qSigma(self):
         return self.data[:, 5]
 
     @property
-    def qCon(self) -> np.ndarray:
+    def qCon(self):
         return self.data[:, 6]
 
     @property
-    def qIntS2(self) -> np.ndarray:
+    def qIntS2(self):
         return self.data[:, 7]
 
     @property
     def complete(self) -> bool:
-        return bool(self.times[-1] == self.spec.T)
+        return self._times[-1] == self.spec.T
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self._times)
 
     def write_csv(self, out: TextIO, footer: str | None = None) -> None:
         """Emit the grid as CSV: '#' metadata lines, header, 17-digit rows."""
@@ -152,9 +184,8 @@ class SolutionGrid:
         )
         out.write(f"# method={self.method} step={_g17(self.step)} points={len(self)}\n")
         out.write(",".join(CSV_COLUMNS) + "\n")
-        for i in range(len(self)):
-            row = self.data[i, :7]
-            out.write(_g17(self.times[i]) + "," + ",".join(_g17(v) for v in row) + "\n")
+        row = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+        out.write("".join([row % (t, *y[:7]) for t, y in zip(self._times, self._rows)]))
         if footer:
             out.write(f"# {footer}\n")
 
@@ -334,19 +365,9 @@ def _propagator_step(y, h, m_inv, k, hh):
     return None
 
 
-def _grid(spec, times, rows, method, step):
-    return SolutionGrid(
-        spec=spec,
-        times=np.asarray(times, dtype=float),
-        data=np.asarray(rows, dtype=float),
-        method=method,
-        step=step,
-    )
-
-
 def _blow_up(spec, t_last, times, rows, method, step):
     """Raise ``BlowUpError`` at ``t_last``, with the partial grid if rows were kept."""
-    partial = None if rows is None else _grid(spec, times, rows, method, step)
+    partial = None if rows is None else SolutionGrid(spec, times, rows, method, step)
     raise BlowUpError(t_last, partial)
 
 
@@ -404,7 +425,7 @@ def _fixed(spec, init, step, keep, propagate=False):
             times.append(t)
             rows.append(y)
         t_prev = t
-    return _grid(spec, times, rows, "rk4", step) if keep else y
+    return SolutionGrid(spec, times, rows, "rk4", step) if keep else y
 
 
 def final_state(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP):
@@ -429,7 +450,7 @@ def propagator(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_ST
     (1, 0) and at (0, 1); the integrals of S1_i S1_j, sigma1_i sigma1_j
     and (sigma1_i S1_j + sigma1_j S1_i)/2 for i <= j; and the integrals
     of sigma2 and S2. Its S2, sigma2 and integral of S2 are bit-equal to
-    ``final_state``'s. ``action.endpoint_models`` turns the row into the
+    ``final_state``'s. ``extremize.endpoint_models`` turns the row into the
     models. Same input check and blow-up exit as ``final_state``; the
     bound applies to the row's own 17 components.
     """
@@ -472,7 +493,7 @@ def _integrate_adaptive(spec, init, step):
             h *= max(0.2, 0.9 * ratio ** -0.2)
     # floating accumulation may land within one ulp of T; pin it
     times[-1] = T
-    return _grid(spec, times, rows, "rk4_adaptive", step)
+    return SolutionGrid(spec, times, rows, "rk4_adaptive", step)
 
 
 def integrate(
@@ -512,8 +533,7 @@ def convergence_order(
     probe_spec = replace(spec, T=float(t_probe))
     values = []
     for s in (step, step / 2.0, step / 4.0):
-        grid = integrate(probe_spec, init, step=s, method="rk4")
-        values.append(float(grid.s2[-1]))
+        values.append(integrate(probe_spec, init, step=s, method="rk4")._rows[-1][1])
     d1 = values[0] - values[1]
     d2 = values[1] - values[2]
     if abs(d1) < 1e-14 or abs(d2) < 1e-14:

@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .action import eigenvalue, json_17g
 from .classical import ClassicalParams, lambda_classical, lambda_star, s10_star
@@ -31,7 +29,6 @@ from .errors import (
     ResonanceError,
     SingularityError,
 )
-from .extremize import optimize
 from .model import InitialData, resonant, t0_to_S20
 
 log = logging.getLogger("qap")
@@ -134,7 +131,7 @@ def cmd_integrate(cfg: ExperimentConfig, out_dir: Path) -> int:
         print(f"BLOWUP after t = {err.t_last:.6g}; partial grid in {path}")
         return EXIT_NUMERIC
     grid.to_csv(path)
-    S1, S2, sigma1, sigma2, qS, qSigma, qCon = grid.data[-1, :7]
+    S1, S2, sigma1, sigma2, qS, qSigma, qCon = grid._rows[-1][:7]
     print(f"wrote {path} ({len(grid)} points)")
     print(f"final state: S1={S1:.9g} S2={S2:.9g} sigma1={sigma1:.9g} sigma2={sigma2:.9g}")
     print(f"accumulators: qS={qS:.9g} qSigma={qSigma:.9g} qCon={qCon:.9g}")
@@ -159,6 +156,8 @@ def cmd_eigenvalue(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_classical_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Full pipeline against the closed-form degenerate eigenvalue."""
+    from .extremize import optimize
+
     t0 = 0.5 * cfg.spec.T
     s20 = t0_to_S20(t0, cfg.spec)
     s10_guess = cfg.init.S10 if cfg.init is not None else 0.0
@@ -244,11 +243,7 @@ def cmd_sweep_hbar(cfg: ExperimentConfig, out_dir: Path) -> int:
             log.info("hbar=%.6g blew up at t=%.6g", hb, err.t_last)
             table.add(float(hb), nan, nan, nan, "blowup")
 
-    exponent = None
-    if len(fit_points) >= 2:
-        xs = np.array([p[0] for p in fit_points])
-        ys = np.array([p[1] for p in fit_points])
-        exponent = float(np.polyfit(xs, ys, 1)[0])
+    exponent = _slope(fit_points) if len(fit_points) >= 2 else None
 
     csv_path = out_dir / "sweep_hbar.csv"
     table.write_csv(csv_path)
@@ -276,8 +271,19 @@ def cmd_sweep_hbar(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
+def _slope(points) -> float | None:
+    """Least-squares slope of the line through ``points``; None if every x is equal."""
+    mx = math.fsum(x for x, _ in points) / len(points)
+    my = math.fsum(y for _, y in points) / len(points)
+    sxx = math.fsum((x - mx) ** 2 for x, _ in points)
+    sxy = math.fsum((x - mx) * (y - my) for x, y in points)
+    return sxy / sxx if sxx > 0 else None
+
+
 def cmd_extremize(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Extremize the eigenvalue over the configured active coordinates."""
+    from .extremize import optimize
+
     guess = cfg.init if cfg.init is not None else InitialData()
     result = optimize(
         cfg.spec,

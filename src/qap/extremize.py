@@ -17,7 +17,7 @@ preserves that linearity; so at fixed (S20, sigma20) the discrete
 eigenvalue and the constraint residual are both exact quadratics in
 (S10, sigma10), at every hbar_tilde. One propagator run
 (``dynamics.propagator``) at the current point carries the discrete
-(S1, sigma1) flow from both unit starts, and ``action.endpoint_models``
+(S1, sigma1) flow from both unit starts, and ``endpoint_models``
 turns its end row into the value, gradient and Hessian of both
 quadratics, and so the objective's exact value, gradient and Hessian
 along the active members of {S10, sigma10}. Those members are set to a
@@ -51,8 +51,10 @@ of its square root, on the models' value and gradient (see
 large finite penalty so the simplex retreats; they are counted, not
 raised.
 
-``scipy.optimize`` is imported only when a search reaches Nelder-Mead, so
-the commands that never search start without it.
+This is the one module of ``qap`` that imports numpy; the CLI imports
+it only inside the two commands that search. ``scipy.optimize`` is
+imported only when a search reaches Nelder-Mead. So the commands that
+never search start and run without either.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import EigenvalueReport, eigenvalue, endpoint_models, endpoint_report, json_17g
+from .action import EigenvalueReport, eigenvalue, endpoint_report, json_17g
 from .dynamics import final_state, integrate, propagator
 from .errors import BlowUpError, FDFailureError
 from .model import COORD_NAMES, InitialData, OscillatorSpec, parse_active
@@ -172,8 +174,35 @@ def objective(
         return BLOWUP_PENALTY
 
 
+def endpoint_models(spec, first, end):
+    """Exact quadratic models of the eigenvalue and the residual in (S10, sigma10).
+
+    ``end`` is the end row of ``dynamics.propagator`` from the initial
+    data ``first``. With u = (S10, sigma10), the run's (S1, sigma1)(T) is
+    P u, and its qS, qSigma and qCon are u.A u, u.B u + int(sigma2) and
+    u.C u + 2 int(S2), with the row's propagator columns P and integral
+    matrices A, B, C. Returns ((lam, gradient, Hessian), (residual,
+    gradient, Hessian)) at u; the two values are those of
+    ``endpoint_report`` on the state row this rebuilds.
+    """
+    S2, g2, p0, q0, p1, q1, A00, A01, A11, B00, B01, B11, C00, C01, C11, I2, IS = end
+    P = np.array([[p0, p1], [q0, q1]])
+    A = np.array([[A00, A01], [A01, A11]])
+    B = np.array([[B00, B01], [B01, B11]])
+    C = np.array([[C00, C01], [C01, C11]])
+    u = np.array([first[0], first[2]], dtype=float)
+    S1, g1 = P @ u
+    row = (S1, S2, g1, g2, u @ A @ u, u @ B @ u + I2, u @ C @ u + 2.0 * IS, IS)
+    report = endpoint_report(spec, first, row)
+    H_lam = (spec.hbar_tilde**2 * B - A) / spec.m
+    H_res = -2.0 * C / spec.m
+    g_lam = spec.xT * P[0] - (spec.x0, 0.0) + H_lam @ u
+    g_res = spec.xT * P[1] - (0.0, spec.x0) + H_res @ u
+    return (report.lam, g_lam, H_lam), (report.constraint_residual, g_res, H_res)
+
+
 def _linear_models(spec: OscillatorSpec, init: InitialData, pos, step: float):
-    """``action.endpoint_models`` at ``init``, restricted to its rows ``pos``.
+    """``endpoint_models`` at ``init``, restricted to its rows ``pos``.
 
     One propagator run; with ``pos`` empty, one plain solve gives the two
     values. Raises ``BlowUpError``.
@@ -267,7 +296,7 @@ def _split(idx):
     """Positions in the active vector ``idx``: along (S10, sigma10) and searched.
 
     The third list holds the rows of the active ones in
-    ``action.endpoint_models``.
+    ``endpoint_models``.
     """
     lin = [j for j, i in enumerate(idx) if i in (0, 2)]
     free = [j for j in range(len(idx)) if j not in lin]

@@ -14,8 +14,6 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .errors import SingularityError, ValidationError, ZeroFrequencyError
 
 #: |cos| or |sin| below this is treated as a vanishing denominator.
@@ -82,7 +80,11 @@ def parse_active(active) -> tuple[bool, bool, bool, bool]:
         items = [s.strip() for s in active.split(",") if s.strip()]
     else:
         items = list(active)
-    if len(items) == 4 and all(isinstance(b, (bool, np.bool_)) for b in items):
+    # a numpy boolean mask yields numpy bools: boolean dtype, no numpy import
+    if len(items) == 4 and all(
+        isinstance(b, bool) or getattr(getattr(b, "dtype", None), "kind", None) == "b"
+        for b in items
+    ):
         mask = tuple(bool(b) for b in items)
     else:
         names = [str(s) for s in items]

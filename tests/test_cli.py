@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qap.cli import main
@@ -199,6 +200,10 @@ class TestConfigLoading:
     def test_parse_grid_forms(self):
         assert parse_grid("1,2,3") == [1.0, 2.0, 3.0]
         assert parse_grid("0:1:5") == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+        # the shorthand gives numpy.linspace's floats exactly
+        for text in ("0.05:0.45:9", "-1:1:7", "0.1:0.7:3", "2:3:1", "1e-3:1:1000"):
+            start, stop, count = text.split(":")
+            assert parse_grid(text) == np.linspace(float(start), float(stop), int(count)).tolist()
 
     @pytest.mark.parametrize("line, error", [
         ("hbar_grid = 0,0.5", None),
@@ -422,6 +427,10 @@ class TestSweepHbarCommand:
         ][1:]
         assert len(rows) == 4
         assert all(r[-1] == "ok" for r in rows)
+        # the closed-form slope is numpy's least-squares line up to rounding
+        hbars, deltas = (np.log([float(r[i]) for r in rows]) for i in (0, 2))
+        reference = np.polyfit(hbars, deltas, 1)[0]
+        assert summary["fitted_exponent"] == pytest.approx(reference, rel=1e-13)
 
     def test_zero_row_matches_classical_bitwise(self, tmp_path):
         text = QUANTUM_INI.replace("hbar_grid = 0.02,0.04,0.08,0.16", "hbar_grid = 0.0,0.08")
@@ -561,17 +570,22 @@ def test_only_a_search_loads_scipy(tmp_path, search_config):
     # a fresh interpreter, so no module of the test session is loaded
     configs = ROOT / "configs"
     runs = [[cmd, "--config", str(configs / "classical.ini")] for cmd in
-            ("integrate", "eigenvalue", "scan-t0", "convergence", "classical-check")]
+            ("integrate", "eigenvalue", "scan-t0", "convergence")]
     runs.append(["sweep-hbar", "--config", str(configs / "quantum_sweep.ini")])
-    search = ["extremize", "--config", search_config, "--out", str(tmp_path / "search")]
+    searches = [["classical-check", "--config", str(configs / "classical.ini")],
+                ["extremize", "--config", search_config]]
     code = (
         "import sys\n"
         f"sys.path[:0] = [{str(ROOT / 'src')!r}]\n"
         "import qap.cli\n"
+        "assert 'numpy' not in sys.modules, 'import qap.cli loaded numpy'\n"
         f"for i, argv in enumerate({runs!r}):\n"
         f"    assert qap.cli.main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}']) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, f'{argv[0]} loaded numpy'\n"
         "assert 'scipy' not in sys.modules, 'scipy loaded before any search'\n"
-        f"assert qap.cli.main({search!r}) == 0\n"
+        f"for i, argv in enumerate({searches!r}):\n"
+        f"    assert qap.cli.main(argv + ['--out', {str(tmp_path)!r} + f'/s{{i}}']) == 0, argv\n"
+        "    assert 'numpy' in sys.modules, f'{argv[0]} did not load numpy'\n"
         "assert 'scipy.optimize' in sys.modules, 'the search did not load scipy.optimize'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

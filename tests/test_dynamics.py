@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from io import StringIO
 from pathlib import Path
 
@@ -18,9 +18,10 @@ from qap import (
     t0_to_S20,
 )
 import qap.dynamics as dynamics
-from qap.action import endpoint_models, endpoint_report
+from qap.action import endpoint_report
 from qap.config import load_config
 from qap.dynamics import BLOWUP_LIMIT, METHODS, _rk4_step, _stage, _start, final_state, propagator
+from qap.extremize import endpoint_models
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -96,6 +97,12 @@ class TestIntegrate:
         assert len(grid) == 5  # ceil(1/0.3) = 4 steps
         assert np.all(np.diff(grid.times) > 0)
         assert grid.complete
+        # read-only float arrays, built once; the grid itself is immutable
+        assert grid.data.shape == (5, 8) and grid.times is grid.times
+        for column in (grid.times, grid.data, grid.s2):
+            assert column.dtype == float and not column.flags.writeable
+        with pytest.raises(FrozenInstanceError):
+            grid.step = 0.1
 
     def test_accumulators_start_at_zero(self, spec, classical_init):
         grid = integrate(spec, classical_init, step=0.1)

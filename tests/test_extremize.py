@@ -24,9 +24,8 @@ from qap import (
     t0_to_S20,
 )
 import qap.extremize as extremize
-from qap.action import endpoint_models
 from qap.dynamics import propagator
-from qap.extremize import BLOWUP_PENALTY, FD_STEP, parse_active
+from qap.extremize import BLOWUP_PENALTY, FD_STEP, endpoint_models, parse_active
 
 
 class TestParseActive:
@@ -42,6 +41,7 @@ class TestParseActive:
 
     def test_bool_tuple(self):
         assert parse_active((True, False, True, False)) == (True, False, True, False)
+        assert parse_active(np.array([True, False, True, False])) == (True, False, True, False)
 
     def test_rejects_unknown_and_empty(self):
         with pytest.raises(ValueError):

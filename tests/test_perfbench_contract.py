@@ -45,6 +45,7 @@ def test_tracer_records_the_simplex(tmp_path, search_config):
     )
     code, metrics = json.loads(out.splitlines()[-1])
     assert code == 0
+    assert metrics["extremize.optimize.calls"] == 1
     assert metrics["extremize.minimize.calls"] >= 1
     assert metrics["extremize.nm_iterations"] > 0
     # the final integrate takes no method argument: the tracer must still
