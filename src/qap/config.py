@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dynamics import METHODS
+from .dynamics import DEFAULT_STEP, METHODS
 from .errors import ConfigError, SingularityError
 from .model import COORD_NAMES, InitialData, OscillatorSpec, parse_active, t0_to_S20, validate
 
@@ -35,7 +35,7 @@ class ExperimentConfig:
 
     spec: OscillatorSpec = field(default_factory=OscillatorSpec)
     init: InitialData | None = None
-    step: float = 1e-3
+    step: float = DEFAULT_STEP
     method: str = "rk4"
     t_probe: float = 0.5
     active: str | None = None

@@ -21,21 +21,24 @@ diagnostic used to verify the exponential identity
 sigma2(t) = sigma20 * exp(-qIntS2(t)/m) and is not part of the CSV
 contract.
 
-One fixed-step loop drives two unrolled RK4 kernels. ``_rk4_step``
-steps the eight-component state, for ``integrate(method="rk4")``,
-which keeps the trajectory, and for ``final_state``, which keeps only
-the endpoint. ``_propagator_step`` steps a 17-component row for
-``propagator``: (S2, sigma2), the linear (S1, sigma1) flow from two unit
-starts and the integrals of their products, from which
-``extremize.endpoint_models`` builds the eigenvalue and the constraint
-residual as exact quadratics in (S10, sigma10). The step-doubling loop
-behind ``rk4_adaptive`` is separate and reuses ``_rk4_step``. All of
-them share one entry (the input check, which hands the loop only
-Python floats, since the unrolled step runs about three times slower
-on numpy scalars) and one blow-up exit. Each kernel bounds its new row
-itself, one chained comparison per component: a component outside
-[-BLOWUP_LIMIT, BLOWUP_LIMIT], or NaN, makes it return None, and the
-loop raises ``BlowUpError`` at the last good time.
+One fixed-step loop drives two unrolled RK4 kernels, which one
+renderer, ``_render``, writes and compiles at import from tables of
+right-hand-side rows. ``_rk4_step`` steps the eight-component state,
+for ``integrate(method="rk4")``, which keeps the trajectory, and for
+``final_state``, which keeps only the endpoint. ``_propagator_step``
+steps a 17-component row for ``propagator``: (S2, sigma2), the linear
+(S1, sigma1) flow from two unit starts and the integrals of their
+products, from which ``extremize.endpoint_models`` builds the
+eigenvalue and the constraint residual as exact quadratics in (S10,
+sigma10). The step-doubling loop behind ``rk4_adaptive`` is separate
+and reuses ``_rk4_step``. All of them share one entry (the input
+check, which hands the loop only Python floats, since the unrolled
+step runs about three times slower on numpy scalars) and one blow-up
+exit. Each kernel bounds its new row itself, one chained comparison
+per component: a component outside [-BLOWUP_LIMIT, BLOWUP_LIMIT], or
+NaN, makes it return None, and the loop raises ``BlowUpError`` at the
+last good time. ``_stage`` is the hand-written reference the tests pin
+both kernels against.
 
 A kept trajectory is a ``SolutionGrid`` of the rows the loop builds,
 stored as tuples of Python floats. Its CSV writer and its readers in
@@ -50,6 +53,7 @@ last good time rather than regularizing.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import FrozenInstanceError, replace
 from typing import TextIO
@@ -198,171 +202,81 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _rk4_step(y, h, m_inv, k, hh):
-    """One classic RK4 step of the eight-component state tuple.
+def _render(name, flows, integrals):
+    """Source of ``name(y, h, m_inv, k, hh)``, one unrolled RK4 step of the
+    row ``flows + integrals``.
 
-    Unrolled scalar arithmetic: this is the hot loop of every
-    finite-difference probe inside extremization, and tuple-of-stage
-    indirection costs ~3x here. Each stage mirrors ``_stage`` exactly;
-    a regression test pins the two against each other. Returns None
-    when a component of the new state leaves [-BLOWUP_LIMIT,
-    BLOWUP_LIMIT]; the chained comparisons are False for NaN too.
+    A flow row is a component's name and its derivative, an integral row
+    a name and its integrand; in both, ``{X}`` stands for flow component
+    X at the point being evaluated. Derivatives a, b, c, d are taken at
+    y, u = y + h/2*a, v = y + h/2*b and w = y + h*c. With w6 = h/6, each
+    integral gains w6*(f(y) + 2*(f(u) + f(v)) + f(w)) of its integrand f,
+    before the flow moves, and each flow component w6*(a + 2*(b + c) + d).
+    The new row is returned if every component lies in [-BLOWUP_LIMIT,
+    BLOWUP_LIMIT], which NaN does not, else None. Unrolled scalar code:
+    a tuple-of-stages RK4 costs about 3x here, in the hot loop of every
+    solve.
     """
-    S1, S2, g1, g2, qS, qG, qC, qI = y
-    hh2 = 2.0 * hh
+    row = ", ".join(n for n, _ in flows + integrals)
 
-    aS1 = -S1 * S2 * m_inv + hh * g1 * g2
-    aS2 = -S2 * S2 * m_inv - k + hh2 * g2 * g2
-    ag1 = -(g1 * S2 + g2 * S1) * m_inv
-    ag2 = -g2 * S2 * m_inv
-    aqS = S1 * S1
-    aqG = g1 * g1 + g2
-    aqC = g1 * S1 + 2.0 * S2
-    aqI = S2
+    def at(stage, expr):
+        return expr.format(**{n: stage + n for n, _ in flows})
 
-    h2 = 0.5 * h
-    uS1 = S1 + h2 * aS1
-    uS2 = S2 + h2 * aS2
-    ug1 = g1 + h2 * ag1
-    ug2 = g2 + h2 * ag2
-    bS1 = -uS1 * uS2 * m_inv + hh * ug1 * ug2
-    bS2 = -uS2 * uS2 * m_inv - k + hh2 * ug2 * ug2
-    bg1 = -(ug1 * uS2 + ug2 * uS1) * m_inv
-    bg2 = -ug2 * uS2 * m_inv
-    bqS = uS1 * uS1
-    bqG = ug1 * ug1 + ug2
-    bqC = ug1 * uS1 + 2.0 * uS2
-    bqI = uS2
-
-    vS1 = S1 + h2 * bS1
-    vS2 = S2 + h2 * bS2
-    vg1 = g1 + h2 * bg1
-    vg2 = g2 + h2 * bg2
-    cS1 = -vS1 * vS2 * m_inv + hh * vg1 * vg2
-    cS2 = -vS2 * vS2 * m_inv - k + hh2 * vg2 * vg2
-    cg1 = -(vg1 * vS2 + vg2 * vS1) * m_inv
-    cg2 = -vg2 * vS2 * m_inv
-    cqS = vS1 * vS1
-    cqG = vg1 * vg1 + vg2
-    cqC = vg1 * vS1 + 2.0 * vS2
-    cqI = vS2
-
-    wS1 = S1 + h * cS1
-    wS2 = S2 + h * cS2
-    wg1 = g1 + h * cg1
-    wg2 = g2 + h * cg2
-    dS1 = -wS1 * wS2 * m_inv + hh * wg1 * wg2
-    dS2 = -wS2 * wS2 * m_inv - k + hh2 * wg2 * wg2
-    dg1 = -(wg1 * wS2 + wg2 * wS1) * m_inv
-    dg2 = -wg2 * wS2 * m_inv
-    dqS = wS1 * wS1
-    dqG = wg1 * wg1 + wg2
-    dqC = wg1 * wS1 + 2.0 * wS2
-    dqI = wS2
-
-    w6 = h / 6.0
-    S1 += w6 * (aS1 + 2.0 * (bS1 + cS1) + dS1)
-    S2 += w6 * (aS2 + 2.0 * (bS2 + cS2) + dS2)
-    g1 += w6 * (ag1 + 2.0 * (bg1 + cg1) + dg1)
-    g2 += w6 * (ag2 + 2.0 * (bg2 + cg2) + dg2)
-    qS += w6 * (aqS + 2.0 * (bqS + cqS) + dqS)
-    qG += w6 * (aqG + 2.0 * (bqG + cqG) + dqG)
-    qC += w6 * (aqC + 2.0 * (bqC + cqC) + dqC)
-    qI += w6 * (aqI + 2.0 * (bqI + cqI) + dqI)
-    L = BLOWUP_LIMIT
-    if (-L <= S1 <= L and -L <= S2 <= L and -L <= g1 <= L and -L <= g2 <= L
-            and -L <= qS <= L and -L <= qG <= L and -L <= qC <= L and -L <= qI <= L):
-        return S1, S2, g1, g2, qS, qG, qC, qI
-    return None
+    body = [f'"""One RK4 step of ({row}); rendered by ``_render``."""',
+            f"{row} = y", "hh2 = 2.0 * hh", "h2 = 0.5 * h", "w6 = h / 6.0"]
+    body += [f"a{n} = {at('', f)}" for n, f in flows]
+    for prev, d, stage, step in (("a", "b", "u", "h2"), ("b", "c", "v", "h2"), ("c", "d", "w", "h")):
+        body += [f"{stage}{n} = {n} + {step} * {prev}{n}" for n, _ in flows]
+        body += [f"{d}{n} = {at(stage, f)}" for n, f in flows]
+    for n, f in integrals:
+        # a multi-term integrand is summed as one value at each point
+        if " + " in f or " - " in f:
+            f = f"({f})"
+        body.append(f"{n} += w6 * ({at('', f)} + 2.0 * ({at('u', f)} + {at('v', f)}) + {at('w', f)})")
+    body += [f"{n} += w6 * (a{n} + 2.0 * (b{n} + c{n}) + d{n})" for n, _ in flows]
+    bounded = " and ".join(f"-L <= {n} <= L" for n, _ in flows + integrals)
+    body += ["L = BLOWUP_LIMIT", f"if {bounded}:", f"    return {row}", "return None"]
+    return f"def {name}(y, h, m_inv, k, hh):\n" + "".join(f"    {line}\n" for line in body)
 
 
-def _propagator_step(y, h, m_inv, k, hh):
-    """One classic RK4 step of the 17-component propagator row.
+def _linear(p, q):
+    """Flow rows of one (S1, sigma1) solution, named p and q."""
+    return ((p, "-{%s} * {S2} * m_inv + hh * {%s} * {g2}" % (p, q)),
+            (q, "-({%s} * {S2} + {g2} * {%s}) * m_inv" % (q, p)))
 
-    (S2, sigma2) and the integral of S2 take exactly the arithmetic of
-    ``_rk4_step``. The (S1, sigma1) solutions (p0, q0) and (p1, q1),
-    started at (1, 0) and (0, 1), take its linear stages, and the
-    integrals of their pairwise products take its quadrature weights; so
-    the quadratic models built from the end row are those of the
-    discrete run itself. Unrolled for the same reason as ``_rk4_step``.
-    """
-    S2, g2, p0, q0, p1, q1, A00, A01, A11, B00, B01, B11, C00, C01, C11, I2, IS = y
-    hh2 = 2.0 * hh
 
-    aS2 = -S2 * S2 * m_inv - k + hh2 * g2 * g2
-    ag2 = -g2 * S2 * m_inv
-    ap0 = -p0 * S2 * m_inv + hh * q0 * g2
-    aq0 = -(q0 * S2 + g2 * p0) * m_inv
-    ap1 = -p1 * S2 * m_inv + hh * q1 * g2
-    aq1 = -(q1 * S2 + g2 * p1) * m_inv
-
-    h2 = 0.5 * h
-    uS2 = S2 + h2 * aS2
-    ug2 = g2 + h2 * ag2
-    up0 = p0 + h2 * ap0
-    uq0 = q0 + h2 * aq0
-    up1 = p1 + h2 * ap1
-    uq1 = q1 + h2 * aq1
-    bS2 = -uS2 * uS2 * m_inv - k + hh2 * ug2 * ug2
-    bg2 = -ug2 * uS2 * m_inv
-    bp0 = -up0 * uS2 * m_inv + hh * uq0 * ug2
-    bq0 = -(uq0 * uS2 + ug2 * up0) * m_inv
-    bp1 = -up1 * uS2 * m_inv + hh * uq1 * ug2
-    bq1 = -(uq1 * uS2 + ug2 * up1) * m_inv
-
-    vS2 = S2 + h2 * bS2
-    vg2 = g2 + h2 * bg2
-    vp0 = p0 + h2 * bp0
-    vq0 = q0 + h2 * bq0
-    vp1 = p1 + h2 * bp1
-    vq1 = q1 + h2 * bq1
-    cS2 = -vS2 * vS2 * m_inv - k + hh2 * vg2 * vg2
-    cg2 = -vg2 * vS2 * m_inv
-    cp0 = -vp0 * vS2 * m_inv + hh * vq0 * vg2
-    cq0 = -(vq0 * vS2 + vg2 * vp0) * m_inv
-    cp1 = -vp1 * vS2 * m_inv + hh * vq1 * vg2
-    cq1 = -(vq1 * vS2 + vg2 * vp1) * m_inv
-
-    wS2 = S2 + h * cS2
-    wg2 = g2 + h * cg2
-    wp0 = p0 + h * cp0
-    wq0 = q0 + h * cq0
-    wp1 = p1 + h * cp1
-    wq1 = q1 + h * cq1
-    dS2 = -wS2 * wS2 * m_inv - k + hh2 * wg2 * wg2
-    dg2 = -wg2 * wS2 * m_inv
-    dp0 = -wp0 * wS2 * m_inv + hh * wq0 * wg2
-    dq0 = -(wq0 * wS2 + wg2 * wp0) * m_inv
-    dp1 = -wp1 * wS2 * m_inv + hh * wq1 * wg2
-    dq1 = -(wq1 * wS2 + wg2 * wp1) * m_inv
-
-    w6 = h / 6.0
-    A00 += w6 * (p0 * p0 + 2.0 * (up0 * up0 + vp0 * vp0) + wp0 * wp0)
-    A01 += w6 * (p0 * p1 + 2.0 * (up0 * up1 + vp0 * vp1) + wp0 * wp1)
-    A11 += w6 * (p1 * p1 + 2.0 * (up1 * up1 + vp1 * vp1) + wp1 * wp1)
-    B00 += w6 * (q0 * q0 + 2.0 * (uq0 * uq0 + vq0 * vq0) + wq0 * wq0)
-    B01 += w6 * (q0 * q1 + 2.0 * (uq0 * uq1 + vq0 * vq1) + wq0 * wq1)
-    B11 += w6 * (q1 * q1 + 2.0 * (uq1 * uq1 + vq1 * vq1) + wq1 * wq1)
-    C00 += w6 * (q0 * p0 + 2.0 * (uq0 * up0 + vq0 * vp0) + wq0 * wp0)
-    C01 += 0.5 * w6 * (q0 * p1 + q1 * p0 + 2.0 * (uq0 * up1 + uq1 * up0 + vq0 * vp1 + vq1 * vp0)
-                       + wq0 * wp1 + wq1 * wp0)
-    C11 += w6 * (q1 * p1 + 2.0 * (uq1 * up1 + vq1 * vp1) + wq1 * wp1)
-    I2 += w6 * (g2 + 2.0 * (ug2 + vg2) + wg2)
-    IS += w6 * (S2 + 2.0 * (uS2 + vS2) + wS2)
-    S2 += w6 * (aS2 + 2.0 * (bS2 + cS2) + dS2)
-    g2 += w6 * (ag2 + 2.0 * (bg2 + cg2) + dg2)
-    p0 += w6 * (ap0 + 2.0 * (bp0 + cp0) + dp0)
-    q0 += w6 * (aq0 + 2.0 * (bq0 + cq0) + dq0)
-    p1 += w6 * (ap1 + 2.0 * (bp1 + cp1) + dp1)
-    q1 += w6 * (aq1 + 2.0 * (bq1 + cq1) + dq1)
-    L = BLOWUP_LIMIT
-    if (-L <= S2 <= L and -L <= g2 <= L and -L <= p0 <= L and -L <= q0 <= L
-            and -L <= p1 <= L and -L <= q1 <= L and -L <= A00 <= L and -L <= A01 <= L
-            and -L <= A11 <= L and -L <= B00 <= L and -L <= B01 <= L and -L <= B11 <= L
-            and -L <= C00 <= L and -L <= C01 <= L and -L <= C11 <= L and -L <= I2 <= L
-            and -L <= IS <= L):
-        return S2, g2, p0, q0, p1, q1, A00, A01, A11, B00, B01, B11, C00, C01, C11, I2, IS
-    return None
+# The kernels' tables. Each row reads as its line of ``_stage``, with
+# hh2 = 2*hh. The propagator's (S2, sigma2) rows and its integral of S2
+# are the state's own entries, so those three components of its run are
+# bit-equal to ``final_state``'s; its two (S1, sigma1) solutions take
+# the state's linear rows.
+_S1, _SIGMA1 = _linear("S1", "g1")
+_S2 = ("S2", "-{S2} * {S2} * m_inv - k + hh2 * {g2} * {g2}")
+_SIGMA2 = ("g2", "-{g2} * {S2} * m_inv")
+_INT_S2 = ("qI", "{S2}")
+_KERNEL_FILE = "<qap.dynamics kernels>"
+_KERNEL_SOURCE = _render(
+    "_rk4_step",
+    (_S1, _S2, _SIGMA1, _SIGMA2),
+    (("qS", "{S1} * {S1}"), ("qG", "{g1} * {g1} + {g2}"), ("qC", "{g1} * {S1} + 2.0 * {S2}"),
+     _INT_S2),
+) + _render(
+    "_propagator_step",
+    (_S2, _SIGMA2, *_linear("p0", "q0"), *_linear("p1", "q1")),
+    (("A00", "{p0} * {p0}"), ("A01", "{p0} * {p1}"), ("A11", "{p1} * {p1}"),
+     ("B00", "{q0} * {q0}"), ("B01", "{q0} * {q1}"), ("B11", "{q1} * {q1}"),
+     ("C00", "{q0} * {p0}"), ("C01", "0.5 * ({q0} * {p1} + {q1} * {p0})"), ("C11", "{q1} * {p1}"),
+     ("I2", "{g2}"), _INT_S2),
+)
+# registered so that tracebacks, ``inspect.getsource`` and profilers show kernel lines
+linecache.cache[_KERNEL_FILE] = (len(_KERNEL_SOURCE), None, _KERNEL_SOURCE.splitlines(True),
+                                 _KERNEL_FILE)
+_kernels = {}
+exec(compile(_KERNEL_SOURCE, _KERNEL_FILE, "exec"), globals(), _kernels)
+#: one RK4 step of the eight-component state tuple
+_rk4_step = _kernels["_rk4_step"]
+#: one RK4 step of the 17-component propagator row
+_propagator_step = _kernels["_propagator_step"]
 
 
 def _blow_up(spec, t_last, times, rows, method, step):
@@ -399,9 +313,10 @@ def _fixed(spec, init, step, keep, propagate=False):
 
     The grid has ceil(T/step) intervals, the last one shortened to land
     on T exactly. A blow-up raises ``BlowUpError`` at the last good time,
-    carrying the partial grid only if ``keep``. With ``propagate`` the
-    kernel is ``_propagator_step``, from its own start row, after the
-    same check of the initial data.
+    carrying the partial grid only if ``keep``. The kernel is
+    ``_rk4_step``, or with ``propagate`` ``_propagator_step`` from its
+    own start row, after the same check of the initial data; either is
+    looked up as a module global at call, so a test can swap it.
     """
     y, m_inv, k, hh, step, T = _start(spec, init, step)
     n = _n_steps(T, step)
@@ -449,8 +364,10 @@ def propagator(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_ST
     holds, at t = T: S2, sigma2; the solutions (S1, sigma1) started at
     (1, 0) and at (0, 1); the integrals of S1_i S1_j, sigma1_i sigma1_j
     and (sigma1_i S1_j + sigma1_j S1_i)/2 for i <= j; and the integrals
-    of sigma2 and S2. Its S2, sigma2 and integral of S2 are bit-equal to
-    ``final_state``'s. ``extremize.endpoint_models`` turns the row into the
+    of sigma2 and S2. Its kernel's table shares the state kernel's rows
+    for S2, sigma2 and the integral of S2, so those three are bit-equal
+    to ``final_state``'s, and every integral is the RK4 quadrature of its
+    own integrand. ``extremize.endpoint_models`` turns the row into the
     models. Same input check and blow-up exit as ``final_state``; the
     bound applies to the row's own 17 components.
     """

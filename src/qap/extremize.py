@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import EigenvalueReport, eigenvalue, endpoint_report, json_17g
-from .dynamics import final_state, integrate, propagator
+from .dynamics import DEFAULT_STEP, final_state, integrate, propagator
 from .errors import BlowUpError, FDFailureError
 from .model import COORD_NAMES, InitialData, OscillatorSpec, parse_active
 
@@ -161,7 +161,7 @@ def objective(
     init: InitialData,
     spec: OscillatorSpec,
     penalty_weight: float = 0.0,
-    step: float = 1e-3,
+    step: float = DEFAULT_STEP,
 ) -> float:
     """Eigenvalue plus optional quadratic constraint penalty.
 
@@ -308,7 +308,7 @@ def stationarity_check(
     spec: OscillatorSpec,
     active=None,
     penalty_weight: float = 0.0,
-    step: float = 1e-3,
+    step: float = DEFAULT_STEP,
     *,
     centre: tuple[float, np.ndarray, np.ndarray] | None = None,
 ) -> StationarityReport:
@@ -391,7 +391,7 @@ def optimize(
     penalty_weight: float = 0.0,
     restarts: int = 5,
     seed: int = 42,
-    step: float = 1e-3,
+    step: float = DEFAULT_STEP,
 ) -> ExtremumResult:
     """Find a stationary point of the objective over the active coordinates.
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import FrozenInstanceError, replace
 from io import StringIO
@@ -53,32 +54,46 @@ class TestRhs:
     )
     @settings(max_examples=100)
     def test_unrolled_step_matches_stage_reference(self, vals, hbar):
-        # the hand-unrolled RK4 body must stay in lockstep with _stage
+        # the rendered RK4 body must equal a generic RK4 over _stage, bit for bit
         s = OscillatorSpec(m=1.3, k=0.8, hbar_tilde=hbar)
         m_inv = 1.0 / s.m
         hh = s.hbar_tilde**2 * 0.5 * m_inv
         y = (*vals, 0.1, 0.2, 0.3, 0.4)
-        h = 0.01
+        rhs = lambda yy: _stage(yy[0], yy[1], yy[2], yy[3], m_inv, s.k, hh)
+        assert _rk4_step(y, 0.01, m_inv, s.k, hh) == generic_rk4(rhs, y, 0.01)
 
-        def ref_step(y, h):
-            # generic tuple-based RK4 over all eight components
-            def at(y0, w, d):
-                return tuple(y0[i] + w * d[i] for i in range(8))
-            def full(yy):
-                return _stage(yy[0], yy[1], yy[2], yy[3], m_inv, s.k, hh)
-            k1 = full(y)
-            k2 = full(at(y, 0.5 * h, k1))
-            k3 = full(at(y, 0.5 * h, k2))
-            k4 = full(at(y, h, k3))
-            return tuple(
-                y[i] + h / 6.0 * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
-                for i in range(8)
-            )
+    def test_rendered_kernels_show_their_source(self):
+        for name in ("_rk4_step", "_propagator_step"):
+            assert inspect.getsource(getattr(dynamics, name)).startswith(f"def {name}(")
 
-        fast = _rk4_step(y, h, m_inv, s.k, hh)
-        slow = ref_step(y, h)
-        for a, b in zip(fast, slow):
-            assert a == pytest.approx(b, rel=1e-15, abs=1e-15)
+
+def generic_rk4(rhs, y, h):
+    """One classic RK4 step of ``y' = rhs(y)``, component-generic over tuples."""
+    def at(w, d):
+        return tuple(y[i] + w * d[i] for i in range(len(y)))
+    k1 = rhs(y)
+    k2 = rhs(at(0.5 * h, k1))
+    k3 = rhs(at(0.5 * h, k2))
+    k4 = rhs(at(h, k3))
+    return tuple(
+        y[i] + h / 6.0 * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(len(y))
+    )
+
+
+def propagator_rhs(m_inv, k, hh):
+    """The 17-component right-hand side of ``propagator``'s row, as its docstring gives it."""
+    def rhs(y):
+        S2, g2, p0, q0, p1, q1 = y[:6]
+        a = _stage(p0, S2, q0, g2, m_inv, k, hh)  # (S1, sigma1) started at (1, 0)
+        b = _stage(p1, S2, q1, g2, m_inv, k, hh)  # and at (0, 1)
+        return (
+            a[1], a[3], a[0], a[2], b[0], b[2],
+            p0 * p0, p0 * p1, p1 * p1,  # S1_i S1_j
+            q0 * q0, q0 * q1, q1 * q1,  # sigma1_i sigma1_j
+            q0 * p0, 0.5 * (q0 * p1 + q1 * p0), q1 * p1,  # (sigma1_i S1_j + sigma1_j S1_i)/2
+            g2, S2,
+        )
+    return rhs
 
 
 class TestIntegrate:
@@ -295,6 +310,18 @@ def pin_cases():
 
 
 class TestPropagator:
+    @given(
+        vals=st.lists(st.floats(-3, 3), min_size=17, max_size=17),
+        hbar=st.floats(0, 2),
+    )
+    @settings(max_examples=100)
+    def test_step_matches_generic_reference(self, vals, hbar):
+        m_inv, k = 1.0 / 1.3, 0.8
+        hh = hbar**2 * 0.5 * m_inv
+        y = tuple(vals)
+        want = generic_rk4(propagator_rhs(m_inv, k, hh), y, 0.01)
+        assert dynamics._propagator_step(y, 0.01, m_inv, k, hh) == want
+
     def test_riccati_pair_bit_equal_to_final_state(self):
         for spec, init, step in pin_cases():
             row, state = propagator(spec, init, step), final_state(spec, init, step)
