@@ -21,7 +21,7 @@ diagnostic used to verify the exponential identity
 sigma2(t) = sigma20 * exp(-qIntS2(t)/m) and is not part of the CSV
 contract.
 
-One fixed-step loop drives two unrolled RK4 kernels, which one
+One fixed-step loop drives four unrolled RK4 kernels, which one
 renderer, ``_render``, writes and compiles at import from tables of
 right-hand-side rows. ``_rk4_step`` steps the eight-component state,
 for ``integrate(method="rk4")``, which keeps the trajectory, and for
@@ -31,14 +31,46 @@ steps a 17-component row for ``propagator``: (S2, sigma2), the linear
 products, from which ``extremize.endpoint_models`` builds the
 eigenvalue and the constraint residual as exact quadratics in (S10,
 sigma10). The step-doubling loop behind ``rk4_adaptive`` is separate
-and reuses ``_rk4_step``. All of them share one entry (the input
-check, which hands the loop only Python floats, since the unrolled
-step runs about three times slower on numpy scalars) and one blow-up
-exit. Each kernel bounds its new row itself, one chained comparison
-per component: a component outside [-BLOWUP_LIMIT, BLOWUP_LIMIT], or
-NaN, makes it return None, and the loop raises ``BlowUpError`` at the
-last good time. ``_stage`` is the hand-written reference the tests pin
-both kernels against.
+and steps the same state kernels. All of them share one entry (the
+input check, which hands the loop only Python floats, since the
+unrolled step runs about three times slower on numpy scalars) and one
+blow-up exit. Each kernel bounds its new row itself, one chained
+comparison per component: a component outside [-BLOWUP_LIMIT,
+BLOWUP_LIMIT], or NaN, makes it return None, and the loop raises
+``BlowUpError`` at the last good time. ``_stage`` is the hand-written
+reference the tests pin every kernel against.
+
+Zero amplitude is an invariant subspace of the flow: with sigma10 =
+sigma20 = 0, sigma1 and sigma2 stay exactly 0 at every hbar_tilde, and
+(S1, S2) follow the classical pair S1' = -S1*S2/m, S2' = -S2^2/m - k.
+``_kernel_for`` sends such a run (sigma20 = 0 suffices for the
+propagator, whose row does not depend on sigma10) to a kernel of five
+live components: ``_zero_amplitude_step`` steps (S1, S2, qS, qCon,
+qIntS2), ``_zero_amplitude_propagator_step`` steps S1, S2 and the
+integrals of S1^2, S1^2/2 and S2. ``_state_row`` and
+``_propagator_row`` rebuild the full rows, at the end of a run or at
+each kept row, equal bit for bit to the general kernels' rows:
+
+- The entry turns -0.0 into 0.0. A component that starts at +0.0 and
+  gains only zeros stays +0.0, since x + (-0.0) is x; so sigma1,
+  sigma2 and every integral of a product with them stay +0.0, and the
+  hh terms they multiply add a zero, which can flip only the sign of a
+  zero derivative. No state or stage value sees that sign: each is
+  x + h*d, with x nonzero or +0.0.
+- The propagator's solution from (0, 1) is (0, S1): its sigma1 obeys
+  S1's equation from S1's start. So B11 has A00's integrand, and C01
+  has S1^2/2 at every point.
+- qCon and C01 are carried, not rebuilt as 2*qIntS2 and A00/2: each
+  carried integrand is the value the general integrand takes at every
+  point, while scaling an integral rounds otherwise once its
+  increments are subnormal.
+- The bounds cover the same values. The general kernels' extra
+  components are zeros, NaN only where a stage of S1 or S2 is already
+  infinite, which puts S1, S2 or qS out of bounds too; and the state
+  kernel bounds qCon = 2*qIntS2 itself.
+
+``model.validate`` keeps 1/m and hbar_tilde^2/m finite, so a dropped
+hh term is exactly zero and not NaN.
 
 A kept trajectory is a ``SolutionGrid`` of the rows the loop builds,
 stored as tuples of Python floats. Its CSV writer and its readers in
@@ -59,7 +91,7 @@ from dataclasses import FrozenInstanceError, replace
 from typing import TextIO
 
 from .errors import BlowUpError, DegenerateProbeError
-from .model import InitialData, OscillatorSpec, validate
+from .model import InitialData, OscillatorSpec, flow_coefficients, validate
 
 #: any state component beyond this magnitude counts as a blow-up
 BLOWUP_LIMIT = 1e12
@@ -222,8 +254,10 @@ def _render(name, flows, integrals):
     def at(stage, expr):
         return expr.format(**{n: stage + n for n, _ in flows})
 
-    body = [f'"""One RK4 step of ({row}); rendered by ``_render``."""',
-            f"{row} = y", "hh2 = 2.0 * hh", "h2 = 0.5 * h", "w6 = h / 6.0"]
+    body = [f'"""One RK4 step of ({row}); rendered by ``_render``."""', f"{row} = y"]
+    if any("hh2" in f for _, f in flows):
+        body.append("hh2 = 2.0 * hh")
+    body += ["h2 = 0.5 * h", "w6 = h / 6.0"]
     body += [f"a{n} = {at('', f)}" for n, f in flows]
     for prev, d, stage, step in (("a", "b", "u", "h2"), ("b", "c", "v", "h2"), ("c", "d", "w", "h")):
         body += [f"{stage}{n} = {n} + {step} * {prev}{n}" for n, _ in flows]
@@ -253,13 +287,17 @@ def _linear(p, q):
 _S1, _SIGMA1 = _linear("S1", "g1")
 _S2 = ("S2", "-{S2} * {S2} * m_inv - k + hh2 * {g2} * {g2}")
 _SIGMA2 = ("g2", "-{g2} * {S2} * m_inv")
+_INT_S1S1 = ("qS", "{S1} * {S1}")
 _INT_S2 = ("qI", "{S2}")
+# The zero-amplitude kernels' flow rows are the S1 and S2 rows with their
+# hh terms, products with sigma1 and sigma2, dropped; each integrand is
+# the one the general kernel evaluates on that subspace.
+_ZERO_FLOWS = (("S1", "-{S1} * {S2} * m_inv"), ("S2", "-{S2} * {S2} * m_inv - k"))
 _KERNEL_FILE = "<qap.dynamics kernels>"
 _KERNEL_SOURCE = _render(
     "_rk4_step",
     (_S1, _S2, _SIGMA1, _SIGMA2),
-    (("qS", "{S1} * {S1}"), ("qG", "{g1} * {g1} + {g2}"), ("qC", "{g1} * {S1} + 2.0 * {S2}"),
-     _INT_S2),
+    (_INT_S1S1, ("qG", "{g1} * {g1} + {g2}"), ("qC", "{g1} * {S1} + 2.0 * {S2}"), _INT_S2),
 ) + _render(
     "_propagator_step",
     (_S2, _SIGMA2, *_linear("p0", "q0"), *_linear("p1", "q1")),
@@ -267,6 +305,11 @@ _KERNEL_SOURCE = _render(
      ("B00", "{q0} * {q0}"), ("B01", "{q0} * {q1}"), ("B11", "{q1} * {q1}"),
      ("C00", "{q0} * {p0}"), ("C01", "0.5 * ({q0} * {p1} + {q1} * {p0})"), ("C11", "{q1} * {p1}"),
      ("I2", "{g2}"), _INT_S2),
+) + _render(
+    "_zero_amplitude_step", _ZERO_FLOWS, (_INT_S1S1, ("qC", "2.0 * {S2}"), _INT_S2),
+) + _render(
+    "_zero_amplitude_propagator_step", _ZERO_FLOWS,
+    (_INT_S1S1, ("C01", "0.5 * ({S1} * {S1})"), _INT_S2),
 )
 # registered so that tracebacks, ``inspect.getsource`` and profilers show kernel lines
 linecache.cache[_KERNEL_FILE] = (len(_KERNEL_SOURCE), None, _KERNEL_SOURCE.splitlines(True),
@@ -277,11 +320,52 @@ exec(compile(_KERNEL_SOURCE, _KERNEL_FILE, "exec"), globals(), _kernels)
 _rk4_step = _kernels["_rk4_step"]
 #: one RK4 step of the 17-component propagator row
 _propagator_step = _kernels["_propagator_step"]
+#: one RK4 step of (S1, S2, qS, qCon, qIntS2) on the zero-amplitude subspace
+_zero_amplitude_step = _kernels["_zero_amplitude_step"]
+#: one RK4 step of (S1, S2, A00, C01, qIntS2) of a propagator run with sigma20 = 0
+_zero_amplitude_propagator_step = _kernels["_zero_amplitude_propagator_step"]
 
 
-def _blow_up(spec, t_last, times, rows, method, step):
+def _state_row(y):
+    """The eight-component state row of a zero-amplitude kernel row."""
+    S1, S2, qS, qC, qI = y
+    return (S1, S2, 0.0, 0.0, qS, 0.0, qC, qI)
+
+
+def _propagator_row(y):
+    """The 17-component propagator row of a zero-amplitude kernel row: the
+    solution from (1, 0) is (S1, 0), the one from (0, 1) is (0, S1)."""
+    S1, S2, A00, C01, qI = y
+    return (S2, 0.0, S1, 0.0, 0.0, S1, A00, 0.0, 0.0, 0.0, 0.0, A00, 0.0, C01, 0.0, 0.0, qI)
+
+
+def _kernel_for(y, propagate):
+    """The kernel a run from the start row ``y`` steps, the kernel's own
+    start row, and the map from its rows to full ones (None if they are).
+
+    Zero initial amplitude, which the flow keeps exactly zero, takes a
+    zero-amplitude kernel: sigma10 = sigma20 = 0 for the state, sigma20 = 0
+    for the propagator, whose row does not depend on sigma10. The kernels
+    are looked up as module globals at call, so a test can swap one.
+    """
+    if propagate:
+        if y[3] == 0.0:
+            return _zero_amplitude_propagator_step, (1.0, y[1], 0.0, 0.0, 0.0), _propagator_row
+        # (S2, sigma2), the (S1, sigma1) solutions from (1, 0) and (0, 1), zero integrals
+        return _propagator_step, (y[1], y[3], 1.0, 0.0, 0.0, 1.0) + (0.0,) * 11, None
+    if y[2] == 0.0 and y[3] == 0.0:
+        return _zero_amplitude_step, (y[0], y[1], 0.0, 0.0, 0.0), _state_row
+    return _rk4_step, y, None
+
+
+def _grid(spec, times, rows, widen, method, step):
+    return SolutionGrid(spec, times, rows if widen is None else list(map(widen, rows)),
+                        method, step)
+
+
+def _blow_up(spec, t_last, times, rows, widen, method, step):
     """Raise ``BlowUpError`` at ``t_last``, with the partial grid if rows were kept."""
-    partial = None if rows is None else SolutionGrid(spec, times, rows, method, step)
+    partial = None if rows is None else _grid(spec, times, rows, widen, method, step)
     raise BlowUpError(t_last, partial)
 
 
@@ -294,11 +378,9 @@ def _start(spec, init, step):
     for name, v in zip(("S10", "S20", "sigma10", "sigma20"), init.as_tuple()):
         if not math.isfinite(v):
             raise ValueError(f"initial data {name} is not finite")
-    y = tuple(float(v) for v in init.as_tuple()) + (0.0, 0.0, 0.0, 0.0)
-    m_inv = 1.0 / float(spec.m)
-    hb = float(spec.hbar_tilde)
-    hh = hb * hb * 0.5 * m_inv
-    return y, m_inv, float(spec.k), hh, float(step), float(spec.T)
+    # + 0.0 turns -0.0 into 0.0: no kernel then ever sees a negative zero
+    y = tuple(float(v) + 0.0 for v in init.as_tuple()) + (0.0, 0.0, 0.0, 0.0)
+    return (y, *flow_coefficients(spec), float(step), float(spec.T))
 
 
 def _n_steps(T, step):
@@ -313,34 +395,32 @@ def _fixed(spec, init, step, keep, propagate=False):
 
     The grid has ceil(T/step) intervals, the last one shortened to land
     on T exactly. A blow-up raises ``BlowUpError`` at the last good time,
-    carrying the partial grid only if ``keep``. The kernel is
-    ``_rk4_step``, or with ``propagate`` ``_propagator_step`` from its
-    own start row, after the same check of the initial data; either is
-    looked up as a module global at call, so a test can swap it.
+    carrying the partial grid only if ``keep``. ``_kernel_for`` picks the
+    kernel from the initial data; with ``propagate`` it steps the
+    propagator row, after the same check of the initial data.
     """
     y, m_inv, k, hh, step, T = _start(spec, init, step)
     n = _n_steps(T, step)
+    kernel, start, widen = _kernel_for(y, propagate)
     times = [0.0] if keep else None
-    rows = [y] if keep else None
+    rows = [start] if keep else None
     t_prev = 0.0
     if not all(-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT for v in y):
-        _blow_up(spec, t_prev, times, rows, "rk4", step)
-    kernel = _rk4_step
-    if propagate:
-        # (S2, sigma2), the (S1, sigma1) solutions from (1, 0) and (0, 1), zero integrals
-        y = (y[1], y[3], 1.0, 0.0, 0.0, 1.0) + (0.0,) * 11
-        kernel = _propagator_step
+        _blow_up(spec, t_prev, times, rows, widen, "rk4", step)
+    y = start
     for i in range(1, n + 1):
         # last step shortened so the grid lands on T exactly
         t = i * step if i < n else T
         y = kernel(y, t - t_prev, m_inv, k, hh)
         if y is None:
-            _blow_up(spec, t_prev, times, rows, "rk4", step)
+            _blow_up(spec, t_prev, times, rows, widen, "rk4", step)
         if keep:
             times.append(t)
             rows.append(y)
         t_prev = t
-    return SolutionGrid(spec, times, rows, "rk4", step) if keep else y
+    if keep:
+        return _grid(spec, times, rows, widen, "rk4", step)
+    return y if widen is None else widen(y)
 
 
 def final_state(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP):
@@ -376,24 +456,26 @@ def propagator(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_ST
 
 def _integrate_adaptive(spec, init, step):
     y, m_inv, k, hh, step, T = _start(spec, init, step)
+    kernel, y, widen = _kernel_for(y, False)
     times = [0.0]
     rows = [y]
     t = 0.0
     if not all(-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT for v in y):
-        _blow_up(spec, t, times, rows, "rk4_adaptive", step)
+        _blow_up(spec, t, times, rows, widen, "rk4_adaptive", step)
     h = min(step, T)
     h_min = 1e-12 * max(1.0, T)
     while t < T:
         h = min(h, T - t)
         if h < h_min:
-            _blow_up(spec, t, times, rows, "rk4_adaptive", step)
-        coarse = _rk4_step(y, h, m_inv, k, hh)
-        half = _rk4_step(y, 0.5 * h, m_inv, k, hh)
-        fine = None if half is None else _rk4_step(half, 0.5 * h, m_inv, k, hh)
+            _blow_up(spec, t, times, rows, widen, "rk4_adaptive", step)
+        coarse = kernel(y, h, m_inv, k, hh)
+        half = kernel(y, 0.5 * h, m_inv, k, hh)
+        fine = None if half is None else kernel(half, 0.5 * h, m_inv, k, hh)
         if coarse is None or fine is None:
             h *= 0.25
             continue
-        # step-doubling error estimate for a 4th-order step
+        # step-doubling error estimate for a 4th-order step; the components
+        # a zero-amplitude row leaves out are exact zeros, which add 0 to it
         ratio = 0.0
         for yc, yf in zip(coarse, fine):
             err = abs(yf - yc) / 15.0
@@ -410,7 +492,7 @@ def _integrate_adaptive(spec, init, step):
             h *= max(0.2, 0.9 * ratio ** -0.2)
     # floating accumulation may land within one ulp of T; pin it
     times[-1] = T
-    return SolutionGrid(spec, times, rows, "rk4_adaptive", step)
+    return _grid(spec, times, rows, widen, "rk4_adaptive", step)
 
 
 def integrate(

@@ -29,7 +29,7 @@ from .errors import (
     ResonanceError,
     SingularityError,
 )
-from .model import InitialData, resonant, t0_to_S20
+from .model import InitialData, resonant, t0_to_S20, validation_errors
 
 log = logging.getLogger("qap")
 
@@ -117,6 +117,10 @@ def _require_t0_grid(cfg: ExperimentConfig, command: str) -> None:
 def _require_hbar_grid(cfg: ExperimentConfig, command: str) -> None:
     if cfg.hbar_grid is None:
         raise ConfigError(f"{command} needs [sweep] hbar_grid")
+    for hb in cfg.hbar_grid:
+        errors = validation_errors(replace(cfg.spec, hbar_tilde=float(hb)))
+        if errors:
+            raise ConfigError(f"hbar_grid entry {hb!r} gives {'; '.join(errors)}")
 
 
 def cmd_integrate(cfg: ExperimentConfig, out_dir: Path) -> int:

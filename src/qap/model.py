@@ -5,7 +5,8 @@ setup (mass, stiffness, quantum scale, horizon, boundary positions);
 ``InitialData`` holds the four coefficient values the action eigenvalue
 is extremized over; ``COORD_NAMES`` names them and ``parse_active``
 turns a selection of them into four flags. ``validate`` checks a spec's
-invariants; the config loader and every integration call it.
+invariants, finite flow coefficients among them; the config loader and
+every integration call it.
 """
 
 from __future__ import annotations
@@ -112,7 +113,21 @@ def validation_errors(spec: OscillatorSpec) -> list[str]:
             errors.append("NegativeStiffness")
         if spec.hbar_tilde < 0:
             errors.append("NegativeHbar")
+        if spec.m > 0:
+            # as the RK4 kernels form them; the S2 row's coefficient is 2*hh
+            m_inv, _, hh = flow_coefficients(spec)
+            if not math.isfinite(m_inv):
+                errors.append("NonFinite(1/m)")
+            elif not math.isfinite(2.0 * hh):
+                errors.append("NonFinite(hbar_tilde**2/m)")
     return errors
+
+
+def flow_coefficients(spec: OscillatorSpec) -> tuple[float, float, float]:
+    """The flow's coefficients (1/m, k, hbar_tilde^2/(2m)) as Python floats."""
+    m_inv = 1.0 / float(spec.m)
+    hb = float(spec.hbar_tilde)
+    return m_inv, float(spec.k), hb * hb * 0.5 * m_inv
 
 
 def validate(spec: OscillatorSpec) -> OscillatorSpec:

@@ -249,6 +249,23 @@ class TestIntegrateCommand:
         assert text.rstrip().splitlines()[-1].startswith("# BLOWUP last_good_t=")
         assert "BLOWUP" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method", ["rk4", "rk4_adaptive"])
+    @pytest.mark.parametrize("key", ["S10", "S20", "sigma10", "sigma20", "t0"])
+    def test_negative_zero_init_writes_the_bytes_of_zero(self, tmp_path, capsys, key, method):
+        init = {"S10": "0.5", "S20": "0.2", "sigma10": "0.0", "sigma20": "0.0"}
+        if key == "t0":
+            del init["S20"]
+        outputs = []
+        for value in ("0.0", "-0.0"):
+            lines = "".join(f"{k} = {v}\n" for k, v in {**init, key: value}.items())
+            path = write_config(tmp_path, f"[spec]\nhbar_tilde = 0.4\n[init]\n{lines}"
+                                          f"[grid]\nh = 0.05\nmethod = {method}\n")
+            out = tmp_path / value
+            assert main(["integrate", "--config", path, "--out", str(out)]) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            outputs.append((stdout, (out / "solution.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_byte_identical_reruns(self, config_path, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["integrate", "--config", config_path, "--out", str(out_a)]) == 0
@@ -306,11 +323,17 @@ def test_invalid_spec_exits_2_for_every_command(tmp_path, capsys, command):
     # the spec is checked as the config loads, before t0 -> S20 divides by
     # m and before any output directory is made
     out = tmp_path / "out"
-    for init in ("S10 = 1.0", "t0 = 0.5"):
-        path = write_config(tmp_path, f"[spec]\nT = 0.0\nm = -1.0\n[init]\n{init}\n")
-        assert main([command, "--config", path, "--out", str(out)]) == 2
-        assert "error: NonPositiveMass; NonPositiveHorizon" in capsys.readouterr().out
-        assert not out.exists()
+    for spec, error in (("T = 0.0\nm = -1.0", "NonPositiveMass; NonPositiveHorizon"),
+                        # coefficients of the flow that overflow
+                        ("hbar_tilde = 1e160", "NonFinite(hbar_tilde**2/m)"),
+                        ("hbar_tilde = 1e200", "NonFinite(hbar_tilde**2/m)"),
+                        ("hbar_tilde = 1.3e154\nm = 0.6", "NonFinite(hbar_tilde**2/m)"),
+                        ("m = 1e-320", "NonFinite(1/m)")):
+        for init in ("S10 = 1.0", "t0 = 0.5"):
+            path = write_config(tmp_path, f"[spec]\n{spec}\n[init]\n{init}\n")
+            assert main([command, "--config", path, "--out", str(out)]) == 2
+            assert f"error: {error}\n" in capsys.readouterr().out
+            assert not out.exists()
 
 
 NO_INIT = "[spec]\nm = 1.0\n"
@@ -452,6 +475,15 @@ class TestSweepHbarCommand:
         out = tmp_path / "out"
         assert main(["sweep-hbar", "--config", path, "--out", str(out)]) == 2
         assert "config error: hbar_grid must be >= 0" in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_overflowing_hbar_entry_rejected_before_output(self, tmp_path, capsys):
+        text = QUANTUM_INI.replace("hbar_grid = 0.02,0.04,0.08,0.16", "hbar_grid = 0.1,1e160")
+        path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["sweep-hbar", "--config", path, "--out", str(out)]) == 2
+        assert ("config error: hbar_grid entry 1e+160 gives NonFinite(hbar_tilde**2/m)"
+                in capsys.readouterr().out)
         assert not out.exists()
 
     def test_silent_amplitude_rows_identical(self, tmp_path):

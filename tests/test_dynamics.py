@@ -59,11 +59,11 @@ class TestRhs:
         m_inv = 1.0 / s.m
         hh = s.hbar_tilde**2 * 0.5 * m_inv
         y = (*vals, 0.1, 0.2, 0.3, 0.4)
-        rhs = lambda yy: _stage(yy[0], yy[1], yy[2], yy[3], m_inv, s.k, hh)
-        assert _rk4_step(y, 0.01, m_inv, s.k, hh) == generic_rk4(rhs, y, 0.01)
+        assert _rk4_step(y, 0.01, m_inv, s.k, hh) == generic_rk4(state_rhs(m_inv, s.k, hh), y, 0.01)
 
     def test_rendered_kernels_show_their_source(self):
-        for name in ("_rk4_step", "_propagator_step"):
+        for name in ("_rk4_step", "_propagator_step", "_zero_amplitude_step",
+                     "_zero_amplitude_propagator_step"):
             assert inspect.getsource(getattr(dynamics, name)).startswith(f"def {name}(")
 
 
@@ -78,6 +78,11 @@ def generic_rk4(rhs, y, h):
     return tuple(
         y[i] + h / 6.0 * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(len(y))
     )
+
+
+def state_rhs(m_inv, k, hh):
+    """The eight-component right-hand side of the state, from ``_stage``."""
+    return lambda y: _stage(y[0], y[1], y[2], y[3], m_inv, k, hh)
 
 
 def propagator_rhs(m_inv, k, hh):
@@ -249,17 +254,44 @@ class TestBlowUp:
             assert b.value.partial is None
 
 
-#: each kernel with a run it drives and the length of its row
+#: where each component of a zero-amplitude kernel's row lands in the full row
+STATE_AT = (0, 1, 4, 6, 7)
+PROPAGATOR_AT = (2, 0, 6, 13, 16)
+QUANTUM, SILENT = InitialData(1.0, 0.2, 0.3, 0.8), InitialData(1.0, 0.2, 0.0, 0.0)
+
+
+def fixed_run(s, i):
+    return final_state(s, i, step=0.25)
+
+
+def adaptive_run(s, i):
+    return integrate(s, i, step=0.25, method="rk4_adaptive").data[-1]
+
+
+def propagator_run(s, i):
+    return propagator(s, i, step=0.25)
+
+
+#: each kernel with a run it drives, that run's initial data, and where
+#: each component of the kernel's row lands in the run's result
 KERNELS = [
-    ("_rk4_step", lambda s, i: final_state(s, i, step=0.25), 8),
-    ("_rk4_step", lambda s, i: integrate(s, i, step=0.25, method="rk4_adaptive").data[-1], 8),
-    ("_propagator_step", lambda s, i: propagator(s, i, step=0.25), 17),
+    ("_rk4_step", fixed_run, QUANTUM, range(8)),
+    ("_rk4_step", adaptive_run, QUANTUM, range(8)),
+    ("_propagator_step", propagator_run, QUANTUM, range(17)),
+    ("_zero_amplitude_step", fixed_run, SILENT, STATE_AT),
+    ("_zero_amplitude_step", adaptive_run, SILENT, STATE_AT),
+    ("_zero_amplitude_propagator_step", propagator_run, SILENT, PROPAGATOR_AT),
+    # the propagator's row does not depend on sigma10
+    ("_zero_amplitude_propagator_step", propagator_run, replace(SILENT, sigma10=0.3),
+     PROPAGATOR_AT),
 ]
 PAST_LIMIT = [math.nan, math.inf, -math.inf, math.nextafter(BLOWUP_LIMIT, math.inf),
               -math.nextafter(BLOWUP_LIMIT, math.inf)]
 
 
-@pytest.mark.parametrize("kernel, run, width", KERNELS, ids=["fixed", "adaptive", "propagator"])
+@pytest.mark.parametrize("kernel, run, init, at", KERNELS, ids=[
+    "fixed", "adaptive", "propagator", "zero-amplitude-fixed", "zero-amplitude-adaptive",
+    "zero-amplitude-propagator", "zero-amplitude-propagator-sigma10"])
 class TestBoundCheck:
     """Each kernel bounds every component of its new row by BLOWUP_LIMIT.
 
@@ -280,18 +312,18 @@ class TestBoundCheck:
         monkeypatch.setattr(dynamics, kernel, stepped)
 
     @pytest.mark.parametrize("value", PAST_LIMIT)
-    def test_past_limit_blows_up(self, monkeypatch, spec, kernel, run, width, value):
-        for component in range(width):
+    def test_past_limit_blows_up(self, monkeypatch, spec, kernel, run, init, at, value):
+        for component in range(len(at)):
             self.inject(monkeypatch, kernel, component, value)
             with pytest.raises(BlowUpError):
-                run(spec, InitialData(1.0, 0.2, 0.3, 0.8))
+                run(spec, init)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("value", [BLOWUP_LIMIT, -BLOWUP_LIMIT])
-    def test_limit_itself_is_kept(self, monkeypatch, spec, kernel, run, width, value):
-        for component in range(width):
+    def test_limit_itself_is_kept(self, monkeypatch, spec, kernel, run, init, at, value):
+        for component, position in enumerate(at):
             self.inject(monkeypatch, kernel, component, value)
-            assert run(spec, InitialData(1.0, 0.2, 0.3, 0.8))[component] == value
+            assert run(spec, init)[position] == value
             monkeypatch.undo()
 
 
@@ -352,6 +384,100 @@ class TestPropagator:
         assert b.value.partial is None
 
 
+def general_kernel(y, propagate):
+    """``dynamics._kernel_for`` without its zero-amplitude branches."""
+    if propagate:
+        return dynamics._propagator_step, (y[1], y[3], 1.0, 0.0, 0.0, 1.0) + (0.0,) * 11, None
+    return dynamics._rk4_step, y, None
+
+
+def zero_amplitude_cases():
+    """Seeded zero-amplitude inputs: +-0.0 in every coordinate, hbar_tilde = 0
+    and > 0, steps that do and do not divide T, and caustics inside T."""
+    rng = np.random.default_rng(20261019)
+    for i in range(40):
+        m, k = rng.uniform(0.5, 2.0), float(rng.choice([0.0, rng.uniform(0.1, 2.0)]))
+        T = rng.uniform(0.5, 2.0)
+        spec = OscillatorSpec(m=m, k=k, hbar_tilde=float(rng.choice([0.0, rng.uniform(0.1, 1.0)])),
+                              T=T, x0=rng.uniform(-1.0, 1.0), xT=rng.uniform(-1.0, 1.0))
+        # S20 < -m/T puts the caustic inside T, at k = 0 and earlier at k > 0
+        S10, S20 = rng.uniform(-2.0, 2.0), rng.uniform(-4.0, 1.0) * m / T
+        if i % 4 == 0:
+            S10 = float(rng.choice([0.0, -0.0]))
+        if i % 4 == 1:
+            S20 = float(rng.choice([0.0, -0.0]))
+        sigma10, sigma20 = (float(v) for v in rng.choice([0.0, -0.0], 2))
+        step = T / 8 if i % 2 else float(rng.choice([1e-2, 0.07, 0.15]))
+        yield spec, InitialData(S10, S20, sigma10, sigma20), step
+    # the general kernel bounds qCon = 2*qIntS2 by BLOWUP_LIMIT: this run
+    # blows up at t = 50, with qIntS2 = 5e11
+    yield OscillatorSpec(m=1e30, k=0.0, T=80.0), InitialData(1.0, 1e10), 0.1
+    # subnormal steps: 2*qIntS2 and A00/2 would round differently from the
+    # general kernel's qCon and C01
+    yield OscillatorSpec(T=6e-319), InitialData(1.0, 0.3), 3e-320
+    yield OscillatorSpec(m=1e-308, k=0.0, T=2e-307), InitialData(1.0, 0.2), 1e-308
+
+
+def outcome(run, *args):
+    """repr of a run's result, or of its blow-up time and partial grid."""
+    try:
+        result = run(*args)
+    except BlowUpError as err:
+        partial = err.partial and (err.partial._times, err.partial._rows)
+        return repr(("blowup", err.t_last, partial))
+    if isinstance(result, dynamics.SolutionGrid):
+        return repr((result._times, result._rows))
+    return repr(result)
+
+
+ZERO_AMPLITUDE_KERNELS = [
+    ("_zero_amplitude_step", state_rhs, dynamics._state_row, STATE_AT),
+    ("_zero_amplitude_propagator_step", propagator_rhs, dynamics._propagator_row, PROPAGATOR_AT),
+]
+
+
+class TestZeroAmplitude:
+    """sigma10 = sigma20 = 0 (sigma20 = 0 for the propagator) steps only the
+    live components, and the rebuilt rows equal the general kernels' runs."""
+
+    @given(
+        vals=st.lists(st.floats(-3, 3), min_size=5, max_size=5),
+        hbar=st.floats(0, 2),
+    )
+    @settings(max_examples=100)
+    def test_step_matches_generic_reference(self, vals, hbar):
+        # the kernel's right-hand side is the general one's on the widened row
+        m_inv, k = 1.0 / 1.3, 0.8
+        hh = hbar**2 * 0.5 * m_inv
+        y = tuple(vals)
+        for name, full_rhs, widen, at in ZERO_AMPLITUDE_KERNELS:
+            rhs = full_rhs(m_inv, k, hh)
+            want = generic_rk4(lambda z: tuple(rhs(widen(z))[i] for i in at), y, 0.01)
+            assert getattr(dynamics, name)(y, 0.01, m_inv, k, hh) == want, name
+
+    def test_runs_equal_the_general_kernels_bit_for_bit(self, monkeypatch):
+        runs = {
+            "final_state": final_state,
+            "propagator": propagator,
+            # the propagator's row does not depend on sigma10
+            "propagator, sigma10 = 0.7": lambda s, i, h: propagator(s, replace(i, sigma10=0.7), h),
+            "rk4": lambda s, i, h: integrate(s, i, h, "rk4"),
+            "rk4_adaptive": lambda s, i, h: integrate(s, i, h, "rk4_adaptive"),
+        }
+        blowups = 0
+        for spec, init, step in zero_amplitude_cases():
+            y = _start(spec, init, step)[0]
+            assert dynamics._kernel_for(y, False)[0] is dynamics._zero_amplitude_step
+            assert dynamics._kernel_for(y, True)[0] is dynamics._zero_amplitude_propagator_step
+            got = {name: outcome(run, spec, init, step) for name, run in runs.items()}
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "_kernel_for", general_kernel)
+                want = {name: outcome(run, spec, init, step) for name, run in runs.items()}
+            assert got == want, (spec, init, step)
+            blowups += got["rk4"].startswith("('blowup'")
+        assert 5 <= blowups <= 35
+
+
 class TestFinalStateFastPath:
     def test_bitwise_equal_to_grid_endpoint(self, spec):
         # steps 0.15 and 0.3 do not divide T, so the last step is shortened
@@ -390,9 +516,10 @@ class TestAdaptive:
     def test_non_finite_trial_step_is_retried_smaller(self, monkeypatch):
         # k = m = 1 and S20 = -5 put the caustic at t = atan(0.2); the first
         # trial step of 0.5 jumps across it and overflows, so it is rejected
-        # and cut, and the shorter steps close in on the pole
+        # and cut, and the shorter steps close in on the pole. The input has
+        # zero amplitude, so the zero-amplitude kernel takes the steps.
         rejected = []
-        rk4_step = dynamics._rk4_step
+        rk4_step = dynamics._zero_amplitude_step
 
         def counted(y, *args):
             row = rk4_step(y, *args)
@@ -400,7 +527,7 @@ class TestAdaptive:
                 rejected.append(y)
             return row
 
-        monkeypatch.setattr(dynamics, "_rk4_step", counted)
+        monkeypatch.setattr(dynamics, "_zero_amplitude_step", counted)
         with pytest.raises(BlowUpError) as exc:
             integrate(OscillatorSpec(T=1.5), InitialData(S10=1.0, S20=-5.0), step=0.5,
                       method="rk4_adaptive")

@@ -44,6 +44,12 @@ class TestValidate:
     def test_non_finite_rejected(self):
         assert validation_errors(OscillatorSpec(x0=math.nan)) == ["NonFinite"]
         assert validation_errors(OscillatorSpec(T=math.inf)) == ["NonFinite"]
+        # finite parameters whose flow coefficients 1/m or hbar_tilde^2/m overflow
+        assert validation_errors(OscillatorSpec(m=1e-320)) == ["NonFinite(1/m)"]
+        for spec in (OscillatorSpec(hbar_tilde=1e160), OscillatorSpec(hbar_tilde=1e200),
+                     OscillatorSpec(m=0.6, hbar_tilde=1.3e154)):
+            assert validation_errors(spec) == ["NonFinite(hbar_tilde**2/m)"]
+        assert validation_errors(OscillatorSpec(m=1.0, hbar_tilde=1.3e154)) == []
 
     def test_resonance_is_warning_not_error(self):
         res = OscillatorSpec(T=math.pi)
