@@ -4,9 +4,12 @@
                   [--method {rk4,rk4_adaptive}]
 
 Commands: integrate | eigenvalue | classical-check | scan-t0 |
-sweep-hbar | extremize | convergence. The QAP_LOG environment variable
-(error | info | debug) controls diagnostic logging on stderr; primary
-results go to stdout and to files under --out.
+sweep-hbar | extremize | convergence; ``qap --help`` lists them with a
+one-line summary each. One flat parser takes the command as its first
+positional argument and the five options, which every command shares,
+before or after it. The QAP_LOG environment variable (error | info |
+debug) controls diagnostic logging on stderr; primary results go to
+stdout and to files under --out.
 """
 
 from __future__ import annotations
@@ -36,23 +39,25 @@ def _setup_logging() -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    epilog = ["commands:"]
+    for name, fn in COMMANDS.items():
+        summary = (fn.__doc__ or "").strip().partition("\n")[0]
+        epilog.append(f"  {name:<17}{summary}")
     parser = argparse.ArgumentParser(
         prog="qap",
         description="Coefficient-flow eigenvalue experiments for the harmonic oscillator",
+        epilog="\n".join(epilog),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in COMMANDS.items():
-        cmd = sub.add_parser(name, help=(fn.__doc__ or "").strip().splitlines()[0])
-        cmd.add_argument("--config", required=True, help="INI or JSON config file")
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument("--h", type=float, default=None, help="override step size")
-        cmd.add_argument(
-            "--method",
-            choices=METHODS,
-            default=None,
-            help="override integration method",
-        )
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", required=True, metavar="PATH", help="INI or JSON config file")
+    parser.add_argument("--out", default=None, metavar="DIR", help="output directory")
+    parser.add_argument("--seed", type=int, default=None, metavar="N", help="override config seed")
+    parser.add_argument("--h", type=float, default=None, metavar="FLOAT",
+                        help="override step size")
+    parser.add_argument("--method", choices=METHODS, default=None,
+                        help="override integration method")
     return parser
 
 

@@ -99,6 +99,11 @@ BLOWUP_LIMIT = 1e12
 #: default fixed step
 DEFAULT_STEP = 1e-3
 
+#: most steps a run may take over its horizon. RK4's truncation error at a
+#: step of T/MAX_STEPS is far below the roundoff of that many steps, so a
+#: smaller step buys nothing; ``_start`` rejects it before the first step.
+MAX_STEPS = 10**7
+
 #: per-component mixed error control for the adaptive variant
 ADAPTIVE_ATOL = 1e-12
 ADAPTIVE_RTOL = 1e-10
@@ -371,16 +376,26 @@ def _blow_up(spec, t_last, times, rows, widen, method, step):
 
 def _start(spec, init, step):
     """Shared input check, then, as Python floats, the start row, the flow
-    coefficients (m_inv, k, hh), the step and the horizon."""
+    coefficients (m_inv, k, hh), the step and the horizon. The step must
+    be positive and finite, and take at most ``MAX_STEPS`` steps over T."""
     validate(spec)
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
+    step, T = float(step), float(spec.T)
+    _check_step_count(T, step)
     for name, v in zip(("S10", "S20", "sigma10", "sigma20"), init.as_tuple()):
         if not math.isfinite(v):
             raise ValueError(f"initial data {name} is not finite")
     # + 0.0 turns -0.0 into 0.0: no kernel then ever sees a negative zero
     y = tuple(float(v) + 0.0 for v in init.as_tuple()) + (0.0, 0.0, 0.0, 0.0)
-    return (y, *flow_coefficients(spec), float(step), float(spec.T))
+    return (y, *flow_coefficients(spec), step, T)
+
+
+def _check_step_count(T, step):
+    """Raise ``ValueError`` unless T/step is at most ``MAX_STEPS`` (so finite)."""
+    if not T / step <= MAX_STEPS:
+        raise ValueError(f"h = {step!r} gives T/h = {T / step:.6g} steps over T = {T!r}, "
+                         f"more than MAX_STEPS = {MAX_STEPS}")
 
 
 def _n_steps(T, step):
@@ -454,6 +469,29 @@ def propagator(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_ST
     return _fixed(spec, init, step, keep=False, propagate=True)
 
 
+def _error_ratio(coarse, fine):
+    """Step-doubling error of one trial step over its tolerance, the largest
+    over the components; at most 1 accepts the step.
+
+    Per component: |fine - coarse|/15 over ADAPTIVE_ATOL + ADAPTIVE_RTOL *
+    max(|coarse|, |fine|). Comparisons stand in for ``abs`` and ``max``,
+    five builtin calls per component on every trial, bit for bit: the rows
+    are finite, ``max`` keeps its first argument on ties, and a -0.0 from
+    ``x if x >= 0.0 else -x`` meets only ATOL + RTOL*(-0.0) = ATOL or a
+    ratio of -0.0, which ``q > ratio`` never takes. The components a
+    zero-amplitude row leaves out are exact zeros, which add 0.
+    """
+    ratio = 0.0
+    for yc, yf in zip(coarse, fine):
+        d = yf - yc
+        a = yc if yc >= 0.0 else -yc
+        b = yf if yf >= 0.0 else -yf
+        q = (d if d >= 0.0 else -d) / 15.0 / (ADAPTIVE_ATOL + ADAPTIVE_RTOL * (a if a >= b else b))
+        if q > ratio:
+            ratio = q
+    return ratio
+
+
 def _integrate_adaptive(spec, init, step):
     y, m_inv, k, hh, step, T = _start(spec, init, step)
     kernel, y, widen = _kernel_for(y, False)
@@ -462,10 +500,16 @@ def _integrate_adaptive(spec, init, step):
     t = 0.0
     if not all(-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT for v in y):
         _blow_up(spec, t, times, rows, widen, "rk4_adaptive", step)
-    h = min(step, T)
-    h_min = 1e-12 * max(1.0, T)
+    # no builtin call on this path: each clamp is min or max written as a comparison
+    h_min = 1e-12 * (T if T > 1.0 else 1.0)
+    h = T if T < step else step
+    # a first step below h_min would read as step collapse
+    if h < h_min:
+        h = h_min
     while t < T:
-        h = min(h, T - t)
+        rest = T - t
+        if rest < h:
+            h = rest
         if h < h_min:
             _blow_up(spec, t, times, rows, widen, "rk4_adaptive", step)
         coarse = kernel(y, h, m_inv, k, hh)
@@ -474,22 +518,18 @@ def _integrate_adaptive(spec, init, step):
         if coarse is None or fine is None:
             h *= 0.25
             continue
-        # step-doubling error estimate for a 4th-order step; the components
-        # a zero-amplitude row leaves out are exact zeros, which add 0 to it
-        ratio = 0.0
-        for yc, yf in zip(coarse, fine):
-            err = abs(yf - yc) / 15.0
-            tol = ADAPTIVE_ATOL + ADAPTIVE_RTOL * max(abs(yc), abs(yf))
-            ratio = max(ratio, err / tol)
+        ratio = _error_ratio(coarse, fine)
         if ratio <= 1.0:
             t = t + h
             y = fine
             times.append(t)
             rows.append(y)
+            # ratio <= 1 keeps the growth factor above 0.9, so only 5 caps it
             grow = 0.9 * ratio ** -0.2 if ratio > 0.0 else 5.0
-            h *= min(5.0, max(0.2, grow))
+            h *= grow if grow < 5.0 else 5.0
         else:
-            h *= max(0.2, 0.9 * ratio ** -0.2)
+            shrink = 0.9 * ratio ** -0.2
+            h *= shrink if shrink > 0.2 else 0.2
     # floating accumulation may land within one ulp of T; pin it
     times[-1] = T
     return _grid(spec, times, rows, widen, "rk4_adaptive", step)

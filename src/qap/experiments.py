@@ -20,7 +20,7 @@ from . import __version__
 from .action import eigenvalue, json_17g
 from .classical import ClassicalParams, lambda_classical, lambda_star, s10_star
 from .config import ExperimentConfig
-from .dynamics import _g17, convergence_order, integrate
+from .dynamics import _check_step_count, _g17, convergence_order, integrate
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -86,6 +86,14 @@ def _spec_metadata(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "tool_version": __version__,
     }
+
+
+def _require_step_count(cfg: ExperimentConfig, command: str) -> None:
+    """The step every command's runs take: at most ``MAX_STEPS`` over T."""
+    try:
+        _check_step_count(cfg.spec.T, cfg.step)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def _require_init(cfg: ExperimentConfig, command: str) -> None:
@@ -374,11 +382,12 @@ PRECONDITIONS = {
 def run_command(name: str, cfg: ExperimentConfig, out_dir) -> int:
     """Dispatch one named experiment, mapping failures to exit codes.
 
-    The command's ``PRECONDITIONS`` are checked before the output
-    directory is made, so a config that fails them leaves nothing behind.
+    The step count, then the command's ``PRECONDITIONS``, are checked
+    before the output directory is made, so a config that fails them
+    leaves nothing behind.
     """
     try:
-        for require in PRECONDITIONS[name]:
+        for require in (_require_step_count, *PRECONDITIONS[name]):
             require(cfg, name)
     except ConfigError as err:
         print(f"config error: {err}")

@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 
 from qap.cli import main
 from qap.config import _KEYS, load_config, parse_grid
+from qap.dynamics import METHODS
 from qap.errors import ConfigError
 from qap.experiments import COMMANDS
 from qap.model import OscillatorSpec, t0_to_S20
@@ -55,6 +57,95 @@ def write_config(tmp_path, text, name="custom.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+class TestCliContract:
+    def test_help_lists_every_command_with_its_summary(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert len(COMMANDS) == 7
+        for name, fn in COMMANDS.items():
+            summary = fn.__doc__.strip().splitlines()[0]
+            assert re.search(rf"^  {re.escape(name)} +{re.escape(summary)}$", out, re.M), name
+
+    @pytest.mark.parametrize("argv, error", [
+        (["nope", "--config", "exp.ini"], "argument command: invalid choice: 'nope'"),
+        (["integrate"], "the following arguments are required: --config"),
+        (["--config", "exp.ini"], "the following arguments are required: command"),
+    ])
+    def test_usage_error_exits_2(self, tmp_path, capsys, argv, error):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_options_before_or_after_the_command(self, config_path, tmp_path, capsys):
+        options = ["--config", config_path, "--h", "0.1", "--method", "rk4_adaptive",
+                   "--seed", "3"]
+        outputs = []
+        for i, (before, after) in enumerate(((options, []), ([], options),
+                                             (options[:4], options[4:]))):
+            out = tmp_path / str(i)
+            assert main([*before, "integrate", *after, "--out", str(out)]) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            outputs.append((stdout, (out / "solution.csv").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert b"method=rk4_adaptive step=0.10000000000000001" in outputs[0][1]
+
+    def test_one_parser_per_call(self, config_path, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["eigenvalue", "--config", config_path, "--out", str(tmp_path)]) == 0
+        assert len(built) == 1
+
+
+def _never_run(cfg, out_dir):
+    raise AssertionError("the command ran")
+
+
+class TestStepCount:
+    """T/h above MAX_STEPS (an overflow, a run that would never end, or a
+    first adaptive step below h_min) exits 2 before any output."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("command, h", [
+        ("integrate", "1e-320"), ("eigenvalue", "1e-300"), ("integrate", "1e-13"),
+    ])
+    def test_bundled_config_exits_2_naming_h(self, tmp_path, capsys, monkeypatch, command, h,
+                                             method):
+        monkeypatch.setitem(COMMANDS, command, _never_run)
+        out = tmp_path / "out"
+        config = str(ROOT / "configs" / "classical.ini")
+        assert main([command, "--config", config, "--out", str(out), "--h", h,
+                     "--method", method]) == 2
+        assert (f"config error: h = {float(h)!r} gives T/h = " in capsys.readouterr().out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_command_checks_the_step_count(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setitem(COMMANDS, command, _never_run)
+        path = write_config(tmp_path, BASE_INI.replace("h = 1e-3", "h = 1e-300"))
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert "more than MAX_STEPS = 10000000" in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_small_first_adaptive_step_completes(self, tmp_path, capsys):
+        # T/h = 1e7 is allowed; the step starts at h_min = 1e-12
+        path = write_config(tmp_path, "[spec]\nT = 1e-6\n[init]\nS10 = 1.0\n")
+        out = tmp_path / "out"
+        assert main(["integrate", "--config", path, "--out", str(out), "--h", "1e-13",
+                     "--method", "rk4_adaptive"]) == 0
+        assert "BLOWUP" not in capsys.readouterr().out
 
 
 class TestConfigLoading:

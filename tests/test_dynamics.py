@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qap import (
@@ -21,7 +21,19 @@ from qap import (
 import qap.dynamics as dynamics
 from qap.action import endpoint_report
 from qap.config import load_config
-from qap.dynamics import BLOWUP_LIMIT, METHODS, _rk4_step, _stage, _start, final_state, propagator
+from qap.dynamics import (
+    ADAPTIVE_ATOL,
+    ADAPTIVE_RTOL,
+    BLOWUP_LIMIT,
+    MAX_STEPS,
+    METHODS,
+    _error_ratio,
+    _rk4_step,
+    _stage,
+    _start,
+    final_state,
+    propagator,
+)
 from qap.extremize import endpoint_models
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -195,6 +207,30 @@ class TestSharedInputCheck:
     def test_rejects_non_finite_init(self, solve, spec, bad):
         with pytest.raises(ValueError, match="sigma10 is not finite"):
             solve(spec, InitialData(S10=1.0, sigma10=bad), 1e-3)
+
+
+class TestStepCount:
+    # T/h overflows at 1e-320; the others ask for 1e300, 1e13 and just
+    # over MAX_STEPS steps
+    @pytest.mark.parametrize("step", [1e-320, 1e-300, 1e-13, 1.0 / MAX_STEPS * (1 - 1e-15)])
+    def test_every_entry_rejects_before_stepping(self, spec, classical_init, monkeypatch, step):
+        # no kernel may run: at the smaller steps the run would never end
+        def fail(*args):
+            raise AssertionError("stepped")
+
+        for name in ("_rk4_step", "_zero_amplitude_step", "_propagator_step",
+                     "_zero_amplitude_propagator_step"):
+            monkeypatch.setattr(dynamics, name, fail)
+        runs = [lambda: final_state(spec, classical_init, step),
+                lambda: propagator(spec, classical_init, step)]
+        runs += [lambda m=m: integrate(spec, classical_init, step, m) for m in METHODS]
+        for run in runs:
+            with pytest.raises(ValueError, match=rf"^h = {step!r} gives T/h = .* steps over "
+                                                 rf"T = 1.0, more than MAX_STEPS = 10000000$"):
+                run()
+
+    def test_max_steps_itself_is_accepted(self):
+        assert _start(OscillatorSpec(T=0.5), InitialData(), 0.5 / MAX_STEPS)[-2] == 0.5 / MAX_STEPS
 
 
 class TestFloatEntry:
@@ -533,6 +569,62 @@ class TestAdaptive:
                       method="rk4_adaptive")
         assert len(rejected) == 1
         assert abs(exc.value.t_last - math.atan(0.2)) <= 1e-8
+
+    def test_first_step_below_h_min_starts_at_h_min(self):
+        # T/h = 1e7 passes the step bound, and the step lies below h_min =
+        # 1e-12; the run starts at h_min instead of reading it as collapse
+        spec = OscillatorSpec(T=1e-6)
+        init = InitialData(1.0, 0.2, 0.3, 0.8)
+        grid = integrate(spec, init, step=1e-13, method="rk4_adaptive")
+        assert grid.complete
+        assert grid._times[1] >= 1e-12
+        assert grid._rows[-1] == integrate(spec, init, step=1e-12, method="rk4_adaptive")._rows[-1]
+
+
+def reference_ratio(coarse, fine):
+    """The step-doubling ratio as the builtin formula writes it."""
+    ratio = 0.0
+    for yc, yf in zip(coarse, fine):
+        ratio = max(ratio, abs(yf - yc) / 15.0 / (ADAPTIVE_ATOL + ADAPTIVE_RTOL * max(abs(yc), abs(yf))))
+    return ratio
+
+
+BOUNDED = st.one_of(st.floats(-BLOWUP_LIMIT, BLOWUP_LIMIT), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def trial_rows(draw):
+    """A coarse and a fine row of 5 or 8 bounded components: equal rows,
+    rows a tiny error apart, or independent rows."""
+    n = draw(st.sampled_from([5, 8]))
+    coarse = draw(st.tuples(*[BOUNDED] * n))
+    kind = draw(st.sampled_from(["equal", "near", "free"]))
+    if kind == "equal":
+        return coarse, coarse
+    if kind == "near":
+        errors = draw(st.tuples(*[st.floats(-1e-9, 1e-9)] * n))
+        return coarse, tuple(c + e for c, e in zip(coarse, errors))
+    return coarse, draw(st.tuples(*[BOUNDED] * n))
+
+
+class TestErrorRatio:
+    @given(rows=trial_rows())
+    @example(rows=((0.0, -0.0, 1.0, -1.0, 0.0), (-0.0, 0.0, 1.0, -1.0, 0.0)))
+    @example(rows=((-0.0,) * 8, (-0.0,) * 8))
+    @example(rows=((0.0,) * 8, (-0.0,) * 8))
+    @example(rows=((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0),) * 2)
+    @example(rows=((BLOWUP_LIMIT, -BLOWUP_LIMIT, 0.0, 5e-324, -5e-324),
+                   (-BLOWUP_LIMIT, BLOWUP_LIMIT, -0.0, -5e-324, 5e-324)))
+    @settings(max_examples=200)
+    def test_equals_builtin_formula_bitwise(self, rows):
+        coarse, fine = rows
+        assert repr(_error_ratio(coarse, fine)) == repr(reference_ratio(coarse, fine))
+
+    def test_adaptive_loop_calls_no_builtin_per_trial(self):
+        # abs, max and min do not appear in the loop or the ratio
+        for fn in (_error_ratio, dynamics._integrate_adaptive):
+            names = set(fn.__code__.co_names)
+            assert not names & {"abs", "max", "min"}, fn.__name__
 
 
 class TestConvergenceOrder:
