@@ -113,7 +113,7 @@ def eigenvalue(grid: SolutionGrid) -> EigenvalueReport:
     term fields.
     """
     _require_complete(grid)
-    return endpoint_report(grid.spec, grid._rows[0], grid._rows[-1])
+    return endpoint_report(grid.spec, grid.row(0), grid.row(-1))
 
 
 def composite_simpson(values, times) -> float:

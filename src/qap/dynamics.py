@@ -1,86 +1,55 @@
 """Coefficient ODE system: time integration and its diagnostics.
 
 The flow couples the phase coefficients (S1, S2) to the amplitude
-coefficients (sigma1, sigma2):
+coefficients (sigma1, sigma2), with hh = hbar_tilde^2/(2m):
 
-    sigma1' = -(sigma1*S2 + sigma2*S1)/m
-    sigma2' = -sigma2*S2/m
-    S1'     = -S1*S2/m + (hbar_tilde^2/(2m)) * sigma1*sigma2
-    S2'     = -S2^2/m - k + (hbar_tilde^2/m) * sigma2^2
+    sigma1' = -(sigma1*S2 + sigma2*S1)/m     S1' = -S1*S2/m + hh*sigma1*sigma2
+    sigma2' = -sigma2*S2/m                   S2' = -S2^2/m - k + 2*hh*sigma2^2
 
-Three quadrature accumulators ride inside the integration state so the
-integrals entering the eigenvalue and the initial-data constraint
-inherit the integrator's order:
+The eigenvalue and the initial-data constraint read the integrals qS,
+qSigma and qCon of S1^2, sigma1^2 + sigma2 and sigma1*S1 + 2*S2; qIntS2,
+the integral of S2, is a diagnostic outside the CSV contract.
 
-    qS'     = S1^2
-    qSigma' = sigma1^2 + sigma2
-    qCon'   = sigma1*S1 + 2*S2
+The integrator steps the flow's linear form. S2 is a Riccati variable,
+and its pole, a caustic, is a plain zero of u = exp(qIntS2/m) (Radon's
+lemma; Reid, *Riccati Differential Equations*, 1972). With p = u*S2:
 
-A fourth internal accumulator tracks the plain integral of S2; it is a
-diagnostic used to verify the exponential identity
-sigma2(t) = sigma20 * exp(-qIntS2(t)/m) and is not part of the CSV
-contract.
+    u' = p/m      p' = -k*u + c/u,      c = hbar_tilde^2*sigma20^2/m
 
-One fixed-step loop drives four unrolled RK4 kernels, which one
-renderer, ``_render``, writes and compiles at import from tables of
-right-hand-side rows. ``_rk4_step`` steps the eight-component state,
-for ``integrate(method="rk4")``, which keeps the trajectory, and for
-``final_state``, which keeps only the endpoint. ``_propagator_step``
-steps a 17-component row for ``propagator``: (S2, sigma2), the linear
-(S1, sigma1) flow from two unit starts and the integrals of their
-products, from which ``extremize.endpoint_models`` builds the
-eigenvalue and the constraint residual as exact quadratics in (S10,
-sigma10). The step-doubling loop behind ``rk4_adaptive`` is separate
-and steps the same state kernels. All of them share one entry (the
-input check, which hands the loop only Python floats, since the
-unrolled step runs about three times slower on numpy scalars) and one
-blow-up exit. Each kernel bounds its new row itself, one chained
-comparison per component: a component outside [-BLOWUP_LIMIT,
-BLOWUP_LIMIT], or NaN, makes it return None, and the loop raises
-``BlowUpError`` at the last good time. ``_stage`` is the hand-written
-reference the tests pin every kernel against.
+and S2 = p/u, sigma2 = sigma20/u, qIntS2 = m*ln(u). The pair u*(S1,
+sigma1) evolves by sigma2 times a constant matrix N with N^2 = -(hh/m)*I,
+so the RK4 stage matrices commute and one step maps it by alpha*I +
+beta*N exactly. One solution (C, St), with C' = -hh*sigma2*St and St' =
+sigma2*C/m from (1, 0), then gives u*S1 = S10*C + a2*sigma10*St and
+u*sigma1 = sigma10*C - S10*St (a2 = m*hh), and the integrals are
+quadratic forms in (S10, sigma10) over Jcc, Jcs and Jss, the integrals
+of C^2, C*St and St^2 over u^2, and I2, the integral of sigma2
+(``_state_row``; ``extremize.endpoint_models`` reads them as exact
+models). One kernel steps the row (u, p, C, St, Jcc, Jcs, Jss, I2), which
+does not depend on (S10, sigma10), for ``final_state``, ``propagator``
+and ``integrate`` (both methods); with sigma20 = 0, C = 1 and the other
+three are 0, and ``_zero_amplitude_step`` steps only (u, p, Jcc).
+``_render`` writes both from one table; ``_stage`` is the reference the
+tests pin them against. One input check hands the loop only Python
+floats (the unrolled step runs about three times slower on numpy
+scalars).
 
-Zero amplitude is an invariant subspace of the flow: with sigma10 =
-sigma20 = 0, sigma1 and sigma2 stay exactly 0 at every hbar_tilde, and
-(S1, S2) follow the classical pair S1' = -S1*S2/m, S2' = -S2^2/m - k.
-``_kernel_for`` sends such a run (sigma20 = 0 suffices for the
-propagator, whose row does not depend on sigma10) to a kernel of five
-live components: ``_zero_amplitude_step`` steps (S1, S2, qS, qCon,
-qIntS2), ``_zero_amplitude_propagator_step`` steps S1, S2 and the
-integrals of S1^2, S1^2/2 and S2. ``_state_row`` and
-``_propagator_row`` rebuild the full rows, at the end of a run or at
-each kept row, equal bit for bit to the general kernels' rows:
+A step fails, and the loop raises ``BlowUpError`` at the last good grid
+time, unless its new row has every component in [-BLOWUP_LIMIT,
+BLOWUP_LIMIT] (not NaN), passes the sign test u > 0, and, when c > 0,
+the focusing guard -h*p <= FOCUS_GUARD*m*u, that is h*(-S2)/m <=
+FOCUS_GUARD. With c = 0, u is smooth through S2's pole, so the sign test
+stops a run at the step that crosses a classical caustic. For c > 0 the
+exact flow conserves E = p^2/(2m) + k*u^2/2 - c*ln(u), so u >= exp(-E/c)
+> 0 and a blow-up is numerical: the guard stops a coarse step before it
+can hop over a sharp quantum bounce.
 
-- The entry turns -0.0 into 0.0. A component that starts at +0.0 and
-  gains only zeros stays +0.0, since x + (-0.0) is x; so sigma1,
-  sigma2 and every integral of a product with them stay +0.0, and the
-  hh terms they multiply add a zero, which can flip only the sign of a
-  zero derivative. No state or stage value sees that sign: each is
-  x + h*d, with x nonzero or +0.0.
-- The propagator's solution from (0, 1) is (0, S1): its sigma1 obeys
-  S1's equation from S1's start. So B11 has A00's integrand, and C01
-  has S1^2/2 at every point.
-- qCon and C01 are carried, not rebuilt as 2*qIntS2 and A00/2: each
-  carried integrand is the value the general integrand takes at every
-  point, while scaling an integral rounds otherwise once its
-  increments are subnormal.
-- The bounds cover the same values. The general kernels' extra
-  components are zeros, NaN only where a stage of S1 or S2 is already
-  infinite, which puts S1, S2 or qS out of bounds too; and the state
-  kernel bounds qCon = 2*qIntS2 itself.
-
-``model.validate`` keeps 1/m and hbar_tilde^2/m finite, so a dropped
-hh term is exactly zero and not NaN.
-
-A kept trajectory is a ``SolutionGrid`` of the rows the loop builds,
-stored as tuples of Python floats. Its CSV writer and its readers in
-``action`` and ``experiments`` use those rows; numpy arrays exist only
-once a caller asks for ``times``, ``data`` or a column, so the commands
-that never search run without numpy.
-
-The S2 equation is of Riccati type and genuinely blows up in finite
-time when a caustic falls inside the horizon; integration reports the
-last good time rather than regularizing.
+A kept trajectory is a ``SolutionGrid`` of the loop's rows. It builds the
+state rows (S1, S2, sigma1, sigma2, qS, qSigma, qCon, qIntS2) only when
+they are read: all of them for ``_rows``, ``data`` and the CSV, one for
+``row``, which the end-row readers use; and numpy arrays only for
+``times``, ``data`` or a column, so the commands that never search run
+without numpy.
 """
 
 from __future__ import annotations
@@ -88,13 +57,18 @@ from __future__ import annotations
 import linecache
 import math
 from dataclasses import FrozenInstanceError, replace
+from functools import partial
 from typing import TextIO
 
 from .errors import BlowUpError, DegenerateProbeError
 from .model import InitialData, OscillatorSpec, flow_coefficients, validate
 
-#: any state component beyond this magnitude counts as a blow-up
+#: any row component beyond this magnitude counts as a blow-up
 BLOWUP_LIMIT = 1e12
+
+#: the focusing guard: with c > 0, a step of length h may end only where
+#: h*(-S2)/m is at most this
+FOCUS_GUARD = 0.1
 
 #: default fixed step
 DEFAULT_STEP = 1e-3
@@ -113,41 +87,53 @@ METHODS = ("rk4", "rk4_adaptive")
 CSV_COLUMNS = ("t", "S1", "S2", "sigma1", "sigma2", "qS", "qSigma", "qCon")
 
 
-def _stage(S1, S2, g1, g2, m_inv, k, hh):
-    """Derivatives of all eight state components. ``hh`` = hbar_tilde^2/(2m)."""
-    return (
-        -S1 * S2 * m_inv + hh * g1 * g2,            # S1'
-        -S2 * S2 * m_inv - k + 2.0 * hh * g2 * g2,  # S2'
-        -(g1 * S2 + g2 * S1) * m_inv,               # sigma1'
-        -g2 * S2 * m_inv,                           # sigma2'
-        S1 * S1,                                    # qS'
-        g1 * g1 + g2,                               # qSigma'
-        g1 * S1 + 2.0 * S2,                         # qCon'
-        S2,                                         # qIntS2'
-    )
+def _coefficients(m_inv, k, hh, sigma20):
+    """A run's kernel coefficients (m_inv, k, c, hs, ms, s, G): c =
+    2*hh*sigma20^2, hs = -hh*sigma20, ms = sigma20/m, s = sigma20, and
+    G = FOCUS_GUARD*m, or inf when c = 0 (no focusing guard)."""
+    c = 2.0 * hh * sigma20 * sigma20
+    return (m_inv, k, c, -hh * sigma20, sigma20 * m_inv, sigma20,
+            FOCUS_GUARD / m_inv if c > 0.0 else math.inf)
+
+
+def _stage(u, p, C, St, K):
+    """Derivatives of the row (u, p, C, St, Jcc, Jcs, Jss, I2) at one
+    point, with the coefficients K of ``_coefficients``."""
+    m_inv, k, c, hs, ms, s, _ = K
+    r = 1.0 / u
+    a, b = r * C, r * St
+    # u', p', C' = -hh*sigma2*St, St' = sigma2*C/m, Jcc', Jcs', Jss', I2' = sigma2
+    return m_inv * p, c * r - k * u, hs * b, ms * a, a * a, a * b, b * b, s * r
 
 
 class SolutionGrid:
     """Time-ordered coefficient states from one integration run.
 
-    Each row holds S1, S2, sigma1, sigma2, qS, qSigma, qCon, qIntS2 at
-    one time point. The grid keeps its times and rows as the Python
-    floats and tuples the stepping loop builds; ``times``, ``data`` and
-    the column properties are read-only numpy arrays built on first
-    access, and only they import numpy. A grid is ``complete`` when it
-    reaches t = T; partial grids only occur inside ``BlowUpError``.
+    Each state row holds S1, S2, sigma1, sigma2, qS, qSigma, qCon, qIntS2
+    at one time point. The grid keeps its times as Python floats and the
+    rows the stepping loop built; with ``widen`` those are kernel rows,
+    and ``widen`` maps one to its state row, on first access: all rows
+    for ``_rows``, ``data`` and the CSV writer, one for ``row``. ``times``,
+    ``data`` and the column properties are read-only numpy arrays built on
+    first access, and only they import numpy. A grid is ``complete`` when
+    it reaches t = T; partial grids only occur inside ``BlowUpError``.
     Immutable: setting an attribute raises ``FrozenInstanceError``.
     """
 
-    __slots__ = ("spec", "method", "step", "_times", "_rows", "_arrays")
+    __slots__ = ("spec", "method", "step", "_times", "_source", "_widen", "_state", "_arrays")
 
-    def __init__(self, spec: OscillatorSpec, times, data, method: str, step: float):
+    def __init__(self, spec: OscillatorSpec, times, data, method: str, step: float,
+                 widen=None):
         put = object.__setattr__
         put(self, "spec", spec)
         put(self, "method", method)
         put(self, "step", step)
         put(self, "_times", tuple(map(float, times)))
-        put(self, "_rows", tuple(r if type(r) is tuple else tuple(map(float, r)) for r in data))
+        if widen is None:
+            data = tuple(r if type(r) is tuple else tuple(map(float, r)) for r in data)
+        put(self, "_source", data)
+        put(self, "_widen", widen)
+        put(self, "_state", data if widen is None else None)
         put(self, "_arrays", None)
 
     def __setattr__(self, name, value):
@@ -155,6 +141,19 @@ class SolutionGrid:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def _rows(self):
+        """Every state row, as tuples of Python floats."""
+        if self._state is None:
+            object.__setattr__(self, "_state", tuple(map(self._widen, self._source)))
+        return self._state
+
+    def row(self, i):
+        """State row ``i``, built alone unless every row is built already."""
+        if self._state is None:
+            return self._widen(self._source[i])
+        return self._state[i]
 
     def _array_pair(self):
         if self._arrays is None:
@@ -175,37 +174,9 @@ class SolutionGrid:
     def data(self):
         return self._array_pair()[1]
 
-    @property
-    def s1(self):
-        return self.data[:, 0]
-
-    @property
-    def s2(self):
-        return self.data[:, 1]
-
-    @property
-    def sigma1(self):
-        return self.data[:, 2]
-
-    @property
-    def sigma2(self):
-        return self.data[:, 3]
-
-    @property
-    def qS(self):
-        return self.data[:, 4]
-
-    @property
-    def qSigma(self):
-        return self.data[:, 5]
-
-    @property
-    def qCon(self):
-        return self.data[:, 6]
-
-    @property
-    def qIntS2(self):
-        return self.data[:, 7]
+    # the state columns, in CSV order, then qIntS2
+    s1, s2, sigma1, sigma2, qS, qSigma, qCon, qIntS2 = (
+        property(lambda self, i=i: self.data[:, i]) for i in range(8))
 
     @property
     def complete(self) -> bool:
@@ -239,143 +210,117 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _render(name, flows, integrals):
-    """Source of ``name(y, h, m_inv, k, hh)``, one unrolled RK4 step of the
-    row ``flows + integrals``.
+def _render(name, shared, flows, integrals, checks):
+    """Source of ``name(y, h, K)``, one unrolled RK4 step of the row
+    ``flows + integrals`` with the coefficients K of ``_coefficients``.
 
     A flow row is a component's name and its derivative, an integral row
-    a name and its integrand; in both, ``{X}`` stands for flow component
-    X at the point being evaluated. Derivatives a, b, c, d are taken at
-    y, u = y + h/2*a, v = y + h/2*b and w = y + h*c. With w6 = h/6, each
-    integral gains w6*(f(y) + 2*(f(u) + f(v)) + f(w)) of its integrand f,
-    before the flow moves, and each flow component w6*(a + 2*(b + c) + d).
-    The new row is returned if every component lies in [-BLOWUP_LIMIT,
-    BLOWUP_LIMIT], which NaN does not, else None. Unrolled scalar code:
-    a tuple-of-stages RK4 costs about 3x here, in the hot loop of every
-    solve.
+    a name and its integrand, a shared row a name and a value each point
+    computes once, before the derivatives and integrands that read it. In
+    all three, ``{X}`` stands for flow component or shared value X at the
+    point being evaluated. Derivatives d1, d2, d3, d4 are taken at y,
+    y2 = y + h/2*d1, y3 = y + h/2*d2 and y4 = y + h*d3. With w6 = h/6,
+    each integral gains w6*(f(y) + 2*(f(y2) + f(y3)) + f(y4)) of its
+    integrand f, before the flow moves, and each flow component
+    w6*(d1 + 2*(d2 + d3) + d4). The new row is returned if each of
+    ``checks`` holds on it and every component lies in [-BLOWUP_LIMIT,
+    BLOWUP_LIMIT], which NaN does not, else None; None too when a point
+    has u = 0.0. Unrolled scalar code: a tuple-of-stages RK4 costs about
+    3x here, in the hot loop of every solve.
     """
     row = ", ".join(n for n, _ in flows + integrals)
+    names = [n for n, _ in flows + shared]
 
-    def at(stage, expr):
-        return expr.format(**{n: stage + n for n, _ in flows})
+    def at(point, expr):
+        return expr.format(**{n: point + n for n in names})
 
-    body = [f'"""One RK4 step of ({row}); rendered by ``_render``."""', f"{row} = y"]
-    if any("hh2" in f for _, f in flows):
-        body.append("hh2 = 2.0 * hh")
-    body += ["h2 = 0.5 * h", "w6 = h / 6.0"]
-    body += [f"a{n} = {at('', f)}" for n, f in flows]
-    for prev, d, stage, step in (("a", "b", "u", "h2"), ("b", "c", "v", "h2"), ("c", "d", "w", "h")):
-        body += [f"{stage}{n} = {n} + {step} * {prev}{n}" for n, _ in flows]
-        body += [f"{d}{n} = {at(stage, f)}" for n, f in flows]
+    body = [f'"""One RK4 step of ({row}); rendered by ``_render``."""', f"{row} = y",
+            "m_inv, k, c, hs, ms, s, G = K", "h2 = 0.5 * h", "w6 = h / 6.0"]
+    for point, d, prev, step in (("", "d1", None, None), ("y2", "d2", "d1", "h2"),
+                                 ("y3", "d3", "d2", "h2"), ("y4", "d4", "d3", "h")):
+        if prev:
+            body += [f"{point}{n} = {n} + {step} * {prev}{n}" for n, _ in flows]
+        body += [f"{point}{n} = {at(point, f)}" for n, f in shared]
+        body += [f"{d}{n} = {at(point, f)}" for n, f in flows]
     for n, f in integrals:
-        # a multi-term integrand is summed as one value at each point
-        if " + " in f or " - " in f:
-            f = f"({f})"
-        body.append(f"{n} += w6 * ({at('', f)} + 2.0 * ({at('u', f)} + {at('v', f)}) + {at('w', f)})")
-    body += [f"{n} += w6 * (a{n} + 2.0 * (b{n} + c{n}) + d{n})" for n, _ in flows]
-    bounded = " and ".join(f"-L <= {n} <= L" for n, _ in flows + integrals)
+        body.append(f"{n} += w6 * ({at('', f)} + 2.0 * ({at('y2', f)} + {at('y3', f)}) "
+                    f"+ {at('y4', f)})")
+    body += [f"{n} += w6 * (d1{n} + 2.0 * (d2{n} + d3{n}) + d4{n})" for n, _ in flows]
+    bounded = " and ".join([*checks, *(f"-L <= {n} <= L" for n, _ in flows + integrals)])
     body += ["L = BLOWUP_LIMIT", f"if {bounded}:", f"    return {row}", "return None"]
-    return f"def {name}(y, h, m_inv, k, hh):\n" + "".join(f"    {line}\n" for line in body)
+    # u = 0.0 at a point raises in 1.0 / u; that step fails too
+    body[2:] = ["try:", *("    " + line for line in body[2:]),
+                "except ZeroDivisionError:", "    return None"]
+    return f"def {name}(y, h, K):\n" + "".join(f"    {line}\n" for line in body)
 
 
-def _linear(p, q):
-    """Flow rows of one (S1, sigma1) solution, named p and q."""
-    return ((p, "-{%s} * {S2} * m_inv + hh * {%s} * {g2}" % (p, q)),
-            (q, "-({%s} * {S2} + {g2} * {%s}) * m_inv" % (q, p)))
-
-
-# The kernels' tables. Each row reads as its line of ``_stage``, with
-# hh2 = 2*hh. The propagator's (S2, sigma2) rows and its integral of S2
-# are the state's own entries, so those three components of its run are
-# bit-equal to ``final_state``'s; its two (S1, sigma1) solutions take
-# the state's linear rows.
-_S1, _SIGMA1 = _linear("S1", "g1")
-_S2 = ("S2", "-{S2} * {S2} * m_inv - k + hh2 * {g2} * {g2}")
-_SIGMA2 = ("g2", "-{g2} * {S2} * m_inv")
-_INT_S1S1 = ("qS", "{S1} * {S1}")
-_INT_S2 = ("qI", "{S2}")
-# The zero-amplitude kernels' flow rows are the S1 and S2 rows with their
-# hh terms, products with sigma1 and sigma2, dropped; each integrand is
-# the one the general kernel evaluates on that subspace.
-_ZERO_FLOWS = (("S1", "-{S1} * {S2} * m_inv"), ("S2", "-{S2} * {S2} * m_inv - k"))
+# The row's table; each line reads as its line of ``_stage``. The
+# zero-amplitude row keeps u, p and Jcc, with the terms that vanish at
+# sigma20 = 0 (C = 1, St = 0, c = 0) dropped, and no focusing guard.
 _KERNEL_FILE = "<qap.dynamics kernels>"
 _KERNEL_SOURCE = _render(
-    "_rk4_step",
-    (_S1, _S2, _SIGMA1, _SIGMA2),
-    (_INT_S1S1, ("qG", "{g1} * {g1} + {g2}"), ("qC", "{g1} * {S1} + 2.0 * {S2}"), _INT_S2),
+    "_row_step",
+    (("r", "1.0 / {u}"), ("a", "{r} * {C}"), ("b", "{r} * {St}")),
+    (("u", "m_inv * {p}"), ("p", "c * {r} - k * {u}"), ("C", "hs * {b}"), ("St", "ms * {a}")),
+    (("Jcc", "{a} * {a}"), ("Jcs", "{a} * {b}"), ("Jss", "{b} * {b}"), ("I2", "s * {r}")),
+    ("0.0 < u", "-h * p <= G * u"),
 ) + _render(
-    "_propagator_step",
-    (_S2, _SIGMA2, *_linear("p0", "q0"), *_linear("p1", "q1")),
-    (("A00", "{p0} * {p0}"), ("A01", "{p0} * {p1}"), ("A11", "{p1} * {p1}"),
-     ("B00", "{q0} * {q0}"), ("B01", "{q0} * {q1}"), ("B11", "{q1} * {q1}"),
-     ("C00", "{q0} * {p0}"), ("C01", "0.5 * ({q0} * {p1} + {q1} * {p0})"), ("C11", "{q1} * {p1}"),
-     ("I2", "{g2}"), _INT_S2),
-) + _render(
-    "_zero_amplitude_step", _ZERO_FLOWS, (_INT_S1S1, ("qC", "2.0 * {S2}"), _INT_S2),
-) + _render(
-    "_zero_amplitude_propagator_step", _ZERO_FLOWS,
-    (_INT_S1S1, ("C01", "0.5 * ({S1} * {S1})"), _INT_S2),
+    "_zero_amplitude_step",
+    (("r", "1.0 / {u}"),),
+    (("u", "m_inv * {p}"), ("p", "-k * {u}")),
+    (("Jcc", "{r} * {r}"),),
+    ("0.0 < u",),
 )
 # registered so that tracebacks, ``inspect.getsource`` and profilers show kernel lines
 linecache.cache[_KERNEL_FILE] = (len(_KERNEL_SOURCE), None, _KERNEL_SOURCE.splitlines(True),
                                  _KERNEL_FILE)
 _kernels = {}
 exec(compile(_KERNEL_SOURCE, _KERNEL_FILE, "exec"), globals(), _kernels)
-#: one RK4 step of the eight-component state tuple
-_rk4_step = _kernels["_rk4_step"]
-#: one RK4 step of the 17-component propagator row
-_propagator_step = _kernels["_propagator_step"]
-#: one RK4 step of (S1, S2, qS, qCon, qIntS2) on the zero-amplitude subspace
+#: one RK4 step of the row (u, p, C, St, Jcc, Jcs, Jss, I2)
+_row_step = _kernels["_row_step"]
+#: one RK4 step of (u, p, Jcc), the live components of a run with sigma20 = 0
 _zero_amplitude_step = _kernels["_zero_amplitude_step"]
-#: one RK4 step of (S1, S2, A00, C01, qIntS2) of a propagator run with sigma20 = 0
-_zero_amplitude_propagator_step = _kernels["_zero_amplitude_propagator_step"]
 
 
-def _state_row(y):
-    """The eight-component state row of a zero-amplitude kernel row."""
-    S1, S2, qS, qC, qI = y
-    return (S1, S2, 0.0, 0.0, qS, 0.0, qC, qI)
+def _u_row(y):
+    """The eight-component row of a kernel row: a zero-amplitude row widened."""
+    return y if len(y) == 8 else (y[0], y[1], 1.0, 0.0, y[2], 0.0, 0.0, 0.0)
 
 
-def _propagator_row(y):
-    """The 17-component propagator row of a zero-amplitude kernel row: the
-    solution from (1, 0) is (S1, 0), the one from (0, 1) is (0, S1)."""
-    S1, S2, A00, C01, qI = y
-    return (S2, 0.0, S1, 0.0, 0.0, S1, A00, 0.0, 0.0, 0.0, 0.0, A00, 0.0, C01, 0.0, 0.0, qI)
+def _state_row(first, m, a2, y):
+    """The state row (S1, S2, sigma1, sigma2, qS, qSigma, qCon, qIntS2) at
+    the kernel row ``y`` of a run from the start state ``first``.
 
-
-def _kernel_for(y, propagate):
-    """The kernel a run from the start row ``y`` steps, the kernel's own
-    start row, and the map from its rows to full ones (None if they are).
-
-    Zero initial amplitude, which the flow keeps exactly zero, takes a
-    zero-amplitude kernel: sigma10 = sigma20 = 0 for the state, sigma20 = 0
-    for the propagator, whose row does not depend on sigma10. The kernels
-    are looked up as module globals at call, so a test can swap one.
+    ``a2`` is m*hh. At the start row this gives ``first`` exactly, and
+    four zeros, each +0.0.
     """
-    if propagate:
-        if y[3] == 0.0:
-            return _zero_amplitude_propagator_step, (1.0, y[1], 0.0, 0.0, 0.0), _propagator_row
-        # (S2, sigma2), the (S1, sigma1) solutions from (1, 0) and (0, 1), zero integrals
-        return _propagator_step, (y[1], y[3], 1.0, 0.0, 0.0, 1.0) + (0.0,) * 11, None
-    if y[2] == 0.0 and y[3] == 0.0:
-        return _zero_amplitude_step, (y[0], y[1], 0.0, 0.0, 0.0), _state_row
-    return _rk4_step, y, None
-
-
-def _grid(spec, times, rows, widen, method, step):
-    return SolutionGrid(spec, times, rows if widen is None else list(map(widen, rows)),
-                        method, step)
+    S10, _, g10, g20 = first[:4]
+    if len(y) == 8:
+        u, p, C, St, Jcc, Jcs, Jss, I2 = y
+    else:
+        (u, p, Jcc), C, St, Jcs, Jss, I2 = y, 1.0, 0.0, 0.0, 0.0, 0.0
+    r = 1.0 / u
+    qI = m * math.log(u)
+    S11, g11, a2g = S10 * S10, g10 * g10, a2 * g10
+    return (
+        (S10 * C + a2g * St) * r,
+        p * r,
+        (g10 * C - S10 * St) * r,
+        g20 * r,
+        S11 * Jcc + a2g * (2.0 * S10 * Jcs + a2g * Jss),
+        S11 * Jss - 2.0 * S10 * g10 * Jcs + g11 * Jcc + I2,
+        2.0 * qI + (S10 * g10 * (Jcc - a2 * Jss) + (a2 * g11 - S11) * Jcs),
+        qI,
+    )
 
 
 def _blow_up(spec, t_last, times, rows, widen, method, step):
     """Raise ``BlowUpError`` at ``t_last``, with the partial grid if rows were kept."""
-    partial = None if rows is None else _grid(spec, times, rows, widen, method, step)
-    raise BlowUpError(t_last, partial)
+    raise BlowUpError(t_last, rows and SolutionGrid(spec, times, rows, method, step, widen))
 
 
 def _start(spec, init, step):
-    """Shared input check, then, as Python floats, the start row, the flow
+    """Shared input check, then, as Python floats, the start state, the flow
     coefficients (m_inv, k, hh), the step and the horizon. The step must
     be positive and finite, and take at most ``MAX_STEPS`` steps over T."""
     validate(spec)
@@ -389,6 +334,24 @@ def _start(spec, init, step):
     # + 0.0 turns -0.0 into 0.0: no kernel then ever sees a negative zero
     y = tuple(float(v) + 0.0 for v in init.as_tuple()) + (0.0, 0.0, 0.0, 0.0)
     return (y, *flow_coefficients(spec), step, T)
+
+
+def _run(spec, init, step, keep, method):
+    """``_start``, then the kernel for the start state, its start row and
+    coefficients, the map from its rows to state rows, the step and T.
+
+    A start state beyond ``BLOWUP_LIMIT`` blows up at t = 0. sigma20 = 0
+    takes the zero-amplitude kernel. The kernels are looked up as module
+    globals at call, so a test can swap one.
+    """
+    first, m_inv, k, hh, step, T = _start(spec, init, step)
+    if not all(-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT for v in first):
+        _blow_up(spec, 0.0, [0.0], [first] if keep else None, None, method, step)
+    K = _coefficients(m_inv, k, hh, first[3])
+    widen = partial(_state_row, first, float(spec.m), hh / m_inv)
+    if first[3] == 0.0:
+        return _zero_amplitude_step, (1.0, first[1], 0.0), K, widen, step, T
+    return _row_step, (1.0, first[1], 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), K, widen, step, T
 
 
 def _check_step_count(T, step):
@@ -406,27 +369,22 @@ def _n_steps(T, step):
 
 
 def _fixed(spec, init, step, keep, propagate=False):
-    """Fixed-step RK4 from 0 to T: the grid if ``keep``, else the endpoint row.
+    """Fixed-step RK4 from 0 to T: the grid if ``keep``, else the end row,
+    as a state row, or with ``propagate`` as the eight-component kernel row.
 
     The grid has ceil(T/step) intervals, the last one shortened to land
     on T exactly. A blow-up raises ``BlowUpError`` at the last good time,
-    carrying the partial grid only if ``keep``. ``_kernel_for`` picks the
-    kernel from the initial data; with ``propagate`` it steps the
-    propagator row, after the same check of the initial data.
+    carrying the partial grid only if ``keep``.
     """
-    y, m_inv, k, hh, step, T = _start(spec, init, step)
+    kernel, y, K, widen, step, T = _run(spec, init, step, keep, "rk4")
     n = _n_steps(T, step)
-    kernel, start, widen = _kernel_for(y, propagate)
     times = [0.0] if keep else None
-    rows = [start] if keep else None
+    rows = [y] if keep else None
     t_prev = 0.0
-    if not all(-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT for v in y):
-        _blow_up(spec, t_prev, times, rows, widen, "rk4", step)
-    y = start
     for i in range(1, n + 1):
         # last step shortened so the grid lands on T exactly
         t = i * step if i < n else T
-        y = kernel(y, t - t_prev, m_inv, k, hh)
+        y = kernel(y, t - t_prev, K)
         if y is None:
             _blow_up(spec, t_prev, times, rows, widen, "rk4", step)
         if keep:
@@ -434,8 +392,8 @@ def _fixed(spec, init, step, keep, propagate=False):
             rows.append(y)
         t_prev = t
     if keep:
-        return _grid(spec, times, rows, widen, "rk4", step)
-    return y if widen is None else widen(y)
+        return SolutionGrid(spec, times, rows, "rk4", step, widen)
+    return _u_row(y) if propagate else widen(y)
 
 
 def final_state(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP):
@@ -451,20 +409,14 @@ def final_state(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_S
 
 
 def propagator(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP):
-    """Fixed-step propagator run: the end row of the linear (S1, sigma1) flow.
+    """Fixed-step run returning the end row (u, p, C, St, Jcc, Jcs, Jss, I2).
 
-    At fixed (S20, sigma20), (S1, sigma1) evolve linearly, and RK4 keeps
-    them linear; so one run carries everything the eigenvalue and the
-    constraint residual need as functions of (S10, sigma10). The row
-    holds, at t = T: S2, sigma2; the solutions (S1, sigma1) started at
-    (1, 0) and at (0, 1); the integrals of S1_i S1_j, sigma1_i sigma1_j
-    and (sigma1_i S1_j + sigma1_j S1_i)/2 for i <= j; and the integrals
-    of sigma2 and S2. Its kernel's table shares the state kernel's rows
-    for S2, sigma2 and the integral of S2, so those three are bit-equal
-    to ``final_state``'s, and every integral is the RK4 quadrature of its
-    own integrand. ``extremize.endpoint_models`` turns the row into the
-    models. Same input check and blow-up exit as ``final_state``; the
-    bound applies to the row's own 17 components.
+    The row does not depend on (S10, sigma10); the state at T is a
+    quadratic form in them over it, so ``extremize.endpoint_models``
+    turns it into the eigenvalue and the constraint residual as exact
+    quadratics in (S10, sigma10). A zero-amplitude run's row is widened
+    with C = 1 and St = Jcs = Jss = I2 = 0. The same run as
+    ``final_state``: same kernel, input check and blow-up exit.
     """
     return _fixed(spec, init, step, keep=False, propagate=True)
 
@@ -478,8 +430,7 @@ def _error_ratio(coarse, fine):
     five builtin calls per component on every trial, bit for bit: the rows
     are finite, ``max`` keeps its first argument on ties, and a -0.0 from
     ``x if x >= 0.0 else -x`` meets only ATOL + RTOL*(-0.0) = ATOL or a
-    ratio of -0.0, which ``q > ratio`` never takes. The components a
-    zero-amplitude row leaves out are exact zeros, which add 0.
+    ratio of -0.0, which ``q > ratio`` never takes.
     """
     ratio = 0.0
     for yc, yf in zip(coarse, fine):
@@ -493,13 +444,10 @@ def _error_ratio(coarse, fine):
 
 
 def _integrate_adaptive(spec, init, step):
-    y, m_inv, k, hh, step, T = _start(spec, init, step)
-    kernel, y, widen = _kernel_for(y, False)
+    kernel, y, K, widen, step, T = _run(spec, init, step, True, "rk4_adaptive")
     times = [0.0]
     rows = [y]
     t = 0.0
-    if not all(-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT for v in y):
-        _blow_up(spec, t, times, rows, widen, "rk4_adaptive", step)
     # no builtin call on this path: each clamp is min or max written as a comparison
     h_min = 1e-12 * (T if T > 1.0 else 1.0)
     h = T if T < step else step
@@ -512,10 +460,10 @@ def _integrate_adaptive(spec, init, step):
             h = rest
         if h < h_min:
             _blow_up(spec, t, times, rows, widen, "rk4_adaptive", step)
-        coarse = kernel(y, h, m_inv, k, hh)
-        half = kernel(y, 0.5 * h, m_inv, k, hh)
-        fine = None if half is None else kernel(half, 0.5 * h, m_inv, k, hh)
-        if coarse is None or fine is None:
+        coarse = kernel(y, h, K)
+        half = None if coarse is None else kernel(y, 0.5 * h, K)
+        fine = None if half is None else kernel(half, 0.5 * h, K)
+        if fine is None:
             h *= 0.25
             continue
         ratio = _error_ratio(coarse, fine)
@@ -532,7 +480,7 @@ def _integrate_adaptive(spec, init, step):
             h *= shrink if shrink > 0.2 else 0.2
     # floating accumulation may land within one ulp of T; pin it
     times[-1] = T
-    return _grid(spec, times, rows, widen, "rk4_adaptive", step)
+    return SolutionGrid(spec, times, rows, "rk4_adaptive", step, widen)
 
 
 def integrate(
@@ -545,9 +493,9 @@ def integrate(
 
     ``rk4`` uses a fixed step (grid of ceil(T/step) intervals, the last
     one shortened to land on T exactly); ``rk4_adaptive`` uses classic
-    step doubling with per-component mixed error control. Raises
-    ``BlowUpError`` carrying the partial grid when any component exceeds
-    ``BLOWUP_LIMIT`` or turns non-finite.
+    step doubling with per-component mixed error control on the kernel
+    row. Raises ``BlowUpError`` carrying the partial grid when a step
+    fails the kernel's tests (see the module docstring).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -572,7 +520,7 @@ def convergence_order(
     probe_spec = replace(spec, T=float(t_probe))
     values = []
     for s in (step, step / 2.0, step / 4.0):
-        values.append(integrate(probe_spec, init, step=s, method="rk4")._rows[-1][1])
+        values.append(integrate(probe_spec, init, step=s, method="rk4").row(-1)[1])
     d1 = values[0] - values[1]
     d2 = values[1] - values[2]
     if abs(d1) < 1e-14 or abs(d2) < 1e-14:

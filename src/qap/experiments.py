@@ -143,7 +143,7 @@ def cmd_integrate(cfg: ExperimentConfig, out_dir: Path) -> int:
         print(f"BLOWUP after t = {err.t_last:.6g}; partial grid in {path}")
         return EXIT_NUMERIC
     grid.to_csv(path)
-    S1, S2, sigma1, sigma2, qS, qSigma, qCon = grid._rows[-1][:7]
+    S1, S2, sigma1, sigma2, qS, qSigma, qCon = grid.row(-1)[:7]
     print(f"wrote {path} ({len(grid)} points)")
     print(f"final state: S1={S1:.9g} S2={S2:.9g} sigma1={sigma1:.9g} sigma2={sigma2:.9g}")
     print(f"accumulators: qS={qS:.9g} qSigma={qSigma:.9g} qCon={qCon:.9g}")

@@ -16,9 +16,9 @@ depends on (S1, sigma1), which itself evolves linearly, and RK4
 preserves that linearity; so at fixed (S20, sigma20) the discrete
 eigenvalue and the constraint residual are both exact quadratics in
 (S10, sigma10), at every hbar_tilde. One propagator run
-(``dynamics.propagator``) at the current point carries the discrete
-(S1, sigma1) flow from both unit starts, and ``endpoint_models``
-turns its end row into the value, gradient and Hessian of both
+(``dynamics.propagator``) at the current point returns the end of the
+integrator's linear row, which does not depend on (S10, sigma10), and
+``endpoint_models`` turns it into the value, gradient and Hessian of both
 quadratics, and so the objective's exact value, gradient and Hessian
 along the active members of {S10, sigma10}. Those members are set to a
 stationary point of the objective on these models, with no further
@@ -28,10 +28,11 @@ does not depend on, such as sigma10 at hbar_tilde = 0, where its row of
 the models is exactly zero, is left where it is). A penalty makes it
 quartic, eigenvalue + weight * residual**2, and Newton iterates from the
 current point, each step a least-squares solve on the two models; a
-point where they do not settle is left unprojected. The models are exact
-only for the fixed-step run (the adaptive step control sees S1), so the
-extremizer always runs fixed-step rk4 and takes no ``method``; the
-``extremize`` and ``classical-check`` commands exit 2 for rk4_adaptive.
+point where they do not settle is left unprojected. The extremizer
+always runs fixed-step rk4 and takes no ``method``: its differences along
+(S20, sigma20) need a step sequence that does not move with the point.
+The ``extremize`` and ``classical-check`` commands exit 2 for
+rk4_adaptive.
 
 What is left is a root of the reduced gradient g, the gradient along
 the active members of (S20, sigma20) at the projected point. Nelder-Mead
@@ -41,7 +42,10 @@ reaches ``HANDOFF_MERIT``. Powell's hybrid method (MINPACK's hybrd,
 through ``scipy.optimize.root``) then solves g = 0 from that point, with
 its default tolerances; its result is kept only if it lowers |g|. Both
 are skipped when no search coordinate remains or the projected guess is
-already stationary.
+already stationary. A root needs a small gradient in the inverse
+coordinates too (``_inverse_gradient``): g can decay toward infinity
+along S20, below any tolerance, with no root there. An attempt that ends
+at such a point leaves no point.
 
 Along (S10, sigma10) every derivative comes from the models. Along
 (S20, sigma20) the gradient takes central differences with steps of
@@ -59,6 +63,7 @@ never search start and run without either.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -67,7 +72,7 @@ import numpy as np
 from .action import EigenvalueReport, eigenvalue, endpoint_report, json_17g
 from .dynamics import DEFAULT_STEP, final_state, integrate, propagator
 from .errors import BlowUpError, FDFailureError
-from .model import COORD_NAMES, InitialData, OscillatorSpec, parse_active
+from .model import COORD_NAMES, InitialData, OscillatorSpec, flow_coefficients, parse_active
 
 #: objective value substituted for runs that blow up
 BLOWUP_PENALTY = 1e15
@@ -78,6 +83,9 @@ FD_STEP = 1e-5
 #: merit (squared reduced gradient) at which a Nelder-Mead run stops and
 #: hands its best point to the root solve
 HANDOFF_MERIT = 1e-2
+
+log = logging.getLogger("qap")
+
 
 @dataclass(frozen=True)
 class HessianSignature:
@@ -177,27 +185,32 @@ def objective(
 def endpoint_models(spec, first, end):
     """Exact quadratic models of the eigenvalue and the residual in (S10, sigma10).
 
-    ``end`` is the end row of ``dynamics.propagator`` from the initial
-    data ``first``. With u = (S10, sigma10), the run's (S1, sigma1)(T) is
-    P u, and its qS, qSigma and qCon are u.A u, u.B u + int(sigma2) and
-    u.C u + 2 int(S2), with the row's propagator columns P and integral
-    matrices A, B, C. Returns ((lam, gradient, Hessian), (residual,
-    gradient, Hessian)) at u; the two values are those of
-    ``endpoint_report`` on the state row this rebuilds.
+    ``end`` is the end row (u, p, C, St, Jcc, Jcs, Jss, I2) of
+    ``dynamics.propagator`` from the initial data ``first``. With x =
+    (S10, sigma10) and a2 = m*hh, the run's (S1, sigma1)(T) is P x, with
+    P = [[C, a2*St], [-St, C]]/u, and its qS, qSigma and qCon are x.A x,
+    x.B x + I2 and x.C x + 2*m*ln(u), with A, B and C built from Jcc, Jcs
+    and Jss. Returns ((lam, gradient, Hessian), (residual, gradient,
+    Hessian)) at x; the two values are those of ``endpoint_report`` on the
+    state row this rebuilds.
     """
-    S2, g2, p0, q0, p1, q1, A00, A01, A11, B00, B01, B11, C00, C01, C11, I2, IS = end
-    P = np.array([[p0, p1], [q0, q1]])
-    A = np.array([[A00, A01], [A01, A11]])
-    B = np.array([[B00, B01], [B01, B11]])
-    C = np.array([[C00, C01], [C01, C11]])
-    u = np.array([first[0], first[2]], dtype=float)
-    S1, g1 = P @ u
-    row = (S1, S2, g1, g2, u @ A @ u, u @ B @ u + I2, u @ C @ u + 2.0 * IS, IS)
+    u, p, c, st, Jcc, Jcs, Jss, I2 = end
+    m_inv, _, hh = flow_coefficients(spec)
+    a2 = hh / m_inv
+    IS = spec.m * math.log(u)
+    P = np.array([[c, a2 * st], [-st, c]]) / u
+    A = np.array([[Jcc, a2 * Jcs], [a2 * Jcs, a2 * a2 * Jss]])
+    B = np.array([[Jss, -Jcs], [-Jcs, Jcc]])
+    half = 0.5 * (Jcc - a2 * Jss)
+    C = np.array([[-Jcs, half], [half, a2 * Jcs]])
+    x = np.array([first[0], first[2]], dtype=float)
+    S1, g1 = P @ x
+    row = (S1, p / u, g1, first[3] / u, x @ A @ x, x @ B @ x + I2, x @ C @ x + 2.0 * IS, IS)
     report = endpoint_report(spec, first, row)
     H_lam = (spec.hbar_tilde**2 * B - A) / spec.m
     H_res = -2.0 * C / spec.m
-    g_lam = spec.xT * P[0] - (spec.x0, 0.0) + H_lam @ u
-    g_res = spec.xT * P[1] - (0.0, spec.x0) + H_res @ u
+    g_lam = spec.xT * P[0] - (spec.x0, 0.0) + H_lam @ x
+    g_res = spec.xT * P[1] - (0.0, spec.x0) + H_res @ x
     return (report.lam, g_lam, H_lam), (report.constraint_residual, g_res, H_res)
 
 
@@ -263,6 +276,13 @@ def _handoff(intermediate_result) -> None:
     """Nelder-Mead callback: stop once the best merit reaches ``HANDOFF_MERIT``."""
     if intermediate_result.fun <= HANDOFF_MERIT:
         raise StopIteration
+
+
+def _inverse_gradient(gradient, z, free) -> float:
+    """Largest |g|*max(1, z^2) over the searched coordinates: the gradient
+    in 1/z where |z| > 1. A gradient that decays toward infinity along z
+    falls below any tolerance without a root; this one does not."""
+    return max((abs(float(gradient[j])) * max(1.0, float(z[j]) ** 2) for j in free), default=0.0)
 
 
 def _central_gradient(f, z, axes):
@@ -398,10 +418,9 @@ def optimize(
     Every solve is fixed-step rk4. The active members of (S10, sigma10)
     are solved for at every point from the exact quadratic models of the
     eigenvalue and the constraint residual in them, which one propagator
-    run gives (and which hold only for the fixed-step run): one Newton
-    step without a penalty, Newton iterations on the quartic objective
-    with one (see the module docstring); with neither active the point is
-    one plain solve. The search runs over the active members of (S20,
+    run gives: one Newton step without a penalty, Newton iterations on the
+    quartic objective with one (see the module docstring); with neither
+    active the point is one plain solve. The search runs over the active members of (S20,
     sigma20). It makes up to ``restarts`` attempts (the first from
     ``guess``, later ones from seeded perturbations of the best point);
     none when nothing is left to search or the projected guess is
@@ -422,8 +441,11 @@ def optimize(
     the projected point: the certificate's gradient and
     ``stationarity_check``'s centre are read from it, so the returned
     point is solved only by the final ``integrate``.
-    Convergence means the max-norm of the gradient over all
-    active coordinates fell to ``grad_tol``; otherwise the best point
+    Convergence means the max-norm of the gradient over all active
+    coordinates fell to ``grad_tol``, and so did the gradient in the
+    inverse coordinates 1/z of the searched ones (``_inverse_gradient``);
+    an attempt whose root solve ends where only the first holds leaves no
+    point, and a ``qap`` INFO log line says so. Otherwise the best point
     found is still returned with ``converged=False``. If that best point
     itself blows up (no integrable point was found), the final
     ``integrate`` raises ``BlowUpError`` with its partial grid instead:
@@ -529,7 +551,8 @@ def optimize(
     best_free = z0[free]
     best_z, worst, best_merit, best_centre = reduced(best_free)
     gradient_norm = math.inf if best_centre is None else float(np.max(np.abs(best_centre[1])))
-    converged = gradient_norm <= grad_tol
+    converged = (gradient_norm <= grad_tol
+                 and _inverse_gradient(best_centre[1], best_z, free) <= grad_tol)
     iterations = 0
     attempt = 0
     while n and not converged and attempt < max(1, restarts):
@@ -563,6 +586,14 @@ def optimize(
             iterations += int(sol.nfev)
             if float(sol.fun @ sol.fun) < fx:
                 x, fx = sol.x, float(sol.fun @ sol.fun)
+            point, _, _, at = reduced(x)
+            if at is not None and np.max(np.abs(at[1])) <= grad_tol:
+                far = _inverse_gradient(at[1], point, free)
+                if far > grad_tol:
+                    # a small gradient, but no root: the attempt leaves no point
+                    log.info("attempt %d: no root; the gradient decays toward infinity "
+                             "(%.3g in the inverse coordinates)", attempt, far)
+                    fx = math.inf
         if fx < best_merit:
             best_merit = fx
             best_free = x

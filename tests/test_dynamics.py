@@ -25,12 +25,15 @@ from qap.dynamics import (
     ADAPTIVE_ATOL,
     ADAPTIVE_RTOL,
     BLOWUP_LIMIT,
+    FOCUS_GUARD,
     MAX_STEPS,
     METHODS,
+    _coefficients,
     _error_ratio,
-    _rk4_step,
+    _row_step,
     _stage,
     _start,
+    _state_row,
     final_state,
     propagator,
 )
@@ -61,22 +64,25 @@ class TestRhs:
         assert d.qCon == 0.5 * 2.0 + 2.0 * 3.0
 
     @given(
-        vals=st.lists(st.floats(-3, 3), min_size=4, max_size=4),
+        row=st.tuples(st.floats(0.1, 3), *[st.floats(-3, 3)] * 7),
         hbar=st.floats(0, 2),
+        sigma20=st.floats(-2, 2),
     )
     @settings(max_examples=100)
-    def test_unrolled_step_matches_stage_reference(self, vals, hbar):
+    def test_unrolled_step_matches_stage_reference(self, row, hbar, sigma20):
         # the rendered RK4 body must equal a generic RK4 over _stage, bit for bit
-        s = OscillatorSpec(m=1.3, k=0.8, hbar_tilde=hbar)
-        m_inv = 1.0 / s.m
-        hh = s.hbar_tilde**2 * 0.5 * m_inv
-        y = (*vals, 0.1, 0.2, 0.3, 0.4)
-        assert _rk4_step(y, 0.01, m_inv, s.k, hh) == generic_rk4(state_rhs(m_inv, s.k, hh), y, 0.01)
+        K = coefficients(OscillatorSpec(m=1.3, k=0.8, hbar_tilde=hbar), sigma20)
+        assert _row_step(row, 0.01, K) == generic_rk4(row_rhs(K), row, 0.01)
 
     def test_rendered_kernels_show_their_source(self):
-        for name in ("_rk4_step", "_propagator_step", "_zero_amplitude_step",
-                     "_zero_amplitude_propagator_step"):
+        for name in ("_row_step", "_zero_amplitude_step"):
             assert inspect.getsource(getattr(dynamics, name)).startswith(f"def {name}(")
+
+
+def coefficients(spec, sigma20):
+    """The kernel coefficients of a run of ``spec`` with this sigma20."""
+    m_inv = 1.0 / spec.m
+    return _coefficients(m_inv, spec.k, spec.hbar_tilde**2 * 0.5 * m_inv, sigma20)
 
 
 def generic_rk4(rhs, y, h):
@@ -92,25 +98,9 @@ def generic_rk4(rhs, y, h):
     )
 
 
-def state_rhs(m_inv, k, hh):
-    """The eight-component right-hand side of the state, from ``_stage``."""
-    return lambda y: _stage(y[0], y[1], y[2], y[3], m_inv, k, hh)
-
-
-def propagator_rhs(m_inv, k, hh):
-    """The 17-component right-hand side of ``propagator``'s row, as its docstring gives it."""
-    def rhs(y):
-        S2, g2, p0, q0, p1, q1 = y[:6]
-        a = _stage(p0, S2, q0, g2, m_inv, k, hh)  # (S1, sigma1) started at (1, 0)
-        b = _stage(p1, S2, q1, g2, m_inv, k, hh)  # and at (0, 1)
-        return (
-            a[1], a[3], a[0], a[2], b[0], b[2],
-            p0 * p0, p0 * p1, p1 * p1,  # S1_i S1_j
-            q0 * q0, q0 * q1, q1 * q1,  # sigma1_i sigma1_j
-            q0 * p0, 0.5 * (q0 * p1 + q1 * p0), q1 * p1,  # (sigma1_i S1_j + sigma1_j S1_i)/2
-            g2, S2,
-        )
-    return rhs
+def row_rhs(K):
+    """The right-hand side of the row (u, p, C, St, Jcc, Jcs, Jss, I2), from ``_stage``."""
+    return lambda y: _stage(y[0], y[1], y[2], y[3], K)
 
 
 class TestIntegrate:
@@ -218,8 +208,7 @@ class TestStepCount:
         def fail(*args):
             raise AssertionError("stepped")
 
-        for name in ("_rk4_step", "_zero_amplitude_step", "_propagator_step",
-                     "_zero_amplitude_propagator_step"):
+        for name in ("_row_step", "_zero_amplitude_step"):
             monkeypatch.setattr(dynamics, name, fail)
         runs = [lambda: final_state(spec, classical_init, step),
                 lambda: propagator(spec, classical_init, step)]
@@ -290,9 +279,8 @@ class TestBlowUp:
             assert b.value.partial is None
 
 
-#: where each component of a zero-amplitude kernel's row lands in the full row
-STATE_AT = (0, 1, 4, 6, 7)
-PROPAGATOR_AT = (2, 0, 6, 13, 16)
+#: where each component of a zero-amplitude kernel row lands in the eight-component row
+ZERO_AT = (0, 1, 4)
 QUANTUM, SILENT = InitialData(1.0, 0.2, 0.3, 0.8), InitialData(1.0, 0.2, 0.0, 0.0)
 
 
@@ -308,19 +296,20 @@ def propagator_run(s, i):
     return propagator(s, i, step=0.25)
 
 
-#: each kernel with a run it drives, that run's initial data, and where
-#: each component of the kernel's row lands in the run's result
+#: each kernel with a run it drives, that run's initial data, and, for a
+#: run that returns the kernel row, where each component of the kernel's
+#: row lands in it
 KERNELS = [
-    ("_rk4_step", fixed_run, QUANTUM, range(8)),
-    ("_rk4_step", adaptive_run, QUANTUM, range(8)),
-    ("_propagator_step", propagator_run, QUANTUM, range(17)),
-    ("_zero_amplitude_step", fixed_run, SILENT, STATE_AT),
-    ("_zero_amplitude_step", adaptive_run, SILENT, STATE_AT),
-    ("_zero_amplitude_propagator_step", propagator_run, SILENT, PROPAGATOR_AT),
-    # the propagator's row does not depend on sigma10
-    ("_zero_amplitude_propagator_step", propagator_run, replace(SILENT, sigma10=0.3),
-     PROPAGATOR_AT),
+    ("_row_step", fixed_run, QUANTUM, None),
+    ("_row_step", adaptive_run, QUANTUM, None),
+    ("_row_step", propagator_run, QUANTUM, range(8)),
+    ("_zero_amplitude_step", fixed_run, SILENT, None),
+    ("_zero_amplitude_step", adaptive_run, SILENT, None),
+    ("_zero_amplitude_step", propagator_run, SILENT, ZERO_AT),
+    # the row does not depend on sigma10
+    ("_zero_amplitude_step", propagator_run, replace(SILENT, sigma10=0.3), ZERO_AT),
 ]
+WIDTH = {"_row_step": 8, "_zero_amplitude_step": 3}
 PAST_LIMIT = [math.nan, math.inf, -math.inf, math.nextafter(BLOWUP_LIMIT, math.inf),
               -math.nextafter(BLOWUP_LIMIT, math.inf)]
 
@@ -329,11 +318,13 @@ PAST_LIMIT = [math.nan, math.inf, -math.inf, math.nextafter(BLOWUP_LIMIT, math.i
     "fixed", "adaptive", "propagator", "zero-amplitude-fixed", "zero-amplitude-adaptive",
     "zero-amplitude-propagator", "zero-amplitude-propagator-sigma10"])
 class TestBoundCheck:
-    """Each kernel bounds every component of its new row by BLOWUP_LIMIT.
+    """Each kernel bounds every component of its new row by BLOWUP_LIMIT,
+    and u, its first, from below by 0.
 
     The kernel is wrapped so that its new row is its input with one
     component replaced (a step of length 0): values past the limit, NaN
-    and +-inf must blow the run up, +-BLOWUP_LIMIT itself must not.
+    and +-inf must blow the run up, +-BLOWUP_LIMIT itself must not, except
+    that u must be positive.
     """
 
     @staticmethod
@@ -349,7 +340,7 @@ class TestBoundCheck:
 
     @pytest.mark.parametrize("value", PAST_LIMIT)
     def test_past_limit_blows_up(self, monkeypatch, spec, kernel, run, init, at, value):
-        for component in range(len(at)):
+        for component in range(WIDTH[kernel]):
             self.inject(monkeypatch, kernel, component, value)
             with pytest.raises(BlowUpError):
                 run(spec, init)
@@ -357,10 +348,23 @@ class TestBoundCheck:
 
     @pytest.mark.parametrize("value", [BLOWUP_LIMIT, -BLOWUP_LIMIT])
     def test_limit_itself_is_kept(self, monkeypatch, spec, kernel, run, init, at, value):
-        for component, position in enumerate(at):
+        for component in range(WIDTH[kernel]):
             self.inject(monkeypatch, kernel, component, value)
-            assert run(spec, init)[position] == value
+            if component == 0 and value < 0:
+                # the sign test
+                with pytest.raises(BlowUpError):
+                    run(spec, init)
+            else:
+                result = run(spec, init)
+                if at is not None:
+                    assert result[at[component]] == value
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -5e-324])
+    def test_non_positive_u_blows_up(self, monkeypatch, spec, kernel, run, init, at, value):
+        self.inject(monkeypatch, kernel, 0, value)
+        with pytest.raises(BlowUpError):
+            run(spec, init)
 
 
 def pin_cases():
@@ -377,24 +381,31 @@ def pin_cases():
         yield spec, init, float(rng.choice([1e-3, 1e-2, 0.15]))
 
 
+def generic_run(spec, init, step):
+    """The end row of a fixed-step run, by ``generic_rk4`` over ``_stage``."""
+    K = coefficients(spec, init.sigma20)
+    y, t_prev = (1.0, init.S20, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0.0
+    n = dynamics._n_steps(spec.T, step)
+    for i in range(1, n + 1):
+        t = i * step if i < n else spec.T
+        y, t_prev = generic_rk4(row_rhs(K), y, t - t_prev), t
+    return y
+
+
 class TestPropagator:
-    @given(
-        vals=st.lists(st.floats(-3, 3), min_size=17, max_size=17),
-        hbar=st.floats(0, 2),
-    )
-    @settings(max_examples=100)
-    def test_step_matches_generic_reference(self, vals, hbar):
-        m_inv, k = 1.0 / 1.3, 0.8
-        hh = hbar**2 * 0.5 * m_inv
-        y = tuple(vals)
-        want = generic_rk4(propagator_rhs(m_inv, k, hh), y, 0.01)
-        assert dynamics._propagator_step(y, 0.01, m_inv, k, hh) == want
+    def test_step_matches_generic_reference(self):
+        # a whole run, the shortened last step included
+        for spec, init, step in pin_cases():
+            if init.sigma20 != 0.0:
+                assert propagator(spec, init, step) == generic_run(spec, init, step)
 
     def test_riccati_pair_bit_equal_to_final_state(self):
+        # one run: final_state's row, (S2, sigma2) among it, is the state row
+        # of propagator's
         for spec, init, step in pin_cases():
-            row, state = propagator(spec, init, step), final_state(spec, init, step)
-            # S2, sigma2 and the integral of S2
-            assert (row[0], row[1], row[16]) == (state[1], state[3], state[7])
+            m_inv, _, hh = dynamics.flow_coefficients(spec)
+            want = _state_row(init.as_tuple(), spec.m, hh / m_inv, propagator(spec, init, step))
+            assert final_state(spec, init, step) == want
 
     def test_models_match_the_solve_at_and_around_the_point(self):
         # the models are exact: at the point, and at displaced (S10, sigma10)
@@ -420,11 +431,14 @@ class TestPropagator:
         assert b.value.partial is None
 
 
-def general_kernel(y, propagate):
-    """``dynamics._kernel_for`` without its zero-amplitude branches."""
-    if propagate:
-        return dynamics._propagator_step, (y[1], y[3], 1.0, 0.0, 0.0, 1.0) + (0.0,) * 11, None
-    return dynamics._rk4_step, y, None
+def general_kernel(y, h, K):
+    """The full row's step of a zero-amplitude row; C = 1 and St = Jcs =
+    Jss = I2 = 0 must hold after every step."""
+    row = dynamics._row_step(dynamics._u_row(y), h, K)
+    if row is None:
+        return None
+    assert repr(row[2:4] + row[5:]) == repr((1.0, 0.0, 0.0, 0.0, 0.0)), row
+    return row[0], row[1], row[4]
 
 
 def zero_amplitude_cases():
@@ -443,13 +457,11 @@ def zero_amplitude_cases():
         if i % 4 == 1:
             S20 = float(rng.choice([0.0, -0.0]))
         sigma10, sigma20 = (float(v) for v in rng.choice([0.0, -0.0], 2))
+        if i % 8 == 2:
+            sigma10 = rng.uniform(-1.0, 1.0)
         step = T / 8 if i % 2 else float(rng.choice([1e-2, 0.07, 0.15]))
         yield spec, InitialData(S10, S20, sigma10, sigma20), step
-    # the general kernel bounds qCon = 2*qIntS2 by BLOWUP_LIMIT: this run
-    # blows up at t = 50, with qIntS2 = 5e11
-    yield OscillatorSpec(m=1e30, k=0.0, T=80.0), InitialData(1.0, 1e10), 0.1
-    # subnormal steps: 2*qIntS2 and A00/2 would round differently from the
-    # general kernel's qCon and C01
+    # subnormal steps
     yield OscillatorSpec(T=6e-319), InitialData(1.0, 0.3), 3e-320
     yield OscillatorSpec(m=1e-308, k=0.0, T=2e-307), InitialData(1.0, 0.2), 1e-308
 
@@ -466,48 +478,34 @@ def outcome(run, *args):
     return repr(result)
 
 
-ZERO_AMPLITUDE_KERNELS = [
-    ("_zero_amplitude_step", state_rhs, dynamics._state_row, STATE_AT),
-    ("_zero_amplitude_propagator_step", propagator_rhs, dynamics._propagator_row, PROPAGATOR_AT),
-]
-
-
 class TestZeroAmplitude:
-    """sigma10 = sigma20 = 0 (sigma20 = 0 for the propagator) steps only the
-    live components, and the rebuilt rows equal the general kernels' runs."""
+    """sigma20 = 0 steps only (u, p, Jcc), and its runs equal the full
+    row's, bit for bit."""
 
     @given(
-        vals=st.lists(st.floats(-3, 3), min_size=5, max_size=5),
+        vals=st.tuples(st.floats(0.1, 3), st.floats(-3, 3), st.floats(-3, 3)),
         hbar=st.floats(0, 2),
     )
     @settings(max_examples=100)
     def test_step_matches_generic_reference(self, vals, hbar):
-        # the kernel's right-hand side is the general one's on the widened row
-        m_inv, k = 1.0 / 1.3, 0.8
-        hh = hbar**2 * 0.5 * m_inv
-        y = tuple(vals)
-        for name, full_rhs, widen, at in ZERO_AMPLITUDE_KERNELS:
-            rhs = full_rhs(m_inv, k, hh)
-            want = generic_rk4(lambda z: tuple(rhs(widen(z))[i] for i in at), y, 0.01)
-            assert getattr(dynamics, name)(y, 0.01, m_inv, k, hh) == want, name
+        # the kernel's right-hand side is the full row's on the widened row
+        K = coefficients(OscillatorSpec(m=1.3, k=0.8, hbar_tilde=hbar), 0.0)
+        rhs = row_rhs(K)
+        want = generic_rk4(lambda z: tuple(rhs(dynamics._u_row(z))[i] for i in ZERO_AT), vals, 0.01)
+        assert dynamics._zero_amplitude_step(vals, 0.01, K) == want
 
     def test_runs_equal_the_general_kernels_bit_for_bit(self, monkeypatch):
         runs = {
             "final_state": final_state,
             "propagator": propagator,
-            # the propagator's row does not depend on sigma10
-            "propagator, sigma10 = 0.7": lambda s, i, h: propagator(s, replace(i, sigma10=0.7), h),
             "rk4": lambda s, i, h: integrate(s, i, h, "rk4"),
             "rk4_adaptive": lambda s, i, h: integrate(s, i, h, "rk4_adaptive"),
         }
         blowups = 0
         for spec, init, step in zero_amplitude_cases():
-            y = _start(spec, init, step)[0]
-            assert dynamics._kernel_for(y, False)[0] is dynamics._zero_amplitude_step
-            assert dynamics._kernel_for(y, True)[0] is dynamics._zero_amplitude_propagator_step
             got = {name: outcome(run, spec, init, step) for name, run in runs.items()}
             with monkeypatch.context() as patch:
-                patch.setattr(dynamics, "_kernel_for", general_kernel)
+                patch.setattr(dynamics, "_zero_amplitude_step", general_kernel)
                 want = {name: outcome(run, spec, init, step) for name, run in runs.items()}
             assert got == want, (spec, init, step)
             blowups += got["rk4"].startswith("('blowup'")
@@ -516,14 +514,116 @@ class TestZeroAmplitude:
 
 class TestFinalStateFastPath:
     def test_bitwise_equal_to_grid_endpoint(self, spec):
-        # steps 0.15 and 0.3 do not divide T, so the last step is shortened
+        # steps 0.15 and 0.3 do not divide T, so the last step is shortened.
+        # At those steps with hbar_tilde = 0.4 the focusing guard stops both
+        # routes, at the same time
         init = InitialData(1.0, 0.2, 0.3, 0.8)
         for step in (1e-3, 0.15, 0.3):
             for hbar in (0.0, 0.4):
                 s = replace(spec, hbar_tilde=hbar)
-                grid = integrate(s, init, step=step)
+                try:
+                    grid = integrate(s, init, step=step)
+                except BlowUpError as err:
+                    assert step > 0.1 and hbar > 0.0
+                    with pytest.raises(BlowUpError) as fast:
+                        final_state(s, init, step=step)
+                    assert fast.value.t_last == err.t_last
+                    continue
                 fast = final_state(s, init, step=step)
                 assert tuple(float(v) for v in grid.data[-1]) == fast, (step, hbar)
+
+
+def caustic_time(m, k, S20):
+    """First positive zero of u = cos(w t) + S20/(m w) sin(w t), or of
+    u = 1 + S20 t / m at k = 0 (S20 < 0)."""
+    if k == 0.0:
+        return -m / S20
+    w = math.sqrt(k / m)
+    return math.atan(m * w / -S20) / w
+
+
+class TestCausticOracle:
+    """With c = 0 the sign test u > 0 is exact about a classical caustic:
+    a run never steps past the pole of S2."""
+
+    @given(
+        m=st.floats(0.5, 2.0),
+        k=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+        S20=st.floats(-5.0, -0.1),
+        step=st.floats(1e-3, 0.2),
+        T=st.floats(0.5, 2.0),
+        zero_amplitude=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_step_past_the_caustic(self, m, k, S20, step, T, zero_amplitude):
+        # c = 0 either way: sigma20 = 0 (the zero-amplitude row), or
+        # hbar_tilde = 0 (the full row)
+        spec = OscillatorSpec(m=m, k=k, T=T, hbar_tilde=0.7 if zero_amplitude else 0.0)
+        init = InitialData(1.0, S20, 0.3, 0.0 if zero_amplitude else 0.8)
+        t_c = caustic_time(m, k, S20)
+        try:
+            final_state(spec, init, step)
+        except BlowUpError as err:
+            assert err.t_last <= t_c
+        else:
+            assert T < t_c
+
+    @pytest.mark.parametrize("step", [0.1, 0.15, 0.2])
+    def test_coarse_caustic_config_blows_up(self, step):
+        # the Riccati kernel stepped over this pole at these steps and
+        # returned complete grids (lambda = -3.56e4, -2.90 and -197)
+        cfg = load_config(ROOT / "configs" / "caustic.ini")
+        t_c = caustic_time(cfg.spec.m, cfg.spec.k, cfg.init.S20)
+        assert 1.41 < t_c < cfg.spec.T
+        for run in (final_state, integrate):
+            with pytest.raises(BlowUpError) as err:
+                run(cfg.spec, cfg.init, step)
+            assert t_c - step <= err.value.t_last <= t_c
+
+
+class TestRowOracles:
+    def test_zero_amplitude_row_matches_closed_form(self):
+        # c = 0, k > 0: u = cos(w t) + b sin(w t) with b = S20/(m w),
+        # p = m u', C = 1, St = 0 and Jcc = sin(w t)/(w u)
+        m, k, T = 1.3, 0.8, 1.2
+        w = math.sqrt(k / m)
+        for S20 in (-0.5, 0.0, 0.7):
+            b = S20 / (m * w)
+            u = math.cos(w * T) + b * math.sin(w * T)
+            p = m * w * (b * math.cos(w * T) - math.sin(w * T))
+            row = propagator(OscillatorSpec(m=m, k=k, hbar_tilde=0.5, T=T),
+                             InitialData(0.4, S20, 0.3, 0.0), 1e-3)
+            assert row[2:4] + row[5:] == (1.0, 0.0, 0.0, 0.0, 0.0)
+            for got, want in zip((row[0], row[1], row[4]), (u, p, math.sin(w * T) / (w * u))):
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("S20, sigma20", [(0.2, 0.9), (-0.4, 1.5), (0.0, 3.0)])
+    def test_rotation_invariant_drift_is_fourth_order(self, S20, sigma20):
+        # C^2 + m*hh*St^2 = 1 exactly; RK4's drift falls about 16x per halving
+        spec = OscillatorSpec(m=1.3, k=0.8, hbar_tilde=0.6, T=1.0)
+        m_inv, _, hh = dynamics.flow_coefficients(spec)
+
+        def drift(step):
+            _, _, C, St, *_ = propagator(spec, InitialData(0.5, S20, 0.3, sigma20), step)
+            return C * C + hh / m_inv * St * St - 1.0
+
+        for step in (0.05, 0.025):
+            assert 16.0 * 0.75 <= drift(step) / drift(step / 2) <= 16.0 * 1.1
+
+    def test_focusing_guard_only_with_c_positive(self):
+        # k = 0 and S20 = -5: u = 1 - 5t without the quantum term. At
+        # h = 0.05 the first step ends where h*(-S2)/m > FOCUS_GUARD
+        spec = OscillatorSpec(m=1.0, k=0.0, hbar_tilde=0.5, T=0.1)
+        init = InitialData(1.0, -5.0, 0.3, 1.0)
+        assert 0.05 * 5.0 > FOCUS_GUARD
+        with pytest.raises(BlowUpError) as err:
+            final_state(spec, init, 0.05)
+        assert err.value.t_last == 0.0
+        # c = 0: no guard, and u stays positive up to T
+        final_state(replace(spec, hbar_tilde=0.0), init, 0.05)
+        final_state(spec, replace(init, sigma20=0.0), 0.05)
+        # a step that resolves the focusing passes the guard
+        final_state(spec, init, 1e-3)
 
 
 class TestAdaptive:
