@@ -546,13 +546,18 @@ def optimize(
         _, worst, _, at = reduced(z_free)
         return np.full(len(z_free), BLOWUP_PENALTY) if worst >= BLOWUP_PENALTY else at[1][free]
 
+    def verdict(z, at) -> tuple[float, bool]:
+        """Gradient max-norm of a record, and whether its point is a root:
+        that norm, and the gradient in 1/z along the searched coordinates,
+        within ``grad_tol``."""
+        norm = math.inf if at is None else float(np.max(np.abs(at[1])))
+        return norm, norm <= grad_tol and _inverse_gradient(at[1], z, free) <= grad_tol
+
     rng = np.random.default_rng(seed)
     n = len(free)
     best_free = z0[free]
     best_z, worst, best_merit, best_centre = reduced(best_free)
-    gradient_norm = math.inf if best_centre is None else float(np.max(np.abs(best_centre[1])))
-    converged = (gradient_norm <= grad_tol
-                 and _inverse_gradient(best_centre[1], best_z, free) <= grad_tol)
+    gradient_norm, converged = verdict(best_z, best_centre)
     iterations = 0
     attempt = 0
     while n and not converged and attempt < max(1, restarts):
@@ -586,21 +591,19 @@ def optimize(
             iterations += int(sol.nfev)
             if float(sol.fun @ sol.fun) < fx:
                 x, fx = sol.x, float(sol.fun @ sol.fun)
-            point, _, _, at = reduced(x)
-            if at is not None and np.max(np.abs(at[1])) <= grad_tol:
-                far = _inverse_gradient(at[1], point, free)
-                if far > grad_tol:
-                    # a small gradient, but no root: the attempt leaves no point
-                    log.info("attempt %d: no root; the gradient decays toward infinity "
-                             "(%.3g in the inverse coordinates)", attempt, far)
-                    fx = math.inf
+        point, worst_x, _, at = reduced(x)
+        norm, root_found = verdict(point, at)
+        if norm <= grad_tol and not root_found:
+            # a small gradient, but no root: the attempt leaves no point
+            log.info("attempt %d: no root; the gradient decays toward infinity "
+                     "(%.3g in the inverse coordinates)", attempt,
+                     _inverse_gradient(at[1], point, free))
+            fx = math.inf
         if fx < best_merit:
-            best_merit = fx
-            best_free = x
-            best_z, worst, _, best_centre = reduced(best_free)
-            if best_centre is not None:
-                gradient_norm = float(np.max(np.abs(best_centre[1])))
-                converged = gradient_norm <= grad_tol
+            best_merit, best_free = fx, x
+            best_z, worst, best_centre = point, worst_x, at
+            if at is not None:
+                gradient_norm, converged = norm, root_found
         seen.clear()
         attempt += 1
 
