@@ -36,13 +36,17 @@ scalars).
 
 A step fails, and the loop raises ``BlowUpError`` at the last good grid
 time, unless its new row has every component in [-BLOWUP_LIMIT,
-BLOWUP_LIMIT] (not NaN), passes the sign test u > 0, and, when c > 0,
-the focusing guard -h*p <= FOCUS_GUARD*m*u, that is h*(-S2)/m <=
-FOCUS_GUARD. With c = 0, u is smooth through S2's pole, so the sign test
-stops a run at the step that crosses a classical caustic. For c > 0 the
-exact flow conserves E = p^2/(2m) + k*u^2/2 - c*ln(u), so u >= exp(-E/c)
-> 0 and a blow-up is numerical: the guard stops a coarse step before it
-can hop over a sharp quantum bounce.
+BLOWUP_LIMIT] (not NaN) and passes the sign test u > 0, and, when c > 0,
+its start row passes the bounce guard: h*(-S2)/m <= FOCUS_GUARD (u,
+falling at its rate there, keeps half its value over the step) and
+h^2*c/(m*u^2) <= BOUNCE_GUARD (h is within the bounce's time scale
+u*sqrt(m/c), which also bounds the turn of (C, St) per step). With c =
+0, u is smooth through S2's pole, so the sign test stops a run at the
+step that crosses a classical caustic. For c > 0 the exact flow
+conserves E = p^2/(2m) + k*u^2/2 - c*ln(u), so u >= exp(-E/c) > 0 and a
+blow-up is numerical: the guard refuses a step that could hop over a
+sharp quantum bounce, whose stages would meet u near 0, and passes the
+smooth runs that such a step resolves.
 
 A kept trajectory is a ``SolutionGrid`` of the loop's rows. It builds the
 state rows (S1, S2, sigma1, sigma2, qS, qSigma, qCon, qIntS2) only when
@@ -66,9 +70,12 @@ from .model import InitialData, OscillatorSpec, flow_coefficients, validate
 #: any row component beyond this magnitude counts as a blow-up
 BLOWUP_LIMIT = 1e12
 
-#: the focusing guard: with c > 0, a step of length h may end only where
-#: h*(-S2)/m is at most this
-FOCUS_GUARD = 0.1
+#: the bounce guard: with c > 0, a step of length h may start only where
+#: h*(-S2)/m is at most FOCUS_GUARD (u, falling at its rate there, keeps
+#: half its value over the step) and h^2*c/(m*u^2), the squared ratio of
+#: h to the bounce's time scale u*sqrt(m/c), is at most BOUNCE_GUARD
+FOCUS_GUARD = 0.5
+BOUNCE_GUARD = 1.0
 
 #: default fixed step
 DEFAULT_STEP = 1e-3
@@ -77,6 +84,9 @@ DEFAULT_STEP = 1e-3
 #: step of T/MAX_STEPS is far below the roundoff of that many steps, so a
 #: smaller step buys nothing; ``_start`` rejects it before the first step.
 MAX_STEPS = 10**7
+
+#: fewest steps the coarsest run of ``convergence_order`` may take
+PROBE_STEPS = 4
 
 #: per-component mixed error control for the adaptive variant
 ADAPTIVE_ATOL = 1e-12
@@ -88,18 +98,19 @@ CSV_COLUMNS = ("t", "S1", "S2", "sigma1", "sigma2", "qS", "qSigma", "qCon")
 
 
 def _coefficients(m_inv, k, hh, sigma20):
-    """A run's kernel coefficients (m_inv, k, c, hs, ms, s, G): c =
-    2*hh*sigma20^2, hs = -hh*sigma20, ms = sigma20/m, s = sigma20, and
-    G = FOCUS_GUARD*m, or inf when c = 0 (no focusing guard)."""
+    """A run's kernel coefficients (m_inv, k, c, hs, ms, s, G, W): c =
+    2*hh*sigma20^2, hs = -hh*sigma20, ms = sigma20/m, s = sigma20, and the
+    bounce guard's G = FOCUS_GUARD*m, or inf when c = 0, and W =
+    c/(m*BOUNCE_GUARD)."""
     c = 2.0 * hh * sigma20 * sigma20
     return (m_inv, k, c, -hh * sigma20, sigma20 * m_inv, sigma20,
-            FOCUS_GUARD / m_inv if c > 0.0 else math.inf)
+            FOCUS_GUARD / m_inv if c > 0.0 else math.inf, c * m_inv / BOUNCE_GUARD)
 
 
 def _stage(u, p, C, St, K):
     """Derivatives of the row (u, p, C, St, Jcc, Jcs, Jss, I2) at one
     point, with the coefficients K of ``_coefficients``."""
-    m_inv, k, c, hs, ms, s, _ = K
+    m_inv, k, c, hs, ms, s, _, _ = K
     r = 1.0 / u
     a, b = r * C, r * St
     # u', p', C' = -hh*sigma2*St, St' = sigma2*C/m, Jcc', Jcs', Jss', I2' = sigma2
@@ -174,9 +185,37 @@ class SolutionGrid:
     def data(self):
         return self._array_pair()[1]
 
-    # the state columns, in CSV order, then qIntS2
-    s1, s2, sigma1, sigma2, qS, qSigma, qCon, qIntS2 = (
-        property(lambda self, i=i: self.data[:, i]) for i in range(8))
+    @property
+    def s1(self):
+        return self.data[:, 0]
+
+    @property
+    def s2(self):
+        return self.data[:, 1]
+
+    @property
+    def sigma1(self):
+        return self.data[:, 2]
+
+    @property
+    def sigma2(self):
+        return self.data[:, 3]
+
+    @property
+    def qS(self):
+        return self.data[:, 4]
+
+    @property
+    def qSigma(self):
+        return self.data[:, 5]
+
+    @property
+    def qCon(self):
+        return self.data[:, 6]
+
+    @property
+    def qIntS2(self):
+        return self.data[:, 7]
 
     @property
     def complete(self) -> bool:
@@ -210,7 +249,7 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _render(name, shared, flows, integrals, checks):
+def _render(name, shared, flows, integrals, guards, checks):
     """Source of ``name(y, h, K)``, one unrolled RK4 step of the row
     ``flows + integrals`` with the coefficients K of ``_coefficients``.
 
@@ -222,10 +261,11 @@ def _render(name, shared, flows, integrals, checks):
     y2 = y + h/2*d1, y3 = y + h/2*d2 and y4 = y + h*d3. With w6 = h/6,
     each integral gains w6*(f(y) + 2*(f(y2) + f(y3)) + f(y4)) of its
     integrand f, before the flow moves, and each flow component
-    w6*(d1 + 2*(d2 + d3) + d4). The new row is returned if each of
-    ``checks`` holds on it and every component lies in [-BLOWUP_LIMIT,
-    BLOWUP_LIMIT], which NaN does not, else None; None too when a point
-    has u = 0.0. Unrolled scalar code: a tuple-of-stages RK4 costs about
+    w6*(d1 + 2*(d2 + d3) + d4). The step is not taken, and None
+    returned, unless each of ``guards`` holds on y; the new row is
+    returned if each of ``checks`` holds on it and every component lies
+    in [-BLOWUP_LIMIT, BLOWUP_LIMIT], which NaN does not, else None; None
+    too when a point has u = 0.0. Unrolled scalar code: a tuple-of-stages RK4 costs about
     3x here, in the hot loop of every solve.
     """
     row = ", ".join(n for n, _ in flows + integrals)
@@ -235,7 +275,9 @@ def _render(name, shared, flows, integrals, checks):
         return expr.format(**{n: point + n for n in names})
 
     body = [f'"""One RK4 step of ({row}); rendered by ``_render``."""', f"{row} = y",
-            "m_inv, k, c, hs, ms, s, G = K", "h2 = 0.5 * h", "w6 = h / 6.0"]
+            "m_inv, k, c, hs, ms, s, G, W = K", "h2 = 0.5 * h", "w6 = h / 6.0"]
+    if guards:
+        body += [f"if not ({' and '.join(guards)}):", "    return None"]
     for point, d, prev, step in (("", "d1", None, None), ("y2", "d2", "d1", "h2"),
                                  ("y3", "d3", "d2", "h2"), ("y4", "d4", "d3", "h")):
         if prev:
@@ -256,19 +298,21 @@ def _render(name, shared, flows, integrals, checks):
 
 # The row's table; each line reads as its line of ``_stage``. The
 # zero-amplitude row keeps u, p and Jcc, with the terms that vanish at
-# sigma20 = 0 (C = 1, St = 0, c = 0) dropped, and no focusing guard.
+# sigma20 = 0 (C = 1, St = 0, c = 0) dropped, and no bounce guard.
 _KERNEL_FILE = "<qap.dynamics kernels>"
 _KERNEL_SOURCE = _render(
     "_row_step",
     (("r", "1.0 / {u}"), ("a", "{r} * {C}"), ("b", "{r} * {St}")),
     (("u", "m_inv * {p}"), ("p", "c * {r} - k * {u}"), ("C", "hs * {b}"), ("St", "ms * {a}")),
     (("Jcc", "{a} * {a}"), ("Jcs", "{a} * {b}"), ("Jss", "{b} * {b}"), ("I2", "s * {r}")),
-    ("0.0 < u", "-h * p <= G * u"),
+    ("-h * p <= G * u", "h * h * W <= u * u"),
+    ("0.0 < u",),
 ) + _render(
     "_zero_amplitude_step",
     (("r", "1.0 / {u}"),),
     (("u", "m_inv * {p}"), ("p", "-k * {u}")),
     (("Jcc", "{r} * {r}"),),
+    (),
     ("0.0 < u",),
 )
 # registered so that tracebacks, ``inspect.getsource`` and profilers show kernel lines
@@ -295,10 +339,7 @@ def _state_row(first, m, a2, y):
     four zeros, each +0.0.
     """
     S10, _, g10, g20 = first[:4]
-    if len(y) == 8:
-        u, p, C, St, Jcc, Jcs, Jss, I2 = y
-    else:
-        (u, p, Jcc), C, St, Jcs, Jss, I2 = y, 1.0, 0.0, 0.0, 0.0, 0.0
+    u, p, C, St, Jcc, Jcs, Jss, I2 = _u_row(y)
     r = 1.0 / u
     qI = m * math.log(u)
     S11, g11, a2g = S10 * S10, g10 * g10, a2 * g10
@@ -514,9 +555,18 @@ def convergence_order(
 
     Runs the fixed-step integrator at step, step/2, step/4 over
     [0, t_probe] and returns log2 of the ratio of successive S2
-    differences. Raises ``DegenerateProbeError`` when the differences
-    fall below 1e-14 (probe too easy to resolve an order).
+    differences. Raises ``DegenerateProbeError`` when the coarsest run
+    takes fewer than ``PROBE_STEPS`` steps (runs of one, two and four
+    steps show one step's error, not the integrator's convergence), or
+    when the differences fall below 1e-14 (probe too easy to resolve an
+    order).
     """
+    n = _n_steps(float(t_probe), step)
+    if n < PROBE_STEPS:
+        raise DegenerateProbeError(
+            f"step {step:.6g} takes {n} step(s) over t_probe = {t_probe:.6g}; "
+            f"an order needs at least {PROBE_STEPS}"
+        )
     probe_spec = replace(spec, T=float(t_probe))
     values = []
     for s in (step, step / 2.0, step / 4.0):

@@ -44,8 +44,9 @@ its default tolerances; its result is kept only if it lowers |g|. Both
 are skipped when no search coordinate remains or the projected guess is
 already stationary. A root needs a small gradient in the inverse
 coordinates too (``_inverse_gradient``): g can decay toward infinity
-along S20, below any tolerance, with no root there. An attempt that ends
-at such a point leaves no point.
+along S20, below any tolerance, with no root there. A point that passes
+only the first test is not a root, but it stays a candidate for the best
+unconverged point.
 
 Along (S10, sigma10) every derivative comes from the models. Along
 (S20, sigma20) the gradient takes central differences with steps of
@@ -444,9 +445,9 @@ def optimize(
     Convergence means the max-norm of the gradient over all active
     coordinates fell to ``grad_tol``, and so did the gradient in the
     inverse coordinates 1/z of the searched ones (``_inverse_gradient``);
-    an attempt whose root solve ends where only the first holds leaves no
-    point, and a ``qap`` INFO log line says so. Otherwise the best point
-    found is still returned with ``converged=False``. If that best point
+    a ``qap`` INFO log line names an attempt that ends where only the
+    first holds. Otherwise the best point found, by the merit, is still
+    returned with ``converged=False``. If that best point
     itself blows up (no integrable point was found), the final
     ``integrate`` raises ``BlowUpError`` with its partial grid instead:
     the returned report needs a complete run.
@@ -594,11 +595,10 @@ def optimize(
         point, worst_x, _, at = reduced(x)
         norm, root_found = verdict(point, at)
         if norm <= grad_tol and not root_found:
-            # a small gradient, but no root: the attempt leaves no point
+            # a small gradient, but no root: the point stays a candidate
             log.info("attempt %d: no root; the gradient decays toward infinity "
                      "(%.3g in the inverse coordinates)", attempt,
                      _inverse_gradient(at[1], point, free))
-            fx = math.inf
         if fx < best_merit:
             best_merit, best_free = fx, x
             best_z, worst, best_centre = point, worst_x, at

@@ -25,6 +25,7 @@ from qap.dynamics import (
     ADAPTIVE_ATOL,
     ADAPTIVE_RTOL,
     BLOWUP_LIMIT,
+    BOUNCE_GUARD,
     FOCUS_GUARD,
     MAX_STEPS,
     METHODS,
@@ -514,21 +515,12 @@ class TestZeroAmplitude:
 
 class TestFinalStateFastPath:
     def test_bitwise_equal_to_grid_endpoint(self, spec):
-        # steps 0.15 and 0.3 do not divide T, so the last step is shortened.
-        # At those steps with hbar_tilde = 0.4 the focusing guard stops both
-        # routes, at the same time
+        # steps 0.15 and 0.3 do not divide T, so the last step is shortened
         init = InitialData(1.0, 0.2, 0.3, 0.8)
         for step in (1e-3, 0.15, 0.3):
             for hbar in (0.0, 0.4):
                 s = replace(spec, hbar_tilde=hbar)
-                try:
-                    grid = integrate(s, init, step=step)
-                except BlowUpError as err:
-                    assert step > 0.1 and hbar > 0.0
-                    with pytest.raises(BlowUpError) as fast:
-                        final_state(s, init, step=step)
-                    assert fast.value.t_last == err.t_last
-                    continue
+                grid = integrate(s, init, step=step)
                 fast = final_state(s, init, step=step)
                 assert tuple(float(v) for v in grid.data[-1]) == fast, (step, hbar)
 
@@ -610,20 +602,24 @@ class TestRowOracles:
         for step in (0.05, 0.025):
             assert 16.0 * 0.75 <= drift(step) / drift(step / 2) <= 16.0 * 1.1
 
-    def test_focusing_guard_only_with_c_positive(self):
-        # k = 0 and S20 = -5: u = 1 - 5t without the quantum term. At
-        # h = 0.05 the first step ends where h*(-S2)/m > FOCUS_GUARD
+    def test_bounce_guard_only_with_c_positive(self):
+        # k = 0 and S20 = -6: u = 1 - 6t without the quantum term, so a
+        # step of 0.1 from t = 0 has h*(-S2)/m = 0.6 > FOCUS_GUARD
         spec = OscillatorSpec(m=1.0, k=0.0, hbar_tilde=0.5, T=0.1)
-        init = InitialData(1.0, -5.0, 0.3, 1.0)
-        assert 0.05 * 5.0 > FOCUS_GUARD
-        with pytest.raises(BlowUpError) as err:
-            final_state(spec, init, 0.05)
-        assert err.value.t_last == 0.0
-        # c = 0: no guard, and u stays positive up to T
-        final_state(replace(spec, hbar_tilde=0.0), init, 0.05)
-        final_state(spec, replace(init, sigma20=0.0), 0.05)
-        # a step that resolves the focusing passes the guard
-        final_state(spec, init, 1e-3)
+        init = InitialData(1.0, -6.0, 0.3, 1.0)
+        assert 0.1 * 6.0 > FOCUS_GUARD
+        # S20 = 0 and sigma20 = 30: h^2*c/(m*u^2) = 2.25 > BOUNCE_GUARD at t = 0
+        spread = replace(init, S20=0.0, sigma20=30.0)
+        assert 0.1**2 * 0.5**2 * 30.0**2 > BOUNCE_GUARD
+        for start in (init, spread):
+            with pytest.raises(BlowUpError) as err:
+                final_state(spec, start, 0.1)
+            assert err.value.t_last == 0.0
+            # c = 0: no guard, and u stays positive up to T
+            final_state(replace(spec, hbar_tilde=0.0), start, 0.1)
+            final_state(spec, replace(start, sigma20=0.0), 0.1)
+            # a step that resolves the focusing and the bounce passes
+            final_state(spec, start, 0.02)
 
 
 class TestAdaptive:
@@ -747,6 +743,13 @@ class TestConvergenceOrder:
         spec = OscillatorSpec(k=0.0)
         with pytest.raises(DegenerateProbeError):
             convergence_order(spec, InitialData(), t_probe=0.5)
+
+    @pytest.mark.parametrize("step", [0.5, 0.2])
+    def test_probe_of_few_steps_is_degenerate(self, spec, classical_init, step):
+        # one or three steps over the probe: no order is read
+        with pytest.raises(DegenerateProbeError, match="an order needs at least 4"):
+            convergence_order(spec, classical_init, t_probe=0.5, step=step)
+        convergence_order(spec, classical_init, t_probe=0.5, step=0.125)
 
     def test_blow_up_propagates(self):
         spec = OscillatorSpec(T=1.5)
