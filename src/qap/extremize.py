@@ -421,10 +421,10 @@ def optimize(
     eigenvalue and the constraint residual in them, which one propagator
     run gives: one Newton step without a penalty, Newton iterations on the
     quartic objective with one (see the module docstring); with neither
-    active the point is one plain solve. The search runs over the active members of (S20,
-    sigma20). It makes up to ``restarts`` attempts (the first from
-    ``guess``, later ones from seeded perturbations of the best point);
-    none when nothing is left to search or the projected guess is
+    active the point is one plain solve. The search runs over the active
+    members of (S20, sigma20). It makes up to ``restarts`` attempts (the
+    first from ``guess``, later ones from seeded perturbations of the best
+    point); none when nothing is left to search or the projected guess is
     already stationary. Each attempt runs Nelder-Mead on the squared
     finite-difference gradient along the searched coordinates until its
     best value falls to ``HANDOFF_MERIT``, then ``scipy.optimize.root``
