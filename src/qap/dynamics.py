@@ -265,8 +265,8 @@ def _render(name, shared, flows, integrals, guards, checks):
     returned, unless each of ``guards`` holds on y; the new row is
     returned if each of ``checks`` holds on it and every component lies
     in [-BLOWUP_LIMIT, BLOWUP_LIMIT], which NaN does not, else None; None
-    too when a point has u = 0.0. Unrolled scalar code: a tuple-of-stages RK4 costs about
-    3x here, in the hot loop of every solve.
+    too when a point has u = 0.0. Unrolled scalar code: a tuple-of-stages
+    RK4 costs about 3x here, in the hot loop of every solve.
     """
     row = ", ".join(n for n, _ in flows + integrals)
     names = [n for n, _ in flows + shared]
