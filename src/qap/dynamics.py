@@ -30,9 +30,12 @@ does not depend on (S10, sigma10), for ``final_state``, ``propagator``
 and ``integrate`` (both methods); with sigma20 = 0, C = 1 and the other
 three are 0, and ``_zero_amplitude_step`` steps only (u, p, Jcc).
 ``_render`` writes both from one table; ``_stage`` is the reference the
-tests pin them against. One input check hands the loop only Python
-floats (the unrolled step runs about three times slower on numpy
-scalars).
+tests pin them against. ``tangent`` steps the row with its variational
+equations along S20 and sigma20, 24 components (9 at sigma20 = 0), from
+tables rendered on first use (``_tangent_kernels``): the derivative of
+the discrete map that the extremizer's gradient reads. One input check
+hands the loop only Python floats (the unrolled step runs about three
+times slower on numpy scalars).
 
 A step fails, and the loop raises ``BlowUpError`` at the last good grid
 time, unless its new row has every component in [-BLOWUP_LIMIT,
@@ -61,7 +64,7 @@ from __future__ import annotations
 import linecache
 import math
 from dataclasses import FrozenInstanceError, replace
-from functools import partial
+from functools import cache, partial
 from typing import TextIO
 
 from .errors import BlowUpError, DegenerateProbeError
@@ -98,19 +101,21 @@ CSV_COLUMNS = ("t", "S1", "S2", "sigma1", "sigma2", "qS", "qSigma", "qCon")
 
 
 def _coefficients(m_inv, k, hh, sigma20):
-    """A run's kernel coefficients (m_inv, k, c, hs, ms, s, G, W): c =
-    2*hh*sigma20^2, hs = -hh*sigma20, ms = sigma20/m, s = sigma20, and the
+    """A run's kernel coefficients (m_inv, k, c, hs, ms, s, G, W, dc, dhs):
+    c = 2*hh*sigma20^2, hs = -hh*sigma20, ms = sigma20/m, s = sigma20, the
     bounce guard's G = FOCUS_GUARD*m, or inf when c = 0, and W =
-    c/(m*BOUNCE_GUARD)."""
+    c/(m*BOUNCE_GUARD), and the derivatives dc = 4*hh*sigma20 and dhs = -hh
+    of c and hs along sigma20 (those of ms and s are m_inv and 1)."""
     c = 2.0 * hh * sigma20 * sigma20
     return (m_inv, k, c, -hh * sigma20, sigma20 * m_inv, sigma20,
-            FOCUS_GUARD / m_inv if c > 0.0 else math.inf, c * m_inv / BOUNCE_GUARD)
+            FOCUS_GUARD / m_inv if c > 0.0 else math.inf, c * m_inv / BOUNCE_GUARD,
+            4.0 * hh * sigma20, -hh)
 
 
 def _stage(u, p, C, St, K):
     """Derivatives of the row (u, p, C, St, Jcc, Jcs, Jss, I2) at one
     point, with the coefficients K of ``_coefficients``."""
-    m_inv, k, c, hs, ms, s, _, _ = K
+    m_inv, k, c, hs, ms, s = K[:6]
     r = 1.0 / u
     a, b = r * C, r * St
     # u', p', C' = -hh*sigma2*St, St' = sigma2*C/m, Jcc', Jcs', Jss', I2' = sigma2
@@ -249,7 +254,7 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _render(name, shared, flows, integrals, guards, checks):
+def _render(name, shared, flows, integrals, guards, checks, bounded=None):
     """Source of ``name(y, h, K)``, one unrolled RK4 step of the row
     ``flows + integrals`` with the coefficients K of ``_coefficients``.
 
@@ -263,10 +268,11 @@ def _render(name, shared, flows, integrals, guards, checks):
     integrand f, before the flow moves, and each flow component
     w6*(d1 + 2*(d2 + d3) + d4). The step is not taken, and None
     returned, unless each of ``guards`` holds on y; the new row is
-    returned if each of ``checks`` holds on it and every component lies
-    in [-BLOWUP_LIMIT, BLOWUP_LIMIT], which NaN does not, else None; None
-    too when a point has u = 0.0. Unrolled scalar code: a tuple-of-stages
-    RK4 costs about 3x here, in the hot loop of every solve.
+    returned if each of ``checks`` holds on it and every component named
+    in ``bounded`` (all of them by default) lies in [-BLOWUP_LIMIT,
+    BLOWUP_LIMIT], which NaN does not, else None; None too when a point
+    has u = 0.0. Unrolled scalar code: a tuple-of-stages RK4 costs about
+    3x here, in the hot loop of every solve.
     """
     row = ", ".join(n for n, _ in flows + integrals)
     names = [n for n, _ in flows + shared]
@@ -275,7 +281,7 @@ def _render(name, shared, flows, integrals, guards, checks):
         return expr.format(**{n: point + n for n in names})
 
     body = [f'"""One RK4 step of ({row}); rendered by ``_render``."""', f"{row} = y",
-            "m_inv, k, c, hs, ms, s, G, W = K", "h2 = 0.5 * h", "w6 = h / 6.0"]
+            "m_inv, k, c, hs, ms, s, G, W, dc, dhs = K", "h2 = 0.5 * h", "w6 = h / 6.0"]
     if guards:
         body += [f"if not ({' and '.join(guards)}):", "    return None"]
     for point, d, prev, step in (("", "d1", None, None), ("y2", "d2", "d1", "h2"),
@@ -285,11 +291,14 @@ def _render(name, shared, flows, integrals, guards, checks):
         body += [f"{point}{n} = {at(point, f)}" for n, f in shared]
         body += [f"{d}{n} = {at(point, f)}" for n, f in flows]
     for n, f in integrals:
-        body.append(f"{n} += w6 * ({at('', f)} + 2.0 * ({at('y2', f)} + {at('y3', f)}) "
-                    f"+ {at('y4', f)})")
+        # each integrand whole, so that a sum in one is not regrouped with the next
+        f0, f2, f3, f4 = (f"({at(point, f)})" for point in ("", "y2", "y3", "y4"))
+        body.append(f"{n} += w6 * ({f0} + 2.0 * ({f2} + {f3}) + {f4})")
     body += [f"{n} += w6 * (d1{n} + 2.0 * (d2{n} + d3{n}) + d4{n})" for n, _ in flows]
-    bounded = " and ".join([*checks, *(f"-L <= {n} <= L" for n, _ in flows + integrals)])
-    body += ["L = BLOWUP_LIMIT", f"if {bounded}:", f"    return {row}", "return None"]
+    if bounded is None:
+        bounded = [n for n, _ in flows + integrals]
+    test = " and ".join([*checks, *(f"-L <= {n} <= L" for n in bounded)])
+    body += ["L = BLOWUP_LIMIT", f"if {test}:", f"    return {row}", "return None"]
     # u = 0.0 at a point raises in 1.0 / u; that step fails too
     body[2:] = ["try:", *("    " + line for line in body[2:]),
                 "except ZeroDivisionError:", "    return None"]
@@ -299,14 +308,15 @@ def _render(name, shared, flows, integrals, guards, checks):
 # The row's table; each line reads as its line of ``_stage``. The
 # zero-amplitude row keeps u, p and Jcc, with the terms that vanish at
 # sigma20 = 0 (C = 1, St = 0, c = 0) dropped, and no bounce guard.
+_ROW_SHARED = (("r", "1.0 / {u}"), ("a", "{r} * {C}"), ("b", "{r} * {St}"))
+_ROW_FLOWS = (("u", "m_inv * {p}"), ("p", "c * {r} - k * {u}"), ("C", "hs * {b}"),
+              ("St", "ms * {a}"))
+_ROW_INTEGRALS = (("Jcc", "{a} * {a}"), ("Jcs", "{a} * {b}"), ("Jss", "{b} * {b}"),
+                  ("I2", "s * {r}"))
+_ROW_GUARDS = ("-h * p <= G * u", "h * h * W <= u * u")
 _KERNEL_FILE = "<qap.dynamics kernels>"
 _KERNEL_SOURCE = _render(
-    "_row_step",
-    (("r", "1.0 / {u}"), ("a", "{r} * {C}"), ("b", "{r} * {St}")),
-    (("u", "m_inv * {p}"), ("p", "c * {r} - k * {u}"), ("C", "hs * {b}"), ("St", "ms * {a}")),
-    (("Jcc", "{a} * {a}"), ("Jcs", "{a} * {b}"), ("Jss", "{b} * {b}"), ("I2", "s * {r}")),
-    ("-h * p <= G * u", "h * h * W <= u * u"),
-    ("0.0 < u",),
+    "_row_step", _ROW_SHARED, _ROW_FLOWS, _ROW_INTEGRALS, _ROW_GUARDS, ("0.0 < u",),
 ) + _render(
     "_zero_amplitude_step",
     (("r", "1.0 / {u}"),),
@@ -315,15 +325,90 @@ _KERNEL_SOURCE = _render(
     (),
     ("0.0 < u",),
 )
-# registered so that tracebacks, ``inspect.getsource`` and profilers show kernel lines
-linecache.cache[_KERNEL_FILE] = (len(_KERNEL_SOURCE), None, _KERNEL_SOURCE.splitlines(True),
-                                 _KERNEL_FILE)
-_kernels = {}
-exec(compile(_KERNEL_SOURCE, _KERNEL_FILE, "exec"), globals(), _kernels)
+
+
+def _compile(source, filename):
+    """The functions ``source`` defines, by name, compiled as ``filename``.
+
+    The source is registered so that tracebacks, ``inspect.getsource``
+    and profilers show kernel lines.
+    """
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    kernels = {}
+    exec(compile(source, filename, "exec"), globals(), kernels)
+    return kernels
+
+
+_kernels = _compile(_KERNEL_SOURCE, _KERNEL_FILE)
 #: one RK4 step of the row (u, p, C, St, Jcc, Jcs, Jss, I2)
 _row_step = _kernels["_row_step"]
 #: one RK4 step of (u, p, Jcc), the live components of a run with sigma20 = 0
 _zero_amplitude_step = _kernels["_zero_amplitude_step"]
+
+# The row's derivative along X, S20 (S) or sigma20 (G), by the product rule
+# on each line of the row's table: rX = -r^2*uX, aX and bX the derivatives
+# of a and b. Along sigma20 the coefficients move too (``_SIGMA20_TERMS``):
+# c by dc, hs by dhs, ms by m_inv and s by 1.
+_TANGENT_SHARED = (("rX", "-{r} * {r} * {uX}"), ("aX", "{rX} * {C} + {r} * {CX}"),
+                   ("bX", "{rX} * {St} + {r} * {StX}"))
+_TANGENT_FLOWS = (("uX", "m_inv * {pX}"), ("pX", "c * {rX} - k * {uX}"), ("CX", "hs * {bX}"),
+                  ("StX", "ms * {aX}"))
+_TANGENT_INTEGRALS = (("JccX", "2.0 * {a} * {aX}"), ("JcsX", "{aX} * {b} + {a} * {bX}"),
+                      ("JssX", "2.0 * {b} * {bX}"), ("I2X", "s * {rX}"))
+_SIGMA20_TERMS = {"pX": " + dc * {r}", "CX": " + dhs * {b}", "StX": " + m_inv * {a}",
+                  "I2X": " + {r}"}
+
+
+def _along(X, lines):
+    """The tangent table's ``lines`` along X (S or G)."""
+    return tuple((n.replace("X", X), (f + (_SIGMA20_TERMS.get(n, "") if X == "G" else ""))
+                  .replace("X", X)) for n, f in lines)
+
+
+@cache
+def _tangent_kernels():
+    """The tangent run's kernels by name, rendered and compiled on first use,
+    so that the commands that never search pay nothing for them.
+
+    ``_tangent_step`` steps the row with its derivatives along S20 and
+    sigma20, 24 components in the order of ``_tangent_rows``. At sigma20 = 0
+    only 9 of them are not 0: (u, p, Jcc), their derivatives along S20,
+    and St, Jcs and I2 along sigma20, with St' = r/m, Jcs' = r^2*St and
+    I2' = r there, and ``_zero_amplitude_tangent_step`` steps those. Both
+    bound-check only the row, so a tangent run blows up exactly where
+    ``propagator`` does; a non-finite tangent is the caller's to catch.
+    """
+    source = _render(
+        "_tangent_step",
+        _ROW_SHARED + _along("S", _TANGENT_SHARED) + _along("G", _TANGENT_SHARED),
+        _ROW_FLOWS + _along("S", _TANGENT_FLOWS) + _along("G", _TANGENT_FLOWS),
+        _ROW_INTEGRALS + _along("S", _TANGENT_INTEGRALS) + _along("G", _TANGENT_INTEGRALS),
+        _ROW_GUARDS,
+        ("0.0 < u",),
+        [n for n, _ in _ROW_FLOWS + _ROW_INTEGRALS],
+    ) + _render(
+        "_zero_amplitude_tangent_step",
+        (("r", "1.0 / {u}"), ("rS", "-{r} * {r} * {uS}")),
+        (("u", "m_inv * {p}"), ("p", "-k * {u}"), ("uS", "m_inv * {pS}"), ("pS", "-k * {uS}"),
+         ("StG", "m_inv * {r}")),
+        (("Jcc", "{r} * {r}"), ("JccS", "2.0 * {r} * {rS}"), ("JcsG", "{r} * ({r} * {StG})"),
+         ("I2G", "{r}")),
+        (),
+        ("0.0 < u",),
+        ("u", "p", "Jcc"),
+    )
+    return _compile(source, "<qap.dynamics tangent kernels>")
+
+
+def _tangent_rows(y):
+    """The end row (u, p, C, St, Jcc, Jcs, Jss, I2) of a tangent kernel row,
+    and its derivatives along S20 and sigma20."""
+    if len(y) == 9:
+        u, p, uS, pS, StG, Jcc, JccS, JcsG, I2G = y
+        return ((u, p, 1.0, 0.0, Jcc, 0.0, 0.0, 0.0), (uS, pS, 0.0, 0.0, JccS, 0.0, 0.0, 0.0),
+                (0.0, 0.0, 0.0, StG, 0.0, JcsG, 0.0, I2G))
+    # the kernel row is the 12 flows (4 per row), then the 12 integrals
+    return y[0:4] + y[12:16], y[4:8] + y[16:20], y[8:12] + y[20:24]
 
 
 def _u_row(y):
@@ -355,6 +440,29 @@ def _state_row(first, m, a2, y):
     )
 
 
+def _state_tangent(first, m, a2, y, dy, dg20):
+    """The derivative of ``_state_row(first, m, a2, y)`` along the tangent
+    ``dy`` of the eight-component row ``y`` and ``dg20`` of sigma20, at
+    fixed (S10, sigma10)."""
+    S10, _, g10, g20 = first[:4]
+    u, p, C, St = y[:4]
+    du, dp, dC, dSt, dJcc, dJcs, dJss, dI2 = dy
+    r = 1.0 / u
+    dr = -r * r * du
+    dqI = m * du * r
+    S11, g11, a2g = S10 * S10, g10 * g10, a2 * g10
+    return (
+        (S10 * dC + a2g * dSt) * r + (S10 * C + a2g * St) * dr,
+        dp * r + p * dr,
+        (g10 * dC - S10 * dSt) * r + (g10 * C - S10 * St) * dr,
+        dg20 * r + g20 * dr,
+        S11 * dJcc + a2g * (2.0 * S10 * dJcs + a2g * dJss),
+        S11 * dJss - 2.0 * S10 * g10 * dJcs + g11 * dJcc + dI2,
+        2.0 * dqI + (S10 * g10 * (dJcc - a2 * dJss) + (a2 * g11 - S11) * dJcs),
+        dqI,
+    )
+
+
 def _blow_up(spec, t_last, times, rows, widen, method, step):
     """Raise ``BlowUpError`` at ``t_last``, with the partial grid if rows were kept."""
     raise BlowUpError(t_last, rows and SolutionGrid(spec, times, rows, method, step, widen))
@@ -377,22 +485,32 @@ def _start(spec, init, step):
     return (y, *flow_coefficients(spec), step, T)
 
 
-def _run(spec, init, step, keep, method):
+def _run(spec, init, step, keep, method, tangent=False):
     """``_start``, then the kernel for the start state, its start row and
-    coefficients, the map from its rows to state rows, the step and T.
+    coefficients, the map from its rows to state rows (to ``_tangent_rows``
+    with ``tangent``), the step and T.
 
     A start state beyond ``BLOWUP_LIMIT`` blows up at t = 0. sigma20 = 0
-    takes the zero-amplitude kernel. The kernels are looked up as module
-    globals at call, so a test can swap one.
+    takes a zero-amplitude kernel. The kernels are looked up at call, as
+    module globals or in ``_tangent_kernels()``, so a test can swap one.
     """
     first, m_inv, k, hh, step, T = _start(spec, init, step)
     if not all(-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT for v in first):
         _blow_up(spec, 0.0, [0.0], [first] if keep else None, None, method, step)
     K = _coefficients(m_inv, k, hh, first[3])
+    S20 = first[1]
+    if tangent:
+        # the tangents start from dp = 1 along S20 and from 0 along sigma20
+        kernels = _tangent_kernels()
+        if first[3] == 0.0:
+            y = (1.0, S20, 0.0, 1.0) + (0.0,) * 5
+            return kernels["_zero_amplitude_tangent_step"], y, K, _tangent_rows, step, T
+        y = (1.0, S20, 1.0, 0.0, 0.0, 1.0) + (0.0,) * 18
+        return kernels["_tangent_step"], y, K, _tangent_rows, step, T
     widen = partial(_state_row, first, float(spec.m), hh / m_inv)
     if first[3] == 0.0:
-        return _zero_amplitude_step, (1.0, first[1], 0.0), K, widen, step, T
-    return _row_step, (1.0, first[1], 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), K, widen, step, T
+        return _zero_amplitude_step, (1.0, S20, 0.0), K, widen, step, T
+    return _row_step, (1.0, S20, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), K, widen, step, T
 
 
 def _check_step_count(T, step):
@@ -409,15 +527,16 @@ def _n_steps(T, step):
     return n
 
 
-def _fixed(spec, init, step, keep, propagate=False):
+def _fixed(spec, init, step, keep, propagate=False, tangent=False):
     """Fixed-step RK4 from 0 to T: the grid if ``keep``, else the end row,
-    as a state row, or with ``propagate`` as the eight-component kernel row.
+    as a state row, with ``propagate`` as the eight-component kernel row,
+    or with ``tangent`` as that row and its derivatives (``tangent``).
 
     The grid has ceil(T/step) intervals, the last one shortened to land
     on T exactly. A blow-up raises ``BlowUpError`` at the last good time,
     carrying the partial grid only if ``keep``.
     """
-    kernel, y, K, widen, step, T = _run(spec, init, step, keep, "rk4")
+    kernel, y, K, widen, step, T = _run(spec, init, step, keep, "rk4", tangent)
     n = _n_steps(T, step)
     times = [0.0] if keep else None
     rows = [y] if keep else None
@@ -441,10 +560,10 @@ def final_state(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_S
     """Fixed-step run keeping only the endpoint (t = T) state tuple.
 
     Identical arithmetic to ``integrate(..., method='rk4')`` without the
-    trajectory storage; this is the hot path of extremization, where
-    every finite-difference probe needs just the final coefficients and
-    accumulators. Rejects the same inputs as ``integrate`` and raises
-    ``BlowUpError`` (without a partial grid) on the same runs.
+    trajectory storage, for callers that need just the final
+    coefficients and accumulators, such as ``extremize.objective`` and the
+    certificate's corner solves. Rejects the same inputs as ``integrate``
+    and raises ``BlowUpError`` (without a partial grid) on the same runs.
     """
     return _fixed(spec, init, step, keep=False)
 
@@ -460,6 +579,20 @@ def propagator(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_ST
     ``final_state``: same kernel, input check and blow-up exit.
     """
     return _fixed(spec, init, step, keep=False, propagate=True)
+
+
+def tangent(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP):
+    """Fixed-step run returning ``propagator``'s end row and its derivatives
+    along S20 and sigma20, as three eight-component rows.
+
+    RK4 on the row and its variational equations is the derivative of the
+    discrete RK4 map (Hairer, Norsett & Wanner I, section I.14), so the
+    derivatives are exact for ``propagator``'s row, up to roundoff: no
+    difference step. The base row is ``propagator``'s, bit for bit, and the
+    run blows up exactly where ``propagator``'s does; only the tangents may
+    come out non-finite.
+    """
+    return _fixed(spec, init, step, keep=False, tangent=True)
 
 
 def _error_ratio(coarse, fine):

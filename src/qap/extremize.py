@@ -15,11 +15,11 @@ coordinates from the search. Nothing in the (S2, sigma2) subsystem
 depends on (S1, sigma1), which itself evolves linearly, and RK4
 preserves that linearity; so at fixed (S20, sigma20) the discrete
 eigenvalue and the constraint residual are both exact quadratics in
-(S10, sigma10), at every hbar_tilde. One propagator run
-(``dynamics.propagator``) at the current point returns the end of the
-integrator's linear row, which does not depend on (S10, sigma10), and
-``endpoint_models`` turns it into the value, gradient and Hessian of both
-quadratics, and so the objective's exact value, gradient and Hessian
+(S10, sigma10), at every hbar_tilde. One run at the current point
+(``dynamics.propagator``, or ``dynamics.tangent`` when (S20, sigma20) are
+searched) returns the end of the integrator's linear row, which does not
+depend on (S10, sigma10), and ``endpoint_models`` turns it into the
+value, gradient and Hessian of both quadratics, and so the objective's exact value, gradient and Hessian
 along the active members of {S10, sigma10}. Those members are set to a
 stationary point of the objective on these models, with no further
 solves. Without a penalty that objective is the quadratic itself and
@@ -29,8 +29,10 @@ the models is exactly zero, is left where it is). A penalty makes it
 quartic, eigenvalue + weight * residual**2, and Newton iterates from the
 current point, each step a least-squares solve on the two models; a
 point where they do not settle is left unprojected. The extremizer
-always runs fixed-step rk4 and takes no ``method``: its differences along
-(S20, sigma20) need a step sequence that does not move with the point.
+always runs fixed-step rk4 and takes no ``method``: its gradient along
+(S20, sigma20) is the derivative of the fixed-step map, and the
+certificate's differences need a step sequence that does not move with
+the point.
 The ``extremize`` and ``classical-check`` commands exit 2 for
 rk4_adaptive.
 
@@ -49,12 +51,15 @@ only the first test is not a root, but it stays a candidate for the best
 unconverged point.
 
 Along (S10, sigma10) every derivative comes from the models. Along
-(S20, sigma20) the gradient takes central differences with steps of
-``FD_STEP`` times max(1, |coord|), and the certificate's Hessian steps
-of its square root, on the models' value and gradient (see
-``stationarity_check``). Runs that blow up inside the horizon map to a
-large finite penalty so the simplex retreats; they are counted, not
-raised.
+(S20, sigma20) the gradient comes from the same run: ``dynamics.tangent``
+steps the row with its derivatives along S20 and sigma20, and
+``endpoint_report``, linear in its two rows, maps them to those of the
+eigenvalue and the residual, exact for the discrete map (``_centre``).
+Only the certificate's Hessian takes differences there, with steps of
+sqrt(``FD_STEP``) times max(1, |coord|), on the models' value and
+gradient (see ``stationarity_check``). Runs that blow up inside the
+horizon, or whose tangents come out non-finite, map to a large finite
+penalty so the simplex retreats; they are counted, not raised.
 
 This is the one module of ``qap`` that imports numpy; the CLI imports
 it only inside the two commands that search. ``scipy.optimize`` is
@@ -71,14 +76,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import EigenvalueReport, eigenvalue, endpoint_report, json_17g
-from .dynamics import DEFAULT_STEP, final_state, integrate, propagator
+from .dynamics import DEFAULT_STEP, _state_tangent, final_state, integrate, propagator, tangent
 from .errors import BlowUpError, FDFailureError
 from .model import COORD_NAMES, InitialData, OscillatorSpec, flow_coefficients, parse_active
 
 #: objective value substituted for runs that blow up
 BLOWUP_PENALTY = 1e15
 
-#: relative step of every finite-difference gradient
+#: relative step of the certificate's differences along (S20, sigma20),
+#: which take steps of sqrt(FD_STEP) * max(1, |coord|)
 FD_STEP = 1e-5
 
 #: merit (squared reduced gradient) at which a Nelder-Mead run stops and
@@ -108,8 +114,9 @@ class HessianSignature:
 class StationarityReport:
     """Gradient and Hessian of the objective at a point.
 
-    Exact along the active members of (S10, sigma10), from the
-    propagator run's models; by differences along (S20, sigma20).
+    The gradient is exact, from one run's models along (S10, sigma10) and
+    its tangents along (S20, sigma20); the Hessian is exact along (S10,
+    sigma10) and by differences along (S20, sigma20).
     """
 
     gradient: np.ndarray
@@ -124,9 +131,9 @@ class ExtremumResult:
     ``report`` is recomputed by a fresh integration at ``init``, never
     cached from a simplex vertex. ``hessian_signature`` is None when a
     probe of ``stationarity_check`` around the final point blew up.
-    ``blowups`` counts the search's solves and propagator runs that blew
-    up; the stationarity check and the final integration are not among
-    them.
+    ``blowups`` counts the search's runs that blew up or gave non-finite
+    tangents; the stationarity check and the final integration are not
+    among them.
     """
 
     init: InitialData
@@ -237,13 +244,14 @@ def _value(spec: OscillatorSpec, init: InitialData, weight: float, step: float) 
 
 
 def _objective_at(models, weight: float, u: np.ndarray):
-    """Value, gradient and Hessian of lam + weight * r**2 at offset ``u`` on ``models``."""
+    """Value, gradient and Hessian of lam + weight * r**2 at offset ``u`` on
+    ``models``, and the residual r there."""
     (lam, gl, Hl), (r0, gr, Hr) = models
     dl, dr = gl + Hl @ u, gr + Hr @ u
     r = r0 + 0.5 * (gr + dr) @ u
     wr = 2.0 * weight * r
     value = lam + 0.5 * (gl + dl) @ u + weight * r**2
-    return value, dl + wr * dr, Hl + 2.0 * weight * np.outer(dr, dr) + wr * Hr
+    return value, dl + wr * dr, Hl + 2.0 * weight * np.outer(dr, dr) + wr * Hr, r
 
 
 def _newton_quartic(models, weight: float) -> np.ndarray | None:
@@ -254,7 +262,7 @@ def _newton_quartic(models, weight: float) -> np.ndarray | None:
     """
     u = np.zeros(len(models[0][1]))
     for _ in range(40):
-        _, grad, hess = _objective_at(models, weight, u)
+        _, grad, hess, _ = _objective_at(models, weight, u)
         # diverging iterates overflow, and lstsq fails on non-finite input
         if not math.isfinite(hess.sum() + grad.sum()):
             return None
@@ -286,24 +294,6 @@ def _inverse_gradient(gradient, z, free) -> float:
     return max((abs(float(gradient[j])) * max(1.0, float(z[j]) ** 2) for j in free), default=0.0)
 
 
-def _central_gradient(f, z, axes):
-    """Central differences of ``f`` at ``z`` along ``axes``.
-
-    Returns the gradient and the largest probe value, so a caller can
-    tell whether any probe hit the blow-up penalty.
-    """
-    g = np.empty(len(axes))
-    worst = -math.inf
-    for a, i in enumerate(axes):
-        h = FD_STEP * max(1.0, abs(z[i]))
-        zp = z.copy(); zp[i] += h
-        zm = z.copy(); zm[i] -= h
-        fp, fm = f(zp), f(zm)
-        g[a] = (fp - fm) / (2.0 * h)
-        worst = max(worst, fp, fm)
-    return g, worst
-
-
 def _signature(H: np.ndarray) -> HessianSignature:
     eigs = np.linalg.eigvalsh(H)
     scale = max(1.0, float(np.max(np.abs(eigs))) if len(eigs) else 0.0)
@@ -324,6 +314,62 @@ def _split(idx):
     return lin, free, [idx[j] // 2 for j in lin]
 
 
+def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
+    """The point ``z`` over the active coordinates ``idx`` of ``base``, and
+    the objective there, from one run.
+
+    With ``project`` the active members of (S10, sigma10) move to a
+    stationary point of the objective on the run's models (see
+    ``optimize``); Newton iterates that do not settle leave the point
+    where it is. The objective is its value, its gradient over ``idx`` and
+    its Hessian along the members of (S10, sigma10). The run is
+    ``propagator``'s when no coordinate is searched, else ``tangent``'s,
+    and the gradient along (S20, sigma20) is then exact for the discrete
+    map: the row does not depend on (S10, sigma10), so its tangents hold
+    at the moved point too, and ``endpoint_report`` is linear in its two
+    rows, so it maps the tangent of the state row to those of the
+    eigenvalue and the residual. Raises ``BlowUpError``, at T when the run
+    completes but a tangent is not finite.
+    """
+    lin, free, pos = _split(idx)
+    init = _embed(base, idx, z)
+    if free:
+        end, *slopes = tangent(spec, init, step)
+    else:
+        end = propagator(spec, init, step)
+    block = np.ix_(pos, pos)
+    models = tuple((v, g[pos], H[block])
+                   for v, g, H in endpoint_models(spec, init.as_tuple(), end))
+    du = None
+    if project and lin and weight == 0.0:
+        # lstsq: a direction the objective does not depend on gets no step
+        (_, gl, Hl), _ = models
+        du = np.linalg.lstsq(Hl, -gl, rcond=None)[0]
+    elif project and lin:
+        du = _newton_quartic(models, weight)
+    if du is None:
+        du = np.zeros(len(lin))
+    else:
+        z = z.copy()
+        z[lin] += du
+    value, g_lin, H_lin, r = _objective_at(models, weight, du)
+    gradient = np.empty(len(idx))
+    gradient[lin] = g_lin
+    if free:
+        first = _embed(base, idx, z).as_tuple()
+        m_inv, _, hh = flow_coefficients(spec)
+        for j in free:
+            # the unit tangent of the initial data along this coordinate
+            e = [0.0] * 4
+            e[idx[j]] = 1.0
+            dlast = _state_tangent(first, spec.m, hh / m_inv, end, slopes[idx[j] // 2], e[3])
+            d = endpoint_report(spec, e, dlast)
+            gradient[j] = d.lam + 2.0 * weight * r * d.constraint_residual
+        if not np.isfinite(gradient[free]).all():
+            raise BlowUpError(spec.T)
+    return z, (value, gradient, H_lin)
+
+
 def stationarity_check(
     init: InitialData,
     spec: OscillatorSpec,
@@ -336,24 +382,26 @@ def stationarity_check(
     """Gradient and Hessian of the objective at ``init``, and the Hessian's signature.
 
     Along the active members of (S10, sigma10) the gradient and the
-    Hessian block come exactly from the propagator run's models. Along
-    the searched coordinates (S20, sigma20) the gradient takes central
-    differences with steps FD_STEP * max(1, |coord|), and the Hessian
-    steps of hs = sqrt(FD_STEP) * max(1, |coord|): per coordinate, one
+    Hessian block come exactly from the models of one run at ``init``.
+    Along the searched coordinates (S20, sigma20) the gradient comes
+    exactly from that run's tangents (a ``dynamics.tangent`` run; see
+    ``_centre``), and the Hessian takes steps of hs = sqrt(FD_STEP) *
+    max(1, |coord|): per coordinate, one
     model evaluation (a propagator run) at each of z +- hs gives the
     diagonal entry, a second difference of the objective, and the row's
     coupling to (S10, sigma10), a central difference of the exact model
     gradient; the S20-sigma20 entry takes four corner solves. With no
     member of (S10, sigma10) active each model evaluation is one plain
     solve. Every solve is fixed-step rk4: the models are exact only for
-    it. Raises ``FDFailureError`` when any probe blows up: a verification
-    tool must not silently average over a caustic.
+    it. Raises ``FDFailureError`` when the run at ``init`` or any probe
+    blows up, or the tangents come out non-finite: a verification tool
+    must not silently average over a caustic.
 
     A caller that already holds, at ``init``, the objective's value, its
     gradient over the active coordinates and its Hessian along the active
     members of (S10, sigma10) (no probe blown up) passes them as
-    ``centre``; the report is the same up to roundoff, without the
-    centre's run and the gradient's solves.
+    ``centre``; the report is the same up to roundoff, without the run at
+    ``init``.
     """
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]
@@ -376,12 +424,11 @@ def stationarity_check(
         return _objective_at(models, penalty_weight, np.zeros(len(lin)))
 
     if centre is None:
-        v0, g_lin, H_lin = at(z)
-        gradient = np.empty(n)
-        gradient[lin] = g_lin
-        gradient[free] = _central_gradient(f, z, free)[0]
-    else:
-        v0, gradient, H_lin = centre
+        try:
+            centre = _centre(spec, base, idx, z, penalty_weight, step, project=False)[1]
+        except BlowUpError:
+            raise FDFailureError("the run at the point blew up") from None
+    v0, gradient, H_lin = centre
     # second differences use sqrt(FD_STEP) steps: FD_STEP itself would put
     # the quotient below the objective's evaluation precision
     hs = [math.sqrt(FD_STEP) * max(1.0, abs(v)) for v in z]
@@ -390,7 +437,7 @@ def stationarity_check(
     for i in free:
         zp = z.copy(); zp[i] += hs[i]
         zm = z.copy(); zm[i] -= hs[i]
-        (vp, gp, _), (vm, gm, _) = at(zp), at(zm)
+        (vp, gp, _, _), (vm, gm, _, _) = at(zp), at(zm)
         H[i, i] = (vp - 2.0 * v0 + vm) / hs[i] ** 2
         H[i, lin] = H[lin, i] = (gp - gm) / (2.0 * hs[i])
     for a, i in enumerate(free):
@@ -418,15 +465,15 @@ def optimize(
 
     Every solve is fixed-step rk4. The active members of (S10, sigma10)
     are solved for at every point from the exact quadratic models of the
-    eigenvalue and the constraint residual in them, which one propagator
-    run gives: one Newton step without a penalty, Newton iterations on the
-    quartic objective with one (see the module docstring); with neither
-    active the point is one plain solve. The search runs over the active
-    members of (S20, sigma20). It makes up to ``restarts`` attempts (the
+    eigenvalue and the constraint residual in them, which one run gives:
+    one Newton step without a penalty, Newton iterations on the quartic
+    objective with one (see the module docstring). The search runs over
+    the active members of (S20, sigma20), and that run is then a tangent
+    run, which also gives the exact gradient along them (``_centre``). It makes up to ``restarts`` attempts (the
     first from ``guess``, later ones from seeded perturbations of the best
     point); none when nothing is left to search or the projected guess is
     already stationary. Each attempt runs Nelder-Mead on the squared
-    finite-difference gradient along the searched coordinates until its
+    gradient along the searched coordinates until its
     best value falls to ``HANDOFF_MERIT``, then ``scipy.optimize.root``
     (method ``hybr``, default tolerances) on that gradient from the
     simplex's best vertex; the root is kept only if it lowers the squared
@@ -434,11 +481,11 @@ def optimize(
     coordinate. ``max_iter`` caps the Nelder-Mead iterations and the
     root solve's gradient evaluations of each attempt, and
     ``iterations`` counts both.
-    Each point is solved once per call (its propagator run counts as its
-    solve): its cached record serves the simplex, the root solve and the
-    certificate. The record also holds the objective's value, its
-    gradient over all active coordinates (exact along (S10, sigma10),
-    from the same run's models) and its Hessian along (S10, sigma10) at
+    Each point is solved once per call (its propagator or tangent run
+    counts as its solve): its cached record serves the simplex, the root
+    solve and the certificate. The record also holds the objective's
+    value, its gradient over all active coordinates (from the same run's
+    models and tangents) and its Hessian along (S10, sigma10) at
     the projected point: the certificate's gradient and
     ``stationarity_check``'s centre are read from it, so the returned
     point is solved only by the final ``integrate``.
@@ -455,97 +502,55 @@ def optimize(
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]
     base = guess.as_tuple()
-    lin, free, pos = _split(idx)
+    free = _split(idx)[1]
     z0 = np.array([base[i] for i in idx], dtype=float)
     blowups = 0
     T = spec.T
-
-    def f(z) -> float:
-        nonlocal blowups
-        try:
-            return _value(spec, _embed(base, idx, z), penalty_weight, step)
-        except BlowUpError:
-            blowups += 1
-            return BLOWUP_PENALTY
 
     def full(z_free) -> np.ndarray:
         z = z0.copy()
         z[free] = z_free
         return z
 
-    def centre(z) -> tuple[float, np.ndarray, tuple | None]:
-        """Last integrable time, projected point, and the objective there.
-
-        The time is ``T`` when the run completed; the point is z
-        projected along ``lin``; the objective is its value, gradient and
-        Hessian along ``lin``, None when the run blew up. With no member
-        of (S10, sigma10) active this is one plain solve. Otherwise one
-        propagator run gives the exact quadratic models of the eigenvalue
-        and the constraint residual along ``lin``, and the stationary point
-        of the objective follows from them without further solves. Newton
-        iterates that do not settle leave z unprojected.
-        """
-        nonlocal blowups
-        try:
-            models = _linear_models(spec, _embed(base, idx, z), pos, step)
-        except BlowUpError as err:
-            blowups += 1
-            return float(err.t_last), z, None
-        du = np.zeros(len(lin))
-        if lin and penalty_weight == 0.0:
-            # lstsq: a direction the objective does not depend on gets no step
-            (_, gl, Hl), _ = models
-            du = np.linalg.lstsq(Hl, -gl, rcond=None)[0]
-        elif lin:
-            du = _newton_quartic(models, penalty_weight)
-        if du is None:
-            return T, z, _objective_at(models, penalty_weight, np.zeros(len(lin)))
-        out = z.copy()
-        out[lin] += du
-        return T, out, _objective_at(models, penalty_weight, du)
-
     # records of the current attempt, keyed on z_free.tobytes(); the guess's
     # record starts the first attempt, and each attempt reads its best point
     seen = {}
 
     def reduced(z_free):
-        """Projected point, largest probe value, merit, and the centre for the check.
+        """Projected point, merit, and the centre for the check.
 
-        The centre is run and projected, and the gradient is taken
-        along the searched coordinates; at the projected point the
-        gradient along lin vanishes, so this is the reduced gradient.
-        The projected point is not solved again: the projection moves only
-        (S10, sigma10), and the Riccati pair that blows up does not depend
-        on them. The centre for the check is the objective's value, its
-        gradient over all active coordinates (along lin from the models) and
-        its Hessian along lin; None when the centre blew up, which leaves no
-        projection and no gradient (largest probe inf). The merit is the
-        squared reduced gradient, except for a plateau near the penalty:
-        blown-up centres ramp it by how early the run died, so the simplex
-        has a slope back toward integrable initial data; a blown probe
-        around a fine centre sits just below.
+        One run at the point (``_centre``) projects it and gives the
+        gradient over all active coordinates there; along lin it vanishes
+        at a projected point, so along the searched coordinates it is the
+        reduced gradient. The projection moves only (S10, sigma10), and
+        the row that blows up does not depend on them. The centre for the
+        check is the objective's value, that gradient and its Hessian along
+        lin; None when the run blew up, which leaves no projection and no
+        gradient. The merit is the squared reduced gradient, except near
+        the penalty: blown-up runs ramp it by how early they died, so the
+        simplex has a slope back toward integrable initial data.
         """
+        nonlocal blowups
         key = z_free.tobytes()
         if key not in seen:
-            t_last, z, at = centre(full(z_free))
-            if t_last < T:
-                frac = (T - min(max(t_last, 0.0), T)) / T
-                seen[key] = z, math.inf, BLOWUP_PENALTY * (1.0 + frac), None
+            z = full(z_free)
+            try:
+                z, at = _centre(spec, base, idx, z, penalty_weight, step, project=True)
+            except BlowUpError as err:
+                blowups += 1
+                frac = (T - min(max(float(err.t_last), 0.0), T)) / T
+                seen[key] = z, BLOWUP_PENALTY * (1.0 + frac), None
             else:
-                g, worst = _central_gradient(f, z, free)
-                gradient = np.empty(len(z))
-                gradient[lin], gradient[free] = at[1], g
-                value = (0.99 * BLOWUP_PENALTY if worst >= BLOWUP_PENALTY
-                         else min(float(g @ g), 0.9 * BLOWUP_PENALTY))
-                seen[key] = z, worst, value, (at[0], gradient, at[2])
+                g = at[1][free]
+                seen[key] = z, min(float(g @ g), 0.9 * BLOWUP_PENALTY), at
         return seen[key]
 
     def merit(z_free) -> float:
-        return reduced(z_free)[2]
+        return reduced(z_free)[1]
 
     def residual(z_free) -> np.ndarray:
-        _, worst, _, at = reduced(z_free)
-        return np.full(len(z_free), BLOWUP_PENALTY) if worst >= BLOWUP_PENALTY else at[1][free]
+        at = reduced(z_free)[2]
+        return np.full(len(z_free), BLOWUP_PENALTY) if at is None else at[1][free]
 
     def verdict(z, at) -> tuple[float, bool]:
         """Gradient max-norm of a record, and whether its point is a root:
@@ -557,7 +562,7 @@ def optimize(
     rng = np.random.default_rng(seed)
     n = len(free)
     best_free = z0[free]
-    best_z, worst, best_merit, best_centre = reduced(best_free)
+    best_z, best_merit, best_centre = reduced(best_free)
     gradient_norm, converged = verdict(best_z, best_centre)
     iterations = 0
     attempt = 0
@@ -592,7 +597,7 @@ def optimize(
             iterations += int(sol.nfev)
             if float(sol.fun @ sol.fun) < fx:
                 x, fx = sol.x, float(sol.fun @ sol.fun)
-        point, worst_x, _, at = reduced(x)
+        point, _, at = reduced(x)
         norm, root_found = verdict(point, at)
         if norm <= grad_tol and not root_found:
             # a small gradient, but no root: the point stays a candidate
@@ -601,7 +606,7 @@ def optimize(
                      _inverse_gradient(at[1], point, free))
         if fx < best_merit:
             best_merit, best_free = fx, x
-            best_z, worst, best_centre = point, worst_x, at
+            best_z, best_centre = point, at
             if at is not None:
                 gradient_norm, converged = norm, root_found
         seen.clear()
@@ -611,7 +616,7 @@ def optimize(
     grid = integrate(spec, final_init, step=step)
     report = eigenvalue(grid)
     signature = None
-    if best_centre is not None and worst < BLOWUP_PENALTY:
+    if best_centre is not None:
         try:
             signature = stationarity_check(
                 final_init, spec, mask, penalty_weight, step, centre=best_centre,

@@ -37,6 +37,7 @@ from qap.dynamics import (
     _state_row,
     final_state,
     propagator,
+    tangent,
 )
 from qap.extremize import endpoint_models
 
@@ -76,8 +77,10 @@ class TestRhs:
         assert _row_step(row, 0.01, K) == generic_rk4(row_rhs(K), row, 0.01)
 
     def test_rendered_kernels_show_their_source(self):
-        for name in ("_row_step", "_zero_amplitude_step"):
-            assert inspect.getsource(getattr(dynamics, name)).startswith(f"def {name}(")
+        kernels = {**dynamics._kernels, **dynamics._tangent_kernels()}
+        assert len(kernels) == 4
+        for name, kernel in kernels.items():
+            assert inspect.getsource(kernel).startswith(f"def {name}(")
 
 
 def coefficients(spec, sigma20):
@@ -432,6 +435,165 @@ class TestPropagator:
         assert b.value.partial is None
 
 
+def tangent_rhs(K):
+    """The right-hand side of a tangent kernel row: ``_stage`` on the row and
+    its variational equations along S20 and along sigma20, where the
+    coefficients move too, in the kernel's order (12 flows, 12 integrands)."""
+    m_inv, k, c, hs, ms, s, _, _, dc, dhs = K
+
+    def rhs(y):
+        u, p, C, St = y[:4]
+        *flows, dJcc, dJcs, dJss, dI2 = _stage(u, p, C, St, K)
+        integrands = [dJcc, dJcs, dJss, dI2]
+        r = 1.0 / u
+        a, b = r * C, r * St
+        for uX, pX, CX, StX, along_sigma20 in (y[4:8] + (False,), y[8:12] + (True,)):
+            rX = -r * r * uX
+            aX = rX * C + r * CX
+            bX = rX * St + r * StX
+            dpX, dCX, dStX, dI2X = c * rX - k * uX, hs * bX, ms * aX, s * rX
+            if along_sigma20:
+                dpX, dCX, dStX, dI2X = dpX + dc * r, dCX + dhs * b, dStX + m_inv * a, dI2X + r
+            flows += [m_inv * pX, dpX, dCX, dStX]
+            integrands += [2.0 * a * aX, aX * b + a * bX, 2.0 * b * bX, dI2X]
+        return tuple(flows + integrands)
+
+    return rhs
+
+
+#: where each component of a zero-amplitude tangent kernel row lands in the
+#: 24-component one; of the others, C is 1 and the rest 0 at sigma20 = 0
+TANGENT_ZERO_AT = (0, 1, 4, 5, 11, 12, 16, 21, 23)
+
+#: TestCausticOracle's draws: c = 0 runs whose caustic may lie inside T
+CAUSTIC_DRAWS = dict(
+    m=st.floats(0.5, 2.0),
+    k=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+    S20=st.floats(-5.0, -0.1),
+    step=st.floats(1e-3, 0.2),
+    T=st.floats(0.5, 2.0),
+    zero_amplitude=st.booleans(),
+)
+
+
+def caustic_case(m, k, S20, T, zero_amplitude):
+    """A c = 0 run: sigma20 = 0 (the zero-amplitude row), or hbar_tilde = 0
+    (the full row)."""
+    spec = OscillatorSpec(m=m, k=k, T=T, hbar_tilde=0.7 if zero_amplitude else 0.0)
+    return spec, InitialData(1.0, S20, 0.3, 0.0 if zero_amplitude else 0.8)
+
+
+def base_row(spec, init, step):
+    return tangent(spec, init, step)[0]
+
+
+class TestTangent:
+    """``tangent`` steps the row with its derivatives along S20 and sigma20:
+    the base row is ``propagator``'s, and the derivatives are those of its
+    discrete map."""
+
+    @given(
+        row=st.tuples(st.floats(0.1, 3), *[st.floats(-3, 3)] * 23),
+        hbar=st.floats(0, 2),
+        sigma20=st.floats(-2, 2),
+    )
+    @settings(max_examples=100)
+    def test_step_matches_generic_reference(self, row, hbar, sigma20):
+        K = coefficients(OscillatorSpec(m=1.3, k=0.8, hbar_tilde=hbar), sigma20)
+        step = dynamics._tangent_kernels()["_tangent_step"]
+        assert step(row, 0.01, K) == generic_rk4(tangent_rhs(K), row, 0.01)
+
+    def test_base_row_is_propagators(self, spec):
+        # whole runs, the shortened last step and sigma20 = 0 included, and
+        # TestBoundCheck's inputs
+        cases = [(s, i, h) for s, init, h in pin_cases() for i in (init, replace(init, sigma20=0.0))]
+        cases += [(spec, i, 0.25) for i in (QUANTUM, SILENT, replace(SILENT, sigma10=0.3))]
+        for s, i, h in cases:
+            assert outcome(base_row, s, i, h) == outcome(propagator, s, i, h), (s, i, h)
+
+    @given(**CAUSTIC_DRAWS)
+    @settings(max_examples=60, deadline=None)
+    def test_blows_up_where_propagator_does(self, m, k, S20, step, T, zero_amplitude):
+        spec, init = caustic_case(m, k, S20, T, zero_amplitude)
+        assert outcome(base_row, spec, init, step) == outcome(propagator, spec, init, step)
+
+    @pytest.mark.parametrize("init, name, row_at", [
+        (QUANTUM, "_tangent_step", (0, 1, 2, 3, 12, 13, 14, 15)),
+        (SILENT, "_zero_amplitude_tangent_step", (0, 1, 5)),
+    ])
+    def test_bound_check_reads_only_the_row(self, monkeypatch, spec, init, name, row_at):
+        # as in TestBoundCheck, a step of length 0 that puts inf in one
+        # component: in the row it blows the run up; in a tangent it
+        # comes out as it is
+        kernels = dynamics._tangent_kernels()
+        inner = kernels[name]
+        width = 24 if name == "_tangent_step" else 9
+        for component in range(width):
+            def stepped(y, h, K, component=component):
+                y = list(y)
+                y[component] = math.inf
+                return inner(tuple(y), 0.0, K)
+
+            monkeypatch.setitem(kernels, name, stepped)
+            if component in row_at:
+                with pytest.raises(BlowUpError) as err:
+                    tangent(spec, init, 0.25)
+                assert err.value.t_last == 0.0
+            else:
+                row, *slopes = tangent(spec, init, 0.25)
+                assert all(map(math.isfinite, row))
+                assert not all(map(math.isfinite, slopes[0] + slopes[1])), component
+            monkeypatch.undo()
+
+    def test_zero_amplitude_table_equals_the_full_one(self, monkeypatch):
+        kernels = dynamics._tangent_kernels()
+        full = kernels["_tangent_step"]
+
+        def widened(y, h, K):
+            wide = [0.0] * 24
+            wide[2] = 1.0
+            for i, v in zip(TANGENT_ZERO_AT, y):
+                wide[i] = v
+            row = full(tuple(wide), h, K)
+            if row is None:
+                return None
+            rest = [v for i, v in enumerate(row) if i not in TANGENT_ZERO_AT]
+            if all(map(math.isfinite, row)):
+                assert rest == [1.0] + [0.0] * 14, row
+            return tuple(row[i] for i in TANGENT_ZERO_AT)
+
+        def non_finite(text):
+            return "nan" in text or "inf" in text
+
+        blowups = 0
+        for spec, init, step in zero_amplitude_cases():
+            got = [outcome(run, spec, init, step) for run in (tangent, base_row)]
+            with monkeypatch.context() as patch:
+                patch.setitem(kernels, "_zero_amplitude_tangent_step", widened)
+                want = [outcome(run, spec, init, step) for run in (tangent, base_row)]
+            if non_finite(got[0]):
+                # m = 1e-308: the tangents overflow, to other non-finite values
+                assert non_finite(want[0]) and got[1] == want[1], (spec, init, step)
+            else:
+                assert got == want, (spec, init, step)
+            blowups += got[0].startswith("('blowup'")
+        assert blowups >= 5
+
+    def test_tangents_match_differences_of_the_run(self):
+        # fourth-order central differences of whole propagator runs, at
+        # steps of 2e-4 * max(1, |coord|), sigma20 = 0 included
+        for spec, init, step in pin_cases():
+            for start in (init, replace(init, sigma20=0.0)):
+                _, *slopes = tangent(spec, start, step)
+                for name, slope in zip(("S20", "sigma20"), slopes):
+                    x = getattr(start, name)
+                    d = 2e-4 * max(1.0, abs(x))
+                    runs = [propagator(spec, replace(start, **{name: x + j * d}), step)
+                            for j in (-2, -1, 1, 2)]
+                    diff = [(a - 8.0 * b + 8.0 * c - e) / (12.0 * d) for a, b, c, e in zip(*runs)]
+                    assert np.allclose(slope, diff, rtol=1e-9, atol=1e-9), (spec, start, step, name)
+
+
 def general_kernel(y, h, K):
     """The full row's step of a zero-amplitude row; C = 1 and St = Jcs =
     Jss = I2 = 0 must hold after every step."""
@@ -538,20 +700,10 @@ class TestCausticOracle:
     """With c = 0 the sign test u > 0 is exact about a classical caustic:
     a run never steps past the pole of S2."""
 
-    @given(
-        m=st.floats(0.5, 2.0),
-        k=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
-        S20=st.floats(-5.0, -0.1),
-        step=st.floats(1e-3, 0.2),
-        T=st.floats(0.5, 2.0),
-        zero_amplitude=st.booleans(),
-    )
+    @given(**CAUSTIC_DRAWS)
     @settings(max_examples=200, deadline=None)
     def test_no_step_past_the_caustic(self, m, k, S20, step, T, zero_amplitude):
-        # c = 0 either way: sigma20 = 0 (the zero-amplitude row), or
-        # hbar_tilde = 0 (the full row)
-        spec = OscillatorSpec(m=m, k=k, T=T, hbar_tilde=0.7 if zero_amplitude else 0.0)
-        init = InitialData(1.0, S20, 0.3, 0.0 if zero_amplitude else 0.8)
+        spec, init = caustic_case(m, k, S20, T, zero_amplitude)
         t_c = caustic_time(m, k, S20)
         try:
             final_state(spec, init, step)

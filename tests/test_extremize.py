@@ -27,6 +27,7 @@ from qap import (
 import qap.extremize as extremize
 from qap.dynamics import propagator
 from qap.extremize import BLOWUP_PENALTY, FD_STEP, endpoint_models, parse_active
+from qap.model import COORD_NAMES
 
 
 class TestParseActive:
@@ -183,9 +184,10 @@ class TestOptimizeClassical:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """List that grows by one entry per ODE solve or propagator run the extremizer makes."""
+    """List that grows by one entry per ODE solve, propagator run or tangent
+    run the extremizer makes."""
     calls = []
-    for name in ("final_state", "integrate", "propagator"):
+    for name in ("final_state", "integrate", "propagator", "tangent"):
         inner = getattr(extremize, name)
 
         def counted(*args, _inner=inner, **kwargs):
@@ -269,11 +271,12 @@ class TestVariableProjection:
         res = optimize(spec, guess, active=("S10", "S20"), step=1e-3)
         assert res.converged
         assert res.iterations == 0
-        # 3 solves and 3 propagator runs: the guess's run, its gradient along
-        # S20 and the final integrate, then the check's two runs at S20 +- hs
-        # (14 solves and 1 run when the check took central differences; 17
-        # solves with the projection stencil)
-        assert len(solves) <= 6
+        # 4 runs: the guess's tangent run, which gives its gradient along S20,
+        # the final integrate, then the check's two propagator runs at
+        # S20 +- hs (3 solves and 3 propagator runs when the gradient took
+        # central differences; 14 solves and 1 run when the check did too;
+        # 17 solves with the projection stencil)
+        assert len(solves) <= 4
         assert res.report.lam == pytest.approx(lambda_star(spec), abs=1e-6)
 
     def test_flat_sigma10_in_classical_limit(self, spec):
@@ -297,11 +300,13 @@ class TestVariableProjection:
         # decays like S20**-2 toward S20 = +inf (a 1e-13 reference gives
         # -5.6e-5 at S20 = 90.3, -9.9e-8 at 3000). The Riccati kernel's
         # under-resolution made a local minimum of |g| near S20 = 90.3, where
-        # the search used to stop. Each attempt now walks out to S20 ~ 1e9,
-        # where |g| < grad_tol but |g| * S20**2, the gradient in 1/S20, is
-        # not: no attempt finds a root, and the best of their points is
-        # returned unconverged. The search takes 420 solves and propagator
-        # runs
+        # the search used to stop. Each attempt now walks out toward
+        # S20 = +inf (the best point lies near 1e12), where |g| < grad_tol
+        # but |g| * S20**2, the gradient in 1/S20, is not: no attempt finds
+        # a root, and the best of their points is returned unconverged. The
+        # search takes 189 runs: 186 tangent runs, the final
+        # integrate and the check's two propagator runs (420 solves and
+        # propagator runs with central differences along S20)
         caplog.set_level(logging.INFO, logger="qap")
         res = optimize(
             replace(spec, hbar_tilde=0.5), InitialData(S10=-3.0, sigma20=1.0),
@@ -311,9 +316,9 @@ class TestVariableProjection:
         assert res.init.S20 > 1e8 and res.gradient_norm < 1e-15
         assert [r.getMessage().split(";")[0] for r in caplog.records] == [
             f"attempt {i}: no root" for i in range(5)]
-        assert len(solves) <= 420
+        assert len(solves) <= 189
         assert (hashlib.sha256(res.to_json().encode()).hexdigest()
-                == "e433fcb44caefcfd86bc08bf922b061423c8c3fbda4c36ffe8f8bb36034a7e25")
+                == "8845aad787eee8fa85e5f9b59c6a71c2e3f9ae0dae58c1780ef091ce487c32c6")
 
     def test_small_gradient_at_infinity_is_not_a_root(self, spec):
         # the same objective at h = 1e-3: the root solve ends near S20 ~ 1e9,
@@ -360,28 +365,32 @@ class TestVariableProjection:
     def test_penalised_search_projects_linear_coordinates(self, spec, solves):
         # the penalty makes the objective quartic in (S10, sigma10); Newton
         # on the exact models solves them, and the search runs over
-        # (S20, sigma20) only. It takes 204 solves and propagator runs (179 on
-        # the Riccati kernel, whose O(h**4) difference at this step moves the
-        # simplex's path; 212 when the certificate took central differences
-        # along (S10, sigma10), 392 solves with the projection stencil;
-        # Nelder-Mead alone: 2332)
+        # (S20, sigma20) only. It takes 47 runs: 38 tangent runs, the final
+        # integrate and the check's 4 propagator runs and 4 corner solves
+        # (204 solves and propagator runs with central differences along
+        # (S20, sigma20); 179 on the Riccati kernel, whose O(h**4)
+        # difference at this step moves the simplex's path; 212 when the
+        # certificate took central differences along (S10, sigma10), 392
+        # solves with the projection stencil; Nelder-Mead alone: 2332)
         res = penalised_search(spec, (1.0, 0.5, 0.1, 0.4), 400, 3)
         assert res.converged
         assert np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-6
         assert res.report.lam == pytest.approx(PENALISED_LAMBDA, abs=1e-9)
-        assert len(solves) <= 204
+        assert len(solves) <= 47
 
     def test_negative_x0_stall_ends_fast(self, solves):
         # the reduced gradient has a local minimum without a root here
         # (|g| of a few 1e-3); Nelder-Mead alone spent 238,132 solves before giving
-        # up. The search still finds no root, but now says so quickly: 1349
-        # solves and propagator runs (1390 when the certificate took central
-        # differences along (S10, sigma10), 2722 with the projection stencil)
+        # up. The search still finds no root, but now says so quickly: 283
+        # runs, 274 of them tangent runs (1334 solves and propagator runs
+        # with central differences along (S20, sigma20), 1390 when the
+        # certificate took them along (S10, sigma10) too, 2722 with the
+        # projection stencil)
         spec = OscillatorSpec(m=0.9, k=0.86, hbar_tilde=0.42, T=1, x0=-0.73, xT=0.89)
         res = optimize(spec, InitialData(0.3, 0.2, 0.08, 0.4), penalty_weight=0.25,
                        step=1e-2, seed=104)
         assert res.converged is False
-        assert len(solves) <= 1349
+        assert len(solves) <= 283
 
     def test_unsettled_newton_records_model_gradient(self, spec, monkeypatch):
         # a point where Newton does not settle stays unprojected; its gradient
@@ -436,7 +445,7 @@ class TestVariableProjection:
         # returned point is solved only by the final integrate. A propagator
         # run counts as a solve of its point
         points = Counter()
-        for name in ("final_state", "integrate", "propagator"):
+        for name in ("final_state", "integrate", "propagator", "tangent"):
             inner = getattr(extremize, name)
 
             def recorded(spec, init, *args, _inner=inner, **kwargs):
@@ -489,8 +498,9 @@ class TestStationarityCheck:
         assert np.max(np.abs(rep.gradient)) <= 1e-10
 
     # the centre's propagator run blows up; the centre integrates, but a
-    # plain solve of the Hessian blows up; within FD_STEP of the caustic, a
-    # plain solve of the gradient blows up
+    # plain solve of the Hessian blows up; the case once named for a
+    # gradient probe that blew up within FD_STEP of the caustic: on the row
+    # the centre's own tangent run blows up (t_last = 1.499)
     @pytest.mark.parametrize("t0, sigma20, active", [
         (-0.58, 0.0, ("S10", "S20")),
         (-0.07, 0.5, ("S20", "sigma20")),
@@ -501,6 +511,46 @@ class TestStationarityCheck:
         init = InitialData(S10=1.0, S20=t0_to_S20(t0, spec), sigma20=sigma20)
         with pytest.raises(FDFailureError):
             stationarity_check(init, spec, active=active)
+
+    @pytest.mark.parametrize("active", [("S10", "S20"), ("S20", "sigma20"), None])
+    @pytest.mark.parametrize("penalty_weight", [0.0, 0.5])
+    def test_gradient_matches_differences_of_the_objective(self, spec, active, penalty_weight):
+        # exact for the discrete map: fourth-order central differences of the
+        # objective, at steps of 2e-4 * max(1, |coord|), agree within 1e-9;
+        # sigma20 = 0 runs the zero-amplitude tangent table
+        s = replace(spec, hbar_tilde=0.4, x0=0.2)
+        idx = [i for i, on in enumerate(parse_active(active)) if on]
+        rng = np.random.default_rng(31)
+        for _ in range(2):
+            init = InitialData(*rng.uniform((-1.0, -0.3, -0.5, 0.2), (1.0, 0.5, 0.5, 1.0)))
+            for point in (init, replace(init, sigma20=0.0)):
+                rep = stationarity_check(point, s, active, penalty_weight, step=1e-2)
+                for j, i in enumerate(idx):
+                    name = COORD_NAMES[i]
+                    x = getattr(point, name)
+                    d = 2e-4 * max(1.0, abs(x))
+                    f = [objective(replace(point, **{name: x + k * d}), s, penalty_weight, 1e-2)
+                         for k in (-2, -1, 1, 2)]
+                    want = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * d)
+                    assert abs(rep.gradient[j] - want) <= 1e-9 * max(1.0, abs(want)), (point, name)
+
+    def test_non_finite_tangent_counts_as_a_blow_up(self, spec, monkeypatch):
+        # a run whose row completes but whose tangent overflowed gives no
+        # gradient: the check refuses the point, and the search treats it as
+        # behind a blow-up
+        run = extremize.tangent
+
+        def overflowed(*args):
+            row, along_S20, along_sigma20 = run(*args)
+            return row, (math.nan,) + along_S20[1:], along_sigma20
+
+        monkeypatch.setattr(extremize, "tangent", overflowed)
+        guess = InitialData(S10=0.0, S20=t0_to_S20(0.5, spec))
+        with pytest.raises(FDFailureError):
+            stationarity_check(guess, spec, active=("S10", "S20"))
+        res = optimize(spec, guess, active=("S10", "S20"), max_iter=5, restarts=1, step=1e-2)
+        assert not res.converged and res.gradient_norm == math.inf
+        assert res.blowups > 0 and res.hessian_signature is None
 
     def test_numpy_scalar_init_gives_same_report(self, spec):
         init = InitialData(S10=1.0, S20=0.3, sigma20=0.5)
