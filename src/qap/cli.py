@@ -27,15 +27,33 @@ from .experiments import COMMANDS, EXIT_CONFIG, run_command
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is when the record is
+    emitted, so a stream swapped out after ``main`` (and maybe closed)
+    is never written to."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _):
+        pass
+
+
+_HANDLER = _StderrHandler()
+_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
 def _setup_logging() -> None:
+    """Install the one stderr handler on the root logger, at the QAP_LOG level."""
     raw = os.environ.get("QAP_LOG", "error").strip().lower()
     level = _LOG_LEVELS.get(raw, logging.ERROR)
-    logging.basicConfig(
-        level=level,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-        force=True,
-    )
+    root = logging.getLogger()
+    if _HANDLER not in root.handlers:
+        root.addHandler(_HANDLER)
+    root.setLevel(level)
+    _HANDLER.setLevel(level)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,13 +23,17 @@ value, gradient and Hessian of both quadratics, and so the objective's exact val
 along the active members of {S10, sigma10}. Those members are set to a
 stationary point of the objective on these models, with no further
 solves. Without a penalty that objective is the quadratic itself and
-one least-squares Newton step solves it (so a direction the eigenvalue
+one minimum-norm Newton step solves it (so a direction the eigenvalue
 does not depend on, such as sigma10 at hbar_tilde = 0, where its row of
 the models is exactly zero, is left where it is). A penalty makes it
 quartic, eigenvalue + weight * residual**2, and Newton iterates from the
-current point, each step a least-squares solve on the two models; a
-point where they do not settle is left unprojected. The extremizer
-always runs fixed-step rk4 and takes no ``method``: its gradient along
+current point, each step a minimum-norm solve on the two models; a
+point where they do not settle is left unprojected. The models, the
+objective on them and each step are scalar code on Python floats, at
+most 2x2 (``_min_norm_step``: ``np.linalg.lstsq``'s solution and
+cutoff, from one Jacobi rotation), so a point's projection makes no
+numpy call. The extremizer always runs fixed-step rk4 and takes no
+``method``: its gradient along
 (S20, sigma20) is the derivative of the fixed-step map, and the
 certificate's differences need a step sequence that does not move with
 the point.
@@ -61,8 +65,10 @@ gradient (see ``stationarity_check``). Runs that blow up inside the
 horizon, or whose tangents come out non-finite, map to a large finite
 penalty so the simplex retreats; they are counted, not raised.
 
-This is the one module of ``qap`` that imports numpy; the CLI imports
-it only inside the two commands that search. ``scipy.optimize`` is
+This is the one module of ``qap`` that imports numpy, for the records
+the search and the certificate read (each point's gradient and Hessian
+block, built once per point) and the certificate's ``eigvalsh``; the CLI
+imports it only inside the two commands that search. ``scipy.optimize`` is
 imported only when a search reaches Nelder-Mead. So the commands that
 never search start and run without either.
 """
@@ -71,6 +77,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +93,10 @@ BLOWUP_PENALTY = 1e15
 #: relative step of the certificate's differences along (S20, sigma20),
 #: which take steps of sqrt(FD_STEP) * max(1, |coord|)
 FD_STEP = 1e-5
+
+#: eigenvalue cutoff of ``_min_norm_step``: ``np.linalg.lstsq``'s default
+#: rcond, eps * max(M, N), for a 2x2 system
+_CUTOFF = 2.0 * sys.float_info.epsilon
 
 #: merit (squared reduced gradient) at which a Nelder-Mead run stops and
 #: hands its best point to the root solve
@@ -199,77 +210,129 @@ def endpoint_models(spec, first, end):
     P = [[C, a2*St], [-St, C]]/u, and its qS, qSigma and qCon are x.A x,
     x.B x + I2 and x.C x + 2*m*ln(u), with A, B and C built from Jcc, Jcs
     and Jss. Returns ((lam, gradient, Hessian), (residual, gradient,
-    Hessian)) at x; the two values are those of ``endpoint_report`` on the
-    state row this rebuilds.
+    Hessian)) at x, on Python floats: each gradient a pair and each
+    Hessian [[a, b], [b, c]] the triple (a, b, c). The two values are
+    those of ``endpoint_report`` on the state row this rebuilds.
     """
     u, p, c, st, Jcc, Jcs, Jss, I2 = end
     m_inv, _, hh = flow_coefficients(spec)
     a2 = hh / m_inv
-    IS = spec.m * math.log(u)
-    P = np.array([[c, a2 * st], [-st, c]]) / u
-    A = np.array([[Jcc, a2 * Jcs], [a2 * Jcs, a2 * a2 * Jss]])
-    B = np.array([[Jss, -Jcs], [-Jcs, Jcc]])
+    m, h2 = spec.m, spec.hbar_tilde * spec.hbar_tilde
+    IS = m * math.log(u)
+    P00, P01, P10 = c / u, a2 * st / u, -st / u
+    aJcs = a2 * Jcs
+    A = (Jcc, aJcs, a2 * a2 * Jss)
     half = 0.5 * (Jcc - a2 * Jss)
-    C = np.array([[-Jcs, half], [half, a2 * Jcs]])
-    x = np.array([first[0], first[2]], dtype=float)
-    S1, g1 = P @ x
-    row = (S1, p / u, g1, first[3] / u, x @ A @ x, x @ B @ x + I2, x @ C @ x + 2.0 * IS, IS)
+    x0, x1 = first[0], first[2]
+    row = (P00 * x0 + P01 * x1, p / u, P10 * x0 + P00 * x1, first[3] / u,
+           _form(A, x0, x1), _form((Jss, -Jcs, Jcc), x0, x1) + I2,
+           _form((-Jcs, half, aJcs), x0, x1) + 2.0 * IS, IS)
     report = endpoint_report(spec, first, row)
-    H_lam = (spec.hbar_tilde**2 * B - A) / spec.m
-    H_res = -2.0 * C / spec.m
-    g_lam = spec.xT * P[0] - (spec.x0, 0.0) + H_lam @ x
-    g_res = spec.xT * P[1] - (0.0, spec.x0) + H_res @ x
+    H_lam = ((h2 * Jss - A[0]) / m, (-h2 * Jcs - aJcs) / m, (h2 * Jcc - A[2]) / m)
+    H_res = (2.0 * Jcs / m, -2.0 * half / m, -2.0 * aJcs / m)
+    xT = spec.xT
+    g_lam = (xT * P00 - spec.x0 + (H_lam[0] * x0 + H_lam[1] * x1),
+             xT * P01 + (H_lam[1] * x0 + H_lam[2] * x1))
+    g_res = (xT * P10 + (H_res[0] * x0 + H_res[1] * x1),
+             xT * P00 - spec.x0 + (H_res[1] * x0 + H_res[2] * x1))
     return (report.lam, g_lam, H_lam), (report.constraint_residual, g_res, H_res)
 
 
+def _form(H, x0, x1):
+    """x.H x for the symmetric triple ``H``."""
+    a, b, c = H
+    return (a * x0 + b * x1) * x0 + (b * x0 + c * x1) * x1
+
+
 def _linear_models(spec: OscillatorSpec, init: InitialData, pos, step: float):
-    """``endpoint_models`` at ``init``, restricted to its rows ``pos``.
+    """``endpoint_models`` at ``init``, restricted to its rows ``pos`` (``_restrict``).
 
     One propagator run; with ``pos`` empty, one plain solve gives the two
-    values. Raises ``BlowUpError``.
+    values, with zero gradients and Hessians. Raises ``BlowUpError``.
     """
     if not pos:
         report = endpoint_report(spec, init.as_tuple(), final_state(spec, init, step))
-        flat, empty = np.zeros(0), np.zeros((0, 0))
-        return (report.lam, flat, empty), (report.constraint_residual, flat, empty)
-    block = np.ix_(pos, pos)
-    models = endpoint_models(spec, init.as_tuple(), propagator(spec, init, step))
-    return tuple((value, g[pos], H[block]) for value, g, H in models)
+        flat = ((0.0, 0.0), (0.0, 0.0, 0.0))
+        return (report.lam, *flat), (report.constraint_residual, *flat)
+    return _restrict(endpoint_models(spec, init.as_tuple(), propagator(spec, init, step)), pos)
 
 
 def _value(spec: OscillatorSpec, init: InitialData, weight: float, step: float) -> float:
     """lam + weight * r**2 at ``init``, from one plain solve. Raises ``BlowUpError``."""
     (lam, _, _), (r, _, _) = _linear_models(spec, init, (), step)
-    return lam + weight * r**2
+    return lam + weight * r * r
 
 
-def _objective_at(models, weight: float, u: np.ndarray):
+def _restrict(models, pos):
+    """``models`` along the active members ``pos`` of (S10, sigma10): the
+    rows and columns of the others are zero, so they get no step."""
+    if len(pos) == 2:
+        return models
+    on0, on1 = 0 in pos, 1 in pos
+    return tuple((v, (g[0] if on0 else 0.0, g[1] if on1 else 0.0),
+                  (H[0] if on0 else 0.0, H[1] if on0 and on1 else 0.0, H[2] if on1 else 0.0))
+                 for v, g, H in models)
+
+
+def _min_norm_step(H, g):
+    """Minimum-norm x with H x = -g, for the symmetric triple ``H`` and the pair ``g``.
+
+    ``np.linalg.lstsq`` with its default cutoff, on the eigenvalues of H
+    (one Jacobi rotation): an eigenvalue with |lam| <= 2 eps max|lam|
+    counts as zero, and its direction gets no step. None when an input is
+    not finite.
+    """
+    a, b, c = H
+    g0, g1 = g
+    if not math.isfinite(a + b + c + g0 + g1):
+        return None
+    if b == 0.0:
+        cut = _CUTOFF * max(abs(a), abs(c))
+        return (-g0 / a if abs(a) > cut else 0.0), (-g1 / c if abs(c) > cut else 0.0)
+    # eigenvectors (cs, -sn) and (sn, cs), eigenvalues a - t*b and c + t*b
+    tau = (c - a) / (2.0 * b)
+    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+    cs = 1.0 / math.sqrt(1.0 + t * t)
+    sn = t * cs
+    l1, l2 = a - t * b, c + t * b
+    cut = _CUTOFF * max(abs(l1), abs(l2))
+    k1 = -(cs * g0 - sn * g1) / l1 if abs(l1) > cut else 0.0
+    k2 = -(sn * g0 + cs * g1) / l2 if abs(l2) > cut else 0.0
+    return k1 * cs + k2 * sn, k2 * cs - k1 * sn
+
+
+def _objective_at(models, weight: float, u):
     """Value, gradient and Hessian of lam + weight * r**2 at offset ``u`` on
-    ``models``, and the residual r there."""
-    (lam, gl, Hl), (r0, gr, Hr) = models
-    dl, dr = gl + Hl @ u, gr + Hr @ u
-    r = r0 + 0.5 * (gr + dr) @ u
-    wr = 2.0 * weight * r
-    value = lam + 0.5 * (gl + dl) @ u + weight * r**2
-    return value, dl + wr * dr, Hl + 2.0 * weight * np.outer(dr, dr) + wr * Hr, r
+    ``models``, and the residual r there, on Python floats."""
+    (lam, (gl0, gl1), (la, lb, lc)), (r0, (gr0, gr1), (ra, rb, rc)) = models
+    u0, u1 = u
+    dl0, dl1 = gl0 + (la * u0 + lb * u1), gl1 + (lb * u0 + lc * u1)
+    dr0, dr1 = gr0 + (ra * u0 + rb * u1), gr1 + (rb * u0 + rc * u1)
+    r = r0 + 0.5 * ((gr0 + dr0) * u0 + (gr1 + dr1) * u1)
+    w2, wr = 2.0 * weight, 2.0 * weight * r
+    value = lam + 0.5 * ((gl0 + dl0) * u0 + (gl1 + dl1) * u1) + weight * r * r
+    gradient = (dl0 + wr * dr0, dl1 + wr * dr1)
+    hessian = (la + w2 * dr0 * dr0 + wr * ra, lb + w2 * dr0 * dr1 + wr * rb,
+               lc + w2 * dr1 * dr1 + wr * rc)
+    return value, gradient, hessian, r
 
 
-def _newton_quartic(models, weight: float) -> np.ndarray | None:
+def _newton_quartic(models, weight: float):
     """Stationary offset of lam + weight * r**2 on ``models``, by Newton from u = 0.
 
-    Each step is a least-squares solve, like the penalty-free step. None
-    when the iterates do not settle within a few dozen steps.
+    Each step is ``_min_norm_step``, like the penalty-free step, on Python
+    floats. None when the iterates do not settle within a few dozen steps
+    or overflow.
     """
-    u = np.zeros(len(models[0][1]))
+    u0 = u1 = 0.0
     for _ in range(40):
-        _, grad, hess, _ = _objective_at(models, weight, u)
-        # diverging iterates overflow, and lstsq fails on non-finite input
-        if not math.isfinite(hess.sum() + grad.sum()):
+        _, grad, hess, _ = _objective_at(models, weight, (u0, u1))
+        du = _min_norm_step(hess, grad)
+        if du is None:
             return None
-        du = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        u = u + du
-        if abs(du).max() <= 1e-12 * max(1.0, abs(u).max()):
-            return u
+        u0, u1 = u0 + du[0], u1 + du[1]
+        if max(abs(du[0]), abs(du[1])) <= 1e-12 * max(1.0, abs(u0), abs(u1)):
+            return u0, u1
     return None
 
 
@@ -321,10 +384,13 @@ def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
     With ``project`` the active members of (S10, sigma10) move to a
     stationary point of the objective on the run's models (see
     ``optimize``); Newton iterates that do not settle leave the point
-    where it is. The objective is its value, its gradient over ``idx`` and
-    its Hessian along the members of (S10, sigma10). The run is
-    ``propagator``'s when no coordinate is searched, else ``tangent``'s,
-    and the gradient along (S20, sigma20) is then exact for the discrete
+    where it is. The models and the projection are Python floats
+    (``endpoint_models``, ``_newton_quartic``); the objective is returned
+    as its value, its gradient over ``idx`` and its Hessian along the
+    members of (S10, sigma10), the two numpy arrays of the point's
+    record, built once. The run is ``propagator``'s when no coordinate
+    is searched, else ``tangent``'s, and the gradient along (S20,
+    sigma20) is then exact for the discrete
     map: the row does not depend on (S10, sigma10), so its tangents hold
     at the moved point too, and ``endpoint_report`` is linear in its two
     rows, so it maps the tangent of the state row to those of the
@@ -337,24 +403,22 @@ def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
         end, *slopes = tangent(spec, init, step)
     else:
         end = propagator(spec, init, step)
-    block = np.ix_(pos, pos)
-    models = tuple((v, g[pos], H[block])
-                   for v, g, H in endpoint_models(spec, init.as_tuple(), end))
+    models = _restrict(endpoint_models(spec, init.as_tuple(), end), pos)
     du = None
-    if project and lin and weight == 0.0:
-        # lstsq: a direction the objective does not depend on gets no step
-        (_, gl, Hl), _ = models
-        du = np.linalg.lstsq(Hl, -gl, rcond=None)[0]
-    elif project and lin:
-        du = _newton_quartic(models, weight)
+    if project and lin:
+        # a direction the objective does not depend on gets no step
+        du = (_newton_quartic(models, weight) if weight
+              else _min_norm_step(models[0][2], models[0][1]))
     if du is None:
-        du = np.zeros(len(lin))
+        du = (0.0, 0.0)
     else:
         z = z.copy()
-        z[lin] += du
-    value, g_lin, H_lin, r = _objective_at(models, weight, du)
-    gradient = np.empty(len(idx))
-    gradient[lin] = g_lin
+        for j, k in zip(lin, pos):
+            z[j] += du[k]
+    value, g, H, r = _objective_at(models, weight, du)
+    gradient = [0.0] * len(idx)
+    for j, k in zip(lin, pos):
+        gradient[j] = g[k]
     if free:
         first = _embed(base, idx, z).as_tuple()
         m_inv, _, hh = flow_coefficients(spec)
@@ -365,9 +429,11 @@ def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
             dlast = _state_tangent(first, spec.m, hh / m_inv, end, slopes[idx[j] // 2], e[3])
             d = endpoint_report(spec, e, dlast)
             gradient[j] = d.lam + 2.0 * weight * r * d.constraint_residual
-        if not np.isfinite(gradient[free]).all():
+        if not all(math.isfinite(gradient[j]) for j in free):
             raise BlowUpError(spec.T)
-    return z, (value, gradient, H_lin)
+    # entry (k, l) of the triple H is H[k + l]
+    H_lin = np.array([[H[k + l] for l in pos] for k in pos]).reshape(len(pos), len(pos))
+    return z, (value, np.array(gradient), H_lin)
 
 
 def stationarity_check(
@@ -421,7 +487,7 @@ def stationarity_check(
             models = _linear_models(spec, _embed(base, idx, z), pos, step)
         except BlowUpError:
             raise FDFailureError("finite-difference probe blew up") from None
-        return _objective_at(models, penalty_weight, np.zeros(len(lin)))
+        return _objective_at(models, penalty_weight, (0.0, 0.0))
 
     if centre is None:
         try:
@@ -439,7 +505,7 @@ def stationarity_check(
         zm = z.copy(); zm[i] -= hs[i]
         (vp, gp, _, _), (vm, gm, _, _) = at(zp), at(zm)
         H[i, i] = (vp - 2.0 * v0 + vm) / hs[i] ** 2
-        H[i, lin] = H[lin, i] = (gp - gm) / (2.0 * hs[i])
+        H[i, lin] = H[lin, i] = [(gp[k] - gm[k]) / (2.0 * hs[i]) for k in pos]
     for a, i in enumerate(free):
         for j in free[a + 1:]:
             zpp = z.copy(); zpp[i] += hs[i]; zpp[j] += hs[j]

@@ -1,6 +1,8 @@
 import argparse
 import configparser
+import io
 import json
+import logging
 import math
 import re
 import subprocess
@@ -682,6 +684,18 @@ class TestOverridesAndLogging:
         monkeypatch.setenv("QAP_LOG", "info")
         main(["integrate", "--config", config_path, "--out", str(tmp_path)])
         assert "command=integrate" in capsys.readouterr().err
+
+    def test_log_handler_follows_a_swapped_stderr(self, tmp_path, monkeypatch):
+        # a record logged after main's stderr was closed and replaced lands
+        # on the new stream, with no logging error
+        monkeypatch.setenv("QAP_LOG", "info")
+        first, second = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stderr", first)
+        assert main(["integrate", "--config", str(tmp_path / "missing.ini")]) == 2
+        first.close()
+        monkeypatch.setattr(sys, "stderr", second)
+        logging.getLogger("qap").info("after the swap")
+        assert second.getvalue() == "INFO qap: after the swap\n"
 
     def test_default_log_level_silent(self, config_path, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("QAP_LOG", raising=False)

@@ -385,6 +385,36 @@ def pin_cases():
         yield spec, init, float(rng.choice([1e-3, 1e-2, 0.15]))
 
 
+def symmetric(H):
+    """The 2x2 matrix of the symmetric triple (a, b, c)."""
+    a, b, c = H
+    return np.array([[a, b], [b, c]])
+
+
+def reference_models(spec, first, end):
+    """``endpoint_models`` as numpy matrix formulas: x = (S10, sigma10),
+    (S1, sigma1)(T) = P x, qS = x.A x, qSigma = x.B x + I2 and
+    qCon = x.C x + 2 m ln(u)."""
+    u, p, c, st, Jcc, Jcs, Jss, I2 = end
+    m_inv, _, hh = dynamics.flow_coefficients(spec)
+    a2 = hh / m_inv
+    IS = spec.m * math.log(u)
+    P = np.array([[c, a2 * st], [-st, c]]) / u
+    A = np.array([[Jcc, a2 * Jcs], [a2 * Jcs, a2 * a2 * Jss]])
+    B = np.array([[Jss, -Jcs], [-Jcs, Jcc]])
+    half = 0.5 * (Jcc - a2 * Jss)
+    C = np.array([[-Jcs, half], [half, a2 * Jcs]])
+    x = np.array([first[0], first[2]], dtype=float)
+    S1, g1 = P @ x
+    row = (S1, p / u, g1, first[3] / u, x @ A @ x, x @ B @ x + I2, x @ C @ x + 2.0 * IS, IS)
+    report = endpoint_report(spec, first, row)
+    H_lam = (spec.hbar_tilde**2 * B - A) / spec.m
+    H_res = -2.0 * C / spec.m
+    g_lam = spec.xT * P[0] - (spec.x0, 0.0) + H_lam @ x
+    g_res = spec.xT * P[1] - (0.0, spec.x0) + H_res @ x
+    return (report.lam, g_lam, H_lam), (report.constraint_residual, g_res, H_res)
+
+
 def generic_run(spec, init, step):
     """The end row of a fixed-step run, by ``generic_rk4`` over ``_stage``."""
     K = coefficients(spec, init.sigma20)
@@ -422,8 +452,20 @@ class TestPropagator:
                 report = endpoint_report(spec, moved.as_tuple(), final_state(spec, moved, step))
                 for (value, grad, hess), want in ((lam, report.lam),
                                                   (res, report.constraint_residual)):
-                    model = value + grad @ du + 0.5 * np.asarray(du) @ hess @ du
+                    du = np.asarray(du)
+                    model = value + np.asarray(grad) @ du + 0.5 * du @ symmetric(hess) @ du
                     assert abs(model - want) <= 1e-12 * abs(want), (spec, init, step, du)
+
+    def test_models_match_the_numpy_formulas(self):
+        # the float models against the matrix formulas they replaced
+        for spec, init, step in pin_cases():
+            first, end = init.as_tuple(), propagator(spec, init, step)
+            for model, want in zip(endpoint_models(spec, first, end),
+                                   reference_models(spec, first, end)):
+                value, grad, hess = model[0], np.asarray(model[1]), symmetric(model[2])
+                for got, ref in ((value, want[0]), (grad, want[1]), (hess, want[2])):
+                    scale = np.max(np.abs(ref))
+                    assert np.max(np.abs(got - ref)) <= 1e-13 * scale, (spec, init, step)
 
     def test_caustic_blows_up_where_final_state_does(self):
         cfg = load_config(ROOT / "configs" / "caustic.ini")

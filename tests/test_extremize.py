@@ -8,6 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 from qap import (
@@ -214,6 +216,96 @@ def penalised_search(spec, guess, max_iter, restarts):
     )
 
 
+#: entries of at most 1e3 and, but for 0, at least 1e-6, so no solution overflows
+ENTRY = st.floats(-1e3, 1e3).map(lambda v: v if abs(v) >= 1e-6 else 0.0)
+
+
+@st.composite
+def symmetric_systems(draw):
+    """A symmetric system of order 1 or 2 and its right-hand side, as the
+    triple and the pair ``_min_norm_step`` takes (a 1x1 system has a zero
+    second row and column): regular, zero, exactly rank 1, or with its
+    small eigenvalue a fixed ratio of its large one, on either side of
+    lstsq's cutoff."""
+    g = draw(st.tuples(ENTRY, ENTRY))
+    kind = draw(st.sampled_from(["1x1", "regular", "zero", "rank1", "diagonal", "rotated"]))
+    if kind == "1x1":
+        return (draw(ENTRY), 0.0, 0.0), (g[0], 0.0)
+    if kind == "regular":
+        return draw(st.tuples(ENTRY, ENTRY, ENTRY)), g
+    if kind == "zero":
+        return (0.0, 0.0, 0.0), g
+    if kind == "rank1":
+        # integer entries: the matrix is exactly singular
+        lam = draw(st.integers(1, 1000)) * draw(st.sampled_from([-1.0, 1.0]))
+        p, q = draw(st.integers(-64, 64)), draw(st.integers(-64, 64))
+        return (lam * p * p, lam * p * q, lam * q * q), g
+    lam = draw(st.floats(1e-3, 1e3)) * draw(st.sampled_from([-1.0, 1.0]))
+    small = lam * draw(st.sampled_from([0.0, 1e-18, 1e-17, 2e-16, 1e-15, 1e-12, -1e-12, 1e-6]))
+    if kind == "diagonal":
+        return ((lam, 0.0, small) if draw(st.booleans()) else (small, 0.0, lam)), g
+    theta = draw(st.floats(0.0, math.pi))
+    c, s = math.cos(theta), math.sin(theta)
+    return (lam * c * c + small * s * s, (lam - small) * c * s, lam * s * s + small * c * c), g
+
+
+class TestScalarProjection:
+    @given(system=symmetric_systems())
+    @example(system=((0.0, 0.0, 0.0), (1.0, -2.0)))
+    @example(system=((0.0, 0.0, 0.0), (3.0, 0.0)))  # h = 0 in 1x1
+    @example(system=((-2.5, 0.0, 0.0), (1.0, 0.7)))  # the classical flat valley
+    @example(system=((4.0, 2.0, 1.0), (1.0, 1.0)))  # rank 1
+    @example(system=((1.0, 0.0, 1e-17), (1.0, 1.0)))  # below the cutoff
+    @example(system=((1.0, 0.0, 1e-15), (1.0, 1.0)))  # above it
+    @settings(max_examples=300)
+    def test_min_norm_step_matches_lstsq(self, system):
+        # the same minimum-norm solution as lstsq with its default cutoff,
+        # within the roundoff the system's conditioning allows
+        (a, b, c), g = system
+        order = 1 if b == c == g[1] == 0.0 else 2
+        H = np.array([[a, b], [b, c]])[:order, :order]
+        rhs = -np.asarray(g)[:order]
+        sv = np.linalg.svd(H, compute_uv=False)
+        cut = 2.0 * np.finfo(float).eps * sv[0]
+        # a singular value within a factor 4 of the cutoff may round to either side
+        assume(not np.any((sv > cut / 4.0) & (sv < 4.0 * cut)))
+        ref = np.linalg.lstsq(H, rhs, rcond=None)[0]
+        x = np.asarray(extremize._min_norm_step((a, b, c), g))
+        if order == 1:
+            assert x[1] == 0.0
+        kept = sv[sv > cut]
+        if len(kept) == 0:
+            assert np.all(x == 0.0)
+            return
+        kappa = kept[0] / kept[-1]
+        scale = np.abs(ref).max() + np.abs(rhs).max() / kept[-1]
+        tol = 64.0 * np.finfo(float).eps * kappa * scale
+        assert np.abs(x[:order] - ref).max() <= tol
+
+    def test_min_norm_step_refuses_non_finite_input(self):
+        for H, g in (((math.inf, 0.0, 1.0), (1.0, 1.0)), ((1.0, 0.0, 1.0), (math.nan, 0.0))):
+            assert extremize._min_norm_step(H, g) is None
+
+    @pytest.mark.parametrize("case", ["penalised", "flat-sigma10", "classical-guess"])
+    def test_no_linear_algebra_call_per_point(self, spec, monkeypatch, case):
+        # the projection runs on Python floats: only the certificate's
+        # eigvalsh is left of numpy's linear algebra
+        def refuse(*args, **kwargs):
+            raise AssertionError("linear-algebra call")
+
+        for name in ("lstsq", "solve", "pinv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        if case == "penalised":
+            res = penalised_search(spec, (1.0, 0.5, 0.1, 0.4), 400, 3)
+        elif case == "flat-sigma10":
+            guess = InitialData(S10=0.0, S20=t0_to_S20(0.3, spec), sigma10=0.7)
+            res = optimize(spec, guess, active=("S10", "sigma10"))
+        else:
+            res = optimize(spec, InitialData(S10=0.0, S20=t0_to_S20(0.5, spec)),
+                           active=("S10", "S20"), step=1e-3)
+        assert res.converged
+
+
 class TestVariableProjection:
     def test_eigenvalue_exactly_quadratic_in_linear_coordinates(self, spec):
         # the invariant the projection rests on: RK4 keeps the (S1, sigma1)
@@ -282,7 +374,8 @@ class TestVariableProjection:
     def test_flat_sigma10_in_classical_limit(self, spec):
         # at hbar_tilde = 0 the eigenvalue does not depend on sigma10: the
         # S1 solution started from sigma10 stays exactly 0, so the sigma10
-        # row of the models is exactly zero and lstsq leaves sigma10 where it is
+        # row of the models is exactly zero and the minimum-norm step leaves
+        # sigma10 where it is
         t0 = 0.3
         guess = InitialData(S10=0.0, S20=t0_to_S20(t0, spec), sigma10=0.7)
         res = optimize(spec, guess, active=("S10", "sigma10"))
@@ -295,7 +388,7 @@ class TestVariableProjection:
         assert res.hessian_signature.near_zero == 1
 
     def test_penalty_free_search_unchanged(self, spec, solves, caplog):
-        # without a penalty the projection is one lstsq step on the exact
+        # without a penalty the projection is one minimum-norm step on the exact
         # quadratic. Along S20 this objective has no root: its gradient
         # decays like S20**-2 toward S20 = +inf (a 1e-13 reference gives
         # -5.6e-5 at S20 = 90.3, -9.9e-8 at 3000). The Riccati kernel's
@@ -304,8 +397,10 @@ class TestVariableProjection:
         # S20 = +inf (the best point lies near 1e12), where |g| < grad_tol
         # but |g| * S20**2, the gradient in 1/S20, is not: no attempt finds
         # a root, and the best of their points is returned unconverged. The
-        # search takes 189 runs: 186 tangent runs, the final
-        # integrate and the check's two propagator runs (420 solves and
+        # path out moves at roundoff: the search takes 185 runs, 183 tangent
+        # runs, the final integrate and the check's first propagator run,
+        # which blows up at S20 ~ 1e12, so no signature (189 runs, a
+        # signature and 11 blow-ups on the numpy projection; 420 solves and
         # propagator runs with central differences along S20)
         caplog.set_level(logging.INFO, logger="qap")
         res = optimize(
@@ -318,7 +413,7 @@ class TestVariableProjection:
             f"attempt {i}: no root" for i in range(5)]
         assert len(solves) <= 189
         assert (hashlib.sha256(res.to_json().encode()).hexdigest()
-                == "8845aad787eee8fa85e5f9b59c6a71c2e3f9ae0dae58c1780ef091ce487c32c6")
+                == "784b1382108e35400967ea90fcebf9541df9567302d565fa75199e2c2771e8e6")
 
     def test_small_gradient_at_infinity_is_not_a_root(self, spec):
         # the same objective at h = 1e-3: the root solve ends near S20 ~ 1e9,
@@ -346,21 +441,20 @@ class TestVariableProjection:
     def test_newton_on_quartic_settles_or_gives_up(self):
         # lam = 2u - u^2 and r = u^2 / 2 at weight 1 give the gradient
         # u^3 - 2u + 2, whose Newton iterates from 0 cycle between 0 and 1
-        one, zero = np.eye(1), np.zeros(1)
-        models = (0.0, 2.0 * one[0], -2.0 * one), (0.0, zero, one)
+        # (the second member is inactive: its row is zero)
+        models = (0.0, (2.0, 0.0), (-2.0, 0.0, 0.0)), (0.0, (0.0, 0.0), (1.0, 0.0, 0.0))
         assert extremize._newton_quartic(models, 1.0) is None
         # lam = u1 - u2 + u1 u2 and r = u1 + u2 - 1: Newton lands where the
         # model gradient vanishes
-        gl, Hl = np.array([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
-        gr, Hr = np.ones(2), np.zeros((2, 2))
+        gl, Hl = (1.0, -1.0), (0.0, 1.0, 0.0)
+        gr, Hr = (1.0, 1.0), (0.0, 0.0, 0.0)
         u = extremize._newton_quartic(((0.0, gl, Hl), (-1.0, gr, Hr)), 0.5)
-        r = -1.0 + gr @ u
-        assert np.max(np.abs(gl + Hl @ u + r * gr)) <= 1e-12
+        r = -1.0 + np.dot(gr, u)
+        assert np.max(np.abs(gl + symmetric(Hl) @ u + r * np.asarray(gr))) <= 1e-12
         # lam = u + 1e-200 u^2 / 2 and r = u^2 / 2: the near-flat start sends
         # the first step to u ~ -1e200, where the models overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = extremize._newton_quartic(((0.0, one[0], 1e-200 * one), (0.0, zero, one)), 1.0)
-        assert u is None
+        flat = (0.0, (1.0, 0.0), (1e-200, 0.0, 0.0)), (0.0, (0.0, 0.0), (1.0, 0.0, 0.0))
+        assert extremize._newton_quartic(flat, 1.0) is None
 
     def test_penalised_search_projects_linear_coordinates(self, spec, solves):
         # the penalty makes the objective quartic in (S10, sigma10); Newton
@@ -403,7 +497,7 @@ class TestVariableProjection:
         assert res.init == guess
         assert not res.converged
         (_, gl, _), (r, gr, _) = endpoint_models(s, guess.as_tuple(), propagator(s, guess, 1e-2))
-        g = gl + 2.0 * 0.5 * r * gr
+        g = np.asarray(gl) + 2.0 * 0.5 * r * np.asarray(gr)
         assert res.gradient_norm == pytest.approx(np.max(np.abs(g)), rel=1e-12)
         for name, g_i in zip(("S10", "sigma10"), g):
             up, down = (objective(replace(guess, **{name: getattr(guess, name) + d}), s, 0.5, 1e-2)
@@ -586,11 +680,17 @@ class TestStationarityCheck:
             assert rep.signature == extremize._signature(ref)
             (_, _, Hl), (r, gr, Hr) = endpoint_models(
                 s, init.as_tuple(), propagator(s, init, 1e-2))
-            exact = Hl + 2.0 * penalty_weight * (np.outer(gr, gr) + r * Hr)
+            exact = symmetric(Hl) + 2.0 * penalty_weight * (np.outer(gr, gr) + r * symmetric(Hr))
             pos = [idx[j] // 2 for j in lin]
             block = exact[np.ix_(pos, pos)]
             scale = max(1.0, np.abs(block).max(initial=0.0))
             assert np.all(np.abs(rep.hessian[np.ix_(lin, lin)] - block) <= 1e-12 * scale)
+
+
+def symmetric(H):
+    """The 2x2 matrix of the symmetric triple (a, b, c)."""
+    a, b, c = H
+    return np.array([[a, b], [b, c]])
 
 
 def central_hessian(init, spec, idx, penalty_weight, step):
