@@ -561,8 +561,8 @@ def final_state(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_S
 
     Identical arithmetic to ``integrate(..., method='rk4')`` without the
     trajectory storage, for callers that need just the final
-    coefficients and accumulators, such as ``extremize.objective`` and the
-    certificate's corner solves. Rejects the same inputs as ``integrate``
+    coefficients and accumulators, such as ``extremize.objective``.
+    Rejects the same inputs as ``integrate``
     and raises ``BlowUpError`` (without a partial grid) on the same runs.
     """
     return _fixed(spec, init, step, keep=False)

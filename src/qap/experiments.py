@@ -411,3 +411,6 @@ def run_command(name: str, cfg: ExperimentConfig, out_dir) -> int:
     except QapError as err:
         print(f"error: {err}")
         return EXIT_CONFIG
+    except OSError as err:
+        print(f"config error: cannot write output: {err}")
+        return EXIT_CONFIG

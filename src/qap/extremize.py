@@ -83,7 +83,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import EigenvalueReport, eigenvalue, endpoint_report, json_17g
-from .dynamics import DEFAULT_STEP, _state_tangent, final_state, integrate, propagator, tangent
+from .dynamics import (DEFAULT_STEP, _state_row, _state_tangent, final_state, integrate,
+                       propagator, tangent)
 from .errors import BlowUpError, FDFailureError
 from .model import COORD_NAMES, InitialData, OscillatorSpec, flow_coefficients, parse_active
 
@@ -190,15 +191,16 @@ def objective(
     penalty_weight: float = 0.0,
     step: float = DEFAULT_STEP,
 ) -> float:
-    """Eigenvalue plus optional quadratic constraint penalty.
+    """Eigenvalue plus optional quadratic constraint penalty, from one plain solve.
 
-    Deterministic scalar; blow-ups map to ``BLOWUP_PENALTY`` so a
-    derivative-free search retreats from caustic regions.
+    Deterministic scalar; blow-ups map to ``BLOWUP_PENALTY``.
     """
     try:
-        return _value(spec, init, penalty_weight, step)
+        report = endpoint_report(spec, init.as_tuple(), final_state(spec, init, step))
     except BlowUpError:
         return BLOWUP_PENALTY
+    r = report.constraint_residual
+    return report.lam + penalty_weight * r * r
 
 
 def endpoint_models(spec, first, end):
@@ -212,23 +214,19 @@ def endpoint_models(spec, first, end):
     and Jss. Returns ((lam, gradient, Hessian), (residual, gradient,
     Hessian)) at x, on Python floats: each gradient a pair and each
     Hessian [[a, b], [b, c]] the triple (a, b, c). The two values are
-    those of ``endpoint_report`` on the state row this rebuilds.
+    those of ``endpoint_report`` on ``dynamics._state_row``, the state
+    row ``final_state`` returns for the same run.
     """
-    u, p, c, st, Jcc, Jcs, Jss, I2 = end
+    u, _, c, st, Jcc, Jcs, Jss, _ = end
     m_inv, _, hh = flow_coefficients(spec)
     a2 = hh / m_inv
+    report = endpoint_report(spec, first, _state_row(first, spec.m, a2, end))
     m, h2 = spec.m, spec.hbar_tilde * spec.hbar_tilde
-    IS = m * math.log(u)
     P00, P01, P10 = c / u, a2 * st / u, -st / u
     aJcs = a2 * Jcs
-    A = (Jcc, aJcs, a2 * a2 * Jss)
     half = 0.5 * (Jcc - a2 * Jss)
     x0, x1 = first[0], first[2]
-    row = (P00 * x0 + P01 * x1, p / u, P10 * x0 + P00 * x1, first[3] / u,
-           _form(A, x0, x1), _form((Jss, -Jcs, Jcc), x0, x1) + I2,
-           _form((-Jcs, half, aJcs), x0, x1) + 2.0 * IS, IS)
-    report = endpoint_report(spec, first, row)
-    H_lam = ((h2 * Jss - A[0]) / m, (-h2 * Jcs - aJcs) / m, (h2 * Jcc - A[2]) / m)
+    H_lam = ((h2 * Jss - Jcc) / m, (-h2 * Jcs - aJcs) / m, (h2 * Jcc - a2 * a2 * Jss) / m)
     H_res = (2.0 * Jcs / m, -2.0 * half / m, -2.0 * aJcs / m)
     xT = spec.xT
     g_lam = (xT * P00 - spec.x0 + (H_lam[0] * x0 + H_lam[1] * x1),
@@ -236,31 +234,6 @@ def endpoint_models(spec, first, end):
     g_res = (xT * P10 + (H_res[0] * x0 + H_res[1] * x1),
              xT * P00 - spec.x0 + (H_res[1] * x0 + H_res[2] * x1))
     return (report.lam, g_lam, H_lam), (report.constraint_residual, g_res, H_res)
-
-
-def _form(H, x0, x1):
-    """x.H x for the symmetric triple ``H``."""
-    a, b, c = H
-    return (a * x0 + b * x1) * x0 + (b * x0 + c * x1) * x1
-
-
-def _linear_models(spec: OscillatorSpec, init: InitialData, pos, step: float):
-    """``endpoint_models`` at ``init``, restricted to its rows ``pos`` (``_restrict``).
-
-    One propagator run; with ``pos`` empty, one plain solve gives the two
-    values, with zero gradients and Hessians. Raises ``BlowUpError``.
-    """
-    if not pos:
-        report = endpoint_report(spec, init.as_tuple(), final_state(spec, init, step))
-        flat = ((0.0, 0.0), (0.0, 0.0, 0.0))
-        return (report.lam, *flat), (report.constraint_residual, *flat)
-    return _restrict(endpoint_models(spec, init.as_tuple(), propagator(spec, init, step)), pos)
-
-
-def _value(spec: OscillatorSpec, init: InitialData, weight: float, step: float) -> float:
-    """lam + weight * r**2 at ``init``, from one plain solve. Raises ``BlowUpError``."""
-    (lam, _, _), (r, _, _) = _linear_models(spec, init, (), step)
-    return lam + weight * r * r
 
 
 def _restrict(models, pos):
@@ -452,13 +425,13 @@ def stationarity_check(
     Along the searched coordinates (S20, sigma20) the gradient comes
     exactly from that run's tangents (a ``dynamics.tangent`` run; see
     ``_centre``), and the Hessian takes steps of hs = sqrt(FD_STEP) *
-    max(1, |coord|): per coordinate, one
-    model evaluation (a propagator run) at each of z +- hs gives the
-    diagonal entry, a second difference of the objective, and the row's
-    coupling to (S10, sigma10), a central difference of the exact model
-    gradient; the S20-sigma20 entry takes four corner solves. With no
-    member of (S10, sigma10) active each model evaluation is one plain
-    solve. Every solve is fixed-step rk4: the models are exact only for
+    max(1, |coord|). Each probe is one model evaluation, a propagator
+    run and its models (``at``): per coordinate, one at each of z +- hs
+    gives the diagonal entry, a second difference of the objective, and
+    the row's coupling to (S10, sigma10), a central difference of the
+    exact model gradient; the S20-sigma20 entry takes four corner
+    probes, differences of the objective's value. Every run is
+    fixed-step rk4: the models are exact only for
     it. Raises ``FDFailureError`` when the run at ``init`` or any probe
     blows up, or the tangents come out non-finite: a verification tool
     must not silently average over a caustic.
@@ -476,17 +449,13 @@ def stationarity_check(
     z = np.array([base[i] for i in idx], dtype=float)
     n = len(idx)
 
-    def f(z):
-        try:
-            return _value(spec, _embed(base, idx, z), penalty_weight, step)
-        except BlowUpError:
-            raise FDFailureError("finite-difference probe blew up") from None
-
     def at(z):
+        point = _embed(base, idx, z)
         try:
-            models = _linear_models(spec, _embed(base, idx, z), pos, step)
+            end = propagator(spec, point, step)
         except BlowUpError:
             raise FDFailureError("finite-difference probe blew up") from None
+        models = _restrict(endpoint_models(spec, point.as_tuple(), end), pos)
         return _objective_at(models, penalty_weight, (0.0, 0.0))
 
     if centre is None:
@@ -512,7 +481,8 @@ def stationarity_check(
             zpm = z.copy(); zpm[i] += hs[i]; zpm[j] -= hs[j]
             zmp = z.copy(); zmp[i] -= hs[i]; zmp[j] += hs[j]
             zmm = z.copy(); zmm[i] -= hs[i]; zmm[j] -= hs[j]
-            H[i, j] = H[j, i] = (f(zpp) - f(zpm) - f(zmp) + f(zmm)) / (4.0 * hs[i] * hs[j])
+            corners = at(zpp)[0] - at(zpm)[0] - at(zmp)[0] + at(zmm)[0]
+            H[i, j] = H[j, i] = corners / (4.0 * hs[i] * hs[j])
     return StationarityReport(gradient, H, _signature(H))
 
 

@@ -456,6 +456,23 @@ def test_command_precondition_exits_2_before_output(tmp_path, capsys, command, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, name", [
+    ("integrate", "solution.csv"),
+    ("eigenvalue", "eigenvalue.json"),
+    ("extremize", "extremum.json"),
+])
+def test_unwritable_output_file_exits_2(config_path, tmp_path, capsys, command, name):
+    # a directory where the output file goes: its write raises IsADirectoryError
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([command, "--config", config_path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    errors = [ln for ln in captured.out.splitlines() if ln.startswith("config error")]
+    assert len(errors) == 1 and str(out / name) in errors[0]
+    assert errors[0].startswith("config error: cannot write output: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_adaptive_method_override_rejected_for_extremize(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["extremize", "--config", config_path, "--out", str(out),

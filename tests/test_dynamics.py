@@ -39,7 +39,7 @@ from qap.dynamics import (
     propagator,
     tangent,
 )
-from qap.extremize import endpoint_models
+from qap.extremize import endpoint_models, objective
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -435,11 +435,19 @@ class TestPropagator:
 
     def test_riccati_pair_bit_equal_to_final_state(self):
         # one run: final_state's row, (S2, sigma2) among it, is the state row
-        # of propagator's
+        # of propagator's, and the models' values and the objective are
+        # endpoint_report's on it, bit for bit (sigma20 = 0 included)
         for spec, init, step in pin_cases():
             m_inv, _, hh = dynamics.flow_coefficients(spec)
-            want = _state_row(init.as_tuple(), spec.m, hh / m_inv, propagator(spec, init, step))
-            assert final_state(spec, init, step) == want
+            for point in (init, replace(init, sigma20=0.0)):
+                first, end = point.as_tuple(), propagator(spec, point, step)
+                last = final_state(spec, point, step)
+                assert last == _state_row(first, spec.m, hh / m_inv, end)
+                report = endpoint_report(spec, first, last)
+                (lam, _, _), (r, _, _) = endpoint_models(spec, first, end)
+                assert (lam, r) == (report.lam, report.constraint_residual), (spec, point, step)
+                for weight in (0.0, 0.5):
+                    assert objective(point, spec, weight, step) == lam + weight * r * r
 
     def test_models_match_the_solve_at_and_around_the_point(self):
         # the models are exact: at the point, and at displaced (S10, sigma10)
@@ -466,6 +474,30 @@ class TestPropagator:
                 for got, ref in ((value, want[0]), (grad, want[1]), (hess, want[2])):
                     scale = np.max(np.abs(ref))
                     assert np.max(np.abs(got - ref)) <= 1e-13 * scale, (spec, init, step)
+
+    def test_unit_start_solution_is_a_rotation(self):
+        # in the exact flow (C, a*St), a = sqrt(m*hh), turns by
+        # theta = sqrt(hh/m)*I2 from (1, 0); RK4's departure from that
+        # falls about 16x per halving of h
+        rng = np.random.default_rng(20261019)
+        points = []
+        for _ in range(50):
+            m, k = rng.uniform(0.8, 1.25, 2)
+            spec = OscillatorSpec(m=float(m), k=float(k), hbar_tilde=float(rng.uniform(0.05, 0.6)))
+            points.append((spec, InitialData(0.0, rng.uniform(0.1, 0.4), 0.0, rng.uniform(0.1, 0.8))))
+        errors = []
+        for step in (2e-2, 1e-2, 5e-3):
+            worst = 0.0
+            for spec, init in points:
+                _, _, C, St, _, _, _, I2 = propagator(spec, init, step)
+                hh = dynamics.flow_coefficients(spec)[2]
+                theta = math.sqrt(hh / spec.m) * I2
+                a = math.sqrt(spec.m * hh)
+                worst = max(worst, abs(C - math.cos(theta)), abs(a * St - math.sin(theta)))
+            errors.append(worst)
+        assert errors[0] <= 5e-10, errors
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 12.0 <= coarse / fine <= 20.0, errors
 
     def test_caustic_blows_up_where_final_state_does(self):
         cfg = load_config(ROOT / "configs" / "caustic.ini")

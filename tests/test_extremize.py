@@ -592,7 +592,7 @@ class TestStationarityCheck:
         assert np.max(np.abs(rep.gradient)) <= 1e-10
 
     # the centre's propagator run blows up; the centre integrates, but a
-    # plain solve of the Hessian blows up; the case once named for a
+    # probe run of the Hessian blows up; the case once named for a
     # gradient probe that blew up within FD_STEP of the caustic: on the row
     # the centre's own tangent run blows up (t_last = 1.499)
     @pytest.mark.parametrize("t0, sigma20, active", [
@@ -665,9 +665,9 @@ class TestStationarityCheck:
     def test_hessian_matches_central_differences(self, spec, active, penalty_weight,
                                                  hbar_tilde):
         # the check reads the (S10, sigma10) block from the models and takes
-        # the rest from model runs and corner solves (plain solves when no
-        # member of (S10, sigma10) is active); the reference takes every
-        # entry by central differences of the objective
+        # the rest from the models of probe runs, the corners included; the
+        # reference takes every entry by central differences of the
+        # objective, from plain solves
         s = replace(spec, hbar_tilde=hbar_tilde, x0=0.2)
         idx = [i for i, on in enumerate(parse_active(active)) if on]
         lin = [j for j, i in enumerate(idx) if i in (0, 2)]
