@@ -703,7 +703,7 @@ def convergence_order(
     probe_spec = replace(spec, T=float(t_probe))
     values = []
     for s in (step, step / 2.0, step / 4.0):
-        values.append(integrate(probe_spec, init, step=s, method="rk4").row(-1)[1])
+        values.append(final_state(probe_spec, init, step=s)[1])
     d1 = values[0] - values[1]
     d2 = values[1] - values[2]
     if abs(d1) < 1e-14 or abs(d2) < 1e-14:

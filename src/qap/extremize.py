@@ -140,12 +140,12 @@ class StationarityReport:
 class ExtremumResult:
     """Outcome of one extremization run.
 
-    ``report`` is recomputed by a fresh integration at ``init``, never
-    cached from a simplex vertex. ``hessian_signature`` is None when a
-    probe of ``stationarity_check`` around the final point blew up.
+    ``report`` is ``endpoint_report`` at ``init``, from the end row of
+    the search's own run there, bit for bit the report of a fresh
+    ``integrate`` at ``init``. ``hessian_signature`` is None when a probe
+    of ``stationarity_check`` around the final point blew up.
     ``blowups`` counts the search's runs that blew up or gave non-finite
-    tangents; the stationarity check and the final integration are not
-    among them.
+    tangents; the stationarity check's runs are not among them.
     """
 
     init: InitialData
@@ -203,6 +203,15 @@ def objective(
     return report.lam + penalty_weight * r * r
 
 
+def _report(spec, first, end) -> EigenvalueReport:
+    """``endpoint_report`` of the run from the start state ``first`` whose
+    end row (u, p, C, St, Jcc, Jcs, Jss, I2) is ``end``: on
+    ``dynamics._state_row``, the state row ``final_state`` returns for
+    that run."""
+    m_inv, _, hh = flow_coefficients(spec)
+    return endpoint_report(spec, first, _state_row(first, float(spec.m), hh / m_inv, end))
+
+
 def endpoint_models(spec, first, end):
     """Exact quadratic models of the eigenvalue and the residual in (S10, sigma10).
 
@@ -214,13 +223,12 @@ def endpoint_models(spec, first, end):
     and Jss. Returns ((lam, gradient, Hessian), (residual, gradient,
     Hessian)) at x, on Python floats: each gradient a pair and each
     Hessian [[a, b], [b, c]] the triple (a, b, c). The two values are
-    those of ``endpoint_report`` on ``dynamics._state_row``, the state
-    row ``final_state`` returns for the same run.
+    those of ``_report``, the report of the same run.
     """
     u, _, c, st, Jcc, Jcs, Jss, _ = end
     m_inv, _, hh = flow_coefficients(spec)
     a2 = hh / m_inv
-    report = endpoint_report(spec, first, _state_row(first, spec.m, a2, end))
+    report = _report(spec, first, end)
     m, h2 = spec.m, spec.hbar_tilde * spec.hbar_tilde
     P00, P01, P10 = c / u, a2 * st / u, -st / u
     aJcs = a2 * Jcs
@@ -351,8 +359,8 @@ def _split(idx):
 
 
 def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
-    """The point ``z`` over the active coordinates ``idx`` of ``base``, and
-    the objective there, from one run.
+    """The point ``z`` over the active coordinates ``idx`` of ``base``, the
+    objective there and the run's end row, from one run.
 
     With ``project`` the active members of (S10, sigma10) move to a
     stationary point of the objective on the run's models (see
@@ -361,7 +369,9 @@ def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
     (``endpoint_models``, ``_newton_quartic``); the objective is returned
     as its value, its gradient over ``idx`` and its Hessian along the
     members of (S10, sigma10), the two numpy arrays of the point's
-    record, built once. The run is ``propagator``'s when no coordinate
+    record, built once. The end row is ``propagator``'s, which does not
+    depend on (S10, sigma10), so it is the end row of a run from the
+    moved point too. The run is ``propagator``'s when no coordinate
     is searched, else ``tangent``'s, and the gradient along (S20,
     sigma20) is then exact for the discrete
     map: the row does not depend on (S10, sigma10), so its tangents hold
@@ -406,7 +416,7 @@ def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
             raise BlowUpError(spec.T)
     # entry (k, l) of the triple H is H[k + l]
     H_lin = np.array([[H[k + l] for l in pos] for k in pos]).reshape(len(pos), len(pos))
-    return z, (value, np.array(gradient), H_lin)
+    return z, (value, np.array(gradient), H_lin), end
 
 
 def stationarity_check(
@@ -521,19 +531,20 @@ def optimize(
     counts as its solve): its cached record serves the simplex, the root
     solve and the certificate. The record also holds the objective's
     value, its gradient over all active coordinates (from the same run's
-    models and tangents) and its Hessian along (S10, sigma10) at
-    the projected point: the certificate's gradient and
-    ``stationarity_check``'s centre are read from it, so the returned
-    point is solved only by the final ``integrate``.
+    models and tangents), its Hessian along (S10, sigma10) at
+    the projected point and the run's end row: the certificate's gradient,
+    ``stationarity_check``'s centre and the returned report are read from
+    it, so no point is solved twice, the returned one included.
     Convergence means the max-norm of the gradient over all active
     coordinates fell to ``grad_tol``, and so did the gradient in the
     inverse coordinates 1/z of the searched ones (``_inverse_gradient``);
     a ``qap`` INFO log line names an attempt that ends where only the
     first holds. Otherwise the best point found, by the merit, is still
-    returned with ``converged=False``. If that best point
-    itself blows up (no integrable point was found), the final
-    ``integrate`` raises ``BlowUpError`` with its partial grid instead:
-    the returned report needs a complete run.
+    returned with ``converged=False``. If that best point has no
+    record (every run blew up or gave non-finite tangents), its report
+    comes from ``integrate``, which raises ``BlowUpError`` with its
+    partial grid when the run blows up: the returned report needs a
+    complete run.
     """
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]
@@ -553,7 +564,7 @@ def optimize(
     seen = {}
 
     def reduced(z_free):
-        """Projected point, merit, and the centre for the check.
+        """Projected point, merit, the centre for the check and the run's end row.
 
         One run at the point (``_centre``) projects it and gives the
         gradient over all active coordinates there; along lin it vanishes
@@ -561,24 +572,25 @@ def optimize(
         reduced gradient. The projection moves only (S10, sigma10), and
         the row that blows up does not depend on them. The centre for the
         check is the objective's value, that gradient and its Hessian along
-        lin; None when the run blew up, which leaves no projection and no
-        gradient. The merit is the squared reduced gradient, except near
-        the penalty: blown-up runs ramp it by how early they died, so the
-        simplex has a slope back toward integrable initial data.
+        lin; it and the end row are None when the run blew up, which
+        leaves no projection and no gradient. The merit is the squared
+        reduced gradient, except near the penalty: blown-up runs ramp it by
+        how early they died, so the simplex has a slope back toward
+        integrable initial data.
         """
         nonlocal blowups
         key = z_free.tobytes()
         if key not in seen:
             z = full(z_free)
             try:
-                z, at = _centre(spec, base, idx, z, penalty_weight, step, project=True)
+                z, at, end = _centre(spec, base, idx, z, penalty_weight, step, project=True)
             except BlowUpError as err:
                 blowups += 1
                 frac = (T - min(max(float(err.t_last), 0.0), T)) / T
-                seen[key] = z, BLOWUP_PENALTY * (1.0 + frac), None
+                seen[key] = z, BLOWUP_PENALTY * (1.0 + frac), None, None
             else:
                 g = at[1][free]
-                seen[key] = z, min(float(g @ g), 0.9 * BLOWUP_PENALTY), at
+                seen[key] = z, min(float(g @ g), 0.9 * BLOWUP_PENALTY), at, end
         return seen[key]
 
     def merit(z_free) -> float:
@@ -598,7 +610,7 @@ def optimize(
     rng = np.random.default_rng(seed)
     n = len(free)
     best_free = z0[free]
-    best_z, best_merit, best_centre = reduced(best_free)
+    best_z, best_merit, best_centre, best_end = reduced(best_free)
     gradient_norm, converged = verdict(best_z, best_centre)
     iterations = 0
     attempt = 0
@@ -633,7 +645,7 @@ def optimize(
             iterations += int(sol.nfev)
             if float(sol.fun @ sol.fun) < fx:
                 x, fx = sol.x, float(sol.fun @ sol.fun)
-        point, _, at = reduced(x)
+        point, _, at, end = reduced(x)
         norm, root_found = verdict(point, at)
         if norm <= grad_tol and not root_found:
             # a small gradient, but no root: the point stays a candidate
@@ -642,15 +654,18 @@ def optimize(
                      _inverse_gradient(at[1], point, free))
         if fx < best_merit:
             best_merit, best_free = fx, x
-            best_z, best_centre = point, at
+            best_z, best_centre, best_end = point, at, end
             if at is not None:
                 gradient_norm, converged = norm, root_found
         seen.clear()
         attempt += 1
 
     final_init = _embed(base, idx, best_z)
-    grid = integrate(spec, final_init, step=step)
-    report = eigenvalue(grid)
+    if best_end is None:
+        report = eigenvalue(integrate(spec, final_init, step=step))
+    else:
+        # the start state as ``dynamics._start`` builds it, -0.0 made 0.0
+        report = _report(spec, tuple(v + 0.0 for v in final_init.as_tuple()), best_end)
     signature = None
     if best_centre is not None:
         try:

@@ -977,11 +977,27 @@ class TestConvergenceOrder:
             convergence_order(spec, classical_init, t_probe=0.5, step=step)
         convergence_order(spec, classical_init, t_probe=0.5, step=0.125)
 
+    @pytest.mark.parametrize("hbar_tilde, init, t_probe", [
+        (0.0, InitialData(S10=1.0), 0.5),
+        (0.5, InitialData(1.0, 0.0, 0.3, 0.7), 0.7),
+    ])
+    def test_order_from_end_rows_of_kept_grids(self, spec, hbar_tilde, init, t_probe):
+        # the probe reads the end state of plain runs: bit for bit the last
+        # row of the fixed-step trajectory at each step
+        s = replace(spec, hbar_tilde=hbar_tilde, T=t_probe)
+        v = [integrate(s, init, step=h, method="rk4").row(-1)[1] for h in (0.025, 0.0125, 0.00625)]
+        want = math.log2(abs(v[0] - v[1]) / abs(v[1] - v[2]))
+        assert convergence_order(replace(s, T=1.0), init, t_probe=t_probe) == want
+
     def test_blow_up_propagates(self):
         spec = OscillatorSpec(T=1.5)
         init = InitialData(S10=1.0, S20=t0_to_S20(-0.157, spec))
-        with pytest.raises(BlowUpError):
+        with pytest.raises(BlowUpError) as exc:
             convergence_order(spec, init, t_probe=1.5)
+        # where the coarsest kept grid stops
+        with pytest.raises(BlowUpError) as grid:
+            integrate(spec, init, step=0.025)
+        assert exc.value.t_last == grid.value.t_last
 
 
 class TestCsvExport:

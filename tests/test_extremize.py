@@ -156,8 +156,9 @@ class TestOptimizeClassical:
         assert res.report is not None
 
     def test_blown_up_best_point_raises_with_partial_grid(self, spec):
-        # behind the caustic wall, one iteration finds no integrable point;
-        # the report needs a complete run, so the final integrate raises
+        # behind the caustic wall, one iteration finds no integrable point,
+        # so no record holds the report; it needs a complete run, so the
+        # integrate for it raises
         with pytest.raises(BlowUpError) as exc:
             optimize(spec, InitialData(S20=-2.0), active=("S10", "S20"),
                      max_iter=1, restarts=1)
@@ -363,12 +364,13 @@ class TestVariableProjection:
         res = optimize(spec, guess, active=("S10", "S20"), step=1e-3)
         assert res.converged
         assert res.iterations == 0
-        # 4 runs: the guess's tangent run, which gives its gradient along S20,
-        # the final integrate, then the check's two propagator runs at
-        # S20 +- hs (3 solves and 3 propagator runs when the gradient took
-        # central differences; 14 solves and 1 run when the check did too;
-        # 17 solves with the projection stencil)
-        assert len(solves) <= 4
+        # 3 runs: the guess's tangent run, which gives its gradient along S20
+        # and the report, then the check's two propagator runs at S20 +- hs
+        # (4 with a final integrate for the report; 3 solves and 3
+        # propagator runs when the gradient took central differences; 14
+        # solves and 1 run when the check did too; 17 solves with the
+        # projection stencil)
+        assert len(solves) <= 3
         assert res.report.lam == pytest.approx(lambda_star(spec), abs=1e-6)
 
     def test_flat_sigma10_in_classical_limit(self, spec):
@@ -397,11 +399,12 @@ class TestVariableProjection:
         # S20 = +inf (the best point lies near 1e12), where |g| < grad_tol
         # but |g| * S20**2, the gradient in 1/S20, is not: no attempt finds
         # a root, and the best of their points is returned unconverged. The
-        # path out moves at roundoff: the search takes 185 runs, 183 tangent
-        # runs, the final integrate and the check's first propagator run,
-        # which blows up at S20 ~ 1e12, so no signature (189 runs, a
-        # signature and 11 blow-ups on the numpy projection; 420 solves and
-        # propagator runs with central differences along S20)
+        # path out moves at roundoff: the search takes 184 runs, 183 tangent
+        # runs and the check's first propagator run, which blows up at
+        # S20 ~ 1e12, so no signature (185 with a final integrate for the
+        # report; 189 runs, a signature and 11 blow-ups on the numpy
+        # projection; 420 solves and propagator runs with central
+        # differences along S20)
         caplog.set_level(logging.INFO, logger="qap")
         res = optimize(
             replace(spec, hbar_tilde=0.5), InitialData(S10=-3.0, sigma20=1.0),
@@ -459,32 +462,33 @@ class TestVariableProjection:
     def test_penalised_search_projects_linear_coordinates(self, spec, solves):
         # the penalty makes the objective quartic in (S10, sigma10); Newton
         # on the exact models solves them, and the search runs over
-        # (S20, sigma20) only. It takes 47 runs: 38 tangent runs, the final
-        # integrate and the check's 4 propagator runs and 4 corner solves
-        # (204 solves and propagator runs with central differences along
-        # (S20, sigma20); 179 on the Riccati kernel, whose O(h**4)
-        # difference at this step moves the simplex's path; 212 when the
-        # certificate took central differences along (S10, sigma10), 392
-        # solves with the projection stencil; Nelder-Mead alone: 2332)
+        # (S20, sigma20) only. It takes 46 runs: 38 tangent runs and the
+        # check's 4 propagator runs and 4 corner runs (47 with a final
+        # integrate for the report; 204 solves and propagator runs with
+        # central differences along (S20, sigma20); 179 on the Riccati
+        # kernel, whose O(h**4) difference at this step moves the simplex's
+        # path; 212 when the certificate took central differences along
+        # (S10, sigma10), 392 solves with the projection stencil;
+        # Nelder-Mead alone: 2332)
         res = penalised_search(spec, (1.0, 0.5, 0.1, 0.4), 400, 3)
         assert res.converged
         assert np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-6
         assert res.report.lam == pytest.approx(PENALISED_LAMBDA, abs=1e-9)
-        assert len(solves) <= 47
+        assert len(solves) <= 46
 
     def test_negative_x0_stall_ends_fast(self, solves):
         # the reduced gradient has a local minimum without a root here
         # (|g| of a few 1e-3); Nelder-Mead alone spent 238,132 solves before giving
-        # up. The search still finds no root, but now says so quickly: 283
-        # runs, 274 of them tangent runs (1334 solves and propagator runs
-        # with central differences along (S20, sigma20), 1390 when the
-        # certificate took them along (S10, sigma10) too, 2722 with the
-        # projection stencil)
+        # up. The search still finds no root, but now says so quickly: 282
+        # runs, 274 of them tangent runs (283 with a final integrate for the
+        # report; 1334 solves and propagator runs with central differences
+        # along (S20, sigma20), 1390 when the certificate took them along
+        # (S10, sigma10) too, 2722 with the projection stencil)
         spec = OscillatorSpec(m=0.9, k=0.86, hbar_tilde=0.42, T=1, x0=-0.73, xT=0.89)
         res = optimize(spec, InitialData(0.3, 0.2, 0.08, 0.4), penalty_weight=0.25,
                        step=1e-2, seed=104)
         assert res.converged is False
-        assert len(solves) <= 283
+        assert len(solves) <= 282
 
     def test_unsettled_newton_records_model_gradient(self, spec, monkeypatch):
         # a point where Newton does not settle stays unprojected; its gradient
@@ -534,10 +538,10 @@ class TestVariableProjection:
         ((0.0, -2.0, 0.1, 0.4), 60, 2),  # behind it
     ])
     def test_each_point_solved_once(self, spec, monkeypatch, guess, max_iter, restarts):
-        # one cached record per point serves the simplex, the root solve and
-        # the certificate, whose centre comes from the record's models; the
-        # returned point is solved only by the final integrate. A propagator
-        # run counts as a solve of its point
+        # one cached record per point serves the simplex, the root solve, the
+        # certificate, whose centre comes from the record's models, and the
+        # returned report, from the record's end row. A propagator run counts
+        # as a solve of its point
         points = Counter()
         for name in ("final_state", "integrate", "propagator", "tangent"):
             inner = getattr(extremize, name)
@@ -548,8 +552,49 @@ class TestVariableProjection:
 
             monkeypatch.setattr(extremize, name, recorded)
         res = penalised_search(spec, guess, max_iter, restarts)
-        assert res.init.as_tuple() in points
+        assert res.report == eigenvalue(integrate(replace(spec, hbar_tilde=0.3), res.init,
+                                                  step=2e-2))
         assert [p for p, count in points.items() if count > 1] == []
+
+    @pytest.mark.parametrize("case", ["classical guess", "penalised", "nothing searched",
+                                      "negative zero"])
+    def test_report_read_from_the_search_record(self, spec, monkeypatch, case):
+        # the returned report is endpoint_report on the end row of the
+        # search's own run at the returned point: bit for bit a fresh
+        # integrate's, with no integrate call. The classical guess takes a
+        # zero-amplitude tangent run, the penalised search tangent runs over
+        # (S20, sigma20), and a search over S10 or sigma10 alone propagator
+        # runs. At x0 = -0.0 the boundary term's sign of zero follows S10's:
+        # the report must start from the 0.0 the run starts from
+        integrations = []
+        run = extremize.integrate
+
+        def counted(*args, **kwargs):
+            integrations.append(1)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(extremize, "integrate", counted)
+        if case == "classical guess":
+            s, step = spec, 1e-3
+            res = optimize(s, InitialData(S10=0.0, S20=t0_to_S20(0.5, spec)),
+                           active=("S10", "S20"), step=step)
+        elif case == "penalised":
+            s, step = replace(spec, hbar_tilde=0.3), 2e-2
+            res = penalised_search(spec, (1.0, 0.5, 0.1, 0.4), 400, 3)
+        elif case == "nothing searched":
+            s, step = replace(spec, hbar_tilde=0.4, x0=0.3), 1e-2
+            res = optimize(s, InitialData(S10=0.6, S20=0.2, sigma10=0.1, sigma20=0.5),
+                           active=("S10",), step=step)
+        else:
+            s, step = replace(spec, hbar_tilde=0.4, x0=-0.0, xT=0.0), 1e-2
+            res = optimize(s, InitialData(S10=-0.0, sigma10=-0.0), active=("sigma10",),
+                           step=step)
+            assert math.copysign(1.0, res.init.S10) == -1.0
+        assert res.converged
+        assert integrations == []
+        want = eigenvalue(integrate(s, res.init, step=step))
+        assert res.report == want
+        assert res.report.to_json() == want.to_json()
 
     def test_penalised_search_from_behind_caustic_wall(self, spec):
         # the four-coordinate search ended unconverged here (gradient norm 0.135)

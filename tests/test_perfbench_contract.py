@@ -41,13 +41,17 @@ def test_tracer_records_the_simplex(tmp_path, search_config):
         "tracer = tracing.Tracer()\n"
         "tracer.install()\n"
         f"code = qap.cli.main({argv!r})\n"
-        "print(json.dumps([code, tracing.layer_metrics(tracer.spans)]))\n"
+        "searched = tracing.layer_metrics(tracer.spans)\n"
+        "qap.dynamics.integrate(qap.OscillatorSpec(), qap.InitialData())\n"
+        "print(json.dumps([code, searched, tracing.layer_metrics(tracer.spans)]))\n"
     )
-    code, metrics = json.loads(out.splitlines()[-1])
+    code, metrics, after = json.loads(out.splitlines()[-1])
     assert code == 0
     assert metrics["extremize.optimize.calls"] == 1
     assert metrics["extremize.minimize.calls"] >= 1
     assert metrics["extremize.nm_iterations"] > 0
-    # the final integrate takes no method argument: the tracer must still
-    # count it as rk4, from integrate's default
-    assert metrics["dynamics.integrate.rk4.calls"] == 1
+    # the search reads its report from its own record: no trajectory run
+    assert metrics["dynamics.integrate.rk4.calls"] == 0
+    # an integrate call that passes no method must still count as rk4,
+    # from integrate's default
+    assert after["dynamics.integrate.rk4.calls"] == 1
