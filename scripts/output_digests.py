@@ -42,24 +42,20 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_line(workload: str, seed: int, task, work: Path) -> str:
-    config = work / f"{workload}-{seed}-{task.tid}.ini"
-    config.write_text(task.config)
-    out_dir = work / "out"
-    out_dir.mkdir()
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = qap.cli.main(task.argv(str(config), str(out_dir)))
-    fields = [workload, str(seed), task.tid, task.method or "-", f"exit={code}",
-              "stdout=" + sha(buf.getvalue().replace(str(out_dir), "<OUT>").encode())]
-    for path in sorted(out_dir.iterdir()):
-        data = path.read_bytes()
-        if path.name == "sweep_hbar_summary.json":
-            data = TIMESTAMP.sub(b"", data)
-        fields.append(f"{path.name}={sha(data)}")
-        path.unlink()
-    out_dir.rmdir()
-    config.unlink()
+def digest_line(workload: str, seed: int, task) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out_dir = Path(tmp) / "task.ini", Path(tmp) / "out"
+        config.write_text(task.config)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = qap.cli.main(task.argv(str(config), str(out_dir)))
+        fields = [workload, str(seed), task.tid, task.method or "-", f"exit={code}",
+                  "stdout=" + sha(buf.getvalue().replace(str(out_dir), "<OUT>").encode())]
+        for path in sorted(out_dir.iterdir()) if out_dir.is_dir() else ():
+            data = path.read_bytes()
+            if path.name == "sweep_hbar_summary.json":
+                data = TIMESTAMP.sub(b"", data)
+            fields.append(f"{path.name}={sha(data)}")
     return " ".join(fields)
 
 
@@ -67,11 +63,10 @@ def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory() as tmp:
-        for seed in map(int, argv):
-            for workload, generate in GENERATORS.items():
-                for task in generate(seed):
-                    print(digest_line(workload, seed, task, Path(tmp)), flush=True)
+    for seed in map(int, argv):
+        for workload, generate in GENERATORS.items():
+            for task in generate(seed):
+                print(digest_line(workload, seed, task), flush=True)
     return 0
 
 
