@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 
 from .action import (
     EigenvalueReport,
-    composite_simpson,
     constraint_residual,
     eigenvalue,
-    simpson_accumulators,
 )
 from .classical import (
     ClassicalParams,
@@ -76,7 +74,6 @@ __all__ = [
     "ValidationError",
     "ZeroFrequencyError",
     "ZeroStiffnessError",
-    "composite_simpson",
     "constraint_residual",
     "convergence_order",
     "eigenvalue",
@@ -90,7 +87,6 @@ __all__ = [
     "s10_star",
     "s1_closed",
     "s2_closed",
-    "simpson_accumulators",
     "stationarity_check",
     "t0_to_S20",
     "validate",

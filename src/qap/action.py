@@ -10,10 +10,6 @@ reported, never enforced (extremization may attach a quadratic penalty
 to it, weight 0 by default). Both come from the first and last state
 rows of a run (``endpoint_report``), which a grid stores as Python
 tuples; nothing here imports numpy.
-
-Simpson recomputation of the accumulated integrals from the stored
-coefficient columns provides an independent quadrature cross-check of
-the in-state accumulators.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from .dynamics import SolutionGrid
-from .errors import IncompleteGridError, LengthMismatchError
+from .errors import IncompleteGridError
 
 
 @dataclass(frozen=True)
@@ -114,45 +110,3 @@ def eigenvalue(grid: SolutionGrid) -> EigenvalueReport:
     """
     _require_complete(grid)
     return endpoint_report(grid.spec, grid.row(0), grid.row(-1))
-
-
-def composite_simpson(values, times) -> float:
-    """Composite Simpson over consecutive interval pairs.
-
-    Handles non-uniform spacing via the three-point quadratic rule; a
-    leftover final interval falls back to the trapezoid rule.
-    """
-    y = [float(v) for v in values]
-    x = [float(t) for t in times]
-    if len(y) != len(x):
-        raise LengthMismatchError(f"{len(y)} values vs {len(x)} times")
-    total = 0.0
-    n = len(x) - 1
-    i = 0
-    while i + 2 <= n:
-        h0 = x[i + 1] - x[i]
-        h1 = x[i + 2] - x[i + 1]
-        span = h0 + h1
-        total += (span / 6.0) * (
-            (2.0 - h1 / h0) * y[i]
-            + span**2 / (h0 * h1) * y[i + 1]
-            + (2.0 - h0 / h1) * y[i + 2]
-        )
-        i += 2
-    if i < n:
-        total += 0.5 * (x[i + 1] - x[i]) * (y[i] + y[i + 1])
-    return total
-
-
-def simpson_accumulators(grid: SolutionGrid) -> dict[str, float]:
-    """Recompute the three accumulated integrals by Simpson on the grid.
-
-    Independent of the in-state accumulators; used as a cross-check
-    oracle for qS, qSigma, qCon at t = T.
-    """
-    t = grid.times
-    return {
-        "qS": composite_simpson(grid.s1**2, t),
-        "qSigma": composite_simpson(grid.sigma1**2 + grid.sigma2, t),
-        "qCon": composite_simpson(grid.sigma1 * grid.s1 + 2.0 * grid.s2, t),
-    }

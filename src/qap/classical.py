@@ -56,7 +56,11 @@ def _guarded_sin_T(spec: OscillatorSpec, w: float) -> float:
 
 
 def s1_closed(t: float, params: ClassicalParams, spec: OscillatorSpec) -> float:
-    """Closed-form linear phase coefficient at time ``t``."""
+    """Closed-form linear phase coefficient at time ``t``: the paper's
+    classical solution S1(t) = S10*cos(omega0*t0)/cos(omega0*(t - t0)).
+
+    No computation of the package calls it; it is public as the closed
+    form the tests hold the coefficient flow to."""
     w = _require_stiffness(spec)
     c0 = math.cos(w * params.t0)
     ct = _guarded_cos(w * (t - params.t0), "cos(omega0*(t-t0))")
@@ -64,7 +68,11 @@ def s1_closed(t: float, params: ClassicalParams, spec: OscillatorSpec) -> float:
 
 
 def s2_closed(t: float, params: ClassicalParams, spec: OscillatorSpec) -> float:
-    """Closed-form quadratic phase coefficient at time ``t``."""
+    """Closed-form quadratic phase coefficient at time ``t``: the paper's
+    classical solution S2(t) = -sqrt(m*k)*tan(omega0*(t - t0)).
+
+    No computation of the package calls it; it is public as the closed
+    form the tests hold the coefficient flow to."""
     w = _require_stiffness(spec)
     _guarded_cos(w * (t - params.t0), "cos(omega0*(t-t0))")
     return -math.sqrt(spec.m * spec.k) * math.tan(w * (t - params.t0))

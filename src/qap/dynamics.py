@@ -30,12 +30,25 @@ does not depend on (S10, sigma10), for ``final_state``, ``propagator``
 and ``integrate`` (both methods); with sigma20 = 0, C = 1 and the other
 three are 0, and ``_zero_amplitude_step`` steps only (u, p, Jcc).
 ``_render`` writes both from one table; ``_stage`` is the reference the
-tests pin them against. ``tangent`` steps the row with its variational
-equations along S20 and sigma20, 24 components (9 at sigma20 = 0), from
-tables rendered on first use (``_tangent_kernels``): the derivative of
-the discrete map that the extremizer's gradient reads. One input check
-hands the loop only Python floats (the unrolled step runs about three
-times slower on numpy scalars).
+tests pin them against. Two runs give the derivative of the discrete
+map along S20 and sigma20, from kernels rendered on first use, so the
+commands that never search pay nothing for them:
+
+- ``tangent`` steps the row with its variational equations, 24
+  components (9 at sigma20 = 0; ``_tangent_kernels``): forward mode, the
+  derivatives of every component;
+- ``taped`` steps the row with ``_row_step``'s taped twin
+  (``_taped_kernels``), which keeps r, a and b at each RK4 stage, and
+  returns a pullback: for a seed, a covector on the end row, one
+  backward sweep of the adjoint of (u, p, C, St) over the tape
+  (``_sweep``), the transposed product rule on the row's table, gives
+  the derivatives of seed . row along S20 and sigma20. That is reverse
+  mode (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008,
+  ch. 3-4), at about two thirds of a tangent run's time at h = 1e-2
+  (CPython 3.11); the extremizer's gradient at sigma20 != 0 reads it.
+
+One input check hands the loop only Python floats (the unrolled step
+runs about three times slower on numpy scalars).
 
 A step fails, and the loop raises ``BlowUpError`` at the last good grid
 time, unless its new row has every component in [-BLOWUP_LIMIT,
@@ -65,6 +78,7 @@ import linecache
 import math
 from dataclasses import FrozenInstanceError, replace
 from functools import cache, partial
+from operator import mul
 from typing import TextIO
 
 from .errors import BlowUpError, DegenerateProbeError
@@ -87,6 +101,10 @@ DEFAULT_STEP = 1e-3
 #: step of T/MAX_STEPS is far below the roundoff of that many steps, so a
 #: smaller step buys nothing; ``_start`` rejects it before the first step.
 MAX_STEPS = 10**7
+
+#: most steps a taped run keeps on its tape (13 floats each, about 0.5 kB);
+#: a longer one takes the tangent run, whose memory does not grow with it
+TAPE_STEPS = 10**5
 
 #: fewest steps the coarsest run of ``convergence_order`` may take
 PROBE_STEPS = 4
@@ -254,7 +272,7 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _render(name, shared, flows, integrals, guards, checks, bounded=None):
+def _render(name, shared, flows, integrals, guards, checks, bounded=None, tape=()):
     """Source of ``name(y, h, K)``, one unrolled RK4 step of the row
     ``flows + integrals`` with the coefficients K of ``_coefficients``.
 
@@ -271,8 +289,11 @@ def _render(name, shared, flows, integrals, guards, checks, bounded=None):
     returned if each of ``checks`` holds on it and every component named
     in ``bounded`` (all of them by default) lies in [-BLOWUP_LIMIT,
     BLOWUP_LIMIT], which NaN does not, else None; None too when a point
-    has u = 0.0. Unrolled scalar code: a tuple-of-stages RK4 costs about
-    3x here, in the hot loop of every solve.
+    has u = 0.0. With ``tape``, K has one more entry, a callable, and a
+    step that its guards let through passes it one tuple before the
+    checks: h, then the shared values named in ``tape`` at y, y2, y3 and
+    y4. Unrolled scalar code: a tuple-of-stages RK4 costs about 3x here,
+    in the hot loop of every solve.
     """
     row = ", ".join(n for n, _ in flows + integrals)
     names = [n for n, _ in flows + shared]
@@ -281,7 +302,8 @@ def _render(name, shared, flows, integrals, guards, checks, bounded=None):
         return expr.format(**{n: point + n for n in names})
 
     body = [f'"""One RK4 step of ({row}); rendered by ``_render``."""', f"{row} = y",
-            "m_inv, k, c, hs, ms, s, G, W, dc, dhs = K", "h2 = 0.5 * h", "w6 = h / 6.0"]
+            "m_inv, k, c, hs, ms, s, G, W, dc, dhs" + (", push" if tape else "") + " = K",
+            "h2 = 0.5 * h", "w6 = h / 6.0"]
     if guards:
         body += [f"if not ({' and '.join(guards)}):", "    return None"]
     for point, d, prev, step in (("", "d1", None, None), ("y2", "d2", "d1", "h2"),
@@ -295,6 +317,9 @@ def _render(name, shared, flows, integrals, guards, checks, bounded=None):
         f0, f2, f3, f4 = (f"({at(point, f)})" for point in ("", "y2", "y3", "y4"))
         body.append(f"{n} += w6 * ({f0} + 2.0 * ({f2} + {f3}) + {f4})")
     body += [f"{n} += w6 * (d1{n} + 2.0 * (d2{n} + d3{n}) + d4{n})" for n, _ in flows]
+    if tape:
+        kept = [point + n for point in ("", "y2", "y3", "y4") for n in tape]
+        body.append(f"push((h, {', '.join(kept)}))")
     if bounded is None:
         bounded = [n for n, _ in flows + integrals]
     test = " and ".join([*checks, *(f"-L <= {n} <= L" for n in bounded)])
@@ -400,6 +425,90 @@ def _tangent_kernels():
     return _compile(source, "<qap.dynamics tangent kernels>")
 
 
+@cache
+def _taped_kernels():
+    """The taped run's kernel by name, rendered and compiled on first use.
+
+    ``_taped_row_step`` is ``_row_step`` from the same table, which also
+    passes the tape, the last entry of its K, (h, r, a, b, then r, a and b
+    at y2, y3 and y4) for each step its guards let through: what
+    ``_sweep`` reads of the step.
+    """
+    source = _render("_taped_row_step", _ROW_SHARED, _ROW_FLOWS, _ROW_INTEGRALS, _ROW_GUARDS,
+                     ("0.0 < u",), tape=("r", "a", "b"))
+    return _compile(source, "<qap.dynamics taped kernels>")
+
+
+def _sweep(tape, K, seed):
+    """The derivatives along S20 and sigma20 of seed . y(T), for the end row
+    y(T) of the taped run that wrote ``tape`` with the coefficients K.
+
+    One backward sweep of the adjoint of the flows (u, p, C, St) over the
+    steps, the transposed product rule on each line of the row's table
+    (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 3-4).
+    The integrals do not act on the flows, so their adjoints stay the
+    seed's. Every adjoint of a step is taken over w6 = h/6, which scales
+    its stages' weights to 1, 2, 2, 1. At a stage of weight w with point
+    values r, a, b, whose derivatives (u', p', C', St') have adjoint (du,
+    dp, dC, dS), and whose integrands weight w times the seed's:
+
+        a~ = ms*dS + w*(2*Jcc*a + Jcs*b)     b~ = hs*dC + w*(Jcs*a + 2*Jss*b)
+        u~ = -k*dp - r*(r*(c*dp + w*s*I2) + a*a~ + b*b~)
+        p~ = m_inv*du      C~ = r*a~      St~ = r*b~
+
+    (r~ = -r^2*u~ and C = a/r, St = b/r fold the shared values into u~),
+    and the coefficients' adjoint along sigma20 gains r*(dc*dp + w*I2) +
+    dhs*b*dC + m_inv*a*dS. Stage 4's derivatives carry the step's
+    adjoint X, stage 3's 2*X + h*(stage 4's point adjoint), stage 2's
+    2*X + h/2*(stage 3's), stage 1's X + h/2*(stage 2's), and X gains w6
+    times the four point adjoints. The start row is (1, S20, 1, 0, ...),
+    so the adjoint of p there is the derivative along S20.
+    """
+    m_inv, k, c, hs, ms, s, _, _, dc, dhs = K
+    U, P, Cb, Sb, Jcc, Jcs, Jss, I2 = seed
+    nk = -k
+    # the integrands' weights at stages of weight 1 and of weight 2
+    Jcc2, Jss2, sI, I2x2 = 2.0 * Jcc, 2.0 * Jss, s * I2, 2.0 * I2
+    Jcc4, Jcs2, Jss4, sI2 = 4.0 * Jcc, 2.0 * Jcs, 4.0 * Jss, 2.0 * sI
+    G = 0.0
+    for h, r1, a1, b1, r2, a2, b2, r3, a3, b3, r4, a4, b4 in reversed(tape):
+        h2 = 0.5 * h
+        twoU, twoP, twoC, twoS = U + U, P + P, Cb + Cb, Sb + Sb
+        # stage 4, weight 1
+        ab = ms * Sb + (Jcc2 * a4 + Jcs * b4)
+        bb = hs * Cb + (Jcs * a4 + Jss2 * b4)
+        u4 = nk * P - r4 * (r4 * (c * P + sI) + a4 * ab + b4 * bb)
+        p4, C4, S4 = m_inv * U, r4 * ab, r4 * bb
+        g = r4 * (dc * P + I2) + dhs * b4 * Cb + m_inv * a4 * Sb
+        # stage 3, weight 2
+        du, dp, dC, dS = twoU + h * u4, twoP + h * p4, twoC + h * C4, twoS + h * S4
+        ab = ms * dS + (Jcc4 * a3 + Jcs2 * b3)
+        bb = hs * dC + (Jcs2 * a3 + Jss4 * b3)
+        u3 = nk * dp - r3 * (r3 * (c * dp + sI2) + a3 * ab + b3 * bb)
+        p3, C3, S3 = m_inv * du, r3 * ab, r3 * bb
+        g += r3 * (dc * dp + I2x2) + dhs * b3 * dC + m_inv * a3 * dS
+        # stage 2, weight 2
+        du, dp, dC, dS = twoU + h2 * u3, twoP + h2 * p3, twoC + h2 * C3, twoS + h2 * S3
+        ab = ms * dS + (Jcc4 * a2 + Jcs2 * b2)
+        bb = hs * dC + (Jcs2 * a2 + Jss4 * b2)
+        u2 = nk * dp - r2 * (r2 * (c * dp + sI2) + a2 * ab + b2 * bb)
+        p2, C2, S2 = m_inv * du, r2 * ab, r2 * bb
+        g += r2 * (dc * dp + I2x2) + dhs * b2 * dC + m_inv * a2 * dS
+        # stage 1, weight 1
+        du, dp, dC, dS = U + h2 * u2, P + h2 * p2, Cb + h2 * C2, Sb + h2 * S2
+        ab = ms * dS + (Jcc2 * a1 + Jcs * b1)
+        bb = hs * dC + (Jcs * a1 + Jss2 * b1)
+        u1 = nk * dp - r1 * (r1 * (c * dp + sI) + a1 * ab + b1 * bb)
+        g += r1 * (dc * dp + I2) + dhs * b1 * dC + m_inv * a1 * dS
+        w6 = h / 6.0
+        U += w6 * (u1 + u2 + u3 + u4)
+        P += w6 * (m_inv * du + p2 + p3 + p4)
+        Cb += w6 * (r1 * ab + C2 + C3 + C4)
+        Sb += w6 * (r1 * bb + S2 + S3 + S4)
+        G += w6 * g
+    return P, G
+
+
 def _tangent_rows(y):
     """The end row (u, p, C, St, Jcc, Jcs, Jss, I2) of a tangent kernel row,
     and its derivatives along S20 and sigma20."""
@@ -463,6 +572,32 @@ def _state_tangent(first, m, a2, y, dy, dg20):
     )
 
 
+def _state_cotangent(first, m, a2, y, w):
+    """The transpose of ``_state_tangent``: for a covector ``w`` on the
+    state row, the gradient of w . ``_state_row(first, m, a2, y)`` with
+    respect to the eight-component row ``y`` and, separately, to sigma20,
+    at fixed (S10, sigma10)."""
+    S10, _, g10, g20 = first[:4]
+    u, p, C, St = y[:4]
+    w0, w1, w2, w3, w4, w5, w6, w7 = w
+    r = 1.0 / u
+    S11, g11, a2g = S10 * S10, g10 * g10, a2 * g10
+    # the first four entries are (S10*C + a2g*St, p, g10*C - S10*St, g20) * r
+    # with dr = -r^2 du, and qCon and qIntS2 read qI = m*ln(u) with dqI = m*r du
+    lift = (w0 * ((S10 * C + a2g * St) * r) + w1 * (p * r) + w2 * ((g10 * C - S10 * St) * r)
+            + w3 * (g20 * r))
+    return (
+        r * (m * (2.0 * w6 + w7)) - r * lift,
+        w1 * r,
+        (w0 * S10 + w2 * g10) * r,
+        (w0 * a2g - w2 * S10) * r,
+        w4 * S11 + w5 * g11 + w6 * S10 * g10,
+        2.0 * S10 * (w4 * a2g - w5 * g10) + w6 * (a2 * g11 - S11),
+        w4 * a2g * a2g + w5 * S11 - w6 * S10 * g10 * a2,
+        w5,
+    ), w3 * r
+
+
 def _blow_up(spec, t_last, times, rows, widen, method, step):
     """Raise ``BlowUpError`` at ``t_last``, with the partial grid if rows were kept."""
     raise BlowUpError(t_last, rows and SolutionGrid(spec, times, rows, method, step, widen))
@@ -485,32 +620,55 @@ def _start(spec, init, step):
     return (y, *flow_coefficients(spec), step, T)
 
 
-def _run(spec, init, step, keep, method, tangent=False):
+def _run(spec, init, step, keep, method, end="state"):
     """``_start``, then the kernel for the start state, its start row and
-    coefficients, the map from its rows to state rows (to ``_tangent_rows``
-    with ``tangent``), the step and T.
+    coefficients, the map from its rows to what the run returns, the
+    step and T.
 
-    A start state beyond ``BLOWUP_LIMIT`` blows up at t = 0. sigma20 = 0
-    takes a zero-amplitude kernel. The kernels are looked up at call, as
-    module globals or in ``_tangent_kernels()``, so a test can swap one.
+    The map gives the state row (``end="state"``), the eight-component row
+    (``"row"``), that row and its tangents (``"tangent"``, through
+    ``_tangent_rows``), or that row and its pullback (``"taped"``): the
+    taped kernel passes each step's stage values to a tape, and
+    ``_sweep`` reads it back. A taped run of more than ``TAPE_STEPS``
+    steps is a tangent run whose pullback takes dot products with its
+    tangents. A start state beyond ``BLOWUP_LIMIT`` blows up at t = 0.
+    sigma20 = 0 takes a zero-amplitude kernel, except in a taped run. The
+    kernels are looked up at call, as module globals or in the caches of
+    rendered kernels, so a test can swap one.
     """
     first, m_inv, k, hh, step, T = _start(spec, init, step)
     if not all(-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT for v in first):
         _blow_up(spec, 0.0, [0.0], [first] if keep else None, None, method, step)
     K = _coefficients(m_inv, k, hh, first[3])
     S20 = first[1]
-    if tangent:
+    row = (1.0, S20, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    if end == "taped" and _n_steps(T, step) <= TAPE_STEPS:
+        tape = []
+        kernel = _taped_kernels()["_taped_row_step"]
+        return kernel, row, K + (tape.append,), lambda y: (y, partial(_sweep, tape, K)), step, T
+    if end in ("tangent", "taped"):
         # the tangents start from dp = 1 along S20 and from 0 along sigma20
+        widen = _tangent_rows if end == "tangent" else _tangent_pullback
         kernels = _tangent_kernels()
         if first[3] == 0.0:
             y = (1.0, S20, 0.0, 1.0) + (0.0,) * 5
-            return kernels["_zero_amplitude_tangent_step"], y, K, _tangent_rows, step, T
+            return kernels["_zero_amplitude_tangent_step"], y, K, widen, step, T
         y = (1.0, S20, 1.0, 0.0, 0.0, 1.0) + (0.0,) * 18
-        return kernels["_tangent_step"], y, K, _tangent_rows, step, T
-    widen = partial(_state_row, first, float(spec.m), hh / m_inv)
+        return kernels["_tangent_step"], y, K, widen, step, T
+    if end == "row":
+        widen = _u_row
+    else:
+        widen = partial(_state_row, first, float(spec.m), hh / m_inv)
     if first[3] == 0.0:
         return _zero_amplitude_step, (1.0, S20, 0.0), K, widen, step, T
-    return _row_step, (1.0, S20, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), K, widen, step, T
+    return _row_step, row, K, widen, step, T
+
+
+def _tangent_pullback(y):
+    """The end row of a tangent kernel row and its pullback: the dot
+    products of a seed with the row's tangents along S20 and sigma20."""
+    end, along_S20, along_sigma20 = _tangent_rows(y)
+    return end, lambda seed: (sum(map(mul, seed, along_S20)), sum(map(mul, seed, along_sigma20)))
 
 
 def _check_step_count(T, step):
@@ -527,16 +685,15 @@ def _n_steps(T, step):
     return n
 
 
-def _fixed(spec, init, step, keep, propagate=False, tangent=False):
-    """Fixed-step RK4 from 0 to T: the grid if ``keep``, else the end row,
-    as a state row, with ``propagate`` as the eight-component kernel row,
-    or with ``tangent`` as that row and its derivatives (``tangent``).
+def _fixed(spec, init, step, keep, end="state"):
+    """Fixed-step RK4 from 0 to T: the grid if ``keep``, else what the run
+    returns at its end row, by ``end`` (see ``_run``).
 
     The grid has ceil(T/step) intervals, the last one shortened to land
     on T exactly. A blow-up raises ``BlowUpError`` at the last good time,
     carrying the partial grid only if ``keep``.
     """
-    kernel, y, K, widen, step, T = _run(spec, init, step, keep, "rk4", tangent)
+    kernel, y, K, widen, step, T = _run(spec, init, step, keep, "rk4", end)
     n = _n_steps(T, step)
     times = [0.0] if keep else None
     rows = [y] if keep else None
@@ -553,7 +710,7 @@ def _fixed(spec, init, step, keep, propagate=False, tangent=False):
         t_prev = t
     if keep:
         return SolutionGrid(spec, times, rows, "rk4", step, widen)
-    return _u_row(y) if propagate else widen(y)
+    return widen(y)
 
 
 def final_state(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP):
@@ -578,7 +735,7 @@ def propagator(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_ST
     with C = 1 and St = Jcs = Jss = I2 = 0. The same run as
     ``final_state``: same kernel, input check and blow-up exit.
     """
-    return _fixed(spec, init, step, keep=False, propagate=True)
+    return _fixed(spec, init, step, keep=False, end="row")
 
 
 def tangent(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP):
@@ -592,7 +749,24 @@ def tangent(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP)
     run blows up exactly where ``propagator``'s does; only the tangents may
     come out non-finite.
     """
-    return _fixed(spec, init, step, keep=False, tangent=True)
+    return _fixed(spec, init, step, keep=False, end="tangent")
+
+
+def taped(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP):
+    """Fixed-step run returning ``propagator``'s end row and its pullback.
+
+    The pullback maps a seed, a covector on the end row, to the
+    derivatives of seed . row along S20 and sigma20, by one backward sweep
+    over the run's tape (``_sweep``): the derivatives of ``tangent``, up to
+    roundoff, for about the cost of one more row run, where ``tangent``
+    steps 24 components. The row is ``propagator``'s, bit for bit (the
+    taped kernel is ``_row_step`` rendered from the same table), and the
+    run blows up exactly where ``propagator``'s does; only the pullback's
+    values may come out non-finite. The tape holds 13 floats a step; a run
+    of more than ``TAPE_STEPS`` steps keeps none and reads a ``tangent``
+    run instead.
+    """
+    return _fixed(spec, init, step, keep=False, end="taped")
 
 
 def _error_ratio(coarse, fine):

@@ -16,9 +16,10 @@ depends on (S1, sigma1), which itself evolves linearly, and RK4
 preserves that linearity; so at fixed (S20, sigma20) the discrete
 eigenvalue and the constraint residual are both exact quadratics in
 (S10, sigma10), at every hbar_tilde. One run at the current point
-(``dynamics.propagator``, or ``dynamics.tangent`` when (S20, sigma20) are
-searched) returns the end of the integrator's linear row, which does not
-depend on (S10, sigma10), and ``endpoint_models`` turns it into the
+(``dynamics.propagator``, or, when (S20, sigma20) are searched,
+``dynamics.taped``, or ``dynamics.tangent`` at sigma20 = 0) returns the
+end of the integrator's linear row, which does not depend on (S10,
+sigma10), and ``endpoint_models`` turns it into the
 value, gradient and Hessian of both quadratics, and so the objective's exact value, gradient and Hessian
 along the active members of {S10, sigma10}. Those members are set to a
 stationary point of the objective on these models, with no further
@@ -55,15 +56,21 @@ only the first test is not a root, but it stays a candidate for the best
 unconverged point.
 
 Along (S10, sigma10) every derivative comes from the models. Along
-(S20, sigma20) the gradient comes from the same run: ``dynamics.tangent``
-steps the row with its derivatives along S20 and sigma20, and
-``endpoint_report``, linear in its two rows, maps them to those of the
-eigenvalue and the residual, exact for the discrete map (``_centre``).
+(S20, sigma20) the gradient comes from the same run, exact for the
+discrete map (``_centre``). At sigma20 != 0 it is reverse mode: the
+gradient of the objective with respect to the end row (the seed,
+``endpoint_report`` and ``dynamics._state_row`` transposed) is swept back
+over the taped run's steps (``dynamics.taped``), which gives its
+derivatives along S20 and sigma20 for about the cost of one more row
+run. At sigma20 = 0 ``dynamics.tangent`` steps the 9 live components of
+the row and its derivatives, and ``endpoint_report``, linear in its two
+rows, maps them forward to those of the eigenvalue and the residual.
 Only the certificate's Hessian takes differences there, with steps of
 sqrt(``FD_STEP``) times max(1, |coord|), on the models' value and
 gradient (see ``stationarity_check``). Runs that blow up inside the
-horizon, or whose tangents come out non-finite, map to a large finite
-penalty so the simplex retreats; they are counted, not raised.
+horizon, or whose gradient along (S20, sigma20) comes out non-finite,
+map to a large finite penalty so the simplex retreats; they are
+counted, not raised.
 
 This is the one module of ``qap`` that imports numpy, for the records
 the search and the certificate read (each point's gradient and Hessian
@@ -83,8 +90,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import EigenvalueReport, eigenvalue, endpoint_report, json_17g
-from .dynamics import (DEFAULT_STEP, _state_row, _state_tangent, final_state, integrate,
-                       propagator, tangent)
+from .dynamics import (DEFAULT_STEP, _state_cotangent, _state_row, _state_tangent, final_state,
+                       integrate, propagator, taped, tangent)
 from .errors import BlowUpError, FDFailureError
 from .model import COORD_NAMES, InitialData, OscillatorSpec, flow_coefficients, parse_active
 
@@ -126,9 +133,10 @@ class HessianSignature:
 class StationarityReport:
     """Gradient and Hessian of the objective at a point.
 
-    The gradient is exact, from one run's models along (S10, sigma10) and
-    its tangents along (S20, sigma20); the Hessian is exact along (S10,
-    sigma10) and by differences along (S20, sigma20).
+    The gradient is exact, from one run's models along (S10, sigma10) and,
+    along (S20, sigma20), from the same run's backward sweep (its tangents
+    at sigma20 = 0); the Hessian is exact along (S10, sigma10) and by
+    differences along (S20, sigma20).
     """
 
     gradient: np.ndarray
@@ -144,8 +152,8 @@ class ExtremumResult:
     the search's own run there, bit for bit the report of a fresh
     ``integrate`` at ``init``. ``hessian_signature`` is None when a probe
     of ``stationarity_check`` around the final point blew up.
-    ``blowups`` counts the search's runs that blew up or gave non-finite
-    tangents; the stationarity check's runs are not among them.
+    ``blowups`` counts the search's runs that blew up or gave a
+    non-finite gradient; the stationarity check's runs are not among them.
     """
 
     init: InitialData
@@ -210,6 +218,18 @@ def _report(spec, first, end) -> EigenvalueReport:
     that run."""
     m_inv, _, hh = flow_coefficients(spec)
     return endpoint_report(spec, first, _state_row(first, float(spec.m), hh / m_inv, end))
+
+
+def _report_cotangent(spec, wr):
+    """The gradient of lam + wr/2 * residual, linear in ``endpoint_report``'s
+    two rows, with respect to its first row (the four initial
+    coefficients) and its last (the state row at T). With wr = 2 * weight
+    * r, it is that of the objective lam + weight * r**2 at residual r."""
+    x0, xT, m = spec.x0, spec.xT, spec.m
+    half0, halfT = 0.5 * x0 * x0, 0.5 * xT * xT
+    return ((-x0, -half0, -wr * x0, -wr * half0),
+            (xT, halfT, wr * xT, wr * halfT, -0.5 / m, 0.5 * spec.hbar_tilde**2 / m, -wr / m,
+             0.0))
 
 
 def endpoint_models(spec, first, end):
@@ -371,21 +391,35 @@ def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
     members of (S10, sigma10), the two numpy arrays of the point's
     record, built once. The end row is ``propagator``'s, which does not
     depend on (S10, sigma10), so it is the end row of a run from the
-    moved point too. The run is ``propagator``'s when no coordinate
-    is searched, else ``tangent``'s, and the gradient along (S20,
-    sigma20) is then exact for the discrete
-    map: the row does not depend on (S10, sigma10), so its tangents hold
-    at the moved point too, and ``endpoint_report`` is linear in its two
-    rows, so it maps the tangent of the state row to those of the
-    eigenvalue and the residual. Raises ``BlowUpError``, at T when the run
-    completes but a tangent is not finite.
+    moved point too, and its derivatives along (S20, sigma20) hold there
+    too. The run is ``propagator``'s when no coordinate is searched.
+    Else the gradient along (S20, sigma20) is exact for the discrete
+    map, from one of two runs:
+
+    - at sigma20 != 0, ``taped``'s: the seed, the gradient of the
+      objective with respect to the end row at the moved point, is
+      ``endpoint_report`` (``_report_cotangent``) and ``_state_row``
+      (``dynamics._state_cotangent``) transposed, and one backward sweep
+      over the run's tape takes it to S20 and sigma20; the start data's
+      own terms, those of ``endpoint_report``'s first row and of sigma2 =
+      sigma20/u, are added;
+    - at sigma20 = 0, ``tangent``'s, whose 9 live components cost less
+      than a tape: ``endpoint_report`` is linear in its two rows, so it
+      maps the tangent of the state row to those of the eigenvalue and
+      the residual.
+
+    Raises ``BlowUpError``, at T when the run completes but the gradient
+    is not finite.
     """
     lin, free, pos = _split(idx)
     init = _embed(base, idx, z)
-    if free:
+    slopes = pullback = None
+    if not free:
+        end = propagator(spec, init, step)
+    elif init.sigma20 == 0.0:
         end, *slopes = tangent(spec, init, step)
     else:
-        end = propagator(spec, init, step)
+        end, pullback = taped(spec, init, step)
     models = _restrict(endpoint_models(spec, init.as_tuple(), end), pos)
     du = None
     if project and lin:
@@ -405,13 +439,22 @@ def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
     if free:
         first = _embed(base, idx, z).as_tuple()
         m_inv, _, hh = flow_coefficients(spec)
-        for j in free:
-            # the unit tangent of the initial data along this coordinate
-            e = [0.0] * 4
-            e[idx[j]] = 1.0
-            dlast = _state_tangent(first, spec.m, hh / m_inv, end, slopes[idx[j] // 2], e[3])
-            d = endpoint_report(spec, e, dlast)
-            gradient[j] = d.lam + 2.0 * weight * r * d.constraint_residual
+        if pullback is None:
+            for j in free:
+                # the unit tangent of the initial data along this coordinate
+                e = [0.0] * 4
+                e[idx[j]] = 1.0
+                dlast = _state_tangent(first, spec.m, hh / m_inv, end, slopes[idx[j] // 2], e[3])
+                d = endpoint_report(spec, e, dlast)
+                gradient[j] = d.lam + 2.0 * weight * r * d.constraint_residual
+        else:
+            d_first, d_last = _report_cotangent(spec, 2.0 * weight * r)
+            seed, d_sigma20 = _state_cotangent(first, spec.m, hh / m_inv, end, d_last)
+            dS20, dsigma20 = pullback(seed)
+            # plus the start data's own terms: the first row's, and sigma2 = sigma20/u
+            along = (dS20 + d_first[1], dsigma20 + d_sigma20 + d_first[3])
+            for j in free:
+                gradient[j] = along[idx[j] // 2]
         if not all(math.isfinite(gradient[j]) for j in free):
             raise BlowUpError(spec.T)
     # entry (k, l) of the triple H is H[k + l]
@@ -433,8 +476,9 @@ def stationarity_check(
     Along the active members of (S10, sigma10) the gradient and the
     Hessian block come exactly from the models of one run at ``init``.
     Along the searched coordinates (S20, sigma20) the gradient comes
-    exactly from that run's tangents (a ``dynamics.tangent`` run; see
-    ``_centre``), and the Hessian takes steps of hs = sqrt(FD_STEP) *
+    exactly from that run (a ``dynamics.taped`` run's backward sweep, or
+    at sigma20 = 0 a ``dynamics.tangent`` run; see ``_centre``), and the
+    Hessian takes steps of hs = sqrt(FD_STEP) *
     max(1, |coord|). Each probe is one model evaluation, a propagator
     run and its models (``at``): per coordinate, one at each of z +- hs
     gives the diagonal entry, a second difference of the objective, and
@@ -443,7 +487,7 @@ def stationarity_check(
     probes, differences of the objective's value. Every run is
     fixed-step rk4: the models are exact only for
     it. Raises ``FDFailureError`` when the run at ``init`` or any probe
-    blows up, or the tangents come out non-finite: a verification tool
+    blows up, or the gradient comes out non-finite: a verification tool
     must not silently average over a caustic.
 
     A caller that already holds, at ``init``, the objective's value, its
@@ -514,8 +558,10 @@ def optimize(
     eigenvalue and the constraint residual in them, which one run gives:
     one Newton step without a penalty, Newton iterations on the quartic
     objective with one (see the module docstring). The search runs over
-    the active members of (S20, sigma20), and that run is then a tangent
-    run, which also gives the exact gradient along them (``_centre``). It makes up to ``restarts`` attempts (the
+    the active members of (S20, sigma20), and that run then also gives
+    the exact gradient along them (``_centre``): a taped run and one
+    backward sweep of its adjoint, reverse mode, or a tangent run at
+    sigma20 = 0. It makes up to ``restarts`` attempts (the
     first from ``guess``, later ones from seeded perturbations of the best
     point); none when nothing is left to search or the projected guess is
     already stationary. Each attempt runs Nelder-Mead on the squared
@@ -527,11 +573,11 @@ def optimize(
     coordinate. ``max_iter`` caps the Nelder-Mead iterations and the
     root solve's gradient evaluations of each attempt, and
     ``iterations`` counts both.
-    Each point is solved once per call (its propagator or tangent run
-    counts as its solve): its cached record serves the simplex, the root
+    Each point is solved once per call (its propagator, taped or tangent
+    run counts as its solve): its cached record serves the simplex, the root
     solve and the certificate. The record also holds the objective's
     value, its gradient over all active coordinates (from the same run's
-    models and tangents), its Hessian along (S10, sigma10) at
+    models and its sweep or tangents), its Hessian along (S10, sigma10) at
     the projected point and the run's end row: the certificate's gradient,
     ``stationarity_check``'s centre and the returned report are read from
     it, so no point is solved twice, the returned one included.
@@ -541,7 +587,7 @@ def optimize(
     a ``qap`` INFO log line names an attempt that ends where only the
     first holds. Otherwise the best point found, by the merit, is still
     returned with ``converged=False``. If that best point has no
-    record (every run blew up or gave non-finite tangents), its report
+    record (every run blew up or gave a non-finite gradient), its report
     comes from ``integrate``, which raises ``BlowUpError`` with its
     partial grid when the run blows up: the returned report needs a
     complete run.

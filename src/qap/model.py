@@ -171,7 +171,10 @@ def t0_to_S20(t0: float, spec: OscillatorSpec) -> float:
 def S20_to_t0(S20: float, spec: OscillatorSpec) -> float:
     """Invert ``t0_to_S20`` on the principal branch.
 
-    Returns arctan(S20/sqrt(m*k))/omega0; requires omega0 > 0.
+    Returns arctan(S20/sqrt(m*k))/omega0, the phase offset of the
+    paper's classical closed form S2(t) = -sqrt(m*k)*tan(omega0*(t - t0))
+    at t = 0; requires omega0 > 0. No computation of the package calls
+    it; it is public as the inverse of that closed form's map.
     """
     w = omega0(spec)
     if w == 0.0:

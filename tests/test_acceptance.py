@@ -24,10 +24,10 @@ from qap import (
     s1_closed,
     s2_closed,
     s10_star,
-    simpson_accumulators,
     t0_to_S20,
 )
 from qap.cli import main
+from simpson import simpson_accumulators
 
 DEFAULT = OscillatorSpec(m=1.0, k=1.0, hbar_tilde=0.0, T=1.0, x0=0.0, xT=1.0)
 T0_SCAN = [0.1 * i for i in range(1, 10)]

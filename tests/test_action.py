@@ -11,17 +11,16 @@ from qap import (
     InitialData,
     LengthMismatchError,
     OscillatorSpec,
-    composite_simpson,
     constraint_residual,
     eigenvalue,
     integrate,
     lambda_star,
     s10_star,
-    simpson_accumulators,
     t0_to_S20,
 )
 from qap.action import endpoint_report
 from qap.dynamics import SolutionGrid
+from simpson import composite_simpson, simpson_accumulators
 
 
 class TestEigenvalue:

@@ -732,19 +732,25 @@ def test_only_a_search_loads_scipy(tmp_path, search_config):
         "import sys\n"
         f"sys.path[:0] = [{str(ROOT / 'src')!r}]\n"
         "import qap.cli\n"
-        # the tangent run's kernels are rendered and compiled by the first search
+        # the tangent and taped runs' kernels are rendered and compiled by the
+        # first search that runs them: the classical check runs a tangent run
+        # (sigma20 = 0), the quantum search taped runs
         "tangent_kernels = sys.modules['qap.dynamics']._tangent_kernels.cache_info\n"
+        "taped_kernels = sys.modules['qap.dynamics']._taped_kernels.cache_info\n"
         "assert 'numpy' not in sys.modules, 'import qap.cli loaded numpy'\n"
         "assert tangent_kernels().currsize == 0, 'import qap.cli rendered the tangent tables'\n"
+        "assert taped_kernels().currsize == 0, 'import qap.cli rendered the taped kernel'\n"
         f"for i, argv in enumerate({runs!r}):\n"
         f"    assert qap.cli.main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}']) == 0, argv\n"
         "    assert 'numpy' not in sys.modules, f'{argv[0]} loaded numpy'\n"
         "    assert tangent_kernels().currsize == 0, f'{argv[0]} rendered the tangent tables'\n"
+        "    assert taped_kernels().currsize == 0, f'{argv[0]} rendered the taped kernel'\n"
         "assert 'scipy' not in sys.modules, 'scipy loaded before any search'\n"
         f"for i, argv in enumerate({searches!r}):\n"
         f"    assert qap.cli.main(argv + ['--out', {str(tmp_path)!r} + f'/s{{i}}']) == 0, argv\n"
         "    assert 'numpy' in sys.modules, f'{argv[0]} did not load numpy'\n"
         "    assert tangent_kernels().currsize == 1, f'{argv[0]} ran no tangent run'\n"
+        "    assert taped_kernels().currsize == i, f'taped kernel after {argv[0]}'\n"
         "assert 'scipy.optimize' in sys.modules, 'the search did not load scipy.optimize'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -1,5 +1,6 @@
 import inspect
 import math
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from io import StringIO
 from pathlib import Path
@@ -34,9 +35,12 @@ from qap.dynamics import (
     _row_step,
     _stage,
     _start,
+    _state_cotangent,
     _state_row,
+    _state_tangent,
     final_state,
     propagator,
+    taped,
     tangent,
 )
 from qap.extremize import endpoint_models, objective
@@ -77,8 +81,8 @@ class TestRhs:
         assert _row_step(row, 0.01, K) == generic_rk4(row_rhs(K), row, 0.01)
 
     def test_rendered_kernels_show_their_source(self):
-        kernels = {**dynamics._kernels, **dynamics._tangent_kernels()}
-        assert len(kernels) == 4
+        kernels = {**dynamics._kernels, **dynamics._tangent_kernels(), **dynamics._taped_kernels()}
+        assert len(kernels) == 5
         for name, kernel in kernels.items():
             assert inspect.getsource(kernel).startswith(f"def {name}(")
 
@@ -666,6 +670,122 @@ class TestTangent:
                             for j in (-2, -1, 1, 2)]
                     diff = [(a - 8.0 * b + 8.0 * c - e) / (12.0 * d) for a, b, c, e in zip(*runs)]
                     assert np.allclose(slope, diff, rtol=1e-9, atol=1e-9), (spec, start, step, name)
+
+
+def taped_row(spec, init, step):
+    return taped(spec, init, step)[0]
+
+
+def seeded_steps():
+    """Seeded (row, h, K) for one step of the row: smooth rows, rows whose
+    start the bounce guard refuses (c > 0, -h*p > G*u or h^2*W > u^2),
+    rows whose step crosses u = 0 (c = 0, no guard) and rows next to
+    BLOWUP_LIMIT."""
+    rng = np.random.default_rng(20261020)
+    for i in range(400):
+        kind = i % 4
+        spec = OscillatorSpec(m=rng.uniform(0.5, 2.0), k=rng.uniform(0.0, 2.0),
+                              hbar_tilde=0.0 if kind == 2 else rng.uniform(0.1, 1.0))
+        K = coefficients(spec, 0.0 if i % 8 == 0 else rng.uniform(-3.0, 3.0))
+        h = float(rng.choice([1e-2, 0.1, 0.3]))
+        y = [rng.uniform(0.3, 3.0), *rng.uniform(-1.0, 1.0, 7)]
+        if kind == 1:
+            if rng.uniform() < 0.5:
+                y[1] = -rng.uniform(1.1, 3.0) * dynamics.FOCUS_GUARD * spec.m * y[0] / h
+            else:
+                y[0] = h * math.sqrt(K[7]) / rng.uniform(1.1, 3.0)
+        elif kind == 2:
+            y[1] = -rng.uniform(1.5, 4.0) * spec.m * y[0] / h
+        elif kind == 3:
+            y[int(rng.integers(1, 8))] = float(rng.choice([-1.0, 1.0])) * BLOWUP_LIMIT * (1.0 - 1e-15)
+        yield tuple(map(float, y)), h, K
+
+
+class TestTaped:
+    """``taped`` runs the row with a taped twin of ``_row_step`` and returns
+    its end row, ``propagator``'s, with a pullback: one backward sweep
+    gives the derivatives along S20 and sigma20 of a seed times the row."""
+
+    def test_step_equals_row_step_bit_for_bit(self):
+        step = dynamics._taped_kernels()["_taped_row_step"]
+        outcomes = Counter()
+        for y, h, K in seeded_steps():
+            tape = []
+            got = step(y, h, K + (tape.append,))
+            assert repr(got) == repr(_row_step(y, h, K)), (y, h, K)
+            if tape:
+                # h, then r, a and b at the four stages
+                assert len(tape) == 1 and len(tape[0]) == 13 and tape[0][0] == h
+                r = 1.0 / y[0]
+                assert tape[0][1:4] == (r, r * y[2], r * y[3])
+            outcomes["refused" if not tape else "taken" if got else "blown up"] += 1
+        assert min(outcomes[k] for k in ("taken", "refused", "blown up")) >= 50, outcomes
+
+    def test_row_is_propagators(self, spec):
+        # whole runs, the shortened last step, sigma20 = 0 (the full row's
+        # kernel, where propagator steps the zero-amplitude one), guarded
+        # and blown-up runs
+        cases = [(s, i, h) for s, init, h in pin_cases() for i in (init, replace(init, sigma20=0.0))]
+        cases += [(spec, i, 0.25) for i in (QUANTUM, SILENT, replace(SILENT, sigma10=0.3))]
+        cases += list(zero_amplitude_cases())
+        guarded = OscillatorSpec(m=1.0, k=0.0, hbar_tilde=0.5, T=0.1)
+        for start in (InitialData(1.0, -6.0, 0.3, 1.0), InitialData(1.0, 0.0, 0.3, 30.0)):
+            cases += [(guarded, start, 0.1), (guarded, start, 0.02)]
+        blowups = 0
+        for s, i, h in cases:
+            got = outcome(taped_row, s, i, h)
+            assert got == outcome(propagator, s, i, h), (s, i, h)
+            blowups += got.startswith("('blowup'")
+        assert blowups >= 5
+
+    @given(**CAUSTIC_DRAWS)
+    @settings(max_examples=60, deadline=None)
+    def test_blows_up_where_propagator_does(self, m, k, S20, step, T, zero_amplitude):
+        spec, init = caustic_case(m, k, S20, T, zero_amplitude)
+        assert outcome(taped_row, spec, init, step) == outcome(propagator, spec, init, step)
+
+    def test_pullback_matches_the_tangents(self):
+        # the seed times tangent's rows, within 1e-12 of the largest product
+        rng = np.random.default_rng(8)
+        for spec, init, step in pin_cases():
+            for start in (init, replace(init, sigma20=0.0)):
+                row, *slopes = tangent(spec, start, step)
+                end, pullback = taped(spec, start, step)
+                assert end == row
+                seed = tuple(map(float, rng.uniform(-1.0, 1.0, 8)))
+                for got, slope in zip(pullback(seed), slopes):
+                    terms = [a * b for a, b in zip(seed, slope)]
+                    want = math.fsum(terms)
+                    assert abs(got - want) <= 1e-12 * max(map(abs, terms)), (spec, start, step)
+
+    def test_long_run_reads_a_tangent_run(self, monkeypatch):
+        # up to TAPE_STEPS the run is taped and steps no tangent kernel; past
+        # them no tape is kept, and the pullback takes the seed's dot
+        # products with tangent's rows
+        spec, init, step = next(pin_cases())
+        seed = (0.3, -1.2, 0.5, 2.0, -0.7, 0.1, 0.9, -0.4)
+        row, *slopes = tangent(spec, init, step)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_tangent_kernels", None)
+            taped(spec, init, step)[1](seed)
+        monkeypatch.setattr(dynamics, "TAPE_STEPS", 3)
+        end, pullback = taped(spec, init, step)
+        assert end == row
+        assert pullback(seed) == tuple(sum(a * b for a, b in zip(seed, s)) for s in slopes)
+
+    def test_state_cotangent_is_the_transpose_of_the_state_tangent(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            first = tuple(map(float, rng.uniform(-2.0, 2.0, 4)))
+            m, a2 = rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)
+            y = (rng.uniform(0.2, 3.0), *rng.uniform(-2.0, 2.0, 7))
+            dy, dg20 = tuple(rng.uniform(-1.0, 1.0, 8)), rng.uniform(-1.0, 1.0)
+            w = tuple(rng.uniform(-1.0, 1.0, 8))
+            forward = [a * b for a, b in zip(w, _state_tangent(first, m, a2, y, dy, dg20))]
+            row_bar, g20_bar = _state_cotangent(first, m, a2, y, w)
+            backward = [a * b for a, b in zip(row_bar, dy)] + [g20_bar * dg20]
+            scale = max(map(abs, forward + backward))
+            assert abs(math.fsum(forward) - math.fsum(backward)) <= 1e-13 * scale
 
 
 def general_kernel(y, h, K):

@@ -27,9 +27,10 @@ from qap import (
     t0_to_S20,
 )
 import qap.extremize as extremize
-from qap.dynamics import propagator
+from qap.action import endpoint_report
+from qap.dynamics import _state_tangent, propagator, tangent
 from qap.extremize import BLOWUP_PENALTY, FD_STEP, endpoint_models, parse_active
-from qap.model import COORD_NAMES
+from qap.model import COORD_NAMES, flow_coefficients
 
 
 class TestParseActive:
@@ -190,7 +191,7 @@ def solves(monkeypatch):
     """List that grows by one entry per ODE solve, propagator run or tangent
     run the extremizer makes."""
     calls = []
-    for name in ("final_state", "integrate", "propagator", "tangent"):
+    for name in ("final_state", "integrate", "propagator", "tangent", "taped"):
         inner = getattr(extremize, name)
 
         def counted(*args, _inner=inner, **kwargs):
@@ -399,12 +400,12 @@ class TestVariableProjection:
         # S20 = +inf (the best point lies near 1e12), where |g| < grad_tol
         # but |g| * S20**2, the gradient in 1/S20, is not: no attempt finds
         # a root, and the best of their points is returned unconverged. The
-        # path out moves at roundoff: the search takes 184 runs, 183 tangent
+        # path out moves at roundoff: the search takes 187 runs, 186 taped
         # runs and the check's first propagator run, which blows up at
-        # S20 ~ 1e12, so no signature (185 with a final integrate for the
-        # report; 189 runs, a signature and 11 blow-ups on the numpy
-        # projection; 420 solves and propagator runs with central
-        # differences along S20)
+        # S20 ~ 1e12, so no signature (184 with tangent runs; 185 with a
+        # final integrate for the report; 189 runs, a signature and 11
+        # blow-ups on the numpy projection; 420 solves and propagator runs
+        # with central differences along S20)
         caplog.set_level(logging.INFO, logger="qap")
         res = optimize(
             replace(spec, hbar_tilde=0.5), InitialData(S10=-3.0, sigma20=1.0),
@@ -416,7 +417,7 @@ class TestVariableProjection:
             f"attempt {i}: no root" for i in range(5)]
         assert len(solves) <= 189
         assert (hashlib.sha256(res.to_json().encode()).hexdigest()
-                == "784b1382108e35400967ea90fcebf9541df9567302d565fa75199e2c2771e8e6")
+                == "638d6a7af77d1609d79e0a5ff7a1c55b8887f43543a4bf519b82a67140556ae3")
 
     def test_small_gradient_at_infinity_is_not_a_root(self, spec):
         # the same objective at h = 1e-3: the root solve ends near S20 ~ 1e9,
@@ -543,7 +544,7 @@ class TestVariableProjection:
         # returned report, from the record's end row. A propagator run counts
         # as a solve of its point
         points = Counter()
-        for name in ("final_state", "integrate", "propagator", "tangent"):
+        for name in ("final_state", "integrate", "propagator", "tangent", "taped"):
             inner = getattr(extremize, name)
 
             def recorded(spec, init, *args, _inner=inner, **kwargs):
@@ -691,6 +692,50 @@ class TestStationarityCheck:
         assert not res.converged and res.gradient_norm == math.inf
         assert res.blowups > 0 and res.hessian_signature is None
 
+    def test_non_finite_pullback_counts_as_a_blow_up(self, spec, monkeypatch):
+        # the same at sigma20 != 0, where the gradient comes from the taped
+        # run's backward sweep: a sweep that returns NaN gives no gradient
+        run = extremize.taped
+
+        def overflowed(*args):
+            row, pullback = run(*args)
+            return row, lambda seed: (math.nan, pullback(seed)[1])
+
+        monkeypatch.setattr(extremize, "taped", overflowed)
+        s = replace(spec, hbar_tilde=0.4)
+        guess = InitialData(S10=0.0, S20=0.3, sigma20=0.5)
+        with pytest.raises(FDFailureError):
+            stationarity_check(guess, s, active=("S10", "S20"))
+        res = optimize(s, guess, active=("S10", "S20"), max_iter=5, restarts=1, step=1e-2)
+        assert not res.converged and res.gradient_norm == math.inf
+        assert res.blowups > 0 and res.hessian_signature is None
+
+    @pytest.mark.parametrize("step", [2e-2, 1e-2, 1e-3])
+    @pytest.mark.parametrize("weight", [0.0, 0.5])
+    @pytest.mark.parametrize("active", [("S20",), ("sigma20",), ("S20", "sigma20"), None])
+    def test_reverse_gradient_matches_the_tangent_one(self, spec, monkeypatch, step, weight,
+                                                      active):
+        # at sigma20 != 0 the gradient along (S20, sigma20), at the projected
+        # point, comes from the taped run alone; it agrees within 1e-12 with
+        # the tangent run's, mapped forward by _state_tangent and endpoint_report
+        s = replace(spec, hbar_tilde=0.4, x0=0.2)
+        idx = [i for i, on in enumerate(parse_active(active)) if on]
+        rng = np.random.default_rng(17)
+
+        def refuse(*args):
+            raise AssertionError("tangent run at sigma20 != 0")
+
+        for _ in range(3):
+            base = tuple(map(float, rng.uniform((-1.0, -0.3, -0.5, 0.2), (1.0, 0.5, 0.5, 1.0))))
+            z = np.array([base[i] for i in idx])
+            with monkeypatch.context() as patch:
+                patch.setattr(extremize, "tangent", refuse)
+                z, (_, gradient, _), _ = extremize._centre(s, base, idx, z, weight, step, True)
+            want = tangent_gradient(s, extremize._embed(base, idx, z), weight, step)
+            for j, i in enumerate(idx):
+                if i in (1, 3):
+                    assert gradient[j] == pytest.approx(want[i // 2], rel=1e-12), (base, i)
+
     def test_numpy_scalar_init_gives_same_report(self, spec):
         init = InitialData(S10=1.0, S20=0.3, sigma20=0.5)
         np_init = InitialData(*(np.float64(v) for v in init.as_tuple()))
@@ -730,6 +775,24 @@ class TestStationarityCheck:
             block = exact[np.ix_(pos, pos)]
             scale = max(1.0, np.abs(block).max(initial=0.0))
             assert np.all(np.abs(rep.hessian[np.ix_(lin, lin)] - block) <= 1e-12 * scale)
+
+
+def tangent_gradient(spec, point, weight, step):
+    """The objective's gradient along (S20, sigma20) at ``point`` from a
+    tangent run: each tangent of the row mapped by ``_state_tangent`` and
+    ``endpoint_report``, the route ``_centre`` takes at sigma20 = 0."""
+    first = point.as_tuple()
+    end, *slopes = tangent(spec, point, step)
+    m_inv, _, hh = flow_coefficients(spec)
+    r = extremize._report(spec, first, end).constraint_residual
+    gradient = []
+    for i in (1, 3):
+        e = [0.0] * 4
+        e[i] = 1.0
+        d = endpoint_report(spec, e, _state_tangent(first, spec.m, hh / m_inv, end,
+                                                     slopes[i // 2], e[3]))
+        gradient.append(d.lam + 2.0 * weight * r * d.constraint_residual)
+    return gradient
 
 
 def symmetric(H):
