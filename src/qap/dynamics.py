@@ -30,13 +30,17 @@ does not depend on (S10, sigma10), for ``final_state``, ``propagator``
 and ``integrate`` (both methods); with sigma20 = 0, C = 1 and the other
 three are 0, and ``_zero_amplitude_step`` steps only (u, p, Jcc).
 ``_render`` writes both from one table; ``_stage`` is the reference the
-tests pin them against. Two runs give the derivative of the discrete
+tests pin them against. Two runs give the derivatives of the discrete
 map along S20 and sigma20, from kernels rendered on first use, so the
 commands that never search pay nothing for them:
 
-- ``tangent`` steps the row with its variational equations, 24
-  components (9 at sigma20 = 0; ``_tangent_kernels``): forward mode, the
-  derivatives of every component;
+- ``tangent`` steps the row with its variational equations along the
+  searched coordinates, S20, sigma20 or both, and, by the product rule
+  once more, their second-order lines along each pair: forward mode, the
+  first and second derivatives of every component. A kernel per searched
+  set (``_tangent_kernels``) steps 24 components along one coordinate
+  and 48 along both; at sigma20 = 0 it steps only the lines that are
+  not 0 there (``_ZERO_AMPLITUDE_TABLE``), 7 along S20 alone;
 - ``taped`` steps the row with ``_row_step``'s taped twin
   (``_taped_kernels``), which keeps r, a and b at each RK4 stage, and
   returns a pullback: for a seed, a covector on the end row, one
@@ -44,8 +48,10 @@ commands that never search pay nothing for them:
   (``_sweep``), the transposed product rule on the row's table, gives
   the derivatives of seed . row along S20 and sigma20. That is reverse
   mode (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008,
-  ch. 3-4), at about two thirds of a tangent run's time at h = 1e-2
-  (CPython 3.11); the extremizer's gradient at sigma20 != 0 reads it.
+  ch. 3-4), at about two thirds of the time of a 24-component
+  first-order tangent run at h = 1e-2 (CPython 3.11); the extremizer's
+  gradient at sigma20 != 0 reads it, and its certificate reads
+  ``tangent``'s second-order lines.
 
 One input check hands the loop only Python floats (the unrolled step
 runs about three times slower on numpy scalars).
@@ -119,15 +125,16 @@ CSV_COLUMNS = ("t", "S1", "S2", "sigma1", "sigma2", "qS", "qSigma", "qCon")
 
 
 def _coefficients(m_inv, k, hh, sigma20):
-    """A run's kernel coefficients (m_inv, k, c, hs, ms, s, G, W, dc, dhs):
-    c = 2*hh*sigma20^2, hs = -hh*sigma20, ms = sigma20/m, s = sigma20, the
-    bounce guard's G = FOCUS_GUARD*m, or inf when c = 0, and W =
-    c/(m*BOUNCE_GUARD), and the derivatives dc = 4*hh*sigma20 and dhs = -hh
-    of c and hs along sigma20 (those of ms and s are m_inv and 1)."""
+    """A run's kernel coefficients (m_inv, k, c, hs, ms, s, G, W, dc, dhs,
+    ddc): c = 2*hh*sigma20^2, hs = -hh*sigma20, ms = sigma20/m, s =
+    sigma20, the bounce guard's G = FOCUS_GUARD*m, or inf when c = 0, and W
+    = c/(m*BOUNCE_GUARD), the derivatives dc = 4*hh*sigma20 and dhs = -hh of
+    c and hs along sigma20 (those of ms and s are m_inv and 1), and ddc =
+    4*hh, c's second derivative, the only coefficient's that is not 0."""
     c = 2.0 * hh * sigma20 * sigma20
     return (m_inv, k, c, -hh * sigma20, sigma20 * m_inv, sigma20,
             FOCUS_GUARD / m_inv if c > 0.0 else math.inf, c * m_inv / BOUNCE_GUARD,
-            4.0 * hh * sigma20, -hh)
+            4.0 * hh * sigma20, -hh, 4.0 * hh)
 
 
 def _stage(u, p, C, St, K):
@@ -302,7 +309,7 @@ def _render(name, shared, flows, integrals, guards, checks, bounded=None, tape=(
         return expr.format(**{n: point + n for n in names})
 
     body = [f'"""One RK4 step of ({row}); rendered by ``_render``."""', f"{row} = y",
-            "m_inv, k, c, hs, ms, s, G, W, dc, dhs" + (", push" if tape else "") + " = K",
+            "m_inv, k, c, hs, ms, s, G, W, dc, dhs, ddc" + (", push" if tape else "") + " = K",
             "h2 = 0.5 * h", "w6 = h / 6.0"]
     if guards:
         body += [f"if not ({' and '.join(guards)}):", "    return None"]
@@ -339,17 +346,12 @@ _ROW_FLOWS = (("u", "m_inv * {p}"), ("p", "c * {r} - k * {u}"), ("C", "hs * {b}"
 _ROW_INTEGRALS = (("Jcc", "{a} * {a}"), ("Jcs", "{a} * {b}"), ("Jss", "{b} * {b}"),
                   ("I2", "s * {r}"))
 _ROW_GUARDS = ("-h * p <= G * u", "h * h * W <= u * u")
+_ZERO_AMPLITUDE_ROW = ((("r", "1.0 / {u}"),), (("u", "m_inv * {p}"), ("p", "-k * {u}")),
+                       (("Jcc", "{r} * {r}"),))
 _KERNEL_FILE = "<qap.dynamics kernels>"
 _KERNEL_SOURCE = _render(
     "_row_step", _ROW_SHARED, _ROW_FLOWS, _ROW_INTEGRALS, _ROW_GUARDS, ("0.0 < u",),
-) + _render(
-    "_zero_amplitude_step",
-    (("r", "1.0 / {u}"),),
-    (("u", "m_inv * {p}"), ("p", "-k * {u}")),
-    (("Jcc", "{r} * {r}"),),
-    (),
-    ("0.0 < u",),
-)
+) + _render("_zero_amplitude_step", *_ZERO_AMPLITUDE_ROW, (), ("0.0 < u",))
 
 
 def _compile(source, filename):
@@ -383,6 +385,44 @@ _TANGENT_INTEGRALS = (("JccX", "2.0 * {a} * {aX}"), ("JcsX", "{aX} * {b} + {a} *
 _SIGMA20_TERMS = {"pX": " + dc * {r}", "CX": " + dhs * {b}", "StX": " + m_inv * {a}",
                   "I2X": " + {r}"}
 
+# The row's second derivative along X and Y, the product rule once more on
+# the lines above: rXY = -r*(2*rY*uX + r*uXY), and aXY and bXY. Each of X
+# and Y that is sigma20 adds that coefficient's term of ``_SIGMA20_TERMS``
+# on the line's derivative along the other, and when both are, p's line
+# gains ddc*r, c's second derivative.
+_CURVATURE_SHARED = (("rXY", "-{r} * (2.0 * {rY} * {uX} + {r} * {uXY})"),
+                     ("aXY", "{rXY} * {C} + {rX} * {CY} + {rY} * {CX} + {r} * {CXY}"),
+                     ("bXY", "{rXY} * {St} + {rX} * {StY} + {rY} * {StX} + {r} * {StXY}"))
+_CURVATURE_FLOWS = (("uXY", "m_inv * {pXY}"), ("pXY", "c * {rXY} - k * {uXY}"),
+                    ("CXY", "hs * {bXY}"), ("StXY", "ms * {aXY}"))
+_CURVATURE_INTEGRALS = (("JccXY", "2.0 * ({aX} * {aY} + {a} * {aXY})"),
+                        ("JcsXY", "{aXY} * {b} + {aX} * {bY} + {aY} * {bX} + {a} * {bXY}"),
+                        ("JssXY", "2.0 * ({bX} * {bY} + {b} * {bXY})"), ("I2XY", "s * {rXY}"))
+
+# The zero-amplitude row's lines by order: at sigma20 = 0, c = 0, C = 1 and
+# St = Jcs = Jss = I2 = 0, and the lines above that stay 0 are dropped. (u,
+# p) is linear in S20, so uSS = 0, rSS = 2*rS^2/r and JccSS' = 6*rS^2; along
+# sigma20, u, p and C do not move at first order, nor St at second.
+_ZERO_AMPLITUDE_TABLE = {
+    "": _ZERO_AMPLITUDE_ROW,
+    "S": ((("rS", "-{r} * {r} * {uS}"),), (("uS", "m_inv * {pS}"), ("pS", "-k * {uS}")),
+          (("JccS", "2.0 * {r} * {rS}"),)),
+    "G": ((), (("StG", "m_inv * {r}"),), (("JcsG", "{r} * ({r} * {StG})"), ("I2G", "{r}"))),
+    "SS": ((), (), (("JccSS", "6.0 * {rS} * {rS}"),)),
+    "SG": ((), (("StSG", "m_inv * {rS}"),),
+           (("JcsSG", "{r} * (2.0 * {rS} * {StG} + {r} * {StSG})"), ("I2SG", "{rS}"))),
+    "GG": ((("bG", "{r} * {StG}"), ("rGG", "-{r} * {r} * {uGG}")),
+           (("uGG", "m_inv * {pGG}"), ("pGG", "ddc * {r} - k * {uGG}"),
+            ("CGG", "2.0 * dhs * {bG}")),
+           (("JccGG", "2.0 * {r} * ({rGG} + {r} * {CGG})"), ("JssGG", "2.0 * {bG} * {bG}"))),
+}
+
+#: the row's components, in its order
+_ROW_NAMES = tuple(n for n, _ in _ROW_FLOWS + _ROW_INTEGRALS)
+
+#: the suffix of a coordinate's lines
+_SUFFIX = {"S20": "S", "sigma20": "G"}
+
 
 def _along(X, lines):
     """The tangent table's ``lines`` along X (S or G)."""
@@ -390,39 +430,68 @@ def _along(X, lines):
                   .replace("X", X)) for n, f in lines)
 
 
-@cache
-def _tangent_kernels():
-    """The tangent run's kernels by name, rendered and compiled on first use,
-    so that the commands that never search pay nothing for them.
+def _along2(X, Y, lines):
+    """The second-order table's ``lines`` along X and Y (each S or G)."""
+    out = []
+    for n, f in lines:
+        # the first-order line's coefficient term, on the derivative along the other
+        term = _SIGMA20_TERMS.get(n[:-1], "")
+        if X == "G":
+            f += term.replace("}", "Y}")
+        if Y == "G":
+            f += term.replace("}", "X}")
+        if X == Y == "G" and n == "pXY":
+            f += " + ddc * {r}"
+        out.append((n.replace("X", X).replace("Y", Y), f.replace("X", X).replace("Y", Y)))
+    return tuple(out)
 
-    ``_tangent_step`` steps the row with its derivatives along S20 and
-    sigma20, 24 components in the order of ``_tangent_rows``. At sigma20 = 0
-    only 9 of them are not 0: (u, p, Jcc), their derivatives along S20,
-    and St, Jcs and I2 along sigma20, with St' = r/m, Jcs' = r^2*St and
-    I2' = r there, and ``_zero_amplitude_tangent_step`` steps those. Both
-    bound-check only the row, so a tangent run blows up exactly where
-    ``propagator`` does; a non-finite tangent is the caller's to catch.
+
+def _levels(along):
+    """The suffixes of a tangent run's rows: the row's own, each coordinate
+    of ``along`` (S, G or SG), then each pair of them."""
+    return ("", *along, *(X + Y for i, X in enumerate(along) for Y in along[i:]))
+
+
+@cache
+def _tangent_table(along, zero_amplitude):
+    """The (shared, flows, integrals) lines of the tangent run along
+    ``along`` (S, G or SG): the row's, its first-order lines and its
+    second-order lines, level by level (``_levels``); with
+    ``zero_amplitude``, those of ``_ZERO_AMPLITUDE_TABLE``."""
+    parts = []
+    for level in _levels(along):
+        if zero_amplitude:
+            parts.append(_ZERO_AMPLITUDE_TABLE[level])
+        elif not level:
+            parts.append((_ROW_SHARED, _ROW_FLOWS, _ROW_INTEGRALS))
+        elif len(level) == 1:
+            parts.append(tuple(_along(level, t) for t in
+                               (_TANGENT_SHARED, _TANGENT_FLOWS, _TANGENT_INTEGRALS)))
+        else:
+            parts.append(tuple(_along2(level[0], level[1], t) for t in
+                               (_CURVATURE_SHARED, _CURVATURE_FLOWS, _CURVATURE_INTEGRALS)))
+    return tuple(sum((part[i] for part in parts), ()) for i in range(3))
+
+
+@cache
+def _tangent_kernels(along, zero_amplitude):
+    """The tangent run's kernel along ``along`` (S, G or SG), by name,
+    rendered and compiled on first use for each searched set, so that the
+    commands that never search pay nothing for them.
+
+    ``_tangent_step`` steps the row with its first- and second-order lines
+    (``_tangent_table``); ``_zero_amplitude_tangent_step``, with
+    ``zero_amplitude``, those that are not 0 at sigma20 = 0: 7 components
+    along S20 alone, against 24 for the full row. Both bound-check only the
+    row, so a tangent run blows up exactly where ``propagator`` does; a
+    non-finite tangent is the caller's to catch.
     """
-    source = _render(
-        "_tangent_step",
-        _ROW_SHARED + _along("S", _TANGENT_SHARED) + _along("G", _TANGENT_SHARED),
-        _ROW_FLOWS + _along("S", _TANGENT_FLOWS) + _along("G", _TANGENT_FLOWS),
-        _ROW_INTEGRALS + _along("S", _TANGENT_INTEGRALS) + _along("G", _TANGENT_INTEGRALS),
-        _ROW_GUARDS,
-        ("0.0 < u",),
-        [n for n, _ in _ROW_FLOWS + _ROW_INTEGRALS],
-    ) + _render(
-        "_zero_amplitude_tangent_step",
-        (("r", "1.0 / {u}"), ("rS", "-{r} * {r} * {uS}")),
-        (("u", "m_inv * {p}"), ("p", "-k * {u}"), ("uS", "m_inv * {pS}"), ("pS", "-k * {uS}"),
-         ("StG", "m_inv * {r}")),
-        (("Jcc", "{r} * {r}"), ("JccS", "2.0 * {r} * {rS}"), ("JcsG", "{r} * ({r} * {StG})"),
-         ("I2G", "{r}")),
-        (),
-        ("0.0 < u",),
-        ("u", "p", "Jcc"),
-    )
-    return _compile(source, "<qap.dynamics tangent kernels>")
+    shared, flows, integrals = _tangent_table(along, zero_amplitude)
+    name = "_zero_amplitude_tangent_step" if zero_amplitude else "_tangent_step"
+    source = _render(name, shared, flows, integrals, () if zero_amplitude else _ROW_GUARDS,
+                     ("0.0 < u",), [n for n, _ in flows + integrals if n in _ROW_NAMES])
+    kind = "zero-amplitude tangent" if zero_amplitude else "tangent"
+    return _compile(source, f"<qap.dynamics {kind} kernel along {along}>")
 
 
 @cache
@@ -464,7 +533,7 @@ def _sweep(tape, K, seed):
     times the four point adjoints. The start row is (1, S20, 1, 0, ...),
     so the adjoint of p there is the derivative along S20.
     """
-    m_inv, k, c, hs, ms, s, _, _, dc, dhs = K
+    m_inv, k, c, hs, ms, s, _, _, dc, dhs, _ = K
     U, P, Cb, Sb, Jcc, Jcs, Jss, I2 = seed
     nk = -k
     # the integrands' weights at stages of weight 1 and of weight 2
@@ -509,15 +578,17 @@ def _sweep(tape, K, seed):
     return P, G
 
 
-def _tangent_rows(y):
-    """The end row (u, p, C, St, Jcc, Jcs, Jss, I2) of a tangent kernel row,
-    and its derivatives along S20 and sigma20."""
-    if len(y) == 9:
-        u, p, uS, pS, StG, Jcc, JccS, JcsG, I2G = y
-        return ((u, p, 1.0, 0.0, Jcc, 0.0, 0.0, 0.0), (uS, pS, 0.0, 0.0, JccS, 0.0, 0.0, 0.0),
-                (0.0, 0.0, 0.0, StG, 0.0, JcsG, 0.0, I2G))
-    # the kernel row is the 12 flows (4 per row), then the 12 integrals
-    return y[0:4] + y[12:16], y[4:8] + y[16:20], y[8:12] + y[20:24]
+def _tangent_rows(along, zero_amplitude, y):
+    """The end row (u, p, C, St, Jcc, Jcs, Jss, I2) of the kernel row ``y``
+    of a tangent run along ``along`` (S, G or SG), its first-order rows,
+    one per coordinate, and its second-order rows, one per pair, in the
+    order of ``_levels``. A component the kernel does not step is 0, but
+    the row's C, 1, at sigma20 = 0."""
+    _, flows, integrals = _tangent_table(along, zero_amplitude)
+    at = dict(zip([n for n, _ in flows + integrals], y))
+    rows = [tuple(at.get(n + level, 1.0 if n + level == "C" else 0.0) for n in _ROW_NAMES)
+            for level in _levels(along)]
+    return rows[0], tuple(rows[1:1 + len(along)]), tuple(rows[1 + len(along):])
 
 
 def _u_row(y):
@@ -572,6 +643,57 @@ def _state_tangent(first, m, a2, y, dy, dg20):
     )
 
 
+def _state_curvature(first, m, a2, y, X, Y, dXY):
+    """The second derivative of ``_state_row(first, m, a2, y)`` along two
+    directions X and Y, each a pair (e, dy): a tangent e of the initial
+    data (S10, S20, sigma10, sigma20) and the tangent dy of the
+    eight-component row ``y`` that comes with it, with ``dXY`` the row's
+    second derivative along them. The initial data enter linearly, so
+    they have no second derivative of their own; (S10, sigma10) enter
+    ``_state_row`` as x in the quadratic forms x.M x of qS, qSigma and
+    qCon, with M linear in (Jcc, Jcs, Jss), and through (S1, sigma1)."""
+    S10, _, g10, g20 = first[:4]
+    u, p, C, St, Jcc, Jcs, Jss, _ = y
+    (sX, _, gX, qX), (uX, pX, CX, StX, *JX) = X
+    (sY, _, gY, qY), (uY, pY, CY, StY, *JY) = Y
+    uXY, pXY, CXY, StXY, *JXY = dXY
+    r = 1.0 / u
+    rX, rY = -r * r * uX, -r * r * uY
+    rXY = -r * (2.0 * rY * uX + r * uXY)
+
+    def over_u(f, fX, fY, fXY):
+        """The second derivative of f*r."""
+        return fXY * r + fX * rY + fY * rX + f * rXY
+
+    def forms(a, b, J):
+        """The bilinear forms a.M b of qS, qSigma and qCon for J = (Jcc, Jcs, Jss, I2)."""
+        jcc, jcs, jss = J[:3]
+        ab, cross, ab1 = a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[1] * b[1]
+        return (ab * jcc + a2 * (cross * jcs + a2 * ab1 * jss), ab * jss - cross * jcs + ab1 * jcc,
+                -ab * jcs + 0.5 * cross * (jcc - a2 * jss) + a2 * ab1 * jcs)
+
+    x, xX, xY = (S10, g10), (sX, gX), (sY, gY)
+    J = (Jcc, Jcs, Jss)
+    # the second derivative of x.M x: 2 xX.M xY + 2 xX.M_Y x + 2 xY.M_X x + x.M_XY x
+    q = [2.0 * (f1 + f2 + f3) + f4 for f1, f2, f3, f4 in
+         zip(forms(xX, xY, J), forms(xX, x, JY), forms(xY, x, JX), forms(x, x, JXY))]
+    dqI = m * (uXY * r + uX * rY)
+    return (
+        over_u(S10 * C + a2 * g10 * St, sX * C + S10 * CX + a2 * (gX * St + g10 * StX),
+               sY * C + S10 * CY + a2 * (gY * St + g10 * StY),
+               sX * CY + sY * CX + S10 * CXY + a2 * (gX * StY + gY * StX + g10 * StXY)),
+        over_u(p, pX, pY, pXY),
+        over_u(g10 * C - S10 * St, gX * C + g10 * CX - sX * St - S10 * StX,
+               gY * C + g10 * CY - sY * St - S10 * StY,
+               gX * CY + gY * CX + g10 * CXY - sX * StY - sY * StX - S10 * StXY),
+        over_u(g20, qX, qY, 0.0),
+        q[0],
+        q[1] + JXY[3],
+        2.0 * dqI + q[2],
+        dqI,
+    )
+
+
 def _state_cotangent(first, m, a2, y, w):
     """The transpose of ``_state_tangent``: for a covector ``w`` on the
     state row, the gradient of w . ``_state_row(first, m, a2, y)`` with
@@ -620,21 +742,22 @@ def _start(spec, init, step):
     return (y, *flow_coefficients(spec), step, T)
 
 
-def _run(spec, init, step, keep, method, end="state"):
+def _run(spec, init, step, keep, method, end="state", along="SG"):
     """``_start``, then the kernel for the start state, its start row and
     coefficients, the map from its rows to what the run returns, the
     step and T.
 
     The map gives the state row (``end="state"``), the eight-component row
-    (``"row"``), that row and its tangents (``"tangent"``, through
-    ``_tangent_rows``), or that row and its pullback (``"taped"``): the
-    taped kernel passes each step's stage values to a tape, and
-    ``_sweep`` reads it back. A taped run of more than ``TAPE_STEPS``
-    steps is a tangent run whose pullback takes dot products with its
-    tangents. A start state beyond ``BLOWUP_LIMIT`` blows up at t = 0.
-    sigma20 = 0 takes a zero-amplitude kernel, except in a taped run. The
-    kernels are looked up at call, as module globals or in the caches of
-    rendered kernels, so a test can swap one.
+    (``"row"``), that row and its first- and second-order rows along
+    ``along`` (S, G or SG; ``"tangent"``, through ``_tangent_rows``), or
+    that row and its pullback (``"taped"``): the taped kernel passes each
+    step's stage values to a tape, and ``_sweep`` reads it back. A taped
+    run of more than ``TAPE_STEPS`` steps is a tangent run along SG whose
+    pullback takes dot products with its first-order rows. A start state
+    beyond ``BLOWUP_LIMIT`` blows up at t = 0. sigma20 = 0 takes a
+    zero-amplitude kernel, except in a taped run. The kernels are looked
+    up at call, as module globals or in the caches of rendered kernels,
+    so a test can swap one.
     """
     first, m_inv, k, hh, step, T = _start(spec, init, step)
     if not all(-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT for v in first):
@@ -647,14 +770,15 @@ def _run(spec, init, step, keep, method, end="state"):
         kernel = _taped_kernels()["_taped_row_step"]
         return kernel, row, K + (tape.append,), lambda y: (y, partial(_sweep, tape, K)), step, T
     if end in ("tangent", "taped"):
-        # the tangents start from dp = 1 along S20 and from 0 along sigma20
-        widen = _tangent_rows if end == "tangent" else _tangent_pullback
-        kernels = _tangent_kernels()
-        if first[3] == 0.0:
-            y = (1.0, S20, 0.0, 1.0) + (0.0,) * 5
-            return kernels["_zero_amplitude_tangent_step"], y, K, widen, step, T
-        y = (1.0, S20, 1.0, 0.0, 0.0, 1.0) + (0.0,) * 18
-        return kernels["_tangent_step"], y, K, widen, step, T
+        zero = first[3] == 0.0
+        rows = partial(_tangent_rows, along, zero)
+        widen = rows if end == "tangent" else lambda y: _tangent_pullback(*rows(y)[:2])
+        # the lines start from dp = 1 along S20, and from 0 along sigma20 and at second order
+        start = {"u": 1.0, "p": S20, "C": 1.0, "pS": 1.0}
+        _, flows, integrals = _tangent_table(along, zero)
+        y = tuple(start.get(n, 0.0) for n, _ in flows + integrals)
+        name = "_zero_amplitude_tangent_step" if zero else "_tangent_step"
+        return _tangent_kernels(along, zero)[name], y, K, widen, step, T
     if end == "row":
         widen = _u_row
     else:
@@ -664,10 +788,10 @@ def _run(spec, init, step, keep, method, end="state"):
     return _row_step, row, K, widen, step, T
 
 
-def _tangent_pullback(y):
-    """The end row of a tangent kernel row and its pullback: the dot
-    products of a seed with the row's tangents along S20 and sigma20."""
-    end, along_S20, along_sigma20 = _tangent_rows(y)
+def _tangent_pullback(end, slopes):
+    """The end row of a tangent run and its pullback: the dot products of a
+    seed with the row's first-order rows along S20 and sigma20."""
+    along_S20, along_sigma20 = slopes
     return end, lambda seed: (sum(map(mul, seed, along_S20)), sum(map(mul, seed, along_sigma20)))
 
 
@@ -685,15 +809,15 @@ def _n_steps(T, step):
     return n
 
 
-def _fixed(spec, init, step, keep, end="state"):
+def _fixed(spec, init, step, keep, end="state", along="SG"):
     """Fixed-step RK4 from 0 to T: the grid if ``keep``, else what the run
-    returns at its end row, by ``end`` (see ``_run``).
+    returns at its end row, by ``end`` and ``along`` (see ``_run``).
 
     The grid has ceil(T/step) intervals, the last one shortened to land
     on T exactly. A blow-up raises ``BlowUpError`` at the last good time,
     carrying the partial grid only if ``keep``.
     """
-    kernel, y, K, widen, step, T = _run(spec, init, step, keep, "rk4", end)
+    kernel, y, K, widen, step, T = _run(spec, init, step, keep, "rk4", end, along)
     n = _n_steps(T, step)
     times = [0.0] if keep else None
     rows = [y] if keep else None
@@ -738,18 +862,28 @@ def propagator(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_ST
     return _fixed(spec, init, step, keep=False, end="row")
 
 
-def tangent(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP):
-    """Fixed-step run returning ``propagator``'s end row and its derivatives
-    along S20 and sigma20, as three eight-component rows.
+def tangent(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP,
+            along=("S20", "sigma20")):
+    """Fixed-step run returning ``propagator``'s end row, its derivatives
+    along the coordinates ``along`` names (S20, sigma20 or both) and its
+    second derivatives along each pair of them, as eight-component rows:
+    (row, (first-order rows), (second-order rows)), in the order S20,
+    sigma20 and SS, SG, GG.
 
     RK4 on the row and its variational equations is the derivative of the
-    discrete RK4 map (Hairer, Norsett & Wanner I, section I.14), so the
-    derivatives are exact for ``propagator``'s row, up to roundoff: no
-    difference step. The base row is ``propagator``'s, bit for bit, and the
-    run blows up exactly where ``propagator``'s does; only the tangents may
-    come out non-finite.
+    discrete RK4 map (Hairer, Norsett & Wanner I, section I.14), and the
+    product rule once more gives its second derivative (Griewank &
+    Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 13), so both are
+    exact for ``propagator``'s row, up to roundoff: no difference step.
+    The base row is ``propagator``'s, bit for bit, and so are the
+    first-order rows of every choice of ``along``; the run blows up
+    exactly where ``propagator``'s does, and only the derivatives may come
+    out non-finite.
     """
-    return _fixed(spec, init, step, keep=False, end="tangent")
+    if not along or any(n not in _SUFFIX for n in along):
+        raise ValueError(f"along must name S20, sigma20 or both, got {along!r}")
+    along = "".join(X for n, X in _SUFFIX.items() if n in along)
+    return _fixed(spec, init, step, keep=False, end="tangent", along=along)
 
 
 def taped(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP):

@@ -73,4 +73,6 @@ class LengthMismatchError(QapError):
 
 
 class FDFailureError(QapError):
-    """A finite-difference probe point failed to integrate."""
+    """The stationarity check's run at its point blew up, or the gradient or
+    the Hessian it gives came out non-finite. The name is kept from the
+    finite-difference certificate, whose probe points could fail too."""

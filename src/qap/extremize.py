@@ -34,12 +34,10 @@ objective on them and each step are scalar code on Python floats, at
 most 2x2 (``_min_norm_step``: ``np.linalg.lstsq``'s solution and
 cutoff, from one Jacobi rotation), so a point's projection makes no
 numpy call. The extremizer always runs fixed-step rk4 and takes no
-``method``: its gradient along
-(S20, sigma20) is the derivative of the fixed-step map, and the
-certificate's differences need a step sequence that does not move with
-the point.
-The ``extremize`` and ``classical-check`` commands exit 2 for
-rk4_adaptive.
+``method``: the models, its gradient along (S20, sigma20) and the
+certificate's Hessian are exact derivatives of the fixed-step map, and
+of no other integrator's. The ``extremize`` and ``classical-check``
+commands exit 2 for rk4_adaptive.
 
 What is left is a root of the reduced gradient g, the gradient along
 the active members of (S20, sigma20) at the projected point. Nelder-Mead
@@ -62,15 +60,18 @@ gradient of the objective with respect to the end row (the seed,
 ``endpoint_report`` and ``dynamics._state_row`` transposed) is swept back
 over the taped run's steps (``dynamics.taped``), which gives its
 derivatives along S20 and sigma20 for about the cost of one more row
-run. At sigma20 = 0 ``dynamics.tangent`` steps the 9 live components of
-the row and its derivatives, and ``endpoint_report``, linear in its two
-rows, maps them forward to those of the eigenvalue and the residual.
-Only the certificate's Hessian takes differences there, with steps of
-sqrt(``FD_STEP``) times max(1, |coord|), on the models' value and
-gradient (see ``stationarity_check``). Runs that blow up inside the
-horizon, or whose gradient along (S20, sigma20) comes out non-finite,
-map to a large finite penalty so the simplex retreats; they are
-counted, not raised.
+run. At sigma20 = 0 ``dynamics.tangent`` steps the live components of
+the row and its first- and second-order lines along the searched
+coordinates (7 along S20 alone), and ``endpoint_report``, linear in its
+two rows, maps them forward to those of the eigenvalue and the
+residual. The certificate's Hessian is exact too (``_hessian``): the
+(S10, sigma10) block from the models, every other entry from a tangent
+run's first- and second-order lines, those of the search's own run at
+a zero-amplitude point, else of one tangent run at the returned point
+(see ``stationarity_check``). No derivative takes a difference step.
+Runs that blow up inside the horizon, or whose gradient along (S20,
+sigma20) comes out non-finite, map to a large finite penalty so the
+simplex retreats; they are counted, not raised.
 
 This is the one module of ``qap`` that imports numpy, for the records
 the search and the certificate read (each point's gradient and Hessian
@@ -86,21 +87,18 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .action import EigenvalueReport, eigenvalue, endpoint_report, json_17g
-from .dynamics import (DEFAULT_STEP, _state_cotangent, _state_row, _state_tangent, final_state,
-                       integrate, propagator, taped, tangent)
+from .dynamics import (DEFAULT_STEP, _state_cotangent, _state_curvature, _state_row,
+                       _state_tangent, final_state, integrate, propagator, taped, tangent)
 from .errors import BlowUpError, FDFailureError
 from .model import COORD_NAMES, InitialData, OscillatorSpec, flow_coefficients, parse_active
 
 #: objective value substituted for runs that blow up
 BLOWUP_PENALTY = 1e15
-
-#: relative step of the certificate's differences along (S20, sigma20),
-#: which take steps of sqrt(FD_STEP) * max(1, |coord|)
-FD_STEP = 1e-5
 
 #: eigenvalue cutoff of ``_min_norm_step``: ``np.linalg.lstsq``'s default
 #: rcond, eps * max(M, N), for a 2x2 system
@@ -133,10 +131,12 @@ class HessianSignature:
 class StationarityReport:
     """Gradient and Hessian of the objective at a point.
 
-    The gradient is exact, from one run's models along (S10, sigma10) and,
-    along (S20, sigma20), from the same run's backward sweep (its tangents
-    at sigma20 = 0); the Hessian is exact along (S10, sigma10) and by
-    differences along (S20, sigma20).
+    Both are exact for the discrete map. The gradient comes from one run's
+    models along (S10, sigma10) and, along (S20, sigma20), from the same
+    run's backward sweep (its first-order lines at sigma20 = 0); the
+    Hessian from the models along (S10, sigma10), and from a tangent
+    run's first- and second-order lines in every row and column of (S20,
+    sigma20).
     """
 
     gradient: np.ndarray
@@ -150,8 +150,10 @@ class ExtremumResult:
 
     ``report`` is ``endpoint_report`` at ``init``, from the end row of
     the search's own run there, bit for bit the report of a fresh
-    ``integrate`` at ``init``. ``hessian_signature`` is None when a probe
-    of ``stationarity_check`` around the final point blew up.
+    ``integrate`` at ``init``. ``hessian_signature`` is that of
+    ``stationarity_check``'s exact Hessian at ``init``; it is None only
+    when the point's run blew up (no search point integrated) or its
+    gradient or second-order values are not finite.
     ``blowups`` counts the search's runs that blew up or gave a
     non-finite gradient; the stationarity check's runs are not among them.
     """
@@ -221,7 +223,7 @@ def _report(spec, first, end) -> EigenvalueReport:
 
 
 def _report_cotangent(spec, wr):
-    """The gradient of lam + wr/2 * residual, linear in ``endpoint_report``'s
+    """The gradient of lam + wr * residual, linear in ``endpoint_report``'s
     two rows, with respect to its first row (the four initial
     coefficients) and its last (the state row at T). With wr = 2 * weight
     * r, it is that of the objective lam + weight * r**2 at residual r."""
@@ -380,7 +382,7 @@ def _split(idx):
 
 def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
     """The point ``z`` over the active coordinates ``idx`` of ``base``, the
-    objective there and the run's end row, from one run.
+    objective there and the run, from one run.
 
     With ``project`` the active members of (S10, sigma10) move to a
     stationary point of the objective on the run's models (see
@@ -389,8 +391,10 @@ def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
     (``endpoint_models``, ``_newton_quartic``); the objective is returned
     as its value, its gradient over ``idx`` and its Hessian along the
     members of (S10, sigma10), the two numpy arrays of the point's
-    record, built once. The end row is ``propagator``'s, which does not
-    depend on (S10, sigma10), so it is the end row of a run from the
+    record, built once. The run is returned as its end row and, from a
+    tangent run, its first- and second-order rows along the searched
+    coordinates (else None). The end row is ``propagator``'s, which does
+    not depend on (S10, sigma10), so it is the end row of a run from the
     moved point too, and its derivatives along (S20, sigma20) hold there
     too. The run is ``propagator``'s when no coordinate is searched.
     Else the gradient along (S20, sigma20) is exact for the discrete
@@ -403,21 +407,22 @@ def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
       over the run's tape takes it to S20 and sigma20; the start data's
       own terms, those of ``endpoint_report``'s first row and of sigma2 =
       sigma20/u, are added;
-    - at sigma20 = 0, ``tangent``'s, whose 9 live components cost less
-      than a tape: ``endpoint_report`` is linear in its two rows, so it
-      maps the tangent of the state row to those of the eigenvalue and
-      the residual.
+    - at sigma20 = 0, ``tangent``'s, along the searched coordinates only,
+      whose 7 live components along S20 cost less than a tape:
+      ``endpoint_report`` is linear in its two rows, so it maps the
+      tangent of the state row to those of the eigenvalue and the
+      residual, and the run's second-order rows are the certificate's.
 
     Raises ``BlowUpError``, at T when the run completes but the gradient
     is not finite.
     """
     lin, free, pos = _split(idx)
     init = _embed(base, idx, z)
-    slopes = pullback = None
+    lines = pullback = None
     if not free:
         end = propagator(spec, init, step)
     elif init.sigma20 == 0.0:
-        end, *slopes = tangent(spec, init, step)
+        end, *lines = tangent(spec, init, step, [COORD_NAMES[idx[j]] for j in free])
     else:
         end, pullback = taped(spec, init, step)
     models = _restrict(endpoint_models(spec, init.as_tuple(), end), pos)
@@ -440,11 +445,11 @@ def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
         first = _embed(base, idx, z).as_tuple()
         m_inv, _, hh = flow_coefficients(spec)
         if pullback is None:
-            for j in free:
+            for j, slope in zip(free, lines[0]):
                 # the unit tangent of the initial data along this coordinate
                 e = [0.0] * 4
                 e[idx[j]] = 1.0
-                dlast = _state_tangent(first, spec.m, hh / m_inv, end, slopes[idx[j] // 2], e[3])
+                dlast = _state_tangent(first, spec.m, hh / m_inv, end, slope, e[3])
                 d = endpoint_report(spec, e, dlast)
                 gradient[j] = d.lam + 2.0 * weight * r * d.constraint_residual
         else:
@@ -459,7 +464,59 @@ def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
             raise BlowUpError(spec.T)
     # entry (k, l) of the triple H is H[k + l]
     H_lin = np.array([[H[k + l] for l in pos] for k in pos]).reshape(len(pos), len(pos))
-    return z, (value, np.array(gradient), H_lin), end
+    return z, (value, np.array(gradient), H_lin), (end, lines)
+
+
+def _hessian(spec, first, idx, weight: float, end, lines, H_lin) -> np.ndarray:
+    """The objective's Hessian over the active coordinates ``idx`` at the
+    point with start state ``first``, exact for the discrete map.
+
+    ``end`` is the point's end row and ``lines`` the first- and
+    second-order rows of a tangent run along the searched coordinates
+    there; ``H_lin``, the block along the active members of (S10,
+    sigma10), comes from the models. Every other entry is that of lam +
+    weight * r**2 with ``endpoint_report`` linear in its two rows:
+    lam_XY + 2 * weight * (r_X * r_Y + r * r_XY), where the second
+    derivative of the state row (``dynamics._state_curvature``) takes the
+    run's second-order rows, and the residual's tangent along a searched
+    coordinate its first-order row (``dynamics._state_tangent``), along
+    (S10, sigma10) the models' gradient.
+    """
+    lin, free, _ = _split(idx)
+    m_inv, _, hh = flow_coefficients(spec)
+    m, a2 = spec.m, hh / m_inv
+    _, (r, g_res, _) = endpoint_models(spec, first, end)
+    # the objective's gradient with respect to the state row at T
+    seed = _report_cotangent(spec, 2.0 * weight * r)[1]
+    slopes, curvatures = lines if free else ((), ())
+    zero = (0.0,) * 8
+    directions, d_res = [], []
+    rows = iter(slopes)
+    for i in idx:
+        e = [0.0] * 4
+        e[i] = 1.0
+        if i in (0, 2):
+            directions.append((e, zero))
+            d_res.append(g_res[i // 2])
+        else:
+            dy = next(rows)
+            directions.append((e, dy))
+            dlast = _state_tangent(first, m, a2, end, dy, e[3])
+            d_res.append(endpoint_report(spec, e, dlast).constraint_residual)
+    n = len(idx)
+    H = np.empty((n, n))
+    H[np.ix_(lin, lin)] = H_lin
+    # the pairs of searched coordinates come in the order of the run's rows
+    rows = iter(curvatures)
+    for a in range(n):
+        for b in range(a, n):
+            if a in lin and b in lin:
+                continue
+            dXY = next(rows) if a in free and b in free else zero
+            ds = _state_curvature(first, m, a2, end, directions[a], directions[b], dXY)
+            H[a, b] = H[b, a] = (sum(map(mul, seed, ds))
+                                 + 2.0 * weight * d_res[a] * d_res[b])
+    return H
 
 
 def stationarity_check(
@@ -469,74 +526,46 @@ def stationarity_check(
     penalty_weight: float = 0.0,
     step: float = DEFAULT_STEP,
     *,
-    centre: tuple[float, np.ndarray, np.ndarray] | None = None,
+    centre=None,
 ) -> StationarityReport:
     """Gradient and Hessian of the objective at ``init``, and the Hessian's signature.
 
-    Along the active members of (S10, sigma10) the gradient and the
-    Hessian block come exactly from the models of one run at ``init``.
-    Along the searched coordinates (S20, sigma20) the gradient comes
-    exactly from that run (a ``dynamics.taped`` run's backward sweep, or
-    at sigma20 = 0 a ``dynamics.tangent`` run; see ``_centre``), and the
-    Hessian takes steps of hs = sqrt(FD_STEP) *
-    max(1, |coord|). Each probe is one model evaluation, a propagator
-    run and its models (``at``): per coordinate, one at each of z +- hs
-    gives the diagonal entry, a second difference of the objective, and
-    the row's coupling to (S10, sigma10), a central difference of the
-    exact model gradient; the S20-sigma20 entry takes four corner
-    probes, differences of the objective's value. Every run is
-    fixed-step rk4: the models are exact only for
-    it. Raises ``FDFailureError`` when the run at ``init`` or any probe
-    blows up, or the gradient comes out non-finite: a verification tool
-    must not silently average over a caustic.
+    Both are exact for the discrete map. The run at ``init`` that the
+    search would make there (``_centre``) gives the gradient, and the
+    Hessian block along the active members of (S10, sigma10) from its
+    models; every other entry of the Hessian comes from a
+    ``dynamics.tangent`` run's first- and second-order rows along the
+    searched coordinates (``_hessian``): that run's own at sigma20 = 0,
+    else one more run. Every run is fixed-step rk4: the models and the
+    rows are exact only for it. Raises ``FDFailureError`` when a run blows
+    up, or the gradient or the Hessian comes out non-finite: a
+    verification tool must not silently average over a caustic.
 
-    A caller that already holds, at ``init``, the objective's value, its
-    gradient over the active coordinates and its Hessian along the active
-    members of (S10, sigma10) (no probe blown up) passes them as
-    ``centre``; the report is the same up to roundoff, without the run at
-    ``init``.
+    A caller that already holds the record of ``_centre`` at ``init``, the
+    objective (its value, its gradient over the active coordinates and its
+    Hessian along the active members of (S10, sigma10)) and the run (its
+    end row and, from a tangent run, its rows), passes the pair as
+    ``centre``, and the check makes no run but the tangent run a taped
+    record needs.
     """
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]
-    lin, free, pos = _split(idx)
+    free = _split(idx)[1]
     base = init.as_tuple()
-    z = np.array([base[i] for i in idx], dtype=float)
-    n = len(idx)
-
-    def at(z):
-        point = _embed(base, idx, z)
-        try:
-            end = propagator(spec, point, step)
-        except BlowUpError:
-            raise FDFailureError("finite-difference probe blew up") from None
-        models = _restrict(endpoint_models(spec, point.as_tuple(), end), pos)
-        return _objective_at(models, penalty_weight, (0.0, 0.0))
-
-    if centre is None:
-        try:
-            centre = _centre(spec, base, idx, z, penalty_weight, step, project=False)[1]
-        except BlowUpError:
-            raise FDFailureError("the run at the point blew up") from None
-    v0, gradient, H_lin = centre
-    # second differences use sqrt(FD_STEP) steps: FD_STEP itself would put
-    # the quotient below the objective's evaluation precision
-    hs = [math.sqrt(FD_STEP) * max(1.0, abs(v)) for v in z]
-    H = np.empty((n, n))
-    H[np.ix_(lin, lin)] = H_lin
-    for i in free:
-        zp = z.copy(); zp[i] += hs[i]
-        zm = z.copy(); zm[i] -= hs[i]
-        (vp, gp, _, _), (vm, gm, _, _) = at(zp), at(zm)
-        H[i, i] = (vp - 2.0 * v0 + vm) / hs[i] ** 2
-        H[i, lin] = H[lin, i] = [(gp[k] - gm[k]) / (2.0 * hs[i]) for k in pos]
-    for a, i in enumerate(free):
-        for j in free[a + 1:]:
-            zpp = z.copy(); zpp[i] += hs[i]; zpp[j] += hs[j]
-            zpm = z.copy(); zpm[i] += hs[i]; zpm[j] -= hs[j]
-            zmp = z.copy(); zmp[i] -= hs[i]; zmp[j] += hs[j]
-            zmm = z.copy(); zmm[i] -= hs[i]; zmm[j] -= hs[j]
-            corners = at(zpp)[0] - at(zpm)[0] - at(zmp)[0] + at(zmm)[0]
-            H[i, j] = H[j, i] = corners / (4.0 * hs[i] * hs[j])
+    along = [COORD_NAMES[idx[j]] for j in free]
+    try:
+        if centre is None:
+            z = np.array([base[i] for i in idx], dtype=float)
+            centre = _centre(spec, base, idx, z, penalty_weight, step, project=False)[1:]
+        (_, gradient, H_lin), (end, lines) = centre
+        if free and lines is None:
+            # the search took its gradient from a taped run
+            lines = tangent(spec, init, step, along)[1:]
+    except BlowUpError:
+        raise FDFailureError("the run at the point blew up") from None
+    H = _hessian(spec, tuple(map(float, base)), idx, penalty_weight, end, lines, H_lin)
+    if not np.all(np.isfinite(H)):
+        raise FDFailureError("the Hessian at the point is not finite")
     return StationarityReport(gradient, H, _signature(H))
 
 
@@ -610,7 +639,7 @@ def optimize(
     seen = {}
 
     def reduced(z_free):
-        """Projected point, merit, the centre for the check and the run's end row.
+        """Projected point, merit, the centre for the check and the run.
 
         One run at the point (``_centre``) projects it and gives the
         gradient over all active coordinates there; along lin it vanishes
@@ -618,7 +647,8 @@ def optimize(
         reduced gradient. The projection moves only (S10, sigma10), and
         the row that blows up does not depend on them. The centre for the
         check is the objective's value, that gradient and its Hessian along
-        lin; it and the end row are None when the run blew up, which
+        lin; the run is its end row and, from a tangent run, its rows. Both
+        are None when the run blew up, which
         leaves no projection and no gradient. The merit is the squared
         reduced gradient, except near the penalty: blown-up runs ramp it by
         how early they died, so the simplex has a slope back toward
@@ -629,14 +659,14 @@ def optimize(
         if key not in seen:
             z = full(z_free)
             try:
-                z, at, end = _centre(spec, base, idx, z, penalty_weight, step, project=True)
+                z, at, run = _centre(spec, base, idx, z, penalty_weight, step, project=True)
             except BlowUpError as err:
                 blowups += 1
                 frac = (T - min(max(float(err.t_last), 0.0), T)) / T
                 seen[key] = z, BLOWUP_PENALTY * (1.0 + frac), None, None
             else:
                 g = at[1][free]
-                seen[key] = z, min(float(g @ g), 0.9 * BLOWUP_PENALTY), at, end
+                seen[key] = z, min(float(g @ g), 0.9 * BLOWUP_PENALTY), at, run
         return seen[key]
 
     def merit(z_free) -> float:
@@ -656,7 +686,7 @@ def optimize(
     rng = np.random.default_rng(seed)
     n = len(free)
     best_free = z0[free]
-    best_z, best_merit, best_centre, best_end = reduced(best_free)
+    best_z, best_merit, best_centre, best_run = reduced(best_free)
     gradient_norm, converged = verdict(best_z, best_centre)
     iterations = 0
     attempt = 0
@@ -691,7 +721,7 @@ def optimize(
             iterations += int(sol.nfev)
             if float(sol.fun @ sol.fun) < fx:
                 x, fx = sol.x, float(sol.fun @ sol.fun)
-        point, _, at, end = reduced(x)
+        point, _, at, run = reduced(x)
         norm, root_found = verdict(point, at)
         if norm <= grad_tol and not root_found:
             # a small gradient, but no root: the point stays a candidate
@@ -700,23 +730,23 @@ def optimize(
                      _inverse_gradient(at[1], point, free))
         if fx < best_merit:
             best_merit, best_free = fx, x
-            best_z, best_centre, best_end = point, at, end
+            best_z, best_centre, best_run = point, at, run
             if at is not None:
                 gradient_norm, converged = norm, root_found
         seen.clear()
         attempt += 1
 
     final_init = _embed(base, idx, best_z)
-    if best_end is None:
+    if best_run is None:
         report = eigenvalue(integrate(spec, final_init, step=step))
     else:
         # the start state as ``dynamics._start`` builds it, -0.0 made 0.0
-        report = _report(spec, tuple(v + 0.0 for v in final_init.as_tuple()), best_end)
+        report = _report(spec, tuple(v + 0.0 for v in final_init.as_tuple()), best_run[0])
     signature = None
     if best_centre is not None:
         try:
             signature = stationarity_check(
-                final_init, spec, mask, penalty_weight, step, centre=best_centre,
+                final_init, spec, mask, penalty_weight, step, centre=(best_centre, best_run),
             ).signature
         except FDFailureError:
             pass

@@ -733,10 +733,13 @@ def test_only_a_search_loads_scipy(tmp_path, search_config):
         f"sys.path[:0] = [{str(ROOT / 'src')!r}]\n"
         "import qap.cli\n"
         # the tangent and taped runs' kernels are rendered and compiled by the
-        # first search that runs them: the classical check runs a tangent run
-        # (sigma20 = 0), the quantum search taped runs
-        "tangent_kernels = sys.modules['qap.dynamics']._tangent_kernels.cache_info\n"
-        "taped_kernels = sys.modules['qap.dynamics']._taped_kernels.cache_info\n"
+        # first search that runs them, one tangent kernel per searched set:
+        # the classical check runs the zero-amplitude one along S20 alone
+        # (sigma20 = 0), the quantum search taped runs and, for its
+        # certificate, the full one along (S20, sigma20)
+        "dynamics = sys.modules['qap.dynamics']\n"
+        "tangent_kernels = dynamics._tangent_kernels.cache_info\n"
+        "taped_kernels = dynamics._taped_kernels.cache_info\n"
         "assert 'numpy' not in sys.modules, 'import qap.cli loaded numpy'\n"
         "assert tangent_kernels().currsize == 0, 'import qap.cli rendered the tangent tables'\n"
         "assert taped_kernels().currsize == 0, 'import qap.cli rendered the taped kernel'\n"
@@ -746,10 +749,13 @@ def test_only_a_search_loads_scipy(tmp_path, search_config):
         "    assert tangent_kernels().currsize == 0, f'{argv[0]} rendered the tangent tables'\n"
         "    assert taped_kernels().currsize == 0, f'{argv[0]} rendered the taped kernel'\n"
         "assert 'scipy' not in sys.modules, 'scipy loaded before any search'\n"
-        f"for i, argv in enumerate({searches!r}):\n"
+        f"for i, (argv, rendered) in enumerate(zip({searches!r}, [('S', True), ('SG', False)])):\n"
         f"    assert qap.cli.main(argv + ['--out', {str(tmp_path)!r} + f'/s{{i}}']) == 0, argv\n"
         "    assert 'numpy' in sys.modules, f'{argv[0]} did not load numpy'\n"
-        "    assert tangent_kernels().currsize == 1, f'{argv[0]} ran no tangent run'\n"
+        "    assert tangent_kernels().currsize == i + 1, f'tangent kernels after {argv[0]}'\n"
+        "    hits = tangent_kernels().hits\n"
+        "    dynamics._tangent_kernels(*rendered)\n"
+        "    assert tangent_kernels().hits == hits + 1, f'{argv[0]} rendered another kernel'\n"
         "    assert taped_kernels().currsize == i, f'taped kernel after {argv[0]}'\n"
         "assert 'scipy.optimize' in sys.modules, 'the search did not load scipy.optimize'\n"
     )

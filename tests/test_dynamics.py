@@ -36,6 +36,7 @@ from qap.dynamics import (
     _stage,
     _start,
     _state_cotangent,
+    _state_curvature,
     _state_row,
     _state_tangent,
     final_state,
@@ -81,9 +82,12 @@ class TestRhs:
         assert _row_step(row, 0.01, K) == generic_rk4(row_rhs(K), row, 0.01)
 
     def test_rendered_kernels_show_their_source(self):
-        kernels = {**dynamics._kernels, **dynamics._tangent_kernels(), **dynamics._taped_kernels()}
-        assert len(kernels) == 5
-        for name, kernel in kernels.items():
+        sets = [dynamics._kernels, dynamics._taped_kernels()]
+        sets += [dynamics._tangent_kernels(along, zero) for along in ALONG
+                 for zero in (False, True)]
+        kernels = [item for found in sets for item in found.items()]
+        assert len(kernels) == 9
+        for name, kernel in kernels:
             assert inspect.getsource(kernel).startswith(f"def {name}(")
 
 
@@ -513,35 +517,63 @@ class TestPropagator:
         assert b.value.partial is None
 
 
-def tangent_rhs(K):
-    """The right-hand side of a tangent kernel row: ``_stage`` on the row and
-    its variational equations along S20 and along sigma20, where the
-    coefficients move too, in the kernel's order (12 flows, 12 integrands)."""
-    m_inv, k, c, hs, ms, s, _, _, dc, dhs = K
+def tangent_rhs(K, along):
+    """The right-hand side of a tangent kernel row along ``along`` (S, G or
+    SG): ``_stage`` on the row, its variational equations along each
+    coordinate, where along sigma20 the coefficients move too, and those of
+    second order along each pair, in the kernel's order."""
+    m_inv, k, c, hs, ms, s, _, _, dc, dhs, ddc = K
+    _, flows, integrals = dynamics._tangent_table(along, False)
+    names = [n for n, _ in flows + integrals]
 
     def rhs(y):
-        u, p, C, St = y[:4]
-        *flows, dJcc, dJcs, dJss, dI2 = _stage(u, p, C, St, K)
-        integrands = [dJcc, dJcs, dJss, dI2]
+        v = dict(zip(names, y))
+        u, p, C, St = (v[n] for n in ROW[:4])
+        d = dict(zip(ROW, _stage(u, p, C, St, K)))
         r = 1.0 / u
         a, b = r * C, r * St
-        for uX, pX, CX, StX, along_sigma20 in (y[4:8] + (False,), y[8:12] + (True,)):
+        shared = {}
+        for X in along:
+            uX, pX, CX, StX = (v[n + X] for n in ROW[:4])
             rX = -r * r * uX
             aX = rX * C + r * CX
             bX = rX * St + r * StX
+            shared[X] = rX, aX, bX, uX, CX, StX
             dpX, dCX, dStX, dI2X = c * rX - k * uX, hs * bX, ms * aX, s * rX
-            if along_sigma20:
+            if X == "G":
                 dpX, dCX, dStX, dI2X = dpX + dc * r, dCX + dhs * b, dStX + m_inv * a, dI2X + r
-            flows += [m_inv * pX, dpX, dCX, dStX]
-            integrands += [2.0 * a * aX, aX * b + a * bX, 2.0 * b * bX, dI2X]
-        return tuple(flows + integrands)
+            d.update(zip([n + X for n in ROW], [m_inv * pX, dpX, dCX, dStX, 2.0 * a * aX,
+                                                aX * b + a * bX, 2.0 * b * bX, dI2X]))
+        for i, X in enumerate(along):
+            for Y in along[i:]:
+                (rX, aX, bX, uX, CX, StX), (rY, aY, bY, _, CY, StY) = shared[X], shared[Y]
+                uXY, pXY, CXY, StXY = (v[n + X + Y] for n in ROW[:4])
+                rXY = -r * (2.0 * rY * uX + r * uXY)
+                aXY = rXY * C + rX * CY + rY * CX + r * CXY
+                bXY = rXY * St + rX * StY + rY * StX + r * StXY
+                dp, dC, dSt, dI2 = c * rXY - k * uXY, hs * bXY, ms * aXY, s * rXY
+                if X == "G":
+                    dp, dC, dSt, dI2 = dp + dc * rY, dC + dhs * bY, dSt + m_inv * aY, dI2 + rY
+                if Y == "G":
+                    dp, dC, dSt, dI2 = dp + dc * rX, dC + dhs * bX, dSt + m_inv * aX, dI2 + rX
+                if X == Y == "G":
+                    dp = dp + ddc * r
+                d.update(zip([n + X + Y for n in ROW], [
+                    m_inv * pXY, dp, dC, dSt, 2.0 * (aX * aY + a * aXY),
+                    aXY * b + aX * bY + aY * bX + a * bXY, 2.0 * (bX * bY + b * bXY), dI2]))
+        return tuple(d[n] for n in names)
 
     return rhs
 
 
-#: where each component of a zero-amplitude tangent kernel row lands in the
-#: 24-component one; of the others, C is 1 and the rest 0 at sigma20 = 0
-TANGENT_ZERO_AT = (0, 1, 4, 5, 11, 12, 16, 21, 23)
+#: the row's components, in the order of the eight-component rows
+ROW = ("u", "p", "C", "St", "Jcc", "Jcs", "Jss", "I2")
+
+#: the searched sets a tangent run takes: S20 (S), sigma20 (G) or both
+ALONG = ("S", "G", "SG")
+
+#: the coordinates of each searched set, as ``tangent`` takes them
+ALONG_NAMES = {"S": ("S20",), "G": ("sigma20",), "SG": ("S20", "sigma20")}
 
 #: TestCausticOracle's draws: c = 0 runs whose caustic may lie inside T
 CAUSTIC_DRAWS = dict(
@@ -565,21 +597,29 @@ def base_row(spec, init, step):
     return tangent(spec, init, step)[0]
 
 
+def kernel_names(along, zero_amplitude):
+    """The components of a tangent kernel row, in its order."""
+    _, flows, integrals = dynamics._tangent_table(along, zero_amplitude)
+    return [n for n, _ in flows + integrals]
+
+
 class TestTangent:
-    """``tangent`` steps the row with its derivatives along S20 and sigma20:
-    the base row is ``propagator``'s, and the derivatives are those of its
-    discrete map."""
+    """``tangent`` steps the row with its first- and second-order lines
+    along the searched coordinates: the base row is ``propagator``'s, and
+    the lines are the derivatives of its discrete map."""
 
     @given(
-        row=st.tuples(st.floats(0.1, 3), *[st.floats(-3, 3)] * 23),
+        row=st.tuples(st.floats(0.1, 3), *[st.floats(-3, 3)] * 47),
         hbar=st.floats(0, 2),
         sigma20=st.floats(-2, 2),
+        along=st.sampled_from(ALONG),
     )
     @settings(max_examples=100)
-    def test_step_matches_generic_reference(self, row, hbar, sigma20):
+    def test_step_matches_generic_reference(self, row, hbar, sigma20, along):
         K = coefficients(OscillatorSpec(m=1.3, k=0.8, hbar_tilde=hbar), sigma20)
-        step = dynamics._tangent_kernels()["_tangent_step"]
-        assert step(row, 0.01, K) == generic_rk4(tangent_rhs(K), row, 0.01)
+        row = row[:len(kernel_names(along, False))]
+        step = dynamics._tangent_kernels(along, False)["_tangent_step"]
+        assert step(row, 0.01, K) == generic_rk4(tangent_rhs(K, along), row, 0.01)
 
     def test_base_row_is_propagators(self, spec):
         # whole runs, the shortened last step and sigma20 = 0 included, and
@@ -589,72 +629,111 @@ class TestTangent:
         for s, i, h in cases:
             assert outcome(base_row, s, i, h) == outcome(propagator, s, i, h), (s, i, h)
 
+    def test_every_searched_set_gives_the_same_rows(self):
+        # the end row, propagator's, and each coordinate's first-order row,
+        # bit for bit whatever else the run follows
+        for spec, init, step in pin_cases():
+            for start in (init, replace(init, sigma20=0.0)):
+                runs = {along: tangent(spec, start, step, ALONG_NAMES[along]) for along in ALONG}
+                row = propagator(spec, start, step)
+                for along, (end, slopes, curvatures) in runs.items():
+                    assert repr(end) == repr(row), (spec, start, step, along)
+                    assert len(slopes) == len(along)
+                    assert len(curvatures) == len(along) * (len(along) + 1) // 2
+                both = runs["SG"][1]
+                assert repr(runs["S"][1]) == repr(both[:1]) and repr(runs["G"][1]) == repr(both[1:])
+
+    def test_along_names_S20_or_sigma20(self, spec):
+        for along in ((), ("S10",), ("S20", "S10"), "S20"):
+            with pytest.raises(ValueError, match="along"):
+                tangent(spec, QUANTUM, 0.25, along)
+        # the order of the names does not matter
+        assert tangent(spec, QUANTUM, 0.25, ("sigma20", "S20")) == tangent(spec, QUANTUM, 0.25)
+
     @given(**CAUSTIC_DRAWS)
     @settings(max_examples=60, deadline=None)
     def test_blows_up_where_propagator_does(self, m, k, S20, step, T, zero_amplitude):
         spec, init = caustic_case(m, k, S20, T, zero_amplitude)
         assert outcome(base_row, spec, init, step) == outcome(propagator, spec, init, step)
 
-    @pytest.mark.parametrize("init, name, row_at", [
-        (QUANTUM, "_tangent_step", (0, 1, 2, 3, 12, 13, 14, 15)),
-        (SILENT, "_zero_amplitude_tangent_step", (0, 1, 5)),
-    ])
-    def test_bound_check_reads_only_the_row(self, monkeypatch, spec, init, name, row_at):
+    @pytest.mark.parametrize("init", [QUANTUM, SILENT], ids=["full", "zero-amplitude"])
+    @pytest.mark.parametrize("along", ALONG)
+    def test_bound_check_reads_only_the_row(self, monkeypatch, spec, init, along):
         # as in TestBoundCheck, a step of length 0 that puts inf in one
-        # component: in the row it blows the run up; in a tangent it
-        # comes out as it is
-        kernels = dynamics._tangent_kernels()
+        # component: in the row it blows the run up; in a line it comes out
+        # as it is
+        zero = init.sigma20 == 0.0
+        name = "_zero_amplitude_tangent_step" if zero else "_tangent_step"
+        kernels = dynamics._tangent_kernels(along, zero)
         inner = kernels[name]
-        width = 24 if name == "_tangent_step" else 9
-        for component in range(width):
+        for component, n in enumerate(kernel_names(along, zero)):
             def stepped(y, h, K, component=component):
                 y = list(y)
                 y[component] = math.inf
                 return inner(tuple(y), 0.0, K)
 
             monkeypatch.setitem(kernels, name, stepped)
-            if component in row_at:
+            if n in ROW:
                 with pytest.raises(BlowUpError) as err:
-                    tangent(spec, init, 0.25)
+                    tangent(spec, init, 0.25, ALONG_NAMES[along])
                 assert err.value.t_last == 0.0
             else:
-                row, *slopes = tangent(spec, init, 0.25)
+                row, slopes, curvatures = tangent(spec, init, 0.25, ALONG_NAMES[along])
                 assert all(map(math.isfinite, row))
-                assert not all(map(math.isfinite, slopes[0] + slopes[1])), component
+                assert not all(map(math.isfinite, sum(slopes + curvatures, ()))), n
             monkeypatch.undo()
 
-    def test_zero_amplitude_table_equals_the_full_one(self, monkeypatch):
-        kernels = dynamics._tangent_kernels()
-        full = kernels["_tangent_step"]
+    @pytest.mark.parametrize("along", ALONG)
+    def test_zero_amplitude_table_equals_the_full_one(self, monkeypatch, along):
+        # the full table from a zero-amplitude kernel row, with C = 1 and the
+        # rest 0, keeps the components the zero-amplitude table drops as they
+        # are, and steps the row and the first-order lines bit for bit as the
+        # zero-amplitude table does; the second-order lines it steps within
+        # roundoff (the zero-amplitude table's JccSS' = 6*rS^2 is 2*rS^2 +
+        # 2*r*rSS there)
+        kernels = dynamics._tangent_kernels(along, True)
+        full = dynamics._tangent_kernels(along, False)["_tangent_step"]
+        names, wide_names = kernel_names(along, True), kernel_names(along, False)
+        at = [wide_names.index(n) for n in names]
+        rest = [i for i in range(len(wide_names)) if i not in at]
 
         def widened(y, h, K):
-            wide = [0.0] * 24
-            wide[2] = 1.0
-            for i, v in zip(TANGENT_ZERO_AT, y):
+            wide = [0.0] * len(wide_names)
+            wide[wide_names.index("C")] = 1.0
+            for i, v in zip(at, y):
                 wide[i] = v
             row = full(tuple(wide), h, K)
             if row is None:
                 return None
-            rest = [v for i, v in enumerate(row) if i not in TANGENT_ZERO_AT]
             if all(map(math.isfinite, row)):
-                assert rest == [1.0] + [0.0] * 14, row
-            return tuple(row[i] for i in TANGENT_ZERO_AT)
+                assert [row[i] for i in rest] == [wide[i] for i in rest], row
+            return tuple(row[i] for i in at)
 
-        def non_finite(text):
-            return "nan" in text or "inf" in text
+        def run(spec, init, step):
+            """The end row and the first-order rows by repr, and the
+            second-order rows; or the blow-up."""
+            try:
+                end, slopes, curvatures = tangent(spec, init, step, ALONG_NAMES[along])
+            except BlowUpError as err:
+                return repr(("blowup", err.t_last)), None, None
+            return repr(end), repr(slopes), curvatures
 
         blowups = 0
         for spec, init, step in zero_amplitude_cases():
-            got = [outcome(run, spec, init, step) for run in (tangent, base_row)]
+            got = run(spec, init, step)
             with monkeypatch.context() as patch:
                 patch.setitem(kernels, "_zero_amplitude_tangent_step", widened)
-                want = [outcome(run, spec, init, step) for run in (tangent, base_row)]
-            if non_finite(got[0]):
-                # m = 1e-308: the tangents overflow, to other non-finite values
-                assert non_finite(want[0]) and got[1] == want[1], (spec, init, step)
+                want = run(spec, init, step)
+            assert got[0] == want[0], (spec, init, step)
+            blowups += got[1] is None
+            if got[1] is None:
+                continue
+            if "nan" in got[1] or "inf" in got[1]:
+                # m = 1e-308: the lines overflow, to other non-finite values
+                assert "nan" in want[1] or "inf" in want[1], (spec, init, step)
             else:
-                assert got == want, (spec, init, step)
-            blowups += got[0].startswith("('blowup'")
+                assert got[1] == want[1], (spec, init, step)
+                assert np.allclose(got[2], want[2], rtol=1e-12, atol=0.0), (spec, init, step)
         assert blowups >= 5
 
     def test_tangents_match_differences_of_the_run(self):
@@ -662,7 +741,7 @@ class TestTangent:
         # steps of 2e-4 * max(1, |coord|), sigma20 = 0 included
         for spec, init, step in pin_cases():
             for start in (init, replace(init, sigma20=0.0)):
-                _, *slopes = tangent(spec, start, step)
+                _, slopes, _ = tangent(spec, start, step)
                 for name, slope in zip(("S20", "sigma20"), slopes):
                     x = getattr(start, name)
                     d = 2e-4 * max(1.0, abs(x))
@@ -670,6 +749,49 @@ class TestTangent:
                             for j in (-2, -1, 1, 2)]
                     diff = [(a - 8.0 * b + 8.0 * c - e) / (12.0 * d) for a, b, c, e in zip(*runs)]
                     assert np.allclose(slope, diff, rtol=1e-9, atol=1e-9), (spec, start, step, name)
+
+    @pytest.mark.parametrize("step", [2e-2, 1e-2, 1e-3])
+    @pytest.mark.parametrize("along", ALONG)
+    def test_second_order_rows_match_differences_of_the_first(self, step, along):
+        # the SS, SG and GG rows against fourth-order central differences of
+        # tangent's first-order rows, at steps of 1e-4 * max(1, |coord|):
+        # each pair's row is the derivative of its first coordinate's row
+        # along its second. At sigma20 = 0 the differences along sigma20
+        # run the full table on either side
+        names = ALONG_NAMES[along]
+        pairs = [(i, j) for i in range(len(names)) for j in range(i, len(names))]
+        for spec, init, _ in pin_cases():
+            for start in (init, replace(init, sigma20=0.0)):
+                _, _, curvatures = tangent(spec, start, step, names)
+                for (i, j), curvature in zip(pairs, curvatures):
+                    x = getattr(start, names[j])
+                    d = 1e-4 * max(1.0, abs(x))
+                    rows = [tangent(spec, replace(start, **{names[j]: x + k * d}), step,
+                                    names)[1][i] for k in (-2, -1, 1, 2)]
+                    diff = [(a - 8.0 * b + 8.0 * c - e) / (12.0 * d) for a, b, c, e in zip(*rows)]
+                    assert np.allclose(curvature, diff, rtol=1e-8, atol=1e-8), (spec, start, i, j)
+
+    def test_state_curvature_matches_differences_of_the_state_row(self):
+        # along the path first + t1*eX + t2*eY, y + t1*dX + t2*dY + t1*t2*dXY,
+        # whose mixed second derivative at 0 is the curvature, by central
+        # differences at steps of 1e-4
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            first = tuple(map(float, rng.uniform(-2.0, 2.0, 4)))
+            m, a2 = rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)
+            y = (rng.uniform(0.5, 3.0), *rng.uniform(-2.0, 2.0, 7))
+            eX, eY = (tuple(rng.uniform(-1.0, 1.0, 4)) for _ in range(2))
+            dX, dY, dXY = (tuple(rng.uniform(-1.0, 1.0, 8)) for _ in range(3))
+
+            def state(t1, t2):
+                start = [v + t1 * a + t2 * b for v, a, b in zip(first, eX, eY)]
+                row = [v + t1 * a + t2 * b + t1 * t2 * c for v, a, b, c in zip(y, dX, dY, dXY)]
+                return np.array(_state_row(start, m, a2, row))
+
+            d = 1e-4
+            want = (state(d, d) - state(d, -d) - state(-d, d) + state(-d, -d)) / (4.0 * d * d)
+            got = _state_curvature(first, m, a2, y, (eX, dX), (eY, dY), dXY)
+            assert np.all(np.abs(got - want) <= 1e-6 * np.maximum(1.0, np.abs(want)))
 
 
 def taped_row(spec, init, step):
@@ -749,7 +871,7 @@ class TestTaped:
         rng = np.random.default_rng(8)
         for spec, init, step in pin_cases():
             for start in (init, replace(init, sigma20=0.0)):
-                row, *slopes = tangent(spec, start, step)
+                row, slopes, _ = tangent(spec, start, step)
                 end, pullback = taped(spec, start, step)
                 assert end == row
                 seed = tuple(map(float, rng.uniform(-1.0, 1.0, 8)))
@@ -761,10 +883,10 @@ class TestTaped:
     def test_long_run_reads_a_tangent_run(self, monkeypatch):
         # up to TAPE_STEPS the run is taped and steps no tangent kernel; past
         # them no tape is kept, and the pullback takes the seed's dot
-        # products with tangent's rows
+        # products with tangent's first-order rows
         spec, init, step = next(pin_cases())
         seed = (0.3, -1.2, 0.5, 2.0, -0.7, 0.1, 0.9, -0.4)
-        row, *slopes = tangent(spec, init, step)
+        row, slopes, _ = tangent(spec, init, step)
         with monkeypatch.context() as patch:
             patch.setattr(dynamics, "_tangent_kernels", None)
             taped(spec, init, step)[1](seed)

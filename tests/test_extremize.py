@@ -29,8 +29,12 @@ from qap import (
 import qap.extremize as extremize
 from qap.action import endpoint_report
 from qap.dynamics import _state_tangent, propagator, tangent
-from qap.extremize import BLOWUP_PENALTY, FD_STEP, endpoint_models, parse_active
+from qap.extremize import BLOWUP_PENALTY, endpoint_models, parse_active
 from qap.model import COORD_NAMES, flow_coefficients
+
+#: relative step of the difference oracles: first differences take steps of
+#: FD_STEP, second differences steps of sqrt(FD_STEP) * max(1, |coord|)
+FD_STEP = 1e-5
 
 
 class TestParseActive:
@@ -365,13 +369,14 @@ class TestVariableProjection:
         res = optimize(spec, guess, active=("S10", "S20"), step=1e-3)
         assert res.converged
         assert res.iterations == 0
-        # 3 runs: the guess's tangent run, which gives its gradient along S20
-        # and the report, then the check's two propagator runs at S20 +- hs
-        # (4 with a final integrate for the report; 3 solves and 3
-        # propagator runs when the gradient took central differences; 14
-        # solves and 1 run when the check did too; 17 solves with the
-        # projection stencil)
-        assert len(solves) <= 3
+        # 1 run: the guess's tangent run, which gives its gradient along S20,
+        # the report and the certificate's Hessian from its second-order
+        # row (3 when the check took two propagator runs at S20 +- hs for
+        # its second differences; 4 with a final integrate for the report;
+        # 3 solves and 3 propagator runs when the gradient took central
+        # differences; 14 solves and 1 run when the check did too; 17
+        # solves with the projection stencil)
+        assert len(solves) <= 1
         assert res.report.lam == pytest.approx(lambda_star(spec), abs=1e-6)
 
     def test_flat_sigma10_in_classical_limit(self, spec):
@@ -401,11 +406,12 @@ class TestVariableProjection:
         # but |g| * S20**2, the gradient in 1/S20, is not: no attempt finds
         # a root, and the best of their points is returned unconverged. The
         # path out moves at roundoff: the search takes 187 runs, 186 taped
-        # runs and the check's first propagator run, which blows up at
-        # S20 ~ 1e12, so no signature (184 with tangent runs; 185 with a
-        # final integrate for the report; 189 runs, a signature and 11
-        # blow-ups on the numpy projection; 420 solves and propagator runs
-        # with central differences along S20)
+        # runs and the check's tangent run at the returned point, whose
+        # second-order row gives the signature (with second differences the
+        # check's first probe, at S20 + 3e9, blew up: no signature; 184 with
+        # tangent runs; 185 with a final integrate for the report; 189 runs,
+        # a signature and 11 blow-ups on the numpy projection; 420 solves
+        # and propagator runs with central differences along S20)
         caplog.set_level(logging.INFO, logger="qap")
         res = optimize(
             replace(spec, hbar_tilde=0.5), InitialData(S10=-3.0, sigma20=1.0),
@@ -416,8 +422,10 @@ class TestVariableProjection:
         assert [r.getMessage().split(";")[0] for r in caplog.records] == [
             f"attempt {i}: no root" for i in range(5)]
         assert len(solves) <= 189
+        # a maximum along S10 and flat along S20, where the gradient decays
+        assert res.hessian_signature.to_dict() == {"positive": 0, "negative": 1, "near_zero": 1}
         assert (hashlib.sha256(res.to_json().encode()).hexdigest()
-                == "638d6a7af77d1609d79e0a5ff7a1c55b8887f43543a4bf519b82a67140556ae3")
+                == "133dbbb54ea676035db16f8b3b2092d5b3238f441285157342092d796a90b28c")
 
     def test_small_gradient_at_infinity_is_not_a_root(self, spec):
         # the same objective at h = 1e-3: the root solve ends near S20 ~ 1e9,
@@ -463,10 +471,11 @@ class TestVariableProjection:
     def test_penalised_search_projects_linear_coordinates(self, spec, solves):
         # the penalty makes the objective quartic in (S10, sigma10); Newton
         # on the exact models solves them, and the search runs over
-        # (S20, sigma20) only. It takes 46 runs: 38 tangent runs and the
-        # check's 4 propagator runs and 4 corner runs (47 with a final
-        # integrate for the report; 204 solves and propagator runs with
-        # central differences along (S20, sigma20); 179 on the Riccati
+        # (S20, sigma20) only. It takes 39 runs: 38 taped runs and the
+        # check's tangent run at the returned point (46 when the check took
+        # 4 propagator runs and 4 corner runs for second differences; 47
+        # with a final integrate for the report; 204 solves and propagator
+        # runs with central differences along (S20, sigma20); 179 on the Riccati
         # kernel, whose O(h**4) difference at this step moves the simplex's
         # path; 212 when the certificate took central differences along
         # (S10, sigma10), 392 solves with the projection stencil;
@@ -475,13 +484,14 @@ class TestVariableProjection:
         assert res.converged
         assert np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-6
         assert res.report.lam == pytest.approx(PENALISED_LAMBDA, abs=1e-9)
-        assert len(solves) <= 46
+        assert len(solves) <= 39
 
     def test_negative_x0_stall_ends_fast(self, solves):
         # the reduced gradient has a local minimum without a root here
         # (|g| of a few 1e-3); Nelder-Mead alone spent 238,132 solves before giving
-        # up. The search still finds no root, but now says so quickly: 282
-        # runs, 274 of them tangent runs (283 with a final integrate for the
+        # up. The search still finds no root, but now says so quickly: 275
+        # runs, 274 taped runs and the check's tangent run (282 with the
+        # check's 8 difference runs; 283 with a final integrate for the
         # report; 1334 solves and propagator runs with central differences
         # along (S20, sigma20), 1390 when the certificate took them along
         # (S10, sigma10) too, 2722 with the projection stencil)
@@ -489,7 +499,7 @@ class TestVariableProjection:
         res = optimize(spec, InitialData(0.3, 0.2, 0.08, 0.4), penalty_weight=0.25,
                        step=1e-2, seed=104)
         assert res.converged is False
-        assert len(solves) <= 282
+        assert len(solves) <= 275
 
     def test_unsettled_newton_records_model_gradient(self, spec, monkeypatch):
         # a point where Newton does not settle stays unprojected; its gradient
@@ -637,20 +647,31 @@ class TestStationarityCheck:
         rep = stationarity_check(InitialData(), spec, active=("S10", "S20"))
         assert np.max(np.abs(rep.gradient)) <= 1e-10
 
-    # the centre's propagator run blows up; the centre integrates, but a
-    # probe run of the Hessian blows up; the case once named for a
-    # gradient probe that blew up within FD_STEP of the caustic: on the row
-    # the centre's own tangent run blows up (t_last = 1.499)
+    # the centre's run blows up; the case once named for a gradient probe
+    # that blew up within FD_STEP of the caustic: on the row the centre's
+    # own tangent run blows up (t_last = 1.499)
     @pytest.mark.parametrize("t0, sigma20, active", [
         (-0.58, 0.0, ("S10", "S20")),
-        (-0.07, 0.5, ("S20", "sigma20")),
         (-0.071645, 0.5, ("S20", "sigma20")),
-    ], ids=["centre", "hessian-probe", "gradient-probe"])
+    ], ids=["centre", "gradient-probe"])
     def test_probe_through_caustic_fails_loudly(self, t0, sigma20, active):
         spec = OscillatorSpec(T=1.5)
         init = InitialData(S10=1.0, S20=t0_to_S20(t0, spec), sigma20=sigma20)
         with pytest.raises(FDFailureError):
             stationarity_check(init, spec, active=active)
+
+    def test_point_next_to_a_caustic_is_certified(self):
+        # the point whose second-difference probe at S20 + hs crossed the
+        # caustic: its own run integrates, and so the certificate, from that
+        # run's second-order rows, holds. At hbar_tilde = 0 nothing depends
+        # on sigma20; along S20 the curvature is large and negative
+        spec = OscillatorSpec(T=1.5)
+        init = InitialData(S10=1.0, S20=t0_to_S20(-0.07, spec), sigma20=0.5)
+        rep = stationarity_check(init, spec, active=("S20", "sigma20"))
+        assert rep.gradient[0] == pytest.approx(31464.01, rel=1e-6) and rep.gradient[1] == 0.0
+        assert rep.hessian[0, 0] == pytest.approx(-1.90465e8, rel=1e-5)
+        assert rep.hessian[0, 1] == rep.hessian[1, 0] == rep.hessian[1, 1] == 0.0
+        assert rep.signature.to_dict() == {"positive": 0, "negative": 1, "near_zero": 1}
 
     @pytest.mark.parametrize("active", [("S10", "S20"), ("S20", "sigma20"), None])
     @pytest.mark.parametrize("penalty_weight", [0.0, 0.5])
@@ -681,8 +702,8 @@ class TestStationarityCheck:
         run = extremize.tangent
 
         def overflowed(*args):
-            row, along_S20, along_sigma20 = run(*args)
-            return row, (math.nan,) + along_S20[1:], along_sigma20
+            row, (along_S20,), curvatures = run(*args)
+            return row, ((math.nan,) + along_S20[1:],), curvatures
 
         monkeypatch.setattr(extremize, "tangent", overflowed)
         guess = InitialData(S10=0.0, S20=t0_to_S20(0.5, spec))
@@ -755,9 +776,12 @@ class TestStationarityCheck:
     def test_hessian_matches_central_differences(self, spec, active, penalty_weight,
                                                  hbar_tilde):
         # the check reads the (S10, sigma10) block from the models and takes
-        # the rest from the models of probe runs, the corners included; the
+        # the rest from its run's first- and second-order rows; the
         # reference takes every entry by central differences of the
-        # objective, from plain solves
+        # objective, from plain solves. Their O(hs**2) error, up to 6e-5 in
+        # the direction the eigenvalue is flat along at hbar_tilde = 0, is
+        # above the signature's 1e-6 threshold, so the signature is that
+        # of the reference after one Richardson step, with hs halved
         s = replace(spec, hbar_tilde=hbar_tilde, x0=0.2)
         idx = [i for i, on in enumerate(parse_active(active)) if on]
         lin = [j for j, i in enumerate(idx) if i in (0, 2)]
@@ -767,7 +791,8 @@ class TestStationarityCheck:
             rep = stationarity_check(init, s, active, penalty_weight, step=1e-2)
             ref = central_hessian(init, s, idx, penalty_weight, 1e-2)
             assert np.all(np.abs(rep.hessian - ref) <= 1e-4 * np.maximum(1.0, np.abs(ref)))
-            assert rep.signature == extremize._signature(ref)
+            fine = central_hessian(init, s, idx, penalty_weight, 1e-2, shrink=0.5)
+            assert rep.signature == extremize._signature((4.0 * fine - ref) / 3.0)
             (_, _, Hl), (r, gr, Hr) = endpoint_models(
                 s, init.as_tuple(), propagator(s, init, 1e-2))
             exact = symmetric(Hl) + 2.0 * penalty_weight * (np.outer(gr, gr) + r * symmetric(Hr))
@@ -782,7 +807,7 @@ def tangent_gradient(spec, point, weight, step):
     tangent run: each tangent of the row mapped by ``_state_tangent`` and
     ``endpoint_report``, the route ``_centre`` takes at sigma20 = 0."""
     first = point.as_tuple()
-    end, *slopes = tangent(spec, point, step)
+    end, slopes, _ = tangent(spec, point, step)
     m_inv, _, hh = flow_coefficients(spec)
     r = extremize._report(spec, first, end).constraint_residual
     gradient = []
@@ -801,10 +826,10 @@ def symmetric(H):
     return np.array([[a, b], [b, c]])
 
 
-def central_hessian(init, spec, idx, penalty_weight, step):
+def central_hessian(init, spec, idx, penalty_weight, step, shrink=1.0):
     """Hessian of ``objective`` along ``idx`` by central differences only.
 
-    Steps sqrt(FD_STEP) * max(1, |coord|); the diagonal from second
+    Steps shrink * sqrt(FD_STEP) * max(1, |coord|); the diagonal from second
     differences, every other entry from four corner solves.
     """
     z = np.array([init.as_tuple()[i] for i in idx])
@@ -816,7 +841,7 @@ def central_hessian(init, spec, idx, penalty_weight, step):
         return objective(InitialData(*vals), spec, penalty_weight, step)
 
     n = len(z)
-    hs = [math.sqrt(FD_STEP) * max(1.0, abs(z[i])) for i in range(n)]
+    hs = [shrink * math.sqrt(FD_STEP) * max(1.0, abs(z[i])) for i in range(n)]
     H = np.empty((n, n))
     for i in range(n):
         zp = z.copy(); zp[i] += hs[i]
