@@ -39,8 +39,8 @@ commands that never search pay nothing for them:
   once more, their second-order lines along each pair: forward mode, the
   first and second derivatives of every component. A kernel per searched
   set (``_tangent_kernels``) steps 24 components along one coordinate
-  and 48 along both; at sigma20 = 0 it steps only the lines that are
-  not 0 there (``_ZERO_AMPLITUDE_TABLE``), 7 along S20 alone;
+  and 48 along both; along S20 alone at sigma20 = 0 it steps only the 7
+  that are not 0 there (``_ZERO_AMPLITUDE_TABLE``);
 - ``taped`` steps the row with ``_row_step``'s taped twin
   (``_taped_kernels``), which keeps r, a and b at each RK4 stage, and
   returns a pullback: for a seed, a covector on the end row, one
@@ -109,7 +109,9 @@ DEFAULT_STEP = 1e-3
 MAX_STEPS = 10**7
 
 #: most steps a taped run keeps on its tape (13 floats each, about 0.5 kB);
-#: a longer one takes the tangent run, whose memory does not grow with it
+#: a longer one takes the tangent run along (S20, sigma20), whose memory does
+#: not grow with it; that run steps the 48 components of the certificate's
+#: kernel to read 24 of them, about twice a first-order run's time
 TAPE_STEPS = 10**5
 
 #: fewest steps the coarsest run of ``convergence_order`` may take
@@ -399,22 +401,15 @@ _CURVATURE_INTEGRALS = (("JccXY", "2.0 * ({aX} * {aY} + {a} * {aXY})"),
                         ("JcsXY", "{aXY} * {b} + {aX} * {bY} + {aY} * {bX} + {a} * {bXY}"),
                         ("JssXY", "2.0 * ({bX} * {bY} + {b} * {bXY})"), ("I2XY", "s * {rXY}"))
 
-# The zero-amplitude row's lines by order: at sigma20 = 0, c = 0, C = 1 and
-# St = Jcs = Jss = I2 = 0, and the lines above that stay 0 are dropped. (u,
-# p) is linear in S20, so uSS = 0, rSS = 2*rS^2/r and JccSS' = 6*rS^2; along
-# sigma20, u, p and C do not move at first order, nor St at second.
+# The zero-amplitude row's lines along S20 alone, by order: at sigma20 = 0,
+# c = 0, C = 1 and St = Jcs = Jss = I2 = 0, and the lines above that stay 0
+# are dropped. (u, p) is linear in S20, so uSS = 0, rSS = 2*rS^2/r and
+# JccSS' = 6*rS^2. A run along sigma20 at sigma20 = 0 steps the full table.
 _ZERO_AMPLITUDE_TABLE = {
     "": _ZERO_AMPLITUDE_ROW,
     "S": ((("rS", "-{r} * {r} * {uS}"),), (("uS", "m_inv * {pS}"), ("pS", "-k * {uS}")),
           (("JccS", "2.0 * {r} * {rS}"),)),
-    "G": ((), (("StG", "m_inv * {r}"),), (("JcsG", "{r} * ({r} * {StG})"), ("I2G", "{r}"))),
     "SS": ((), (), (("JccSS", "6.0 * {rS} * {rS}"),)),
-    "SG": ((), (("StSG", "m_inv * {rS}"),),
-           (("JcsSG", "{r} * (2.0 * {rS} * {StG} + {r} * {StSG})"), ("I2SG", "{rS}"))),
-    "GG": ((("bG", "{r} * {StG}"), ("rGG", "-{r} * {r} * {uGG}")),
-           (("uGG", "m_inv * {pGG}"), ("pGG", "ddc * {r} - k * {uGG}"),
-            ("CGG", "2.0 * dhs * {bG}")),
-           (("JccGG", "2.0 * {r} * ({rGG} + {r} * {CGG})"), ("JssGG", "2.0 * {bG} * {bG}"))),
 }
 
 #: the row's components, in its order
@@ -457,7 +452,7 @@ def _tangent_table(along, zero_amplitude):
     """The (shared, flows, integrals) lines of the tangent run along
     ``along`` (S, G or SG): the row's, its first-order lines and its
     second-order lines, level by level (``_levels``); with
-    ``zero_amplitude``, those of ``_ZERO_AMPLITUDE_TABLE``."""
+    ``zero_amplitude`` (along S alone), those of ``_ZERO_AMPLITUDE_TABLE``."""
     parts = []
     for level in _levels(along):
         if zero_amplitude:
@@ -481,8 +476,8 @@ def _tangent_kernels(along, zero_amplitude):
 
     ``_tangent_step`` steps the row with its first- and second-order lines
     (``_tangent_table``); ``_zero_amplitude_tangent_step``, with
-    ``zero_amplitude``, those that are not 0 at sigma20 = 0: 7 components
-    along S20 alone, against 24 for the full row. Both bound-check only the
+    ``zero_amplitude``, along S20 alone, those that are not 0 at sigma20 =
+    0: 7 components, against 24 for the full table. Both bound-check only the
     row, so a tangent run blows up exactly where ``propagator`` does; a
     non-finite tangent is the caller's to catch.
     """
@@ -755,7 +750,8 @@ def _run(spec, init, step, keep, method, end="state", along="SG"):
     run of more than ``TAPE_STEPS`` steps is a tangent run along SG whose
     pullback takes dot products with its first-order rows. A start state
     beyond ``BLOWUP_LIMIT`` blows up at t = 0. sigma20 = 0 takes a
-    zero-amplitude kernel, except in a taped run. The kernels are looked
+    zero-amplitude kernel, except in a taped run and in a tangent run
+    along sigma20. The kernels are looked
     up at call, as module globals or in the caches of rendered kernels,
     so a test can swap one.
     """
@@ -770,7 +766,7 @@ def _run(spec, init, step, keep, method, end="state", along="SG"):
         kernel = _taped_kernels()["_taped_row_step"]
         return kernel, row, K + (tape.append,), lambda y: (y, partial(_sweep, tape, K)), step, T
     if end in ("tangent", "taped"):
-        zero = first[3] == 0.0
+        zero = first[3] == 0.0 and along == "S"
         rows = partial(_tangent_rows, along, zero)
         widen = rows if end == "tangent" else lambda y: _tangent_pullback(*rows(y)[:2])
         # the lines start from dp = 1 along S20, and from 0 along sigma20 and at second order

@@ -60,9 +60,9 @@ gradient of the objective with respect to the end row (the seed,
 ``endpoint_report`` and ``dynamics._state_row`` transposed) is swept back
 over the taped run's steps (``dynamics.taped``), which gives its
 derivatives along S20 and sigma20 for about the cost of one more row
-run. At sigma20 = 0 ``dynamics.tangent`` steps the live components of
-the row and its first- and second-order lines along the searched
-coordinates (7 along S20 alone), and ``endpoint_report``, linear in its
+run. At sigma20 = 0 ``dynamics.tangent`` steps the row and its first-
+and second-order lines along the searched coordinates (along S20 alone
+only the 7 live components), and ``endpoint_report``, linear in its
 two rows, maps them forward to those of the eigenvalue and the
 residual. The certificate's Hessian is exact too (``_hessian``): the
 (S10, sigma10) block from the models, every other entry from a tangent
@@ -407,8 +407,8 @@ def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
       over the run's tape takes it to S20 and sigma20; the start data's
       own terms, those of ``endpoint_report``'s first row and of sigma2 =
       sigma20/u, are added;
-    - at sigma20 = 0, ``tangent``'s, along the searched coordinates only,
-      whose 7 live components along S20 cost less than a tape:
+    - at sigma20 = 0, ``tangent``'s, along the searched coordinates only
+      (along S20 alone its 7 live components cost less than a tape):
       ``endpoint_report`` is linear in its two rows, so it maps the
       tangent of the state row to those of the eigenvalue and the
       residual, and the run's second-order rows are the certificate's.
@@ -422,7 +422,8 @@ def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
     if not free:
         end = propagator(spec, init, step)
     elif init.sigma20 == 0.0:
-        end, *lines = tangent(spec, init, step, [COORD_NAMES[idx[j]] for j in free])
+        run = tangent(spec, init, step, [COORD_NAMES[idx[j]] for j in free])
+        end, lines = run[0], run[1:]
     else:
         end, pullback = taped(spec, init, step)
     models = _restrict(endpoint_models(spec, init.as_tuple(), end), pos)
@@ -526,7 +527,7 @@ def stationarity_check(
     penalty_weight: float = 0.0,
     step: float = DEFAULT_STEP,
     *,
-    centre=None,
+    centre: tuple[tuple[float, np.ndarray, np.ndarray], tuple[tuple, tuple | None]] | None = None,
 ) -> StationarityReport:
     """Gradient and Hessian of the objective at ``init``, and the Hessian's signature.
 
@@ -544,9 +545,10 @@ def stationarity_check(
     A caller that already holds the record of ``_centre`` at ``init``, the
     objective (its value, its gradient over the active coordinates and its
     Hessian along the active members of (S10, sigma10)) and the run (its
-    end row and, from a tangent run, its rows), passes the pair as
-    ``centre``, and the check makes no run but the tangent run a taped
-    record needs.
+    end row and, from a tangent run, its first- and second-order rows,
+    else None), passes the pair ((value, gradient, Hessian block), (end
+    row, rows)) as ``centre``, and the check makes no run but the tangent
+    run a taped record needs.
     """
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]

@@ -379,6 +379,22 @@ class TestVariableProjection:
         assert len(solves) <= 1
         assert res.report.lam == pytest.approx(lambda_star(spec), abs=1e-6)
 
+    def test_classical_guess_is_certified_flat_along_the_offset(self):
+        # task c00 of the classical-certify workload at seed 1: second
+        # differences at S20 +- hs put the flat eigenvalue at +2.5e-6, past
+        # the near-zero threshold, and reported (positive 1, negative 1);
+        # the exact Hessian puts it at roundoff
+        spec = OscillatorSpec(m=1.1158950989169694, k=0.4300923087269364, hbar_tilde=0.0,
+                              T=1.0, x0=-0.9016356443965037, xT=0.4276259747151367)
+        guess = InitialData(S10=0.8081419828233455, S20=t0_to_S20(0.5395523660384054, spec))
+        res = optimize(spec, guess, active=("S10", "S20"), step=1e-3, seed=100)
+        assert res.converged
+        assert res.hessian_signature.to_dict() == {"positive": 0, "negative": 1, "near_zero": 1}
+        rep = stationarity_check(res.init, spec, ("S10", "S20"), step=1e-3)
+        flat, curved = sorted(np.linalg.eigvalsh(rep.hessian), key=abs)
+        assert abs(flat) <= 1e-12
+        assert curved == pytest.approx(-1.49848743, rel=1e-8)
+
     def test_flat_sigma10_in_classical_limit(self, spec):
         # at hbar_tilde = 0 the eigenvalue does not depend on sigma10: the
         # S1 solution started from sigma10 stays exactly 0, so the sigma10
