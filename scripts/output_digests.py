@@ -42,31 +42,40 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_line(workload: str, seed: int, task) -> str:
+def run_task(task, read):
+    """Run ``task`` through ``qap.cli.main`` in a temporary directory and
+    return ``read(exit code, standard output, output directory)``."""
     with tempfile.TemporaryDirectory() as tmp:
         config, out_dir = Path(tmp) / "task.ini", Path(tmp) / "out"
         config.write_text(task.config)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = qap.cli.main(task.argv(str(config), str(out_dir)))
-        fields = [workload, str(seed), task.tid, task.method or "-", f"exit={code}",
-                  "stdout=" + sha(buf.getvalue().replace(str(out_dir), "<OUT>").encode())]
-        for path in sorted(out_dir.iterdir()) if out_dir.is_dir() else ():
-            data = path.read_bytes()
-            if path.name == "sweep_hbar_summary.json":
-                data = TIMESTAMP.sub(b"", data)
-            fields.append(f"{path.name}={sha(data)}")
-    return " ".join(fields)
+        return read(code, buf.getvalue(), out_dir)
 
 
-def main(argv: list[str]) -> int:
+def digest_fields(code: int, stdout: str, out_dir: Path) -> list[str]:
+    fields = [f"exit={code}", "stdout=" + sha(stdout.replace(str(out_dir), "<OUT>").encode())]
+    for path in sorted(out_dir.iterdir()) if out_dir.is_dir() else ():
+        data = path.read_bytes()
+        if path.name == "sweep_hbar_summary.json":
+            data = TIMESTAMP.sub(b"", data)
+        fields.append(f"{path.name}={sha(data)}")
+    return fields
+
+
+def main(argv: list[str], read=digest_fields, keep=lambda task: True) -> int:
+    """For each seed in ``argv``, one line per task that ``keep`` takes:
+    its workload, seed, task id and method, then the fields ``read``
+    makes of its run (see ``run_task``)."""
     if not argv:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print(f"usage: python3 {sys.argv[0]} SEED...", file=sys.stderr)
         return 2
     for seed in map(int, argv):
         for workload, generate in GENERATORS.items():
-            for task in generate(seed):
-                print(digest_line(workload, seed, task), flush=True)
+            for task in filter(keep, generate(seed)):
+                fields = [workload, str(seed), task.tid, task.method or "-"]
+                print(" ".join(fields + run_task(task, read)), flush=True)
     return 0
 
 

@@ -49,9 +49,13 @@ commands that never search pay nothing for them:
   the derivatives of seed . row along S20 and sigma20. That is reverse
   mode (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008,
   ch. 3-4), at about two thirds of the time of a 24-component
-  first-order tangent run at h = 1e-2 (CPython 3.11); the extremizer's
-  gradient at sigma20 != 0 reads it, and its certificate reads
-  ``tangent``'s second-order lines.
+  first-order tangent run at h = 1e-2 (CPython 3.11). Its tape grows
+  with the run, so it refuses more than ``TAPE_STEPS`` steps.
+
+``extremize._centre`` picks one of the two for each search point and
+reads either through one cotangent formula: the seed's sweep, or its
+dot products with ``tangent``'s first-order lines; the certificate reads
+``tangent``'s second-order lines.
 
 One input check hands the loop only Python floats (the unrolled step
 runs about three times slower on numpy scalars).
@@ -84,7 +88,6 @@ import linecache
 import math
 from dataclasses import FrozenInstanceError, replace
 from functools import cache, partial
-from operator import mul
 from typing import TextIO
 
 from .errors import BlowUpError, DegenerateProbeError
@@ -109,9 +112,8 @@ DEFAULT_STEP = 1e-3
 MAX_STEPS = 10**7
 
 #: most steps a taped run keeps on its tape (13 floats each, about 0.5 kB);
-#: a longer one takes the tangent run along (S20, sigma20), whose memory does
-#: not grow with it; that run steps the 48 components of the certificate's
-#: kernel to read 24 of them, about twice a first-order run's time
+#: ``taped`` refuses a longer run, and ``extremize._centre`` takes a tangent
+#: run there, whose memory does not grow with its steps
 TAPE_STEPS = 10**5
 
 #: fewest steps the coarsest run of ``convergence_order`` may take
@@ -281,7 +283,7 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _render(name, shared, flows, integrals, guards, checks, bounded=None, tape=()):
+def _render(name, shared, flows, integrals, guards, bounded=None, tape=()):
     """Source of ``name(y, h, K)``, one unrolled RK4 step of the row
     ``flows + integrals`` with the coefficients K of ``_coefficients``.
 
@@ -295,12 +297,12 @@ def _render(name, shared, flows, integrals, guards, checks, bounded=None, tape=(
     integrand f, before the flow moves, and each flow component
     w6*(d1 + 2*(d2 + d3) + d4). The step is not taken, and None
     returned, unless each of ``guards`` holds on y; the new row is
-    returned if each of ``checks`` holds on it and every component named
-    in ``bounded`` (all of them by default) lies in [-BLOWUP_LIMIT,
-    BLOWUP_LIMIT], which NaN does not, else None; None too when a point
-    has u = 0.0. With ``tape``, K has one more entry, a callable, and a
-    step that its guards let through passes it one tuple before the
-    checks: h, then the shared values named in ``tape`` at y, y2, y3 and
+    returned if it has u > 0 and every component named in ``bounded``
+    (all of them by default) lies in [-BLOWUP_LIMIT, BLOWUP_LIMIT], which
+    NaN does not, else None; None too when a point has u = 0.0. With
+    ``tape``, K has one more entry, a callable, and a step that its
+    guards let through passes it one tuple before the new row's tests:
+    h, then the shared values named in ``tape`` at y, y2, y3 and
     y4. Unrolled scalar code: a tuple-of-stages RK4 costs about 3x here,
     in the hot loop of every solve.
     """
@@ -331,7 +333,7 @@ def _render(name, shared, flows, integrals, guards, checks, bounded=None, tape=(
         body.append(f"push((h, {', '.join(kept)}))")
     if bounded is None:
         bounded = [n for n, _ in flows + integrals]
-    test = " and ".join([*checks, *(f"-L <= {n} <= L" for n in bounded)])
+    test = " and ".join(["0.0 < u", *(f"-L <= {n} <= L" for n in bounded)])
     body += ["L = BLOWUP_LIMIT", f"if {test}:", f"    return {row}", "return None"]
     # u = 0.0 at a point raises in 1.0 / u; that step fails too
     body[2:] = ["try:", *("    " + line for line in body[2:]),
@@ -352,8 +354,8 @@ _ZERO_AMPLITUDE_ROW = ((("r", "1.0 / {u}"),), (("u", "m_inv * {p}"), ("p", "-k *
                        (("Jcc", "{r} * {r}"),))
 _KERNEL_FILE = "<qap.dynamics kernels>"
 _KERNEL_SOURCE = _render(
-    "_row_step", _ROW_SHARED, _ROW_FLOWS, _ROW_INTEGRALS, _ROW_GUARDS, ("0.0 < u",),
-) + _render("_zero_amplitude_step", *_ZERO_AMPLITUDE_ROW, (), ("0.0 < u",))
+    "_row_step", _ROW_SHARED, _ROW_FLOWS, _ROW_INTEGRALS, _ROW_GUARDS,
+) + _render("_zero_amplitude_step", *_ZERO_AMPLITUDE_ROW, ())
 
 
 def _compile(source, filename):
@@ -484,7 +486,7 @@ def _tangent_kernels(along, zero_amplitude):
     shared, flows, integrals = _tangent_table(along, zero_amplitude)
     name = "_zero_amplitude_tangent_step" if zero_amplitude else "_tangent_step"
     source = _render(name, shared, flows, integrals, () if zero_amplitude else _ROW_GUARDS,
-                     ("0.0 < u",), [n for n, _ in flows + integrals if n in _ROW_NAMES])
+                     [n for n, _ in flows + integrals if n in _ROW_NAMES])
     kind = "zero-amplitude tangent" if zero_amplitude else "tangent"
     return _compile(source, f"<qap.dynamics {kind} kernel along {along}>")
 
@@ -499,7 +501,7 @@ def _taped_kernels():
     ``_sweep`` reads of the step.
     """
     source = _render("_taped_row_step", _ROW_SHARED, _ROW_FLOWS, _ROW_INTEGRALS, _ROW_GUARDS,
-                     ("0.0 < u",), tape=("r", "a", "b"))
+                     tape=("r", "a", "b"))
     return _compile(source, "<qap.dynamics taped kernels>")
 
 
@@ -746,14 +748,11 @@ def _run(spec, init, step, keep, method, end="state", along="SG"):
     (``"row"``), that row and its first- and second-order rows along
     ``along`` (S, G or SG; ``"tangent"``, through ``_tangent_rows``), or
     that row and its pullback (``"taped"``): the taped kernel passes each
-    step's stage values to a tape, and ``_sweep`` reads it back. A taped
-    run of more than ``TAPE_STEPS`` steps is a tangent run along SG whose
-    pullback takes dot products with its first-order rows. A start state
-    beyond ``BLOWUP_LIMIT`` blows up at t = 0. sigma20 = 0 takes a
+    step's stage values to a tape, and ``_sweep`` reads it back. A start
+    state beyond ``BLOWUP_LIMIT`` blows up at t = 0. sigma20 = 0 takes a
     zero-amplitude kernel, except in a taped run and in a tangent run
-    along sigma20. The kernels are looked
-    up at call, as module globals or in the caches of rendered kernels,
-    so a test can swap one.
+    along sigma20. The kernels are looked up at call, as module globals
+    or in the caches of rendered kernels, so a test can swap one.
     """
     first, m_inv, k, hh, step, T = _start(spec, init, step)
     if not all(-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT for v in first):
@@ -761,19 +760,18 @@ def _run(spec, init, step, keep, method, end="state", along="SG"):
     K = _coefficients(m_inv, k, hh, first[3])
     S20 = first[1]
     row = (1.0, S20, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    if end == "taped" and _n_steps(T, step) <= TAPE_STEPS:
+    if end == "taped":
         tape = []
         kernel = _taped_kernels()["_taped_row_step"]
         return kernel, row, K + (tape.append,), lambda y: (y, partial(_sweep, tape, K)), step, T
-    if end in ("tangent", "taped"):
+    if end == "tangent":
         zero = first[3] == 0.0 and along == "S"
-        rows = partial(_tangent_rows, along, zero)
-        widen = rows if end == "tangent" else lambda y: _tangent_pullback(*rows(y)[:2])
         # the lines start from dp = 1 along S20, and from 0 along sigma20 and at second order
         start = {"u": 1.0, "p": S20, "C": 1.0, "pS": 1.0}
         _, flows, integrals = _tangent_table(along, zero)
         y = tuple(start.get(n, 0.0) for n, _ in flows + integrals)
         name = "_zero_amplitude_tangent_step" if zero else "_tangent_step"
+        widen = partial(_tangent_rows, along, zero)
         return _tangent_kernels(along, zero)[name], y, K, widen, step, T
     if end == "row":
         widen = _u_row
@@ -782,13 +780,6 @@ def _run(spec, init, step, keep, method, end="state", along="SG"):
     if first[3] == 0.0:
         return _zero_amplitude_step, (1.0, S20, 0.0), K, widen, step, T
     return _row_step, row, K, widen, step, T
-
-
-def _tangent_pullback(end, slopes):
-    """The end row of a tangent run and its pullback: the dot products of a
-    seed with the row's first-order rows along S20 and sigma20."""
-    along_S20, along_sigma20 = slopes
-    return end, lambda seed: (sum(map(mul, seed, along_S20)), sum(map(mul, seed, along_sigma20)))
 
 
 def _check_step_count(T, step):
@@ -811,9 +802,13 @@ def _fixed(spec, init, step, keep, end="state", along="SG"):
 
     The grid has ceil(T/step) intervals, the last one shortened to land
     on T exactly. A blow-up raises ``BlowUpError`` at the last good time,
-    carrying the partial grid only if ``keep``.
+    carrying the partial grid only if ``keep``; a taped run with T >
+    ``TAPE_STEPS`` * step raises ``ValueError`` before its first step.
     """
     kernel, y, K, widen, step, T = _run(spec, init, step, keep, "rk4", end, along)
+    if end == "taped" and T > TAPE_STEPS * step:
+        raise ValueError(f"a taped run keeps at most TAPE_STEPS = {TAPE_STEPS} steps; "
+                         f"h = {step!r} takes more over T = {T!r}")
     n = _n_steps(T, step)
     times = [0.0] if keep else None
     rows = [y] if keep else None
@@ -892,9 +887,9 @@ def taped(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP):
     steps 24 components. The row is ``propagator``'s, bit for bit (the
     taped kernel is ``_row_step`` rendered from the same table), and the
     run blows up exactly where ``propagator``'s does; only the pullback's
-    values may come out non-finite. The tape holds 13 floats a step; a run
-    of more than ``TAPE_STEPS`` steps keeps none and reads a ``tangent``
-    run instead.
+    values may come out non-finite. The tape holds 13 floats a step, so a
+    run of more than ``TAPE_STEPS`` steps raises ``ValueError``; a
+    ``tangent`` run's memory does not grow with its steps.
     """
     return _fixed(spec, init, step, keep=False, end="taped")
 

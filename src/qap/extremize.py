@@ -17,11 +17,12 @@ preserves that linearity; so at fixed (S20, sigma20) the discrete
 eigenvalue and the constraint residual are both exact quadratics in
 (S10, sigma10), at every hbar_tilde. One run at the current point
 (``dynamics.propagator``, or, when (S20, sigma20) are searched,
-``dynamics.taped``, or ``dynamics.tangent`` at sigma20 = 0) returns the
-end of the integrator's linear row, which does not depend on (S10,
-sigma10), and ``endpoint_models`` turns it into the
-value, gradient and Hessian of both quadratics, and so the objective's exact value, gradient and Hessian
-along the active members of {S10, sigma10}. Those members are set to a
+``dynamics.taped``, or ``dynamics.tangent`` at sigma20 = 0 and past
+``dynamics.TAPE_STEPS``) returns the end of the integrator's linear row,
+which does not depend on (S10, sigma10), and ``endpoint_models`` turns it
+into the value, gradient and Hessian of both quadratics, and so the
+objective's exact value, gradient and Hessian along the active members of
+{S10, sigma10}. Those members are set to a
 stationary point of the objective on these models, with no further
 solves. Without a penalty that objective is the quadratic itself and
 one minimum-norm Newton step solves it (so a direction the eigenvalue
@@ -53,29 +54,29 @@ along S20, below any tolerance, with no root there. A point that passes
 only the first test is not a root, but it stays a candidate for the best
 unconverged point.
 
-Along (S10, sigma10) every derivative comes from the models. Along
-(S20, sigma20) the gradient comes from the same run, exact for the
-discrete map (``_centre``). At sigma20 != 0 it is reverse mode: the
-gradient of the objective with respect to the end row (the seed,
-``endpoint_report`` and ``dynamics._state_row`` transposed) is swept back
-over the taped run's steps (``dynamics.taped``), which gives its
-derivatives along S20 and sigma20 for about the cost of one more row
-run. At sigma20 = 0 ``dynamics.tangent`` steps the row and its first-
-and second-order lines along the searched coordinates (along S20 alone
-only the 7 live components), and ``endpoint_report``, linear in its
-two rows, maps them forward to those of the eigenvalue and the
-residual. The certificate's Hessian is exact too (``_hessian``): the
-(S10, sigma10) block from the models, every other entry from a tangent
-run's first- and second-order lines, those of the search's own run at
-a zero-amplitude point, else of one tangent run at the returned point
+Along (S10, sigma10) the gradient comes from the models. Along (S20,
+sigma20) it comes from the same run, exact for the discrete map, by one
+formula (``_centre``): the gradient of the objective with respect to the
+end row (the seed, ``endpoint_report`` and ``dynamics._state_row``
+transposed) is pulled back to S20 and sigma20 by the run. A taped run
+(``dynamics.taped``) sweeps it back over its steps, reverse mode, for
+about the cost of one more row run. At sigma20 = 0, and past
+``TAPE_STEPS``, ``dynamics.tangent`` steps the row and its first- and
+second-order lines along the searched coordinates (along S20 alone only
+the 7 live components at sigma20 = 0), and the seed's dot products
+with the first-order lines are the pullback. The certificate's Hessian
+is exact too (``_hessian``): every entry is the second derivative of
+the state row (``dynamics._state_curvature``) read by the same seed,
+from a tangent run's first- and second-order lines, the search's own
+run's when it took one, else one tangent run at the returned point
 (see ``stationarity_check``). No derivative takes a difference step.
 Runs that blow up inside the horizon, or whose gradient along (S20,
 sigma20) comes out non-finite, map to a large finite penalty so the
 simplex retreats; they are counted, not raised.
 
 This is the one module of ``qap`` that imports numpy, for the records
-the search and the certificate read (each point's gradient and Hessian
-block, built once per point) and the certificate's ``eigvalsh``; the CLI
+the search and the certificate read (each point's gradient, built once
+per point) and the certificate's ``eigvalsh``; the CLI
 imports it only inside the two commands that search. ``scipy.optimize`` is
 imported only when a search reaches Nelder-Mead. So the commands that
 never search start and run without either.
@@ -91,6 +92,7 @@ from operator import mul
 
 import numpy as np
 
+from . import dynamics
 from .action import EigenvalueReport, eigenvalue, endpoint_report, json_17g
 from .dynamics import (DEFAULT_STEP, _state_cotangent, _state_curvature, _state_row,
                        _state_tangent, final_state, integrate, propagator, taped, tangent)
@@ -133,10 +135,10 @@ class StationarityReport:
 
     Both are exact for the discrete map. The gradient comes from one run's
     models along (S10, sigma10) and, along (S20, sigma20), from the same
-    run's backward sweep (its first-order lines at sigma20 = 0); the
-    Hessian from the models along (S10, sigma10), and from a tangent
-    run's first- and second-order lines in every row and column of (S20,
-    sigma20).
+    run's pullback (a backward sweep, or the first-order lines of a
+    tangent run); every entry of the Hessian from one formula on a
+    tangent run's first- and second-order lines, with a zero line along
+    (S10, sigma10), on which the run does not depend.
     """
 
     gradient: np.ndarray
@@ -389,43 +391,47 @@ def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
     ``optimize``); Newton iterates that do not settle leave the point
     where it is. The models and the projection are Python floats
     (``endpoint_models``, ``_newton_quartic``); the objective is returned
-    as its value, its gradient over ``idx`` and its Hessian along the
-    members of (S10, sigma10), the two numpy arrays of the point's
-    record, built once. The run is returned as its end row and, from a
-    tangent run, its first- and second-order rows along the searched
-    coordinates (else None). The end row is ``propagator``'s, which does
-    not depend on (S10, sigma10), so it is the end row of a run from the
-    moved point too, and its derivatives along (S20, sigma20) hold there
-    too. The run is ``propagator``'s when no coordinate is searched.
-    Else the gradient along (S20, sigma20) is exact for the discrete
-    map, from one of two runs:
+    as its value and its gradient over ``idx``, a numpy array built once.
+    The run is returned as its end row and, from a tangent run, its
+    first- and second-order rows along the searched coordinates (else
+    None). The end row is ``propagator``'s, which does not depend on
+    (S10, sigma10), so it is the end row of a run from the moved point
+    too, and its derivatives along (S20, sigma20) hold there too.
 
-    - at sigma20 != 0, ``taped``'s: the seed, the gradient of the
-      objective with respect to the end row at the moved point, is
-      ``endpoint_report`` (``_report_cotangent``) and ``_state_row``
-      (``dynamics._state_cotangent``) transposed, and one backward sweep
-      over the run's tape takes it to S20 and sigma20; the start data's
-      own terms, those of ``endpoint_report``'s first row and of sigma2 =
-      sigma20/u, are added;
-    - at sigma20 = 0, ``tangent``'s, along the searched coordinates only
-      (along S20 alone its 7 live components cost less than a tape):
-      ``endpoint_report`` is linear in its two rows, so it maps the
-      tangent of the state row to those of the eigenvalue and the
-      residual, and the run's second-order rows are the certificate's.
+    This is where a point's run is chosen: ``propagator``'s when no
+    coordinate is searched; ``tangent``'s along the searched coordinates
+    at sigma20 = 0 (along S20 alone its 7 live components cost less than
+    a tape) and when the run is too long for a tape (``TAPE_STEPS``),
+    whose rows the certificate then reads too; else ``taped``'s. Every
+    run is read by one formula, exact for the discrete map: the seed, the
+    gradient of the objective with respect to the end row at the moved
+    point, is ``endpoint_report`` (``_report_cotangent``) and
+    ``_state_row`` (``dynamics._state_cotangent``) transposed; the run's
+    pullback takes it to the searched coordinates, a backward sweep over
+    a tape or the seed's dot products with a tangent run's first-order
+    rows; and the start data's own terms, those of ``endpoint_report``'s
+    first row and of sigma2 = sigma20/u, are added.
 
     Raises ``BlowUpError``, at T when the run completes but the gradient
     is not finite.
     """
     lin, free, pos = _split(idx)
     init = _embed(base, idx, z)
-    lines = pullback = None
+    lines = None
     if not free:
         end = propagator(spec, init, step)
-    elif init.sigma20 == 0.0:
+    elif init.sigma20 == 0.0 or float(spec.T) > dynamics.TAPE_STEPS * step:
         run = tangent(spec, init, step, [COORD_NAMES[idx[j]] for j in free])
         end, lines = run[0], run[1:]
+
+        def pullback(seed):
+            return [sum(map(mul, seed, row)) for row in lines[0]]
     else:
-        end, pullback = taped(spec, init, step)
+        end, sweep = taped(spec, init, step)
+
+        def pullback(seed):
+            along = sweep(seed)
+            return [along[idx[j] // 2] for j in free]
     models = _restrict(endpoint_models(spec, init.as_tuple(), end), pos)
     du = None
     if project and lin:
@@ -438,52 +444,40 @@ def _centre(spec, base, idx, z, weight: float, step: float, project: bool):
         z = z.copy()
         for j, k in zip(lin, pos):
             z[j] += du[k]
-    value, g, H, r = _objective_at(models, weight, du)
+    value, g, _, r = _objective_at(models, weight, du)
     gradient = [0.0] * len(idx)
     for j, k in zip(lin, pos):
         gradient[j] = g[k]
     if free:
         first = _embed(base, idx, z).as_tuple()
         m_inv, _, hh = flow_coefficients(spec)
-        if pullback is None:
-            for j, slope in zip(free, lines[0]):
-                # the unit tangent of the initial data along this coordinate
-                e = [0.0] * 4
-                e[idx[j]] = 1.0
-                dlast = _state_tangent(first, spec.m, hh / m_inv, end, slope, e[3])
-                d = endpoint_report(spec, e, dlast)
-                gradient[j] = d.lam + 2.0 * weight * r * d.constraint_residual
-        else:
-            d_first, d_last = _report_cotangent(spec, 2.0 * weight * r)
-            seed, d_sigma20 = _state_cotangent(first, spec.m, hh / m_inv, end, d_last)
-            dS20, dsigma20 = pullback(seed)
+        d_first, d_last = _report_cotangent(spec, 2.0 * weight * r)
+        seed, d_sigma20 = _state_cotangent(first, spec.m, hh / m_inv, end, d_last)
+        for j, d in zip(free, pullback(seed)):
             # plus the start data's own terms: the first row's, and sigma2 = sigma20/u
-            along = (dS20 + d_first[1], dsigma20 + d_sigma20 + d_first[3])
-            for j in free:
-                gradient[j] = along[idx[j] // 2]
+            gradient[j] = d + d_first[1] if idx[j] == 1 else d + d_sigma20 + d_first[3]
         if not all(math.isfinite(gradient[j]) for j in free):
             raise BlowUpError(spec.T)
-    # entry (k, l) of the triple H is H[k + l]
-    H_lin = np.array([[H[k + l] for l in pos] for k in pos]).reshape(len(pos), len(pos))
-    return z, (value, np.array(gradient), H_lin), (end, lines)
+    return z, (value, np.array(gradient)), (end, lines)
 
 
-def _hessian(spec, first, idx, weight: float, end, lines, H_lin) -> np.ndarray:
+def _hessian(spec, first, idx, weight: float, end, lines) -> np.ndarray:
     """The objective's Hessian over the active coordinates ``idx`` at the
     point with start state ``first``, exact for the discrete map.
 
     ``end`` is the point's end row and ``lines`` the first- and
     second-order rows of a tangent run along the searched coordinates
-    there; ``H_lin``, the block along the active members of (S10,
-    sigma10), comes from the models. Every other entry is that of lam +
-    weight * r**2 with ``endpoint_report`` linear in its two rows:
-    lam_XY + 2 * weight * (r_X * r_Y + r * r_XY), where the second
-    derivative of the state row (``dynamics._state_curvature``) takes the
-    run's second-order rows, and the residual's tangent along a searched
-    coordinate its first-order row (``dynamics._state_tangent``), along
-    (S10, sigma10) the models' gradient.
+    there. Every entry is that of lam + weight * r**2 with
+    ``endpoint_report`` linear in its two rows: lam_XY + 2 * weight *
+    (r_X * r_Y + r * r_XY), where the second derivative of the state row
+    (``dynamics._state_curvature``) takes the run's second-order rows
+    along two searched coordinates and a zero row tangent along each of
+    (S10, sigma10), on which the row does not depend, and the residual's
+    tangent along a searched coordinate its first-order row
+    (``dynamics._state_tangent``), along (S10, sigma10) the models'
+    gradient.
     """
-    lin, free, _ = _split(idx)
+    free = _split(idx)[1]
     m_inv, _, hh = flow_coefficients(spec)
     m, a2 = spec.m, hh / m_inv
     _, (r, g_res, _) = endpoint_models(spec, first, end)
@@ -506,13 +500,10 @@ def _hessian(spec, first, idx, weight: float, end, lines, H_lin) -> np.ndarray:
             d_res.append(endpoint_report(spec, e, dlast).constraint_residual)
     n = len(idx)
     H = np.empty((n, n))
-    H[np.ix_(lin, lin)] = H_lin
     # the pairs of searched coordinates come in the order of the run's rows
     rows = iter(curvatures)
     for a in range(n):
         for b in range(a, n):
-            if a in lin and b in lin:
-                continue
             dXY = next(rows) if a in free and b in free else zero
             ds = _state_curvature(first, m, a2, end, directions[a], directions[b], dXY)
             H[a, b] = H[b, a] = (sum(map(mul, seed, ds))
@@ -527,28 +518,26 @@ def stationarity_check(
     penalty_weight: float = 0.0,
     step: float = DEFAULT_STEP,
     *,
-    centre: tuple[tuple[float, np.ndarray, np.ndarray], tuple[tuple, tuple | None]] | None = None,
+    centre: tuple[tuple[float, np.ndarray], tuple[tuple, tuple | None]] | None = None,
 ) -> StationarityReport:
     """Gradient and Hessian of the objective at ``init``, and the Hessian's signature.
 
     Both are exact for the discrete map. The run at ``init`` that the
-    search would make there (``_centre``) gives the gradient, and the
-    Hessian block along the active members of (S10, sigma10) from its
-    models; every other entry of the Hessian comes from a
-    ``dynamics.tangent`` run's first- and second-order rows along the
-    searched coordinates (``_hessian``): that run's own at sigma20 = 0,
-    else one more run. Every run is fixed-step rk4: the models and the
-    rows are exact only for it. Raises ``FDFailureError`` when a run blows
-    up, or the gradient or the Hessian comes out non-finite: a
-    verification tool must not silently average over a caustic.
+    search would make there (``_centre``) gives the gradient; every entry
+    of the Hessian comes from one formula (``_hessian``) on that run's end
+    row and a ``dynamics.tangent`` run's first- and second-order rows
+    along the searched coordinates: the run's own when ``_centre`` took a
+    tangent run, else one more run. Every run is fixed-step rk4: the rows
+    are exact only for it. Raises ``FDFailureError`` when a run blows up,
+    or the gradient or the Hessian comes out non-finite: a verification
+    tool must not silently average over a caustic.
 
     A caller that already holds the record of ``_centre`` at ``init``, the
-    objective (its value, its gradient over the active coordinates and its
-    Hessian along the active members of (S10, sigma10)) and the run (its
-    end row and, from a tangent run, its first- and second-order rows,
-    else None), passes the pair ((value, gradient, Hessian block), (end
-    row, rows)) as ``centre``, and the check makes no run but the tangent
-    run a taped record needs.
+    objective (its value and its gradient over the active coordinates)
+    and the run (its end row and, from a tangent run, its first- and
+    second-order rows, else None), passes the pair ((value, gradient),
+    (end row, rows)) as ``centre``, and the check makes no run but the
+    tangent run a taped record needs.
     """
     mask = parse_active(active)
     idx = [i for i in range(4) if mask[i]]
@@ -559,13 +548,13 @@ def stationarity_check(
         if centre is None:
             z = np.array([base[i] for i in idx], dtype=float)
             centre = _centre(spec, base, idx, z, penalty_weight, step, project=False)[1:]
-        (_, gradient, H_lin), (end, lines) = centre
+        (_, gradient), (end, lines) = centre
         if free and lines is None:
             # the search took its gradient from a taped run
             lines = tangent(spec, init, step, along)[1:]
     except BlowUpError:
         raise FDFailureError("the run at the point blew up") from None
-    H = _hessian(spec, tuple(map(float, base)), idx, penalty_weight, end, lines, H_lin)
+    H = _hessian(spec, tuple(map(float, base)), idx, penalty_weight, end, lines)
     if not np.all(np.isfinite(H)):
         raise FDFailureError("the Hessian at the point is not finite")
     return StationarityReport(gradient, H, _signature(H))
@@ -592,10 +581,10 @@ def optimize(
     the active members of (S20, sigma20), and that run then also gives
     the exact gradient along them (``_centre``): a taped run and one
     backward sweep of its adjoint, reverse mode, or a tangent run at
-    sigma20 = 0. It makes up to ``restarts`` attempts (the
-    first from ``guess``, later ones from seeded perturbations of the best
-    point); none when nothing is left to search or the projected guess is
-    already stationary. Each attempt runs Nelder-Mead on the squared
+    sigma20 = 0 and past ``TAPE_STEPS``. It makes up to ``restarts``
+    attempts (the first from ``guess``, later ones from seeded
+    perturbations of the best point); none when nothing is left to search
+    or the projected guess is already stationary. Each attempt runs Nelder-Mead on the squared
     gradient along the searched coordinates until its
     best value falls to ``HANDOFF_MERIT``, then ``scipy.optimize.root``
     (method ``hybr``, default tolerances) on that gradient from the
@@ -608,8 +597,8 @@ def optimize(
     run counts as its solve): its cached record serves the simplex, the root
     solve and the certificate. The record also holds the objective's
     value, its gradient over all active coordinates (from the same run's
-    models and its sweep or tangents), its Hessian along (S10, sigma10) at
-    the projected point and the run's end row: the certificate's gradient,
+    models and its pullback) at the projected point and the run's end row
+    and tangent lines: the certificate's gradient,
     ``stationarity_check``'s centre and the returned report are read from
     it, so no point is solved twice, the returned one included.
     Convergence means the max-norm of the gradient over all active
@@ -648,8 +637,8 @@ def optimize(
         at a projected point, so along the searched coordinates it is the
         reduced gradient. The projection moves only (S10, sigma10), and
         the row that blows up does not depend on them. The centre for the
-        check is the objective's value, that gradient and its Hessian along
-        lin; the run is its end row and, from a tangent run, its rows. Both
+        check is the objective's value and that gradient; the run is its
+        end row and, from a tangent run, its rows. Both
         are None when the run blew up, which
         leaves no projection and no gradient. The merit is the squared
         reduced gradient, except near the penalty: blown-up runs ramp it by

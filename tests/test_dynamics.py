@@ -44,6 +44,7 @@ from qap.dynamics import (
     taped,
     tangent,
 )
+import qap.extremize as extremize
 from qap.extremize import endpoint_models, objective
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -881,20 +882,36 @@ class TestTaped:
                     want = math.fsum(terms)
                     assert abs(got - want) <= 1e-12 * max(map(abs, terms)), (spec, start, step)
 
-    def test_long_run_reads_a_tangent_run(self, monkeypatch):
-        # up to TAPE_STEPS the run is taped and steps no tangent kernel; past
-        # them no tape is kept, and the pullback takes the seed's dot
-        # products with tangent's first-order rows
-        spec, init, step = next(pin_cases())
-        seed = (0.3, -1.2, 0.5, 2.0, -0.7, 0.1, 0.9, -0.4)
-        row, slopes, _ = tangent(spec, init, step)
-        with monkeypatch.context() as patch:
-            patch.setattr(dynamics, "_tangent_kernels", None)
-            taped(spec, init, step)[1](seed)
+    def test_long_run_takes_a_tangent_run(self, monkeypatch):
+        # past TAPE_STEPS no tape is kept: ``taped`` refuses the run, and the
+        # search point takes one tangent run along the searched coordinates,
+        # whose gradient is the taped run's within 1e-12 and whose rows the
+        # check reads without a further run
+        spec, init, step = next(c for c in pin_cases() if c[0].hbar_tilde > 0.0)
+        base, idx, weight = init.as_tuple(), [0, 1], 0.5
+        z = np.array([base[i] for i in idx])
+        _, (_, want), _ = extremize._centre(spec, base, idx, z, weight, step, True)
         monkeypatch.setattr(dynamics, "TAPE_STEPS", 3)
-        end, pullback = taped(spec, init, step)
-        assert end == row
-        assert pullback(seed) == tuple(sum(a * b for a, b in zip(seed, s)) for s in slopes)
+        with pytest.raises(ValueError, match="TAPE_STEPS = 3"):
+            taped(spec, init, step)
+        runs = []
+
+        def counted(*args):
+            runs.append(args[3])
+            return tangent(*args)
+
+        def refuse(*args):
+            raise AssertionError("a run other than the tangent one")
+
+        monkeypatch.setattr(extremize, "tangent", counted)
+        for name in ("taped", "propagator", "final_state", "integrate"):
+            monkeypatch.setattr(extremize, name, refuse)
+        z, at, run = extremize._centre(spec, base, idx, z, weight, step, True)
+        assert runs == [["S20"]] and len(run[1][0]) == 1
+        assert np.all(np.abs(at[1] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        point = extremize._embed(base, idx, z)
+        extremize.stationarity_check(point, spec, ("S10", "S20"), weight, step, centre=(at, run))
+        assert runs == [["S20"]]
 
     def test_state_cotangent_is_the_transpose_of_the_state_tangent(self):
         rng = np.random.default_rng(9)

@@ -752,26 +752,29 @@ class TestStationarityCheck:
     @pytest.mark.parametrize("active", [("S20",), ("sigma20",), ("S20", "sigma20"), None])
     def test_reverse_gradient_matches_the_tangent_one(self, spec, monkeypatch, step, weight,
                                                       active):
-        # at sigma20 != 0 the gradient along (S20, sigma20), at the projected
-        # point, comes from the taped run alone; it agrees within 1e-12 with
-        # the tangent run's, mapped forward by _state_tangent and endpoint_report
+        # the gradient along (S20, sigma20), at the projected point, comes
+        # from one run read by one cotangent formula: the taped run's sweep at
+        # sigma20 != 0, the seed's dot products with a tangent run's rows at
+        # sigma20 = 0. Both agree within 1e-12 with the tangent run's rows
+        # mapped forward by _state_tangent and endpoint_report
         s = replace(spec, hbar_tilde=0.4, x0=0.2)
         idx = [i for i, on in enumerate(parse_active(active)) if on]
         rng = np.random.default_rng(17)
 
         def refuse(*args):
-            raise AssertionError("tangent run at sigma20 != 0")
+            raise AssertionError("the other run")
 
         for _ in range(3):
-            base = tuple(map(float, rng.uniform((-1.0, -0.3, -0.5, 0.2), (1.0, 0.5, 0.5, 1.0))))
-            z = np.array([base[i] for i in idx])
-            with monkeypatch.context() as patch:
-                patch.setattr(extremize, "tangent", refuse)
-                z, (_, gradient, _), _ = extremize._centre(s, base, idx, z, weight, step, True)
-            want = tangent_gradient(s, extremize._embed(base, idx, z), weight, step)
-            for j, i in enumerate(idx):
-                if i in (1, 3):
-                    assert gradient[j] == pytest.approx(want[i // 2], rel=1e-12), (base, i)
+            drawn = tuple(map(float, rng.uniform((-1.0, -0.3, -0.5, 0.2), (1.0, 0.5, 0.5, 1.0))))
+            for base in (drawn, drawn[:3] + (0.0,)):
+                z = np.array([base[i] for i in idx])
+                with monkeypatch.context() as patch:
+                    patch.setattr(extremize, "tangent" if base[3] else "taped", refuse)
+                    z, (_, gradient), _ = extremize._centre(s, base, idx, z, weight, step, True)
+                want = tangent_gradient(s, extremize._embed(base, idx, z), weight, step)
+                for j, i in enumerate(idx):
+                    if i in (1, 3):
+                        assert gradient[j] == pytest.approx(want[i // 2], rel=1e-12), (base, i)
 
     def test_numpy_scalar_init_gives_same_report(self, spec):
         init = InitialData(S10=1.0, S20=0.3, sigma20=0.5)
@@ -791,13 +794,13 @@ class TestStationarityCheck:
     @pytest.mark.parametrize("hbar_tilde", [0.0, 0.4])
     def test_hessian_matches_central_differences(self, spec, active, penalty_weight,
                                                  hbar_tilde):
-        # the check reads the (S10, sigma10) block from the models and takes
-        # the rest from its run's first- and second-order rows; the
-        # reference takes every entry by central differences of the
-        # objective, from plain solves. Their O(hs**2) error, up to 6e-5 in
-        # the direction the eigenvalue is flat along at hbar_tilde = 0, is
-        # above the signature's 1e-6 threshold, so the signature is that
-        # of the reference after one Richardson step, with hs halved
+        # the check takes every entry from its run's rows, the (S10,
+        # sigma10) block with zero row tangents; the reference takes every
+        # entry by central differences of the objective, from plain solves,
+        # after one Richardson step (hs halved). The plain differences'
+        # O(hs**2) error, about 1e-4 on these points, would fill a 1e-4
+        # gate and cross the signature's 1e-6 threshold in the direction
+        # the eigenvalue is flat along at hbar_tilde = 0
         s = replace(spec, hbar_tilde=hbar_tilde, x0=0.2)
         idx = [i for i, on in enumerate(parse_active(active)) if on]
         lin = [j for j, i in enumerate(idx) if i in (0, 2)]
@@ -805,10 +808,12 @@ class TestStationarityCheck:
         for _ in range(2):
             init = InitialData(*rng.uniform((-1.0, -0.3, -0.5, 0.2), (1.0, 0.5, 0.5, 1.0)))
             rep = stationarity_check(init, s, active, penalty_weight, step=1e-2)
-            ref = central_hessian(init, s, idx, penalty_weight, 1e-2)
-            assert np.all(np.abs(rep.hessian - ref) <= 1e-4 * np.maximum(1.0, np.abs(ref)))
+            coarse = central_hessian(init, s, idx, penalty_weight, 1e-2)
             fine = central_hessian(init, s, idx, penalty_weight, 1e-2, shrink=0.5)
-            assert rep.signature == extremize._signature((4.0 * fine - ref) / 3.0)
+            ref = (4.0 * fine - coarse) / 3.0
+            assert np.all(np.abs(rep.hessian - ref) <= 1e-6 * np.maximum(1.0, np.abs(ref)))
+            assert rep.signature == extremize._signature(ref)
+            # the (S10, sigma10) block against the models: two exact routes
             (_, _, Hl), (r, gr, Hr) = endpoint_models(
                 s, init.as_tuple(), propagator(s, init, 1e-2))
             exact = symmetric(Hl) + 2.0 * penalty_weight * (np.outer(gr, gr) + r * symmetric(Hr))
@@ -820,8 +825,9 @@ class TestStationarityCheck:
 
 def tangent_gradient(spec, point, weight, step):
     """The objective's gradient along (S20, sigma20) at ``point`` from a
-    tangent run: each tangent of the row mapped by ``_state_tangent`` and
-    ``endpoint_report``, the route ``_centre`` takes at sigma20 = 0."""
+    tangent run: each tangent of the row mapped forward by
+    ``_state_tangent`` and ``endpoint_report``, the reference for
+    ``_centre``'s cotangent formula."""
     first = point.as_tuple()
     end, slopes, _ = tangent(spec, point, step)
     m_inv, _, hh = flow_coefficients(spec)
