@@ -766,12 +766,12 @@ def _run(spec, init, step, keep, method, end="state", along="SG"):
         return kernel, row, K + (tape.append,), lambda y: (y, partial(_sweep, tape, K)), step, T
     if end == "tangent":
         zero = first[3] == 0.0 and along == "S"
+        widen = partial(_tangent_rows, along, zero)
         # the lines start from dp = 1 along S20, and from 0 along sigma20 and at second order
         start = {"u": 1.0, "p": S20, "C": 1.0, "pS": 1.0}
         _, flows, integrals = _tangent_table(along, zero)
         y = tuple(start.get(n, 0.0) for n, _ in flows + integrals)
         name = "_zero_amplitude_tangent_step" if zero else "_tangent_step"
-        widen = partial(_tangent_rows, along, zero)
         return _tangent_kernels(along, zero)[name], y, K, widen, step, T
     if end == "row":
         widen = _u_row
