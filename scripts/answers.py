@@ -17,24 +17,18 @@ names the field that changed; ``gradient_norm`` is left out.
 """
 
 import json
-import re
 import sys
 from pathlib import Path
 
 from output_digests import main
-
-# extremum.json writes a non-finite float as Python formats it; JSON spells it so
-NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
-NON_FINITE_VALUE = re.compile(r"(?<=: )-?(inf|nan)\b")
 
 
 def answer_fields(code: int, stdout: str, out_dir: Path) -> list[str]:
     path = out_dir / "extremum.json"
     if not path.is_file():
         return [f"exit={code}", "no extremum.json"]
-    text = NON_FINITE_VALUE.sub(lambda m: NON_FINITE[m.group()], path.read_text())
     # 17 significant digits read back exactly; a float written as "0" or "-0" too
-    result = json.loads(text, parse_int=float)
+    result = json.loads(path.read_text(), parse_int=float)
     signature = result["hessian_signature"]
     return [f"exit={code}",
             f"lambda={result['report']['lambda']!r}",

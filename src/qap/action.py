@@ -15,6 +15,7 @@ tuples; nothing here imports numpy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .dynamics import SolutionGrid
@@ -46,11 +47,12 @@ class EigenvalueReport:
 
 
 def json_17g(obj) -> str:
-    """json.dumps with floats rendered at 17 significant digits."""
+    """json.dumps with floats rendered at 17 significant digits, and
+    non-finite ones as json.dumps writes them (Infinity, -Infinity, NaN)."""
 
     def render(v):
         if isinstance(v, float):
-            return format(v, ".17g")
+            return format(v, ".17g") if math.isfinite(v) else json.dumps(v)
         if isinstance(v, dict):
             return "{" + ", ".join(f"{json.dumps(k)}: {render(x)}" for k, x in v.items()) + "}"
         if isinstance(v, (list, tuple)):

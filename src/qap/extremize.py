@@ -54,6 +54,15 @@ along S20, below any tolerance, with no root there. A point that passes
 only the first test is not a root, but it stays a candidate for the best
 unconverged point.
 
+Only the last steps to the root need the requested step h, so the search
+is nested iteration (Briggs, Henson & McCormick, *A Multigrid Tutorial*,
+2nd ed., 2000, ch. 3): Nelder-Mead and a first root solve run on the map
+at the coarse step ``COARSE`` * h, whose runs take a quarter of the
+steps, and a second root solve on the map at h polishes their root,
+which lies O((4h)**4) from the root at h. A coarse point with a small
+gradient but no root is not polished. What the search returns, and the
+certificate, are read from runs at h alone.
+
 Along (S10, sigma10) the gradient comes from the models. Along (S20,
 sigma20) it comes from the same run, exact for the discrete map, by one
 formula (``_centre``): the gradient of the objective with respect to the
@@ -110,6 +119,20 @@ _CUTOFF = 2.0 * sys.float_info.epsilon
 #: hands its best point to the root solve
 HANDOFF_MERIT = 1e-2
 
+#: ratio of the coarse step to the requested one h: each search attempt
+#: finds its root on the map at COARSE * h, then polishes it on the map at
+#: h. On the quantum-search tasks of seeds 1-25 (h = 1e-2, two passes) the
+#: search took 0.90-0.91x, 0.47-0.62x and 0.49-0.55x of the time of a
+#: search at h alone at 2, 4 and 8, with the same roots
+COARSE = 4
+
+#: fewest steps over T a coarse run may take; a search whose coarse run
+#: would take fewer runs at h alone. On the quantum-search tasks of seeds
+#: 1-10 the two levels found the same roots down to 4 coarse steps, but at
+#: h = T/16, T/24 and T/32 (4, 6 and 8 coarse steps) they took 0.83x,
+#: 0.77x and 0.51x of the time at h alone
+COARSE_STEPS = 8
+
 log = logging.getLogger("qap")
 
 
@@ -156,8 +179,11 @@ class ExtremumResult:
     ``stationarity_check``'s exact Hessian at ``init``; it is None only
     when the point's run blew up (no search point integrated) or its
     gradient or second-order values are not finite.
-    ``blowups`` counts the search's runs that blew up or gave a
-    non-finite gradient; the stationarity check's runs are not among them.
+    ``iterations`` counts the Nelder-Mead iterations and the evaluations
+    of both root solves, the coarse one and the polish (see ``optimize``).
+    ``blowups`` counts the search's runs, at both steps, that blew up or
+    gave a non-finite gradient; the stationarity check's runs are not
+    among them.
     """
 
     init: InitialData
@@ -584,23 +610,33 @@ def optimize(
     sigma20 = 0 and past ``TAPE_STEPS``. It makes up to ``restarts``
     attempts (the first from ``guess``, later ones from seeded
     perturbations of the best point); none when nothing is left to search
-    or the projected guess is already stationary. Each attempt runs Nelder-Mead on the squared
-    gradient along the searched coordinates until its
-    best value falls to ``HANDOFF_MERIT``, then ``scipy.optimize.root``
-    (method ``hybr``, default tolerances) on that gradient from the
-    simplex's best vertex; the root is kept only if it lowers the squared
-    gradient. Each simplex starts at scale 0.1 * max(1, |coord|) per
-    coordinate. ``max_iter`` caps the Nelder-Mead iterations and the
-    root solve's gradient evaluations of each attempt, and
-    ``iterations`` counts both.
-    Each point is solved once per call (its propagator, taped or tangent
-    run counts as its solve): its cached record serves the simplex, the root
-    solve and the certificate. The record also holds the objective's
+    or the projected guess is already stationary. Each attempt runs
+    Nelder-Mead on the squared gradient along the searched coordinates
+    until its best value falls to ``HANDOFF_MERIT``, then
+    ``scipy.optimize.root`` (method ``hybr``, default tolerances) on that
+    gradient from the simplex's best vertex; the root is kept only if it
+    lowers the squared gradient. Both run on the map at the coarse step
+    ``COARSE * step``. A second root solve, on the map at ``step``, then
+    polishes the point, kept only if it lowers the squared gradient at
+    ``step``; it is skipped where the coarse point has a gradient within
+    ``grad_tol`` but no root (the inverse-coordinate test below). An
+    attempt whose start blows up on the coarse map runs at ``step``
+    alone, and so does the whole search when T / (``COARSE * step``) is
+    below ``COARSE_STEPS``. The verdict, the best point, the restarts,
+    the report and the certificate read only records at ``step``. Each
+    simplex starts at scale 0.1 * max(1, |coord|) per coordinate.
+    ``max_iter`` caps each attempt's Nelder-Mead iterations and each root
+    solve's gradient evaluations; ``iterations`` counts the Nelder-Mead
+    iterations and both root solves' evaluations, and ``blowups`` the
+    runs at both steps that blew up.
+    Each point is solved once per step per call (its propagator, taped or
+    tangent run counts as its solve): its cached record serves the
+    simplex, the root solves and the certificate. The record also holds the objective's
     value, its gradient over all active coordinates (from the same run's
     models and its pullback) at the projected point and the run's end row
     and tangent lines: the certificate's gradient,
     ``stationarity_check``'s centre and the returned report are read from
-    it, so no point is solved twice, the returned one included.
+    it, so no point is solved twice at one step, the returned one included.
     Convergence means the max-norm of the gradient over all active
     coordinates fell to ``grad_tol``, and so did the gradient in the
     inverse coordinates 1/z of the searched ones (``_inverse_gradient``);
@@ -617,20 +653,24 @@ def optimize(
     base = guess.as_tuple()
     free = _split(idx)[1]
     z0 = np.array([base[i] for i in idx], dtype=float)
-    blowups = 0
+    blowups = iterations = 0
     T = spec.T
+    # the step of the simplex and the first root solve
+    coarse = COARSE * step if float(T) >= COARSE_STEPS * COARSE * step else step
 
     def full(z_free) -> np.ndarray:
         z = z0.copy()
         z[free] = z_free
         return z
 
-    # records of the current attempt, keyed on z_free.tobytes(); the guess's
-    # record starts the first attempt, and each attempt reads its best point
-    seen = {}
+    # records of the current attempt at each step, keyed on z_free.tobytes();
+    # the guess's record at ``step`` starts the first attempt, and each
+    # attempt reads its best point there
+    seen = {step: {}, coarse: {}}
 
-    def reduced(z_free):
-        """Projected point, merit, the centre for the check and the run.
+    def reduced(z_free, at_step=step):
+        """Projected point, merit, the centre for the check and the run at
+        ``at_step``.
 
         One run at the point (``_centre``) projects it and gives the
         gradient over all active coordinates there; along lin it vanishes
@@ -646,25 +686,26 @@ def optimize(
         integrable initial data.
         """
         nonlocal blowups
+        records = seen[at_step]
         key = z_free.tobytes()
-        if key not in seen:
+        if key not in records:
             z = full(z_free)
             try:
-                z, at, run = _centre(spec, base, idx, z, penalty_weight, step, project=True)
+                z, at, run = _centre(spec, base, idx, z, penalty_weight, at_step, project=True)
             except BlowUpError as err:
                 blowups += 1
                 frac = (T - min(max(float(err.t_last), 0.0), T)) / T
-                seen[key] = z, BLOWUP_PENALTY * (1.0 + frac), None, None
+                records[key] = z, BLOWUP_PENALTY * (1.0 + frac), None, None
             else:
                 g = at[1][free]
-                seen[key] = z, min(float(g @ g), 0.9 * BLOWUP_PENALTY), at, run
-        return seen[key]
+                records[key] = z, min(float(g @ g), 0.9 * BLOWUP_PENALTY), at, run
+        return records[key]
 
-    def merit(z_free) -> float:
-        return reduced(z_free)[1]
+    def merit(z_free, at_step=step) -> float:
+        return reduced(z_free, at_step)[1]
 
-    def residual(z_free) -> np.ndarray:
-        at = reduced(z_free)[2]
+    def residual(z_free, at_step) -> np.ndarray:
+        at = reduced(z_free, at_step)[2]
         return np.full(len(z_free), BLOWUP_PENALTY) if at is None else at[1][free]
 
     def verdict(z, at) -> tuple[float, bool]:
@@ -674,12 +715,22 @@ def optimize(
         norm = math.inf if at is None else float(np.max(np.abs(at[1])))
         return norm, norm <= grad_tol and _inverse_gradient(at[1], z, free) <= grad_tol
 
+    def solve(x, fx, at_step):
+        """hybr on the reduced gradient at ``at_step`` from ``x``, whose merit
+        there is ``fx``: its root and merit if that is lower, else ``x``, ``fx``."""
+        nonlocal iterations
+        from scipy.optimize import root
+
+        sol = root(residual, x, args=(at_step,), method="hybr", options={"maxfev": max_iter})
+        iterations += int(sol.nfev)
+        f = float(sol.fun @ sol.fun)
+        return (sol.x, f) if f < fx else (x, fx)
+
     rng = np.random.default_rng(seed)
     n = len(free)
     best_free = z0[free]
     best_z, best_merit, best_centre, best_run = reduced(best_free)
     gradient_norm, converged = verdict(best_z, best_centre)
-    iterations = 0
     attempt = 0
     while n and not converged and attempt < max(1, restarts):
         if attempt == 0:
@@ -690,9 +741,15 @@ def optimize(
         simplex = np.tile(start, (n + 1, 1))
         for j in range(n):
             simplex[j + 1, j] += 0.1 * max(1.0, abs(start[j]))
+        # behind a caustic wall the blow-up ramp moves in multiples of the
+        # run's step: at the coarse one it is too flat for the simplex to
+        # find its way back, so an attempt whose start blows up there runs at
+        # ``step`` alone
+        level = step if reduced(start, coarse)[2] is None else coarse
         res = minimize(
             merit,
             start,
+            args=(level,),
             method="Nelder-Mead",
             callback=_handoff,
             options={
@@ -706,13 +763,15 @@ def optimize(
         iterations += int(res.nit)
         x, fx = np.asarray(res.x, dtype=float), float(res.fun)
         if fx <= HANDOFF_MERIT:
-            from scipy.optimize import root
-
-            sol = root(residual, x, method="hybr", options={"maxfev": max_iter})
-            iterations += int(sol.nfev)
-            if float(sol.fun @ sol.fun) < fx:
-                x, fx = sol.x, float(sol.fun @ sol.fun)
-        point, _, at, run = reduced(x)
+            x, fx = solve(x, fx, level)
+            if level != step:
+                point, _, at, _ = reduced(x, level)
+                norm, root_found = verdict(point, at)
+                # polish on the map at ``step``, unless the coarse point has
+                # a small gradient but no root
+                if root_found or norm > grad_tol:
+                    x, fx = solve(x, merit(x), step)
+        point, fx, at, run = reduced(x)
         norm, root_found = verdict(point, at)
         if norm <= grad_tol and not root_found:
             # a small gradient, but no root: the point stays a candidate
@@ -724,7 +783,8 @@ def optimize(
             best_z, best_centre, best_run = point, at, run
             if at is not None:
                 gradient_norm, converged = norm, root_found
-        seen.clear()
+        for records in seen.values():
+            records.clear()
         attempt += 1
 
     final_init = _embed(base, idx, best_z)

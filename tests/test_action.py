@@ -181,3 +181,10 @@ class TestJson17g:
         assert parsed["a"] == 1.0 / 3.0
         assert parsed["b"] == [1.0, None, True]
         assert parsed["c"] == "x"
+
+    def test_non_finite_floats_are_json(self):
+        text = qap.action.json_17g({"a": math.inf, "b": [-math.inf, math.nan]})
+        assert text == '{"a": Infinity, "b": [-Infinity, NaN]}'
+        parsed = json.loads(text)
+        assert parsed["a"] == math.inf and parsed["b"][0] == -math.inf
+        assert math.isnan(parsed["b"][1])

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import logging
 import math
@@ -28,7 +29,7 @@ from qap import (
 )
 import qap.extremize as extremize
 from qap.action import endpoint_report
-from qap.dynamics import _state_tangent, propagator, tangent
+from qap.dynamics import _n_steps, _state_tangent, propagator, tangent
 from qap.extremize import BLOWUP_PENALTY, endpoint_models, parse_active
 from qap.model import COORD_NAMES, flow_coefficients
 
@@ -192,18 +193,26 @@ class TestOptimizeClassical:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """List that grows by one entry per ODE solve, propagator run or tangent
-    run the extremizer makes."""
+    """List that grows by one entry per ODE solve, propagator, taped or
+    tangent run the extremizer makes: the run's step. ``len`` counts the
+    runs, ``steps`` their RK4 steps."""
     calls = []
     for name in ("final_state", "integrate", "propagator", "tangent", "taped"):
         inner = getattr(extremize, name)
 
         def counted(*args, _inner=inner, **kwargs):
-            calls.append(1)
+            bound = inspect.signature(_inner).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments["step"])
             return _inner(*args, **kwargs)
 
         monkeypatch.setattr(extremize, name, counted)
     return calls
+
+
+def steps(spec, solves) -> int:
+    """RK4 steps of the runs ``solves`` recorded over ``spec``'s horizon."""
+    return sum(_n_steps(spec.T, step) for step in solves)
 
 
 #: where the penalised search at hbar_tilde = 0.3, weight 0.5, h = 2e-2 from
@@ -421,13 +430,16 @@ class TestVariableProjection:
         # S20 = +inf (the best point lies near 1e12), where |g| < grad_tol
         # but |g| * S20**2, the gradient in 1/S20, is not: no attempt finds
         # a root, and the best of their points is returned unconverged. The
-        # path out moves at roundoff: the search takes 187 runs, 186 taped
-        # runs and the check's tangent run at the returned point, whose
-        # second-order row gives the signature (with second differences the
-        # check's first probe, at S20 + 3e9, blew up: no signature; 184 with
-        # tangent runs; 185 with a final integrate for the report; 189 runs,
-        # a signature and 11 blow-ups on the numpy projection; 420 solves
-        # and propagator runs with central differences along S20)
+        # path out moves at roundoff. The search takes 17,325 RK4 steps in 219
+        # runs, 61 at h = 4e-2 and 158 at 1e-2, the check's tangent run at the
+        # returned point among them, whose second-order row gives the
+        # signature; the restarts that start past the blow-up wall near
+        # S20 = 1e12 run at 1e-2 alone. It took 18,700 steps (187 runs) when
+        # every run was at 1e-2; with second differences the check's first
+        # probe, at S20 + 3e9, blew up: no signature; 184 runs with tangent
+        # runs; 185 with a final integrate for the report; 189 runs, a
+        # signature and 11 blow-ups on the numpy projection; 420 solves and
+        # propagator runs with central differences along S20)
         caplog.set_level(logging.INFO, logger="qap")
         res = optimize(
             replace(spec, hbar_tilde=0.5), InitialData(S10=-3.0, sigma20=1.0),
@@ -437,11 +449,11 @@ class TestVariableProjection:
         assert res.init.S20 > 1e8 and res.gradient_norm < 1e-15
         assert [r.getMessage().split(";")[0] for r in caplog.records] == [
             f"attempt {i}: no root" for i in range(5)]
-        assert len(solves) <= 189
+        assert steps(spec, solves) <= 18_900
         # a maximum along S10 and flat along S20, where the gradient decays
         assert res.hessian_signature.to_dict() == {"positive": 0, "negative": 1, "near_zero": 1}
         assert (hashlib.sha256(res.to_json().encode()).hexdigest()
-                == "133dbbb54ea676035db16f8b3b2092d5b3238f441285157342092d796a90b28c")
+                == "175feb5009a0b5253d8276a848a5ace13edeefb3bb20727ed7cb88d19858c93a")
 
     def test_small_gradient_at_infinity_is_not_a_root(self, spec):
         # the same objective at h = 1e-3: the root solve ends near S20 ~ 1e9,
@@ -487,8 +499,10 @@ class TestVariableProjection:
     def test_penalised_search_projects_linear_coordinates(self, spec, solves):
         # the penalty makes the objective quartic in (S10, sigma10); Newton
         # on the exact models solves them, and the search runs over
-        # (S20, sigma20) only. It takes 39 runs: 38 taped runs and the
-        # check's tangent run at the returned point (46 when the check took
+        # (S20, sigma20) only. It takes 844 RK4 steps: 38 taped runs at
+        # h = 8e-2 and 6 at 2e-2, and the check's tangent run at the returned
+        # point (1950 steps, 39 runs of 50, when every run was at 2e-2; 46
+        # runs when the check took
         # 4 propagator runs and 4 corner runs for second differences; 47
         # with a final integrate for the report; 204 solves and propagator
         # runs with central differences along (S20, sigma20); 179 on the Riccati
@@ -500,13 +514,14 @@ class TestVariableProjection:
         assert res.converged
         assert np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-6
         assert res.report.lam == pytest.approx(PENALISED_LAMBDA, abs=1e-9)
-        assert len(solves) <= 39
+        assert steps(spec, solves) <= 1950
 
     def test_negative_x0_stall_ends_fast(self, solves):
         # the reduced gradient has a local minimum without a root here
         # (|g| of a few 1e-3); Nelder-Mead alone spent 238,132 solves before giving
-        # up. The search still finds no root, but now says so quickly: 275
-        # runs, 274 taped runs and the check's tangent run (282 with the
+        # up. The search still finds no root, but now says so quickly: 12,550
+        # RK4 steps, 274 taped runs at h = 4e-2, 56 at 1e-2 and the check's
+        # tangent run (27,500 steps, 275 runs, when every run was at 1e-2; 282 with the
         # check's 8 difference runs; 283 with a final integrate for the
         # report; 1334 solves and propagator runs with central differences
         # along (S20, sigma20), 1390 when the certificate took them along
@@ -515,7 +530,7 @@ class TestVariableProjection:
         res = optimize(spec, InitialData(0.3, 0.2, 0.08, 0.4), penalty_weight=0.25,
                        step=1e-2, seed=104)
         assert res.converged is False
-        assert len(solves) <= 275
+        assert steps(spec, solves) <= 27_500
 
     def test_unsettled_newton_records_model_gradient(self, spec, monkeypatch):
         # a point where Newton does not settle stays unprojected; its gradient
@@ -537,8 +552,9 @@ class TestVariableProjection:
         assert res.gradient_norm > 1e-3
 
     def test_root_solve_kept_only_if_it_lowers_the_gradient(self, spec, monkeypatch):
-        # a root solve that ends on the blow-up wall must leave the search at
-        # the Nelder-Mead point it started from
+        # root solves that end on the blow-up wall must leave the search at
+        # the Nelder-Mead point they started from: the coarse one, and the
+        # polish at h from the point the coarse one kept
         nm_runs, starts = [], []
         minimize = extremize.minimize
 
@@ -546,36 +562,37 @@ class TestVariableProjection:
             nm_runs.append(minimize(*args, **kwargs))
             return nm_runs[-1]
 
-        def wall(fun, x0, method, options):
-            starts.append(np.array(x0))
+        def wall(fun, x0, args, method, options):
+            starts.append((np.array(x0), args))
             return OptimizeResult(x=x0 + 1.0, fun=np.full(len(x0), BLOWUP_PENALTY), nfev=7)
 
         monkeypatch.setattr(extremize, "minimize", recorded_minimize)
         monkeypatch.setattr(scipy.optimize, "root", wall)
         res = penalised_search(spec, (1.0, 0.5, 0.1, 0.4), 400, 1)
-        assert len(starts) == 1
-        assert np.array_equal(starts[0], nm_runs[0].x)
+        assert [args for _, args in starts] == [(8e-2,), (2e-2,)]
+        for x0, _ in starts:
+            assert np.array_equal(x0, nm_runs[0].x)
         assert nm_runs[0].fun <= extremize.HANDOFF_MERIT
-        assert (res.init.S20, res.init.sigma20) == tuple(starts[0])
+        assert (res.init.S20, res.init.sigma20) == tuple(nm_runs[0].x)
         assert not res.converged
-        assert res.iterations == nm_runs[0].nit + 7
+        assert res.iterations == nm_runs[0].nit + 2 * 7
 
     @pytest.mark.parametrize("guess, max_iter, restarts", [
         ((1.0, 0.5, 0.1, 0.4), 400, 3),  # in front of the caustic wall
         ((0.0, -2.0, 0.1, 0.4), 60, 2),  # behind it
     ])
     def test_each_point_solved_once(self, spec, monkeypatch, guess, max_iter, restarts):
-        # one cached record per point serves the simplex, the root solve, the
-        # certificate, whose centre comes from the record's models, and the
-        # returned report, from the record's end row. A propagator run counts
-        # as a solve of its point
+        # one cached record per point and step serves the simplex, the root
+        # solves, the certificate, whose centre comes from the record's
+        # models, and the returned report, from the record's end row. A
+        # propagator run counts as a solve of its point
         points = Counter()
         for name in ("final_state", "integrate", "propagator", "tangent", "taped"):
             inner = getattr(extremize, name)
 
-            def recorded(spec, init, *args, _inner=inner, **kwargs):
-                points[init.as_tuple()] += 1
-                return _inner(spec, init, *args, **kwargs)
+            def recorded(spec, init, step, *args, _inner=inner, **kwargs):
+                points[init.as_tuple(), step] += 1
+                return _inner(spec, init, step, *args, **kwargs)
 
             monkeypatch.setattr(extremize, name, recorded)
         res = penalised_search(spec, guess, max_iter, restarts)
@@ -624,12 +641,58 @@ class TestVariableProjection:
         assert res.report.to_json() == want.to_json()
 
     def test_penalised_search_from_behind_caustic_wall(self, spec):
-        # the four-coordinate search ended unconverged here (gradient norm 0.135)
+        # the four-coordinate search ended unconverged here (gradient norm
+        # 0.135). The guess blows up on the coarse map too, whose blow-up
+        # ramp, in steps of 8e-2, left the simplex stuck at the penalty, so
+        # its attempt runs at h = 2e-2 alone
         res = penalised_search(spec, (0.0, -2.0, 0.1, 0.4), 60, 2)
         assert res.converged
         assert res.blowups > 0
         assert np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-6
         assert res.report.lam == pytest.approx(PENALISED_LAMBDA, abs=1e-9)
+
+
+class TestTwoLevelSearch:
+    def test_penalised_search_runs_mostly_on_the_coarse_map(self, spec, solves):
+        # the simplex and the first root solve run at 4h = 8e-2, the polish
+        # at h = 2e-2, and the answer is the root at h
+        res = penalised_search(spec, (1.0, 0.5, 0.1, 0.4), 400, 3)
+        assert res.converged
+        assert np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-6
+        assert res.report.lam == pytest.approx(PENALISED_LAMBDA, abs=1e-9)
+        assert set(solves) == {8e-2, 2e-2}
+        coarse = steps(spec, [s for s in solves if s == 8e-2])
+        assert coarse > steps(spec, solves) - coarse
+
+    def test_short_horizon_search_runs_at_h_alone(self, spec, solves):
+        # T / (4h) = 7 coarse steps, fewer than COARSE_STEPS: the search is
+        # the single-level one, bit for bit
+        assert spec.T < extremize.COARSE_STEPS * extremize.COARSE / 28.0
+        res = optimize(replace(spec, hbar_tilde=0.3), InitialData(1.0, 0.5, 0.1, 0.4),
+                       penalty_weight=0.5, step=1 / 28, max_iter=400, restarts=3)
+        assert res.converged and res.iterations > 0
+        assert set(solves) == {1 / 28}
+        assert (hashlib.sha256(res.to_json().encode()).hexdigest()
+                == "2b46b08ea11341b9f084e182f0d7eb783ac068300a35c64c3c9c33d55b81cbf6")
+
+    def test_coarse_point_with_no_root_is_not_polished(self, spec, monkeypatch):
+        # with the gradient in the inverse coordinates made infinite, every
+        # coarse root of the penalised search is a point with a small
+        # gradient but no root: it stays a candidate, and no root solve runs
+        # at h = 2e-2; the coarse root is returned, O((4h)**4) from the root at h
+        levels = []
+        root = scipy.optimize.root
+
+        def recorded(fun, x0, args, **kwargs):
+            levels.append(args)
+            return root(fun, x0, args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "root", recorded)
+        monkeypatch.setattr(extremize, "_inverse_gradient", lambda gradient, z, free: math.inf)
+        res = penalised_search(spec, (1.0, 0.5, 0.1, 0.4), 400, 3)
+        assert not res.converged
+        assert np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-4
+        assert levels and set(levels) == {(8e-2,)}
 
 
 class TestOptimizeQuantum:
@@ -728,6 +791,8 @@ class TestStationarityCheck:
         res = optimize(spec, guess, active=("S10", "S20"), max_iter=5, restarts=1, step=1e-2)
         assert not res.converged and res.gradient_norm == math.inf
         assert res.blowups > 0 and res.hessian_signature is None
+        # the JSON of a search whose every run blew up reads back
+        assert json.loads(res.to_json())["gradient_norm"] == math.inf
 
     def test_non_finite_pullback_counts_as_a_blow_up(self, spec, monkeypatch):
         # the same at sigma20 != 0, where the gradient comes from the taped
@@ -746,6 +811,8 @@ class TestStationarityCheck:
         res = optimize(s, guess, active=("S10", "S20"), max_iter=5, restarts=1, step=1e-2)
         assert not res.converged and res.gradient_norm == math.inf
         assert res.blowups > 0 and res.hessian_signature is None
+        # the JSON of a search whose every run blew up reads back
+        assert json.loads(res.to_json())["gradient_norm"] == math.inf
 
     @pytest.mark.parametrize("step", [2e-2, 1e-2, 1e-3])
     @pytest.mark.parametrize("weight", [0.0, 0.5])
