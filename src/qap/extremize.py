@@ -60,8 +60,10 @@ is nested iteration (Briggs, Henson & McCormick, *A Multigrid Tutorial*,
 at the coarse step ``COARSE`` * h, whose runs take a quarter of the
 steps, and a second root solve on the map at h polishes their root,
 which lies O((4h)**4) from the root at h. A coarse point with a small
-gradient but no root is not polished. What the search returns, and the
-certificate, are read from runs at h alone.
+gradient but no root is not polished. Near a caustic wall the two maps
+part, so an attempt whose start blows up on the coarse map, or whose
+coarse root blows up at h, runs at h alone. What the search returns, and
+the certificate, are read from runs at h alone.
 
 Along (S10, sigma10) the gradient comes from the models. Along (S20,
 sigma20) it comes from the same run, exact for the discrete map, by one
@@ -123,15 +125,12 @@ HANDOFF_MERIT = 1e-2
 #: finds its root on the map at COARSE * h, then polishes it on the map at
 #: h. On the quantum-search tasks of seeds 1-25 (h = 1e-2, two passes) the
 #: search took 0.90-0.91x, 0.47-0.62x and 0.49-0.55x of the time of a
-#: search at h alone at 2, 4 and 8, with the same roots
+#: search at h alone at 2, 4 and 8, with the same roots. It needs no
+#: floor on T / (COARSE * h): on seeds 1-10 at h = 1/16, 0.1 and 1/8
+#: (4, 2.5 and 2 coarse steps over T) it took 0.84x, 1.00x and 1.07x
+#: of that time, and on seeds 1-3 at h = 0.025-0.125, x0 scaled by
+#: -10/3, -2, 2 and 4, the same 415 of 480 searches converged
 COARSE = 4
-
-#: fewest steps over T a coarse run may take; a search whose coarse run
-#: would take fewer runs at h alone. On the quantum-search tasks of seeds
-#: 1-10 the two levels found the same roots down to 4 coarse steps, but at
-#: h = T/16, T/24 and T/32 (4, 6 and 8 coarse steps) they took 0.83x,
-#: 0.77x and 0.51x of the time at h alone
-COARSE_STEPS = 8
 
 log = logging.getLogger("qap")
 
@@ -180,7 +179,8 @@ class ExtremumResult:
     when the point's run blew up (no search point integrated) or its
     gradient or second-order values are not finite.
     ``iterations`` counts the Nelder-Mead iterations and the evaluations
-    of both root solves, the coarse one and the polish (see ``optimize``).
+    of the root solves, the coarse one and the polish, of every pass (see
+    ``optimize``).
     ``blowups`` counts the search's runs, at both steps, that blew up or
     gave a non-finite gradient; the stationarity check's runs are not
     among them.
@@ -621,14 +621,14 @@ def optimize(
     ``step``; it is skipped where the coarse point has a gradient within
     ``grad_tol`` but no root (the inverse-coordinate test below). An
     attempt whose start blows up on the coarse map runs at ``step``
-    alone, and so does the whole search when T / (``COARSE * step``) is
-    below ``COARSE_STEPS``. The verdict, the best point, the restarts,
-    the report and the certificate read only records at ``step``. Each
-    simplex starts at scale 0.1 * max(1, |coord|) per coordinate.
-    ``max_iter`` caps each attempt's Nelder-Mead iterations and each root
-    solve's gradient evaluations; ``iterations`` counts the Nelder-Mead
-    iterations and both root solves' evaluations, and ``blowups`` the
-    runs at both steps that blew up.
+    alone, and one whose coarse point blows up at ``step`` is made again
+    there: near a caustic wall the two maps part. The verdict, the best
+    point, the restarts, the report and the certificate read only records
+    at ``step``. Each simplex starts at scale 0.1 * max(1, |coord|) per
+    coordinate. ``max_iter`` caps each pass's Nelder-Mead iterations and
+    each root solve's gradient evaluations; ``iterations`` counts the
+    Nelder-Mead iterations and the root solves' evaluations of every
+    pass, and ``blowups`` the runs at both steps that blew up.
     Each point is solved once per step per call (its propagator, taped or
     tangent run counts as its solve): its cached record serves the
     simplex, the root solves and the certificate. The record also holds the objective's
@@ -656,7 +656,7 @@ def optimize(
     blowups = iterations = 0
     T = spec.T
     # the step of the simplex and the first root solve
-    coarse = COARSE * step if float(T) >= COARSE_STEPS * COARSE * step else step
+    coarse = COARSE * step
 
     def full(z_free) -> np.ndarray:
         z = z0.copy()
@@ -726,30 +726,18 @@ def optimize(
         f = float(sol.fun @ sol.fun)
         return (sol.x, f) if f < fx else (x, fx)
 
-    rng = np.random.default_rng(seed)
-    n = len(free)
-    best_free = z0[free]
-    best_z, best_merit, best_centre, best_run = reduced(best_free)
-    gradient_norm, converged = verdict(best_z, best_centre)
-    attempt = 0
-    while n and not converged and attempt < max(1, restarts):
-        if attempt == 0:
-            start = best_free.copy()
-        else:
-            scales = 0.1 * np.maximum(1.0, np.abs(best_free))
-            start = best_free + scales * rng.standard_normal(n)
+    def descend(start, at_step):
+        """One pass of an attempt from ``start`` on the map at ``at_step``:
+        Nelder-Mead, then hybr, then on the coarse map the polish at
+        ``step``. The point it ends on."""
+        nonlocal iterations
         simplex = np.tile(start, (n + 1, 1))
         for j in range(n):
             simplex[j + 1, j] += 0.1 * max(1.0, abs(start[j]))
-        # behind a caustic wall the blow-up ramp moves in multiples of the
-        # run's step: at the coarse one it is too flat for the simplex to
-        # find its way back, so an attempt whose start blows up there runs at
-        # ``step`` alone
-        level = step if reduced(start, coarse)[2] is None else coarse
         res = minimize(
             merit,
             start,
-            args=(level,),
+            args=(at_step,),
             method="Nelder-Mead",
             callback=_handoff,
             options={
@@ -763,15 +751,42 @@ def optimize(
         iterations += int(res.nit)
         x, fx = np.asarray(res.x, dtype=float), float(res.fun)
         if fx <= HANDOFF_MERIT:
-            x, fx = solve(x, fx, level)
-            if level != step:
-                point, _, at, _ = reduced(x, level)
+            x, fx = solve(x, fx, at_step)
+            if at_step != step:
+                point, _, at, _ = reduced(x, at_step)
                 norm, root_found = verdict(point, at)
                 # polish on the map at ``step``, unless the coarse point has
-                # a small gradient but no root
-                if root_found or norm > grad_tol:
+                # a small gradient but no root, or blows up there
+                if (root_found or norm > grad_tol) and reduced(x)[2] is not None:
                     x, fx = solve(x, merit(x), step)
-        point, fx, at, run = reduced(x)
+        return x
+
+    rng = np.random.default_rng(seed)
+    n = len(free)
+    best_free = z0[free]
+    best_z, best_merit, best_centre, best_run = reduced(best_free)
+    gradient_norm, converged = verdict(best_z, best_centre)
+    attempt = 0
+    while n and not converged and attempt < max(1, restarts):
+        if attempt == 0:
+            start = best_free.copy()
+        else:
+            scales = 0.1 * np.maximum(1.0, np.abs(best_free))
+            start = best_free + scales * rng.standard_normal(n)
+        # near a caustic wall the coarse map misleads: its blow-up ramp moves
+        # in steps of ``coarse``, too flat for the simplex to find its way
+        # back, and a coarse run may cross a caustic that stops the run at
+        # ``step``. An attempt whose start blows up on the coarse map runs
+        # at ``step`` alone (Nelder-Mead's best vertex never rises, so a
+        # simplex from a start that integrates there never ends on the
+        # ramp), and one whose coarse pass ends on a point that blows up at
+        # ``step`` is made again at ``step`` alone
+        levels = (step,) if reduced(start, coarse)[2] is None else (coarse, step)
+        for level in levels:
+            x = descend(start, level)
+            point, fx, at, run = reduced(x)
+            if at is not None:
+                break
         norm, root_found = verdict(point, at)
         if norm <= grad_tol and not root_found:
             # a small gradient, but no root: the point stays a candidate
