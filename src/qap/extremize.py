@@ -1,14 +1,11 @@
 """Extremization of the action eigenvalue over initial coefficient data.
 
-The eigenvalue's stationary point is not known to be a minimum: in the
-classical regime it is a maximum along S10 (the quadratic coefficient
-of the closed-form eigenvalue is negative) and exactly flat along the
-phase-offset direction. Direct simplex minimization of the eigenvalue
-would therefore diverge, and simplex collapse is meaningless in the
-flat valley. The optimizer instead drives the gradient of the
-objective to zero, and convergence is declared on the
-max-norm of the gradient over all active coordinates, never on simplex
-geometry.
+The eigenvalue's stationary point is not a minimum over all four
+coordinates: in the classical regime it is a maximum along S10 (the
+quadratic coefficient of the closed-form eigenvalue is negative) and
+exactly flat along the phase-offset direction. The optimizer seeks a
+stationary point, and convergence is declared on the max-norm of the
+gradient over all active coordinates.
 
 Variable projection (Golub & Pereyra, 1973) removes the linear
 coordinates from the search. Nothing in the (S2, sigma2) subsystem
@@ -41,29 +38,38 @@ of no other integrator's. The ``extremize`` and ``classical-check``
 commands exit 2 for rk4_adaptive.
 
 What is left is a root of the reduced gradient g, the gradient along
-the active members of (S20, sigma20) at the projected point. Nelder-Mead
-on the merit |g|**2 finds the basin: it is robust to blown-up regions,
-but converges only linearly, so each run stops once its best merit
-reaches ``HANDOFF_MERIT``. Powell's hybrid method (MINPACK's hybrd,
-through ``scipy.optimize.root``) then solves g = 0 from that point, with
-its default tolerances; its result is kept only if it lowers |g|. Both
-are skipped when no search coordinate remains or the projected guess is
-already stationary. A root needs a small gradient in the inverse
-coordinates too (``_inverse_gradient``): g can decay toward infinity
-along S20, below any tolerance, with no root there. A point that passes
-only the first test is not a root, but it stays a candidate for the best
-unconverged point.
+the active members of (S20, sigma20) at the projected point. At a
+projected point the gradient along (S10, sigma10) vanishes, so g is
+also the gradient of the projected objective, the record's value as a
+function of (S20, sigma20) alone; at every measured root of the penalised
+quantum search that function has a strict minimum (its Hessian, the
+Schur complement of the (S10, sigma10) block, is positive definite). So
+each search attempt descends on it: BFGS with the exact gradient and a
+backtracking Armijo line search (Nocedal & Wright, *Numerical
+Optimization*, 2nd ed., ch. 6), on Python floats and 2x2 numpy arrays. A
+descent finds minima of the projected objective only; a saddle root is
+found only by the pass at h alone below. Nothing runs when no search
+coordinate remains or the projected guess is already stationary. A root
+needs a small gradient in the inverse coordinates too
+(``_inverse_gradient``): g can decay toward infinity along S20, below
+any tolerance, with no root there. A point that passes only the first
+test is not a root, but it stays a candidate for the best unconverged
+point.
 
 Only the last steps to the root need the requested step h, so the search
 is nested iteration (Briggs, Henson & McCormick, *A Multigrid Tutorial*,
-2nd ed., 2000, ch. 3): Nelder-Mead and a first root solve run on the map
-at the coarse step ``COARSE`` * h, whose runs take a quarter of the
-steps, and a second root solve on the map at h polishes their root,
-which lies O((4h)**4) from the root at h. A coarse point with a small
-gradient but no root is not polished. Near a caustic wall the two maps
-part, so an attempt whose start blows up on the coarse map, or whose
-coarse root blows up at h, runs at h alone. What the search returns, and
-the certificate, are read from runs at h alone.
+2nd ed., 2000, ch. 3): the descent runs on the map at the coarse step
+``COARSE`` * h, whose runs take a quarter of the steps, and Newton steps
+on the map at h, on the descent's inverse Hessian, polish its root,
+which lies O((4h)**4) from the root at h. A descent that ends without a
+small gradient (on a caustic wall, say) ends its attempt unpolished.
+Near a caustic wall the two maps part, so an attempt whose start blows up
+on the coarse map, or whose polish does not reach a small gradient at h,
+runs at h alone: Nelder-Mead on the merit |g|**2, robust to blown-up
+regions, until its best merit reaches ``HANDOFF_MERIT``, then Powell's
+hybrid method (MINPACK's hybrd, through ``scipy.optimize.root``, default
+tolerances) on g = 0 from that point, kept only if it lowers |g|. What
+the search returns, and the certificate, are read from runs at h alone.
 
 Along (S10, sigma10) the gradient comes from the models. Along (S20,
 sigma20) it comes from the same run, exact for the discrete map, by one
@@ -82,15 +88,18 @@ from a tangent run's first- and second-order lines, the search's own
 run's when it took one, else one tangent run at the returned point
 (see ``stationarity_check``). No derivative takes a difference step.
 Runs that blow up inside the horizon, or whose gradient along (S20,
-sigma20) comes out non-finite, map to a large finite penalty so the
-simplex retreats; they are counted, not raised.
+sigma20) comes out non-finite, fail a line-search trial and map to a
+large finite penalty so the simplex retreats; they are counted, not
+raised.
 
 This is the one module of ``qap`` that imports numpy, for the records
 the search and the certificate read (each point's gradient, built once
 per point) and the certificate's ``eigvalsh``; the CLI
 imports it only inside the two commands that search. ``scipy.optimize`` is
-imported only when a search reaches Nelder-Mead. So the commands that
-never search start and run without either.
+imported only when a search reaches the pass at h alone, from a start
+that blows up on the coarse map or a polish that does not settle. So the
+commands that never search start and run without either, and most
+searches without scipy.
 """
 
 from __future__ import annotations
@@ -121,15 +130,25 @@ _CUTOFF = 2.0 * sys.float_info.epsilon
 #: hands its best point to the root solve
 HANDOFF_MERIT = 1e-2
 
+#: sufficient-decrease constant of the descent's Armijo line search
+ARMIJO = 1e-4
+
+#: the polish stops where the gradient's max-norm falls to TIGHT * grad_tol
+TIGHT = 1e-6
+
+#: trials of one line search before the descent gives up
+LINE_SEARCH_TRIALS = 30
+
 #: ratio of the coarse step to the requested one h: each search attempt
-#: finds its root on the map at COARSE * h, then polishes it on the map at
-#: h. On the quantum-search tasks of seeds 1-25 (h = 1e-2, two passes) the
-#: search took 0.90-0.91x, 0.47-0.62x and 0.49-0.55x of the time of a
-#: search at h alone at 2, 4 and 8, with the same roots. It needs no
-#: floor on T / (COARSE * h): on seeds 1-10 at h = 1/16, 0.1 and 1/8
-#: (4, 2.5 and 2 coarse steps over T) it took 0.84x, 1.00x and 1.07x
-#: of that time, and on seeds 1-3 at h = 0.025-0.125, x0 scaled by
-#: -10/3, -2, 2 and 4, the same 415 of 480 searches converged
+#: descends on the map at COARSE * h, then polishes on the map at h. On
+#: the quantum-search tasks of seeds 1-25 (h = 1e-2, two in-process
+#: passes) the search took 0.71-0.88x, 0.64-0.75x and 0.52-0.66x of the
+#: time with COARSE = 1 at 2, 4 and 8, every search converged and lambda
+#: moved by at most 6e-14. With Nelder-Mead and hybr on the coarse map it
+#: needed no floor on T / (COARSE * h): on seeds 1-10 at h = 1/16, 0.1
+#: and 1/8 (4, 2.5 and 2 coarse steps over T) it took 0.84x, 1.00x and
+#: 1.07x of the time at h alone, and on seeds 1-3 at h = 0.025-0.125, x0
+#: scaled by -10/3, -2, 2 and 4, the same 415 of 480 searches converged
 COARSE = 4
 
 log = logging.getLogger("qap")
@@ -178,9 +197,9 @@ class ExtremumResult:
     ``stationarity_check``'s exact Hessian at ``init``; it is None only
     when the point's run blew up (no search point integrated) or its
     gradient or second-order values are not finite.
-    ``iterations`` counts the Nelder-Mead iterations and the evaluations
-    of the root solves, the coarse one and the polish, of every pass (see
-    ``optimize``).
+    ``iterations`` counts the descent iterations and the Newton steps of
+    every attempt, and the Nelder-Mead iterations and hybr evaluations of
+    the passes at h alone (see ``optimize``).
     ``blowups`` counts the search's runs, at both steps, that blew up or
     gave a non-finite gradient; the stationarity check's runs are not
     among them.
@@ -369,7 +388,7 @@ def _newton_quartic(models, weight: float):
 
 def minimize(fun, x0, **kwargs):
     """``scipy.optimize.minimize``, imported at the call: only a search that
-    reaches the simplex loads ``scipy.optimize``."""
+    reaches the simplex, in a pass at h alone, loads ``scipy.optimize``."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(fun, x0, **kwargs)
@@ -379,6 +398,21 @@ def _handoff(intermediate_result) -> None:
     """Nelder-Mead callback: stop once the best merit reaches ``HANDOFF_MERIT``."""
     if intermediate_result.fun <= HANDOFF_MERIT:
         raise StopIteration
+
+
+def _bfgs_update(H, s, y):
+    """The BFGS update of the inverse Hessian ``H`` by the step ``s`` and
+    the change ``y`` of the gradient along it (Nocedal & Wright, eq. 6.17);
+    ``H`` None is first scaled to (s.y / y.y) I (eq. 6.20). A pair with
+    s.y <= 0 would lose positive definiteness and leaves ``H`` as it is."""
+    sy = float(s @ y)
+    if not sy > 0.0:
+        return H
+    eye = np.eye(len(s))
+    if H is None:
+        H = eye * (sy / float(y @ y))
+    v = eye - np.outer(s, y) / sy
+    return v @ H @ v.T + np.outer(s, s) / sy
 
 
 def _inverse_gradient(gradient, z, free) -> float:
@@ -610,28 +644,42 @@ def optimize(
     sigma20 = 0 and past ``TAPE_STEPS``. It makes up to ``restarts``
     attempts (the first from ``guess``, later ones from seeded
     perturbations of the best point); none when nothing is left to search
-    or the projected guess is already stationary. Each attempt runs
-    Nelder-Mead on the squared gradient along the searched coordinates
-    until its best value falls to ``HANDOFF_MERIT``, then
-    ``scipy.optimize.root`` (method ``hybr``, default tolerances) on that
-    gradient from the simplex's best vertex; the root is kept only if it
-    lowers the squared gradient. Both run on the map at the coarse step
-    ``COARSE * step``. A second root solve, on the map at ``step``, then
-    polishes the point, kept only if it lowers the squared gradient at
-    ``step``; it is skipped where the coarse point has a gradient within
-    ``grad_tol`` but no root (the inverse-coordinate test below). An
-    attempt whose start blows up on the coarse map runs at ``step``
-    alone, and one whose coarse point blows up at ``step`` is made again
-    there: near a caustic wall the two maps part. The verdict, the best
-    point, the restarts, the report and the certificate read only records
-    at ``step``. Each simplex starts at scale 0.1 * max(1, |coord|) per
-    coordinate. ``max_iter`` caps each pass's Nelder-Mead iterations and
-    each root solve's gradient evaluations; ``iterations`` counts the
-    Nelder-Mead iterations and the root solves' evaluations of every
-    pass, and ``blowups`` the runs at both steps that blew up.
+    or the projected guess is already stationary. Each attempt descends
+    on the map at the coarse step ``COARSE * step``: BFGS on the projected
+    objective, whose gradient is the record's reduced gradient, with a
+    backtracking Armijo line search in which a trial that blows up fails
+    (Nocedal & Wright, *Numerical Optimization*, 2nd ed., ch. 6). The
+    descent ends on a root of the coarse map; on a small gradient (within
+    ``grad_tol``) whose gradient in the inverse coordinates, below, no
+    longer halves from one iterate to the next, where it decays toward
+    infinity with no root; or without a small gradient, when a line
+    search fails, two in a row meet a blow-up, or ``max_iter`` iterations
+    pass. An attempt whose descent ends without a small gradient ends
+    there. Else Newton steps on the map at ``step``, on the descent's
+    inverse Hessian and updated by BFGS, polish the point, each kept only
+    while it lowers the squared reduced gradient at ``step``, until they
+    reach a root with a gradient max-norm within 1e-6 * ``grad_tol``
+    (``TIGHT``) or a small gradient with no root. A polish that ends
+    without a small gradient at ``step``, and an attempt whose start blows
+    up on the coarse map, are made again at ``step`` alone: near a caustic
+    wall the two maps part. That pass runs Nelder-Mead on the squared
+    reduced gradient until its best value falls to ``HANDOFF_MERIT``,
+    then ``scipy.optimize.root`` (method ``hybr``, default tolerances) on
+    the gradient from the simplex's best vertex, kept only if it lowers
+    the squared gradient; the simplex starts at scale 0.1 * max(1,
+    |coord|) per coordinate. Only that pass imports ``scipy.optimize``.
+    The verdict, the best point, the restarts, the report and the
+    certificate read only records at ``step``. ``max_iter`` caps each
+    descent's iterations, each polish's Newton steps, each Nelder-Mead
+    run's iterations and each root solve's gradient evaluations;
+    ``iterations`` counts the descent iterations, the Newton steps, and the
+    Nelder-Mead iterations and hybr evaluations of the passes at ``step``
+    alone, and ``blowups`` the runs at both steps that blew up (line-search
+    trials into a caustic wall among them).
     Each point is solved once per step per call (its propagator, taped or
     tangent run counts as its solve): its cached record serves the
-    simplex, the root solves and the certificate. The record also holds the objective's
+    descent, the polish, the simplex, the root solve and the certificate.
+    The record also holds the objective's
     value, its gradient over all active coordinates (from the same run's
     models and its pullback) at the projected point and the run's end row
     and tangent lines: the certificate's gradient,
@@ -655,7 +703,7 @@ def optimize(
     z0 = np.array([base[i] for i in idx], dtype=float)
     blowups = iterations = 0
     T = spec.T
-    # the step of the simplex and the first root solve
+    # the step of the descent
     coarse = COARSE * step
 
     def full(z_free) -> np.ndarray:
@@ -675,15 +723,15 @@ def optimize(
         One run at the point (``_centre``) projects it and gives the
         gradient over all active coordinates there; along lin it vanishes
         at a projected point, so along the searched coordinates it is the
-        reduced gradient. The projection moves only (S10, sigma10), and
-        the row that blows up does not depend on them. The centre for the
-        check is the objective's value and that gradient; the run is its
-        end row and, from a tangent run, its rows. Both
-        are None when the run blew up, which
-        leaves no projection and no gradient. The merit is the squared
-        reduced gradient, except near the penalty: blown-up runs ramp it by
-        how early they died, so the simplex has a slope back toward
-        integrable initial data.
+        reduced gradient, the gradient of the projected objective, whose
+        value the centre holds. The projection moves only (S10, sigma10),
+        and the row that blows up does not depend on them. The centre for
+        the check is the objective's value and that gradient; the run is
+        its end row and, from a tangent run, its rows. Both are None when
+        the run blew up, which leaves no projection and no gradient. The
+        merit is the squared reduced gradient, except near the penalty:
+        blown-up runs ramp it by how early they died, so the simplex has a
+        slope back toward integrable initial data.
         """
         nonlocal blowups
         records = seen[at_step]
@@ -701,11 +749,11 @@ def optimize(
                 records[key] = z, min(float(g @ g), 0.9 * BLOWUP_PENALTY), at, run
         return records[key]
 
-    def merit(z_free, at_step=step) -> float:
-        return reduced(z_free, at_step)[1]
+    def merit(z_free) -> float:
+        return reduced(z_free)[1]
 
-    def residual(z_free, at_step) -> np.ndarray:
-        at = reduced(z_free, at_step)[2]
+    def residual(z_free) -> np.ndarray:
+        at = reduced(z_free)[2]
         return np.full(len(z_free), BLOWUP_PENALTY) if at is None else at[1][free]
 
     def verdict(z, at) -> tuple[float, bool]:
@@ -715,21 +763,95 @@ def optimize(
         norm = math.inf if at is None else float(np.max(np.abs(at[1])))
         return norm, norm <= grad_tol and _inverse_gradient(at[1], z, free) <= grad_tol
 
-    def solve(x, fx, at_step):
-        """hybr on the reduced gradient at ``at_step`` from ``x``, whose merit
-        there is ``fx``: its root and merit if that is lower, else ``x``, ``fx``."""
+    def ends(point, at, last, tol) -> tuple[bool, float]:
+        """Whether a descent or a polish ends on a record, and the record's
+        gradient in the inverse coordinates: it ends on a root whose
+        gradient's max-norm is within ``tol``, or on a small gradient (within
+        ``grad_tol``) whose inverse-coordinate gradient fell by less than
+        half from ``last``, that of the iterate before: there the gradient
+        decays toward infinity, with no root."""
+        norm, root_found = verdict(point, at)
+        inverse = _inverse_gradient(at[1], point, free)
+        return (root_found and norm <= tol) or (norm <= grad_tol and inverse > 0.5 * last), inverse
+
+    def descent(x):
+        """BFGS on the projected objective on the coarse map from ``x``,
+        with the records' exact gradient and a backtracking Armijo line
+        search; a trial that blows up fails like one that does not lower
+        the objective enough. The point it ends on, and its inverse
+        Hessian (None before the first update)."""
         nonlocal iterations
-        from scipy.optimize import root
+        point, _, at, _ = reduced(x, coarse)
+        f, g = at[0], at[1][free]
+        H = None
+        walled, last = False, math.inf
+        for _ in range(max_iter):
+            stop, last = ends(point, at, last, grad_tol)
+            if stop:
+                break
+            if H is None:
+                # the first step moves by at most the simplex's scale
+                p = -g
+                alpha = min(1.0, 0.1 * np.max(np.maximum(1.0, np.abs(x))) / np.max(np.abs(g)))
+            else:
+                p, alpha = -(H @ g), 1.0
+            slope = float(g @ p)
+            hit = False
+            for _ in range(LINE_SEARCH_TRIALS):
+                trial = x + alpha * p
+                point, _, at, _ = reduced(trial, coarse)
+                if at is None:
+                    hit = True
+                    alpha *= 0.5
+                    continue
+                excess = at[0] - f - alpha * slope
+                if excess <= (ARMIJO - 1.0) * alpha * slope:
+                    break
+                # the minimum of the quadratic through f, slope and the trial,
+                # kept within [0.1, 0.5] of the step
+                alpha *= min(max(-0.5 * alpha * slope / excess, 0.1), 0.5)
+            else:
+                break
+            iterations += 1
+            H = _bfgs_update(H, trial - x, at[1][free] - g)
+            x, f, g = trial, at[0], at[1][free]
+            if hit and walled:
+                # two line searches in a row met a blow-up: the descent
+                # presses on a wall, where the objective has no minimum
+                break
+            walled = hit
+        return x, H
 
-        sol = root(residual, x, args=(at_step,), method="hybr", options={"maxfev": max_iter})
-        iterations += int(sol.nfev)
-        f = float(sol.fun @ sol.fun)
-        return (sol.x, f) if f < fx else (x, fx)
+    def polish(x, H):
+        """Newton steps at ``step`` from the end ``x`` of a descent on its
+        inverse Hessian ``H``, kept while they lower the merit at ``step``,
+        and updated by BFGS, until they end (``ends``) on a root within
+        ``TIGHT * grad_tol`` or on a small gradient with no root; none when
+        the descent took no step (``H`` None). The point it ends on, and
+        whether the gradient at ``step`` there is within ``grad_tol``."""
+        nonlocal iterations
+        point, fx, at, _ = reduced(x)
+        if at is None:
+            return x, False
+        last = math.inf
+        for _ in range(max_iter):
+            stop, last = ends(point, at, last, TIGHT * grad_tol)
+            if stop or H is None:
+                break
+            g = at[1][free]
+            trial = x - H @ g
+            iterations += 1
+            trial_point, ft, trial_at, _ = reduced(trial)
+            if not ft < fx:
+                break
+            H = _bfgs_update(H, trial - x, trial_at[1][free] - g)
+            x, point, fx, at = trial, trial_point, ft, trial_at
+        return x, verdict(point, at)[0] <= grad_tol
 
-    def descend(start, at_step):
-        """One pass of an attempt from ``start`` on the map at ``at_step``:
-        Nelder-Mead, then hybr, then on the coarse map the polish at
-        ``step``. The point it ends on."""
+    def simplex_pass(start):
+        """The pass at ``step`` alone from ``start``: Nelder-Mead on the
+        merit, then hybr on the reduced gradient from its best vertex, kept
+        only if it lowers the merit. The point it ends on."""
         nonlocal iterations
         simplex = np.tile(start, (n + 1, 1))
         for j in range(n):
@@ -737,7 +859,6 @@ def optimize(
         res = minimize(
             merit,
             start,
-            args=(at_step,),
             method="Nelder-Mead",
             callback=_handoff,
             options={
@@ -751,14 +872,12 @@ def optimize(
         iterations += int(res.nit)
         x, fx = np.asarray(res.x, dtype=float), float(res.fun)
         if fx <= HANDOFF_MERIT:
-            x, fx = solve(x, fx, at_step)
-            if at_step != step:
-                point, _, at, _ = reduced(x, at_step)
-                norm, root_found = verdict(point, at)
-                # polish on the map at ``step``, unless the coarse point has
-                # a small gradient but no root, or blows up there
-                if (root_found or norm > grad_tol) and reduced(x)[2] is not None:
-                    x, fx = solve(x, merit(x), step)
+            from scipy.optimize import root
+
+            sol = root(residual, x, method="hybr", options={"maxfev": max_iter})
+            iterations += int(sol.nfev)
+            if float(sol.fun @ sol.fun) < fx:
+                x = sol.x
         return x
 
     rng = np.random.default_rng(seed)
@@ -773,20 +892,22 @@ def optimize(
         else:
             scales = 0.1 * np.maximum(1.0, np.abs(best_free))
             start = best_free + scales * rng.standard_normal(n)
-        # near a caustic wall the coarse map misleads: its blow-up ramp moves
-        # in steps of ``coarse``, too flat for the simplex to find its way
-        # back, and a coarse run may cross a caustic that stops the run at
-        # ``step``. An attempt whose start blows up on the coarse map runs
-        # at ``step`` alone (Nelder-Mead's best vertex never rises, so a
-        # simplex from a start that integrates there never ends on the
-        # ramp), and one whose coarse pass ends on a point that blows up at
-        # ``step`` is made again at ``step`` alone
-        levels = (step,) if reduced(start, coarse)[2] is None else (coarse, step)
-        for level in levels:
-            x = descend(start, level)
-            point, fx, at, run = reduced(x)
-            if at is not None:
-                break
+        # near a caustic wall the two maps part: a start that blows up on
+        # the coarse map gives the descent no gradient, and a coarse run may
+        # cross a caustic that stops the run at ``step``; so an attempt whose
+        # start blows up on the coarse map, or whose polish ends without a
+        # small gradient, runs at ``step`` alone
+        x, settled = start, False
+        if reduced(start, coarse)[2] is not None:
+            x, H = descent(start)
+            point, _, at, _ = reduced(x, coarse)
+            # a descent that ends without a small gradient ends its attempt
+            settled = True
+            if verdict(point, at)[0] <= grad_tol:
+                x, settled = polish(x, H)
+        if not settled:
+            x = simplex_pass(start)
+        point, fx, at, run = reduced(x)
         norm, root_found = verdict(point, at)
         if norm <= grad_tol and not root_found:
             # a small gradient, but no root: the point stays a candidate

@@ -53,12 +53,13 @@ def derivatives():
 
 @pytest.fixture
 def search_config(tmp_path) -> str:
-    """Path of a config whose penalised four-coordinate search, in front of
-    the caustic wall, reaches Nelder-Mead."""
+    """Path of a config whose penalised four-coordinate search reaches
+    Nelder-Mead: its guess lies behind the caustic wall, where the run on
+    the coarse map blows up, so its attempt runs at h alone."""
     path = tmp_path / "search.json"
     path.write_text(json.dumps({
         "spec": {"hbar_tilde": 0.3},
-        "init": {"S10": 1.0, "S20": 0.5, "sigma10": 0.1, "sigma20": 0.4},
+        "init": {"S10": 0.0, "S20": -2.0, "sigma10": 0.1, "sigma20": 0.4},
         "grid": {"h": 2e-2},
         "optimize": {"active": "S10,S20,sigma10,sigma20", "penalty_weight": 0.5,
                      "max_iter": 400, "restarts": 1},

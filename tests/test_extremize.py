@@ -426,50 +426,66 @@ class TestVariableProjection:
         # decays like S20**-2 toward S20 = +inf (a 1e-13 reference gives
         # -5.6e-5 at S20 = 90.3, -9.9e-8 at 3000). The Riccati kernel's
         # under-resolution made a local minimum of |g| near S20 = 90.3, where
-        # the search used to stop. Each attempt now walks out toward
-        # S20 = +inf (the best point lies near 1e12), where |g| < grad_tol
-        # but |g| * S20**2, the gradient in 1/S20, is not: no attempt finds
-        # a root, and the best of their points is returned unconverged. The
-        # path out moves at roundoff. The search takes 17,325 RK4 steps in 219
-        # runs, 61 at h = 4e-2 and 158 at 1e-2, the check's tangent run at the
-        # returned point among them, whose second-order row gives the
-        # signature; the restarts that start past the blow-up wall near
-        # S20 = 1e12 run at 1e-2 alone. It took 18,700 steps (187 runs) when
-        # every run was at 1e-2; with second differences the check's first
-        # probe, at S20 + 3e9, blew up: no signature; 184 runs with tangent
-        # runs; 185 with a final integrate for the report; 189 runs, a
-        # signature and 11 blow-ups on the numpy projection; 420 solves and
-        # propagator runs with central differences along S20)
+        # the search used to stop. Each attempt's descent walks out toward
+        # S20 = +inf and stops where |g| < grad_tol but |g| * S20**2, the
+        # gradient in 1/S20, no longer halves; Newton steps at h take the
+        # point on to a gradient within grad_tol there (the 4h map
+        # under-resolves this far out: at S20 = 511 its gradient is a third
+        # of the one at h). No attempt finds a root, and the best of their
+        # points, near S20 = 2.6e3, is returned unconverged. The search takes
+        # 1,800 RK4 steps: 36 runs at h = 4e-2 and 9 at 1e-2, the check's
+        # tangent run at the returned point among them, whose second-order
+        # row gives the signature (17,325 in 219 runs when Nelder-Mead and
+        # hybr walked out past S20 = 1e11 on the 4h map and hybr polished at
+        # 1e-2; 18,700 steps, 187 runs, when every run was at 1e-2; with
+        # second differences the check's first probe, at S20 + 3e9, blew up:
+        # no signature; 184 runs with tangent runs; 185 with a final
+        # integrate for the report; 189 runs, a signature and 11 blow-ups on
+        # the numpy projection; 420 solves and propagator runs with central
+        # differences along S20)
         caplog.set_level(logging.INFO, logger="qap")
         res = optimize(
             replace(spec, hbar_tilde=0.5), InitialData(S10=-3.0, sigma20=1.0),
             active=("S10", "S20"), step=1e-2,
         )
+        work = steps(spec, solves)
         assert res.converged is False
-        assert res.init.S20 > 1e8 and res.gradient_norm < 1e-15
+        assert 1e3 < res.init.S20 < 1e4 and res.gradient_norm <= 1e-6
+        gradient = stationarity_check(res.init, replace(spec, hbar_tilde=0.5), ("S10", "S20"),
+                                      step=1e-2).gradient
+        assert extremize._inverse_gradient(gradient, res.init.as_tuple()[:2], [1]) > 1e-6
         assert [r.getMessage().split(";")[0] for r in caplog.records] == [
             f"attempt {i}: no root" for i in range(5)]
-        assert steps(spec, solves) <= 18_900
+        assert work <= 1_800
         # a maximum along S10 and flat along S20, where the gradient decays
         assert res.hessian_signature.to_dict() == {"positive": 0, "negative": 1, "near_zero": 1}
         assert (hashlib.sha256(res.to_json().encode()).hexdigest()
-                == "175feb5009a0b5253d8276a848a5ace13edeefb3bb20727ed7cb88d19858c93a")
+                == "9d5e984296d81b0505f522c9e9b7ef067d89dae21bdc28be12429c0725a29f80")
 
-    def test_small_gradient_at_infinity_is_not_a_root(self, spec):
-        # the same objective at h = 1e-3: the root solve ends near S20 ~ 1e9,
-        # with |g| ~ 1e-20
-        res = optimize(
-            replace(spec, hbar_tilde=0.5), InitialData(S10=-3.0, sigma20=1.0),
-            active=("S10", "S20"), step=1e-3, restarts=1,
-        )
+    def test_small_gradient_at_infinity_is_not_a_root(self, spec, caplog):
+        # the same objective at h = 1e-3: the attempt ends near S20 ~ 1.4e3,
+        # with |g| ~ 4e-7 but |g| * S20**2 ~ 0.8
+        caplog.set_level(logging.INFO, logger="qap")
+        s = replace(spec, hbar_tilde=0.5)
+        res = optimize(s, InitialData(S10=-3.0, sigma20=1.0), active=("S10", "S20"), step=1e-3,
+                       restarts=1)
         assert res.converged is False
-        assert res.init.S20 > 1e8 and res.gradient_norm < 1e-15
+        assert res.init.S20 > 1e3 and res.gradient_norm <= 1e-6
+        gradient = stationarity_check(res.init, s, ("S10", "S20"), step=1e-3).gradient
+        assert extremize._inverse_gradient(gradient, res.init.as_tuple()[:2], [1]) > 1e-6
+        assert [r.getMessage().split(";")[0] for r in caplog.records] == ["attempt 0: no root"]
 
     def test_root_beyond_unit_coordinates_converges(self):
-        # a penalised quantum root at S20 ~ 9.35, sigma20 ~ 11.3: the gradient
-        # in 1/z does not refuse it, and it stays put when h is halved
+        # a penalised quantum root at S20 ~ 9.34, sigma20 ~ 11.30: the
+        # gradient in 1/z does not refuse it, and it stays put when h is
+        # halved. It is a saddle of the projected objective (reduced
+        # eigenvalues -0.0115 and 0.053), which no descent converges to:
+        # from this guess the descent walks out to S20 ~ 170 (at h = 1e-2),
+        # a near-root of the 4h map where the Newton steps at h do not
+        # reach a small gradient, so the attempt is made again at h alone,
+        # whose Nelder-Mead and hybr find the saddle root
         spec = OscillatorSpec(m=1.79, k=0.266, hbar_tilde=0.578, x0=-0.818, xT=-0.637)
-        guess = InitialData(0.222, 2.51, -0.320, 2.55)
+        guess = InitialData(0.63, 13.95, 0.21, 11.75)
         roots = []
         for step in (1e-2, 5e-3):
             res = optimize(spec, guess, penalty_weight=0.5, step=step, restarts=2)
@@ -477,6 +493,19 @@ class TestVariableProjection:
             assert res.init.S20 > 5.0 and res.init.sigma20 > 5.0
             roots.append(np.array(res.init.as_tuple()))
         assert np.max(np.abs(roots[0] - roots[1])) < 1e-4
+        assert res.report.lam == pytest.approx(1.3933833, abs=1e-6)
+
+    def test_descent_from_near_a_saddle_root_finds_a_minimum(self):
+        # from (0.222, 2.51, -0.320, 2.55), whose search converged to the
+        # saddle root above when Nelder-Mead and hybr ran on the 4h map, the
+        # descent finds the minimum at (S20, sigma20) ~ (-0.014, -1.243)
+        spec = OscillatorSpec(m=1.79, k=0.266, hbar_tilde=0.578, x0=-0.818, xT=-0.637)
+        res = optimize(spec, InitialData(0.222, 2.51, -0.320, 2.55), penalty_weight=0.5,
+                       step=1e-2, restarts=2)
+        assert res.converged
+        assert (res.init.S20, res.init.sigma20) == (pytest.approx(-0.0138, abs=1e-3),
+                                                   pytest.approx(-1.2434, abs=1e-3))
+        assert res.report.lam == pytest.approx(-0.09984086, abs=1e-7)
 
     def test_newton_on_quartic_settles_or_gives_up(self):
         # lam = 2u - u^2 and r = u^2 / 2 at weight 1 give the gradient
@@ -499,9 +528,11 @@ class TestVariableProjection:
     def test_penalised_search_projects_linear_coordinates(self, spec, solves):
         # the penalty makes the objective quartic in (S10, sigma10); Newton
         # on the exact models solves them, and the search runs over
-        # (S20, sigma20) only. It takes 844 RK4 steps: 38 taped runs at
+        # (S20, sigma20) only. It takes 584 RK4 steps: 18 taped runs at
         # h = 8e-2 and 6 at 2e-2, and the check's tangent run at the returned
-        # point (1950 steps, 39 runs of 50, when every run was at 2e-2; 46
+        # point (844 steps, 38 runs at 8e-2 and 7 at 2e-2, when Nelder-Mead
+        # and hybr ran on the 8e-2 map and hybr polished at 2e-2; 1950
+        # steps, 39 runs of 50, when every run was at 2e-2; 46
         # runs when the check took
         # 4 propagator runs and 4 corner runs for second differences; 47
         # with a final integrate for the report; 204 solves and propagator
@@ -514,14 +545,17 @@ class TestVariableProjection:
         assert res.converged
         assert np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-6
         assert res.report.lam == pytest.approx(PENALISED_LAMBDA, abs=1e-9)
-        assert steps(spec, solves) <= 850
+        assert steps(spec, solves) <= 600
 
     def test_negative_x0_stall_ends_fast(self, solves):
         # the reduced gradient has a local minimum without a root here
         # (|g| of a few 1e-3); Nelder-Mead alone spent 238,132 solves before giving
-        # up. The search still finds no root, but now says so quickly: 12,550
-        # RK4 steps, 274 taped runs at h = 4e-2, 56 at 1e-2 and the check's
-        # tangent run (27,500 steps, 275 runs, when every run was at 1e-2; 282 with the
+        # up. The search still finds no root, but now says so quickly: 12,400
+        # RK4 steps, 136 taped runs at h = 4e-2 and 89 at 1e-2, most of them
+        # in the pass at h alone of an attempt whose start blows up at 4h, and
+        # the check's tangent run (12,550 steps, 274 runs at 4e-2 and 56 at
+        # 1e-2, when Nelder-Mead and hybr ran on the 4h map; 27,500 steps,
+        # 275 runs, when every run was at 1e-2; 282 with the
         # check's 8 difference runs; 283 with a final integrate for the
         # report; 1334 solves and propagator runs with central differences
         # along (S20, sigma20), 1390 when the certificate took them along
@@ -552,9 +586,10 @@ class TestVariableProjection:
         assert res.gradient_norm > 1e-3
 
     def test_root_solve_kept_only_if_it_lowers_the_gradient(self, spec, monkeypatch):
-        # root solves that end on the blow-up wall must leave the search at
-        # the Nelder-Mead point they started from: the coarse one, and the
-        # polish at h from the point the coarse one kept
+        # the guess behind the caustic wall blows up on the 4h map, so its
+        # attempt runs at h alone: Nelder-Mead, then hybr from its best
+        # vertex. A root solve that ends on the blow-up wall must leave the
+        # search at the Nelder-Mead point it started from
         nm_runs, starts = [], []
         minimize = extremize.minimize
 
@@ -562,20 +597,49 @@ class TestVariableProjection:
             nm_runs.append(minimize(*args, **kwargs))
             return nm_runs[-1]
 
-        def wall(fun, x0, args, method, options):
-            starts.append((np.array(x0), args))
+        def wall(fun, x0, method, options):
+            starts.append(np.array(x0))
             return OptimizeResult(x=x0 + 1.0, fun=np.full(len(x0), BLOWUP_PENALTY), nfev=7)
 
         monkeypatch.setattr(extremize, "minimize", recorded_minimize)
         monkeypatch.setattr(scipy.optimize, "root", wall)
-        res = penalised_search(spec, (1.0, 0.5, 0.1, 0.4), 400, 1)
-        assert [args for _, args in starts] == [(8e-2,), (2e-2,)]
-        for x0, _ in starts:
-            assert np.array_equal(x0, nm_runs[0].x)
+        res = penalised_search(spec, (0.0, -2.0, 0.1, 0.4), 400, 1)
+        assert len(nm_runs) == len(starts) == 1
+        assert np.array_equal(starts[0], nm_runs[0].x)
         assert nm_runs[0].fun <= extremize.HANDOFF_MERIT
         assert (res.init.S20, res.init.sigma20) == tuple(nm_runs[0].x)
         assert not res.converged
-        assert res.iterations == nm_runs[0].nit + 2 * 7
+        assert res.iterations == nm_runs[0].nit + 7
+
+    def test_failed_descent_is_not_polished(self, solves, monkeypatch):
+        # task q06 of the seed-1 quantum-search panel with x0 scaled by
+        # -10/3, which has no root: every attempt's descent presses on the
+        # caustic wall and ends without a small gradient, so no Newton step
+        # runs at h and no run at h blows up (when the polish at h ran from
+        # every coarse point with hybr, it met 5 blow-ups there). Its runs at
+        # h are the guess's, each attempt's end point's and the check's
+        # tangent run; its blow-ups are line-search trials into the wall
+        blown = Counter()
+        centre = extremize._centre
+
+        def counted(spec, base, idx, z, weight, step, project):
+            try:
+                return centre(spec, base, idx, z, weight, step, project)
+            except BlowUpError:
+                blown[step] += 1
+                raise
+
+        monkeypatch.setattr(extremize, "_centre", counted)
+        spec = OscillatorSpec(m=0.8194587043610034, k=0.8661237507502332,
+                              hbar_tilde=0.5403108072930367, T=1.0, x0=-0.2894706796040376,
+                              xT=0.9946156370789563)
+        guess = InitialData(0.5419121628891159, 0.19292704916950118, 0.13033986212887394,
+                            0.5947200024492644)
+        res = optimize(spec, guess, penalty_weight=0.25, step=1e-2, seed=106)
+        assert not res.converged
+        assert blown[1e-2] == 0 and res.blowups == blown[4e-2] > 0
+        assert solves.count(1e-2) == 1 + 5 + 1
+        assert steps(spec, solves) <= 5_425
 
     @pytest.mark.parametrize("guess, max_iter, restarts", [
         ((1.0, 0.5, 0.1, 0.4), 400, 3),  # in front of the caustic wall
@@ -653,22 +717,27 @@ class TestVariableProjection:
 
 
 class TestTwoLevelSearch:
-    def test_penalised_search_runs_mostly_on_the_coarse_map(self, spec, solves):
-        # the simplex and the first root solve run at 4h = 8e-2, the polish
-        # at h = 2e-2, and the answer is the root at h
+    def test_penalised_search_runs_mostly_on_the_coarse_map(self, spec, solves, monkeypatch):
+        # the descent runs at 4h = 8e-2, the Newton polish at h = 2e-2, and
+        # the answer is the root at h; no Nelder-Mead, so no scipy
+        def refuse(*args, **kwargs):
+            raise AssertionError("Nelder-Mead")
+
+        monkeypatch.setattr(extremize, "minimize", refuse)
         res = penalised_search(spec, (1.0, 0.5, 0.1, 0.4), 400, 3)
         assert res.converged
         assert np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-6
         assert res.report.lam == pytest.approx(PENALISED_LAMBDA, abs=1e-9)
+        # 18 runs at 8e-2; at 2e-2 the guess's, the coarse root's, 4 Newton
+        # steps and the check's tangent run
         assert set(solves) == {8e-2, 2e-2}
-        coarse = steps(spec, [s for s in solves if s == 8e-2])
-        assert coarse > steps(spec, solves) - coarse
+        assert solves.count(8e-2) == 18 and solves.count(2e-2) == 7
 
     def test_coarse_step_past_caustic_overshoot_keeps_the_root(self, spec, solves, monkeypatch):
         # at h = 0.1 the coarse map takes 2.5 steps of 0.4 over T, past the
         # step of about 0.1 at which fixed-step rk4 can cross a caustic and
-        # still complete; the search runs at both steps and converges to the
-        # root that the search at h alone finds
+        # still complete; the search descends at 0.4, polishes at 0.1 and
+        # converges to the root that the search at h alone finds
         def search():
             return optimize(replace(spec, hbar_tilde=0.3), InitialData(1.0, 0.5, 0.1, 0.4),
                             penalty_weight=0.5, step=0.1, max_iter=400, restarts=3)
@@ -683,12 +752,12 @@ class TestTwoLevelSearch:
 
     def test_coarse_root_that_blows_up_at_h_is_searched_again_at_h(self, spec, monkeypatch):
         # a coarse run may cross a caustic that stops the run at h: here the
-        # map at h = 2e-2 blows up wherever the map at 8e-2 has a root. No
-        # polish can start from the coarse root, so the attempt is made again
-        # at h alone and finds the root at h (with the coarse pass kept,
-        # the search ended near the coarse root, unconverged)
+        # map at h = 2e-2 blows up wherever the map at 8e-2 has a gradient
+        # within grad_tol. No Newton step can start from the coarse root, so
+        # the attempt is made again at h alone, Nelder-Mead from its start,
+        # and finds the root at h
         centre, minimize = extremize._centre, extremize.minimize
-        levels = []
+        starts = []
 
         def walled(spec, base, idx, z, weight, step, project):
             if step == 2e-2:
@@ -697,40 +766,77 @@ class TestTwoLevelSearch:
                 except BlowUpError:
                     pass
                 else:
-                    if np.max(np.abs(at[1])) <= 1e-9:
+                    if np.max(np.abs(at[1])) <= 1e-6:
                         raise BlowUpError(0.5)
             return centre(spec, base, idx, z, weight, step, project)
 
-        def recorded_minimize(fun, x0, args, **kwargs):
-            levels.append(args)
-            return minimize(fun, x0, args=args, **kwargs)
+        def recorded_minimize(fun, x0, **kwargs):
+            starts.append(np.array(x0))
+            return minimize(fun, x0, **kwargs)
 
         monkeypatch.setattr(extremize, "_centre", walled)
         monkeypatch.setattr(extremize, "minimize", recorded_minimize)
         res = penalised_search(spec, (1.0, 0.5, 0.1, 0.4), 400, 3)
-        assert levels == [(8e-2,), (2e-2,)]
+        assert len(starts) == 1 and np.array_equal(starts[0], [0.5, 0.4])
         assert res.converged and res.blowups > 0
         assert np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-6
         assert res.report.lam == pytest.approx(PENALISED_LAMBDA, abs=1e-9)
 
-    def test_coarse_point_with_no_root_is_not_polished(self, spec, monkeypatch):
-        # with the gradient in the inverse coordinates made infinite, every
-        # coarse root of the penalised search is a point with a small
-        # gradient but no root: it stays a candidate, and no root solve runs
-        # at h = 2e-2; the coarse root is returned, O((4h)**4) from the root at h
-        levels = []
-        root = scipy.optimize.root
-
-        def recorded(fun, x0, args, **kwargs):
-            levels.append(args)
-            return root(fun, x0, args, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "root", recorded)
-        monkeypatch.setattr(extremize, "_inverse_gradient", lambda gradient, z, free: math.inf)
+    def test_coarse_point_with_no_root_is_not_polished(self, spec, solves, monkeypatch):
+        # with the gradient in the inverse coordinates held at 1, every
+        # point is one where the gradient decays toward infinity: each
+        # attempt's descent ends on the first coarse point with a gradient
+        # within grad_tol, and the polish at h = 2e-2 stops on the first point
+        # with one there, off the root at h; every attempt ends there, with
+        # no root
+        monkeypatch.setattr(extremize, "_inverse_gradient", lambda gradient, z, free: 1.0)
         res = penalised_search(spec, (1.0, 0.5, 0.1, 0.4), 400, 3)
-        assert not res.converged
-        assert np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-4
-        assert levels and set(levels) == {(8e-2,)}
+        assert not res.converged and res.gradient_norm <= 1e-6
+        assert 1e-9 < np.max(np.abs(np.subtract(res.init.as_tuple(), PENALISED_INIT))) <= 1e-4
+        # no Newton step goes on below grad_tol: the guess, one or two runs
+        # per attempt and the check's tangent run
+        assert solves.count(2e-2) <= 1 + 2 * 3 + 1
+
+
+class TestProjectedObjective:
+    """The descent's premise: once (S10, sigma10) are projected, the record's
+    gradient along (S20, sigma20) is the gradient of the record's value, the
+    projected objective, and that objective has a strict minimum at the root."""
+
+    @pytest.mark.parametrize("sigma20", [0.4, 0.0])
+    def test_reduced_gradient_is_the_gradient_of_the_projected_objective(self, spec, sigma20):
+        # fourth-order central differences of the projected value, at steps
+        # of 2e-4 * max(1, |coord|), agree within 1e-8; sigma20 = 0 runs the
+        # tangent table, else the taped run
+        s = replace(spec, hbar_tilde=0.3)
+        base = (1.0, 0.5, 0.1, sigma20)
+        idx = [0, 1, 2, 3]
+
+        def centre(z):
+            return extremize._centre(s, base, idx, np.array(z), 0.5, 2e-2, project=True)[1]
+
+        _, gradient = centre(base)
+        for i in (1, 3):
+            d = 2e-4 * max(1.0, abs(base[i]))
+            f = []
+            for k in (-2, -1, 1, 2):
+                z = list(base)
+                z[i] += k * d
+                f.append(centre(z)[0])
+            want = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * d)
+            assert abs(gradient[i] - want) <= 1e-8, i
+
+    def test_penalised_root_is_a_strict_minimum_of_the_projected_objective(self, spec):
+        # the reduced Hessian, the Schur complement of the (S10, sigma10)
+        # block in the certificate's Hessian, is positive definite
+        H = stationarity_check(InitialData(*PENALISED_INIT), replace(spec, hbar_tilde=0.3),
+                               penalty_weight=0.5, step=2e-2).hessian
+        lin, free = [0, 2], [1, 3]
+        reduced = (H[np.ix_(free, free)]
+                   - H[np.ix_(free, lin)] @ np.linalg.solve(H[np.ix_(lin, lin)],
+                                                            H[np.ix_(lin, free)]))
+        low, high = np.linalg.eigvalsh(reduced)
+        assert low == pytest.approx(0.0223, abs=1e-3) and high == pytest.approx(4.33, abs=1e-2)
 
 
 class TestOptimizeQuantum:
