@@ -15,8 +15,11 @@ Runs ``qap.extremize.optimize``, with qap imported from this checkout's
   minimum without a root (``test_negative_x0_stall_ends_fast``);
 - ``wall``: the penalised search from behind the caustic wall
   (``test_penalised_search_from_behind_caustic_wall``);
-- ``far``: the penalised search from the guess of the far-root test
-  (``test_root_beyond_unit_coordinates_converges``).
+- ``far``: the penalised search from the guess (0.222, 2.51, -0.320,
+  2.55), near the far saddle root at (S20, sigma20) = (9.34, 11.30);
+- ``far-test``: the same search from the guess of
+  ``test_root_beyond_unit_coordinates_converges``, which reaches that
+  saddle root.
 
 Each line holds the case, ``converged``, the ``repr`` of the eigenvalue,
 the Hessian signature, the search's RK4 steps at each step (its runs,
@@ -69,9 +72,11 @@ def other_cases():
            InitialData(0.3, 0.2, 0.08, 0.4), dict(penalty_weight=0.25, step=1e-2, seed=104))
     yield "wall", replace(UNIT, hbar_tilde=0.3), InitialData(0.0, -2.0, 0.1, 0.4), dict(
         penalty_weight=0.5, step=2e-2, max_iter=60, restarts=2)
-    yield ("far", OscillatorSpec(m=1.79, k=0.266, hbar_tilde=0.578, x0=-0.818, xT=-0.637),
-           InitialData(0.222, 2.51, -0.320, 2.55), dict(penalty_weight=0.5, step=1e-2,
-                                                         restarts=2))
+    far = OscillatorSpec(m=1.79, k=0.266, hbar_tilde=0.578, x0=-0.818, xT=-0.637)
+    yield "far", far, InitialData(0.222, 2.51, -0.320, 2.55), dict(
+        penalty_weight=0.5, step=1e-2, restarts=2)
+    yield "far-test", far, InitialData(0.63, 13.95, 0.21, 11.75), dict(
+        penalty_weight=0.5, step=1e-2, restarts=2)
 
 
 def count_steps():
