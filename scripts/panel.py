@@ -82,7 +82,7 @@ def other_cases():
 def count_steps():
     """Counter of RK4 steps by step size, over every run the extremizer makes."""
     steps = Counter()
-    for name in ("final_state", "integrate", "propagator", "tangent", "taped"):
+    for name in ("integrate", "propagator", "tangent", "taped"):
         inner = getattr(extremize, name)
 
         def counted(*args, _inner=inner, **kwargs):

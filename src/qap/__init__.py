@@ -9,11 +9,7 @@ that never searches loads no numpy."""
 
 __version__ = "0.1.0"
 
-from .action import (
-    EigenvalueReport,
-    constraint_residual,
-    eigenvalue,
-)
+from .action import EigenvalueReport, eigenvalue
 from .classical import (
     ClassicalParams,
     lambda_classical,
@@ -31,9 +27,7 @@ from .errors import (
     BlowUpError,
     ConfigError,
     DegenerateProbeError,
-    FDFailureError,
     IncompleteGridError,
-    LengthMismatchError,
     QapError,
     ResonanceError,
     SingularityError,
@@ -59,11 +53,9 @@ __all__ = [
     "DegenerateProbeError",
     "EigenvalueReport",
     "ExtremumResult",
-    "FDFailureError",
     "HessianSignature",
     "IncompleteGridError",
     "InitialData",
-    "LengthMismatchError",
     "OscillatorSpec",
     "QapError",
     "ResonanceError",
@@ -74,13 +66,11 @@ __all__ = [
     "ValidationError",
     "ZeroFrequencyError",
     "ZeroStiffnessError",
-    "constraint_residual",
     "convergence_order",
     "eigenvalue",
     "integrate",
     "lambda_classical",
     "lambda_star",
-    "objective",
     "omega0",
     "optimize",
     "resonant",
@@ -93,10 +83,13 @@ __all__ = [
     "validation_errors",
 ]
 
+#: the names ``__getattr__`` loads from ``qap.extremize``
+_EXTREMIZE = ("ExtremumResult", "HessianSignature", "StationarityReport",
+              "optimize", "stationarity_check")
+
 
 def __getattr__(name):
-    if name in ("ExtremumResult", "HessianSignature", "StationarityReport",
-                "objective", "optimize", "stationarity_check"):
+    if name in _EXTREMIZE:
         from . import extremize
 
         return getattr(extremize, name)

@@ -98,12 +98,6 @@ def endpoint_report(spec, first, last) -> EigenvalueReport:
     )
 
 
-def constraint_residual(grid: SolutionGrid) -> float:
-    """Amplitude-side compatibility residual of the run's initial data."""
-    _require_complete(grid)
-    return eigenvalue(grid).constraint_residual
-
-
 def eigenvalue(grid: SolutionGrid) -> EigenvalueReport:
     """Evaluate the action eigenvalue of a complete run.
 

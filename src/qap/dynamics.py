@@ -833,7 +833,7 @@ def final_state(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_S
 
     Identical arithmetic to ``integrate(..., method='rk4')`` without the
     trajectory storage, for callers that need just the final
-    coefficients and accumulators, such as ``extremize.objective``.
+    coefficients and accumulators, such as ``convergence_order``.
     Rejects the same inputs as ``integrate``
     and raises ``BlowUpError`` (without a partial grid) on the same runs.
     """

@@ -66,13 +66,3 @@ class DegenerateProbeError(QapError):
 
 class IncompleteGridError(QapError):
     """Eigenvalue evaluation needs a grid that reaches t = T."""
-
-
-class LengthMismatchError(QapError):
-    """A sampled trajectory does not match the grid's time points."""
-
-
-class FDFailureError(QapError):
-    """The stationarity check's run at its point blew up, or the gradient or
-    the Hessian it gives came out non-finite. The name is kept from the
-    finite-difference certificate, whose probe points could fail too."""

@@ -115,8 +115,8 @@ import numpy as np
 from . import dynamics
 from .action import EigenvalueReport, eigenvalue, endpoint_report, json_17g
 from .dynamics import (DEFAULT_STEP, _state_cotangent, _state_curvature, _state_row,
-                       _state_tangent, final_state, integrate, propagator, taped, tangent)
-from .errors import BlowUpError, FDFailureError
+                       _state_tangent, integrate, propagator, taped, tangent)
+from .errors import BlowUpError
 from .model import COORD_NAMES, InitialData, OscillatorSpec, flow_coefficients, parse_active
 
 #: objective value substituted for runs that blow up
@@ -144,11 +144,11 @@ LINE_SEARCH_TRIALS = 30
 #: the quantum-search tasks of seeds 1-25 (h = 1e-2, two in-process
 #: passes) the search took 0.71-0.88x, 0.64-0.75x and 0.52-0.66x of the
 #: time with COARSE = 1 at 2, 4 and 8, every search converged and lambda
-#: moved by at most 6e-14. With Nelder-Mead and hybr on the coarse map it
-#: needed no floor on T / (COARSE * h): on seeds 1-10 at h = 1/16, 0.1
-#: and 1/8 (4, 2.5 and 2 coarse steps over T) it took 0.84x, 1.00x and
-#: 1.07x of the time at h alone, and on seeds 1-3 at h = 0.025-0.125, x0
-#: scaled by -10/3, -2, 2 and 4, the same 415 of 480 searches converged
+#: moved by at most 6e-14. It is 4, not the faster 8: at h = 1e-2 a coarse
+#: step of 8e-2 nears the step of about 0.1 at which fixed-step rk4 can
+#: cross a caustic and still complete, and the map at 4h already has
+#: false roots far out, where it under-resolves the S2 dynamics (near
+#: S20 = 170 from test_root_beyond_unit_coordinates_converges's guess)
 COARSE = 4
 
 log = logging.getLogger("qap")
@@ -240,24 +240,6 @@ def _embed(base, idx, z) -> InitialData:
     for j, i in enumerate(idx):
         vals[i] = float(z[j])
     return InitialData(*vals)
-
-
-def objective(
-    init: InitialData,
-    spec: OscillatorSpec,
-    penalty_weight: float = 0.0,
-    step: float = DEFAULT_STEP,
-) -> float:
-    """Eigenvalue plus optional quadratic constraint penalty, from one plain solve.
-
-    Deterministic scalar; blow-ups map to ``BLOWUP_PENALTY``.
-    """
-    try:
-        report = endpoint_report(spec, init.as_tuple(), final_state(spec, init, step))
-    except BlowUpError:
-        return BLOWUP_PENALTY
-    r = report.constraint_residual
-    return report.lam + penalty_weight * r * r
 
 
 def _report(spec, first, end) -> EigenvalueReport:
@@ -588,9 +570,9 @@ def stationarity_check(
     row and a ``dynamics.tangent`` run's first- and second-order rows
     along the searched coordinates: the run's own when ``_centre`` took a
     tangent run, else one more run. Every run is fixed-step rk4: the rows
-    are exact only for it. Raises ``FDFailureError`` when a run blows up,
-    or the gradient or the Hessian comes out non-finite: a verification
-    tool must not silently average over a caustic.
+    are exact only for it. Raises ``BlowUpError``: the run's own, at its
+    ``t_last``, when a run blows up, and one at T when the gradient or the
+    Hessian comes out non-finite.
 
     A caller that already holds the record of ``_centre`` at ``init``, the
     objective (its value and its gradient over the active coordinates)
@@ -604,19 +586,16 @@ def stationarity_check(
     free = _split(idx)[1]
     base = init.as_tuple()
     along = [COORD_NAMES[idx[j]] for j in free]
-    try:
-        if centre is None:
-            z = np.array([base[i] for i in idx], dtype=float)
-            centre = _centre(spec, base, idx, z, penalty_weight, step, project=False)[1:]
-        (_, gradient), (end, lines) = centre
-        if free and lines is None:
-            # the search took its gradient from a taped run
-            lines = tangent(spec, init, step, along)[1:]
-    except BlowUpError:
-        raise FDFailureError("the run at the point blew up") from None
+    if centre is None:
+        z = np.array([base[i] for i in idx], dtype=float)
+        centre = _centre(spec, base, idx, z, penalty_weight, step, project=False)[1:]
+    (_, gradient), (end, lines) = centre
+    if free and lines is None:
+        # the search took its gradient from a taped run
+        lines = tangent(spec, init, step, along)[1:]
     H = _hessian(spec, tuple(map(float, base)), idx, penalty_weight, end, lines)
     if not np.all(np.isfinite(H)):
-        raise FDFailureError("the Hessian at the point is not finite")
+        raise BlowUpError(spec.T)
     return StationarityReport(gradient, H, _signature(H))
 
 
@@ -935,7 +914,7 @@ def optimize(
             signature = stationarity_check(
                 final_init, spec, mask, penalty_weight, step, centre=(best_centre, best_run),
             ).signature
-        except FDFailureError:
+        except BlowUpError:
             pass
     return ExtremumResult(
         init=final_init,

@@ -5,8 +5,6 @@ rule from a kept grid's stored coefficient columns gives a quadrature
 independent of the integrator's own accumulation. Only the tests read it.
 """
 
-from qap.errors import LengthMismatchError
-
 
 def composite_simpson(values, times) -> float:
     """Composite Simpson over consecutive interval pairs.
@@ -17,7 +15,7 @@ def composite_simpson(values, times) -> float:
     y = [float(v) for v in values]
     x = [float(t) for t in times]
     if len(y) != len(x):
-        raise LengthMismatchError(f"{len(y)} values vs {len(x)} times")
+        raise ValueError(f"{len(y)} values vs {len(x)} times")
     total = 0.0
     n = len(x) - 1
     i = 0

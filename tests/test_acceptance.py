@@ -15,7 +15,6 @@ from qap import (
     ClassicalParams,
     InitialData,
     OscillatorSpec,
-    constraint_residual,
     eigenvalue,
     integrate,
     lambda_classical,
@@ -128,12 +127,12 @@ def test_criterion_6_constraint_diagnostics():
         mid = integrate(
             DEFAULT, InitialData(S10=1.0, S20=t0_to_S20(0.5, DEFAULT)), step=1e-3
         )
-        assert abs(constraint_residual(mid)) <= 1e-9
+        assert abs(eigenvalue(mid).constraint_residual) <= 1e-9
 
         # zero offset: -(2/m) * int(-tan) = -2*ln(cos 1)
         zero = integrate(DEFAULT, InitialData(S10=1.0, S20=0.0), step=1e-3)
         expected = -2.0 * math.log(math.cos(1.0))
-        assert abs(constraint_residual(zero) - expected) <= 1e-7
+        assert abs(eigenvalue(zero).constraint_residual - expected) <= 1e-7
 
         # accumulators vs independent Simpson recomputation
         quantum = integrate(

@@ -9,9 +9,7 @@ import qap
 from qap import (
     IncompleteGridError,
     InitialData,
-    LengthMismatchError,
     OscillatorSpec,
-    constraint_residual,
     eigenvalue,
     integrate,
     lambda_star,
@@ -36,6 +34,13 @@ class TestEigenvalue:
         report = eigenvalue(integrate(spec, init, step=1e-3))
         assert report.lam == pytest.approx(lambda_star(spec), abs=1e-6)
         assert report.lam == pytest.approx(0.3210463079671654, abs=1e-6)
+
+    def test_adaptive_route_agrees(self, spec):
+        init = InitialData(S10=1.0, S20=0.2, sigma10=0.1, sigma20=0.4)
+        s = replace(spec, hbar_tilde=0.3)
+        a = eigenvalue(integrate(s, init, step=1e-3)).lam
+        b = eigenvalue(integrate(s, init, step=1e-2, method="rk4_adaptive")).lam
+        assert b == pytest.approx(a, abs=1e-8)
 
     def test_decomposition_identity_is_exact(self, spec):
         s = replace(spec, hbar_tilde=0.5)
@@ -68,8 +73,6 @@ class TestEigenvalue:
         )
         with pytest.raises(IncompleteGridError):
             eigenvalue(truncated)
-        with pytest.raises(IncompleteGridError):
-            constraint_residual(truncated)
 
     def test_json_serialization_17_digits(self, spec):
         report = eigenvalue(integrate(spec, InitialData(S10=1.0), step=1e-2))
@@ -93,14 +96,13 @@ class TestConstraintResidual:
         # with a silent amplitude sector the integrand reduces to 2*S2;
         # -tan is antisymmetric about t0 = T/2, so the integral cancels
         init = InitialData(S10=1.0, S20=t0_to_S20(0.5, spec))
-        assert constraint_residual(integrate(spec, init, step=1e-3)) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        residual = eigenvalue(integrate(spec, init, step=1e-3)).constraint_residual
+        assert residual == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_offset_analytic_value(self, spec, classical_init):
         # oracle: -(2/m) * int_0^1 (-tan t) dt = -2*ln(cos 1)
         expected = -2.0 * math.log(math.cos(1.0))
-        residual = constraint_residual(integrate(spec, classical_init, step=1e-3))
+        residual = eigenvalue(integrate(spec, classical_init, step=1e-3)).constraint_residual
         assert residual == pytest.approx(expected, abs=1e-7)
         assert residual == pytest.approx(1.2312529407720283, abs=1e-7)
 
@@ -170,7 +172,7 @@ class TestCompositeSimpson:
         assert composite_simpson(y, x) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValueError):
             composite_simpson([1.0, 2.0], [0.0, 0.5, 1.0])
 
 

@@ -45,7 +45,7 @@ from qap.dynamics import (
     tangent,
 )
 import qap.extremize as extremize
-from qap.extremize import endpoint_models, objective
+from qap.extremize import endpoint_models
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -444,8 +444,8 @@ class TestPropagator:
 
     def test_riccati_pair_bit_equal_to_final_state(self):
         # one run: final_state's row, (S2, sigma2) among it, is the state row
-        # of propagator's, and the models' values and the objective are
-        # endpoint_report's on it, bit for bit (sigma20 = 0 included)
+        # of propagator's, and the models' values are endpoint_report's on
+        # it, bit for bit (sigma20 = 0 included)
         for spec, init, step in pin_cases():
             m_inv, _, hh = dynamics.flow_coefficients(spec)
             for point in (init, replace(init, sigma20=0.0)):
@@ -455,8 +455,6 @@ class TestPropagator:
                 report = endpoint_report(spec, first, last)
                 (lam, _, _), (r, _, _) = endpoint_models(spec, first, end)
                 assert (lam, r) == (report.lam, report.constraint_residual), (spec, point, step)
-                for weight in (0.0, 0.5):
-                    assert objective(point, spec, weight, step) == lam + weight * r * r
 
     def test_models_match_the_solve_at_and_around_the_point(self):
         # the models are exact: at the point, and at displaced (S10, sigma10)
@@ -752,14 +750,16 @@ class TestTangent:
                     diff = [(a - 8.0 * b + 8.0 * c - e) / (12.0 * d) for a, b, c, e in zip(*runs)]
                     assert np.allclose(slope, diff, rtol=1e-9, atol=1e-9), (spec, start, step, name)
 
-    @pytest.mark.parametrize("step", [2e-2, 1e-2, 1e-3])
+    @pytest.mark.parametrize("step", [2e-2, 1e-2])
     @pytest.mark.parametrize("along", ALONG)
     def test_second_order_rows_match_differences_of_the_first(self, step, along):
         # the SS, SG and GG rows against fourth-order central differences of
         # tangent's first-order rows, at steps of 1e-4 * max(1, |coord|):
         # each pair's row is the derivative of its first coordinate's row
         # along its second. At sigma20 = 0 the differences along sigma20
-        # run the full table on either side
+        # run the full table on either side. A line of the tables scaled by
+        # 1 + 1e-5, or a sum with its last term dropped, fails at both
+        # steps wherever it fails at 1e-3, a run of ten times the steps
         names = ALONG_NAMES[along]
         pairs = [(i, j) for i in range(len(names)) for j in range(i, len(names))]
         for spec, init, _ in pin_cases():
@@ -904,7 +904,7 @@ class TestTaped:
             raise AssertionError("a run other than the tangent one")
 
         monkeypatch.setattr(extremize, "tangent", counted)
-        for name in ("taped", "propagator", "final_state", "integrate"):
+        for name in ("taped", "propagator", "integrate"):
             monkeypatch.setattr(extremize, name, refuse)
         z, at, run = extremize._centre(spec, base, idx, z, weight, step, True)
         assert runs == [["S20"]] and len(run[1][0]) == 1

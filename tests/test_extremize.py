@@ -15,13 +15,11 @@ from scipy.optimize import OptimizeResult
 
 from qap import (
     BlowUpError,
-    FDFailureError,
     InitialData,
     OscillatorSpec,
     eigenvalue,
     integrate,
     lambda_star,
-    objective,
     optimize,
     s10_star,
     stationarity_check,
@@ -29,13 +27,25 @@ from qap import (
 )
 import qap.extremize as extremize
 from qap.action import endpoint_report
-from qap.dynamics import _n_steps, _state_tangent, propagator, tangent
+from qap.dynamics import _n_steps, _state_tangent, final_state, propagator, tangent
 from qap.extremize import BLOWUP_PENALTY, endpoint_models, parse_active
 from qap.model import COORD_NAMES, flow_coefficients
 
 #: relative step of the difference oracles: first differences take steps of
 #: FD_STEP, second differences steps of sqrt(FD_STEP) * max(1, |coord|)
 FD_STEP = 1e-5
+
+
+def plain_objective(init, spec, penalty_weight, step):
+    """The search's objective, lambda + penalty_weight * r**2, from one plain
+    run (``final_state`` and ``endpoint_report``), the reference of the
+    difference oracles; a blow-up gives ``BLOWUP_PENALTY``."""
+    try:
+        report = endpoint_report(spec, init.as_tuple(), final_state(spec, init, step))
+    except BlowUpError:
+        return BLOWUP_PENALTY
+    r = report.constraint_residual
+    return report.lam + penalty_weight * r * r
 
 
 class TestParseActive:
@@ -60,42 +70,6 @@ class TestParseActive:
             parse_active("")
         with pytest.raises(ValueError):
             parse_active((False, False, False, False))
-
-
-class TestObjective:
-    def test_classical_reference_point(self, spec):
-        init = InitialData(S10=1.188395, S20=math.tan(0.5))
-        assert objective(init, spec) == pytest.approx(0.321046, abs=1e-6)
-
-    def test_trivial_zero(self):
-        spec = OscillatorSpec(x0=0.0, xT=0.0)
-        assert objective(InitialData(), spec) == 0.0
-
-    def test_penalty_inert_when_residual_vanishes(self, spec):
-        # at t0 = T/2 the constraint residual is ~0, so the penalty term
-        # is far below double resolution
-        init = InitialData(S10=1.0, S20=t0_to_S20(0.5, spec))
-        assert objective(init, spec, penalty_weight=0.0) == objective(
-            init, spec, penalty_weight=10.0
-        )
-
-    def test_penalty_active_otherwise(self, spec):
-        init = InitialData(S10=1.0, S20=0.0)
-        base = objective(init, spec, penalty_weight=0.0)
-        penalized = objective(init, spec, penalty_weight=1.0)
-        assert penalized > base
-
-    def test_blow_up_maps_to_penalty(self):
-        spec = OscillatorSpec(T=1.5)
-        init = InitialData(S10=1.0, S20=t0_to_S20(-0.157, spec))
-        assert objective(init, spec) == BLOWUP_PENALTY
-
-    def test_adaptive_route_agrees(self, spec):
-        init = InitialData(S10=1.0, S20=0.2, sigma10=0.1, sigma20=0.4)
-        s = replace(spec, hbar_tilde=0.3)
-        a = objective(init, s, step=1e-3)
-        b = eigenvalue(integrate(s, init, step=1e-2, method="rk4_adaptive")).lam
-        assert b == pytest.approx(a, abs=1e-8)
 
 
 class TestOptimizeClassical:
@@ -197,7 +171,7 @@ def solves(monkeypatch):
     tangent run the extremizer makes: the run's step. ``len`` counts the
     runs, ``steps`` their RK4 steps."""
     calls = []
-    for name in ("final_state", "integrate", "propagator", "tangent", "taped"):
+    for name in ("integrate", "propagator", "tangent", "taped"):
         inner = getattr(extremize, name)
 
         def counted(*args, _inner=inner, **kwargs):
@@ -331,10 +305,10 @@ class TestVariableProjection:
         d = 0.3
 
         def lam(a, b, c=0):
-            return objective(
+            return plain_objective(
                 replace(base, S10=base.S10 + a * d, sigma10=base.sigma10 + b * d,
                         S20=base.S20 + c * d),
-                s, step=1e-2,
+                s, 0.0, 1e-2,
             )
 
         cubic = (1.0, -3.0, 3.0, -1.0)
@@ -580,7 +554,8 @@ class TestVariableProjection:
         g = np.asarray(gl) + 2.0 * 0.5 * r * np.asarray(gr)
         assert res.gradient_norm == pytest.approx(np.max(np.abs(g)), rel=1e-12)
         for name, g_i in zip(("S10", "sigma10"), g):
-            up, down = (objective(replace(guess, **{name: getattr(guess, name) + d}), s, 0.5, 1e-2)
+            up, down = (plain_objective(replace(guess, **{name: getattr(guess, name) + d}),
+                                        s, 0.5, 1e-2)
                         for d in (FD_STEP, -FD_STEP))
             assert (up - down) / (2.0 * FD_STEP) == pytest.approx(g_i, abs=1e-7)
         assert res.gradient_norm > 1e-3
@@ -651,7 +626,7 @@ class TestVariableProjection:
         # models, and the returned report, from the record's end row. A
         # propagator run counts as a solve of its point
         points = Counter()
-        for name in ("final_state", "integrate", "propagator", "tangent", "taped"):
+        for name in ("integrate", "propagator", "tangent", "taped"):
             inner = getattr(extremize, name)
 
             def recorded(spec, init, step, *args, _inner=inner, **kwargs):
@@ -870,18 +845,19 @@ class TestStationarityCheck:
         rep = stationarity_check(InitialData(), spec, active=("S10", "S20"))
         assert np.max(np.abs(rep.gradient)) <= 1e-10
 
-    # the centre's run blows up; the case once named for a gradient probe
-    # that blew up within FD_STEP of the caustic: on the row the centre's
-    # own tangent run blows up (t_last = 1.499)
-    @pytest.mark.parametrize("t0, sigma20, active", [
-        (-0.58, 0.0, ("S10", "S20")),
-        (-0.071645, 0.5, ("S20", "sigma20")),
+    # the centre's run blows up, and the check raises its BlowUpError; the
+    # case once named for a gradient probe that blew up within FD_STEP of
+    # the caustic: on the row the centre's own tangent run blows up
+    @pytest.mark.parametrize("t0, sigma20, active, t_last", [
+        (-0.58, 0.0, ("S10", "S20"), 0.99),
+        (-0.071645, 0.5, ("S20", "sigma20"), 1.499),
     ], ids=["centre", "gradient-probe"])
-    def test_probe_through_caustic_fails_loudly(self, t0, sigma20, active):
+    def test_probe_through_caustic_fails_loudly(self, t0, sigma20, active, t_last):
         spec = OscillatorSpec(T=1.5)
         init = InitialData(S10=1.0, S20=t0_to_S20(t0, spec), sigma20=sigma20)
-        with pytest.raises(FDFailureError):
+        with pytest.raises(BlowUpError) as exc:
             stationarity_check(init, spec, active=active)
+        assert exc.value.t_last == pytest.approx(t_last, abs=1e-9)
 
     def test_point_next_to_a_caustic_is_certified(self):
         # the point whose second-difference probe at S20 + hs crossed the
@@ -913,7 +889,8 @@ class TestStationarityCheck:
                     name = COORD_NAMES[i]
                     x = getattr(point, name)
                     d = 2e-4 * max(1.0, abs(x))
-                    f = [objective(replace(point, **{name: x + k * d}), s, penalty_weight, 1e-2)
+                    f = [plain_objective(replace(point, **{name: x + k * d}), s,
+                                         penalty_weight, 1e-2)
                          for k in (-2, -1, 1, 2)]
                     want = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * d)
                     assert abs(rep.gradient[j] - want) <= 1e-9 * max(1.0, abs(want)), (point, name)
@@ -930,8 +907,9 @@ class TestStationarityCheck:
 
         monkeypatch.setattr(extremize, "tangent", overflowed)
         guess = InitialData(S10=0.0, S20=t0_to_S20(0.5, spec))
-        with pytest.raises(FDFailureError):
+        with pytest.raises(BlowUpError) as exc:
             stationarity_check(guess, spec, active=("S10", "S20"))
+        assert exc.value.t_last == spec.T
         res = optimize(spec, guess, active=("S10", "S20"), max_iter=5, restarts=1, step=1e-2)
         assert not res.converged and res.gradient_norm == math.inf
         assert res.blowups > 0 and res.hessian_signature is None
@@ -950,8 +928,9 @@ class TestStationarityCheck:
         monkeypatch.setattr(extremize, "taped", overflowed)
         s = replace(spec, hbar_tilde=0.4)
         guess = InitialData(S10=0.0, S20=0.3, sigma20=0.5)
-        with pytest.raises(FDFailureError):
+        with pytest.raises(BlowUpError) as exc:
             stationarity_check(guess, s, active=("S10", "S20"))
+        assert exc.value.t_last == s.T
         res = optimize(s, guess, active=("S10", "S20"), max_iter=5, restarts=1, step=1e-2)
         assert not res.converged and res.gradient_norm == math.inf
         assert res.blowups > 0 and res.hessian_signature is None
@@ -1060,7 +1039,7 @@ def symmetric(H):
 
 
 def central_hessian(init, spec, idx, penalty_weight, step, shrink=1.0):
-    """Hessian of ``objective`` along ``idx`` by central differences only.
+    """Hessian of ``plain_objective`` along ``idx`` by central differences only.
 
     Steps shrink * sqrt(FD_STEP) * max(1, |coord|); the diagonal from second
     differences, every other entry from four corner solves.
@@ -1071,7 +1050,7 @@ def central_hessian(init, spec, idx, penalty_weight, step, shrink=1.0):
         vals = list(init.as_tuple())
         for j, i in enumerate(idx):
             vals[i] = float(z[j])
-        return objective(InitialData(*vals), spec, penalty_weight, step)
+        return plain_objective(InitialData(*vals), spec, penalty_weight, step)
 
     n = len(z)
     hs = [shrink * math.sqrt(FD_STEP) * max(1.0, abs(z[i])) for i in range(n)]

@@ -3,7 +3,9 @@
 No linter runs on this repository, so this scan stands in for one. An
 import counts as used when the name it binds is read anywhere in the
 module (the root of an attribute chain included) or is listed in
-``__all__``; ``from __future__`` imports are exempt.
+``__all__``; ``from __future__`` imports are exempt. Since that counts a
+name listed in ``__all__`` as used, a last test checks that every public
+name of ``qap`` resolves.
 """
 
 import ast
@@ -43,3 +45,18 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     source = "from __future__ import annotations\nimport os\nimport numpy as np\nnp.zeros(1)\n"
     assert unused_imports(ast.parse(source)) == ["os (line 2)"]
+
+
+def test_public_names_resolve():
+    # each name in qap.__all__ is bound at import or loaded lazily from
+    # qap.extremize, which must define it; a deleted name left in either
+    # list fails here
+    import qap
+    import qap.extremize
+
+    eager = [name for name in qap.__all__ if name in vars(qap)]
+    assert sorted(eager + list(qap._EXTREMIZE)) == sorted(qap.__all__)
+    for name in qap.__all__:
+        getattr(qap, name)
+    for name in qap._EXTREMIZE:
+        assert getattr(qap, name).__module__ == "qap.extremize"
