@@ -27,7 +27,7 @@ from qap import (
 )
 import qap.extremize as extremize
 from qap.action import endpoint_report
-from qap.dynamics import _n_steps, _state_tangent, final_state, propagator, tangent
+from qap.dynamics import DEFAULT_STEP, _n_steps, _state_tangent, final_state, propagator, tangent
 from qap.extremize import BLOWUP_PENALTY, endpoint_models, parse_active
 from qap.model import COORD_NAMES, flow_coefficients
 
@@ -70,6 +70,93 @@ class TestParseActive:
             parse_active("")
         with pytest.raises(ValueError):
             parse_active((False, False, False, False))
+
+
+def search_objective(init, spec, penalty_weight=0.0, step=DEFAULT_STEP, active=None):
+    """The search's one objective at ``init``: the value ``_centre`` takes
+    from the point's run, on the run's models, with no projection."""
+    idx = [i for i, on in enumerate(parse_active(active)) if on]
+    base = init.as_tuple()
+    z = np.array([base[i] for i in idx], dtype=float)
+    return extremize._centre(spec, base, idx, z, penalty_weight, step, project=False)[1][0]
+
+
+class Unwound(Exception):
+    """Raised by a stand-in for ``extremize.minimize`` to end a search."""
+
+
+class TestObjective:
+    def test_classical_reference_point(self, spec):
+        init = InitialData(S10=1.188395, S20=math.tan(0.5))
+        assert search_objective(init, spec) == pytest.approx(0.321046, abs=1e-6)
+
+    def test_trivial_zero(self):
+        spec = OscillatorSpec(x0=0.0, xT=0.0)
+        assert search_objective(InitialData(), spec) == 0.0
+
+    def test_penalty_inert_when_residual_vanishes(self, spec):
+        # at t0 = T/2 the constraint residual is ~0, so the penalty term
+        # is far below double resolution
+        init = InitialData(S10=1.0, S20=t0_to_S20(0.5, spec))
+        assert search_objective(init, spec, penalty_weight=0.0) == search_objective(
+            init, spec, penalty_weight=10.0
+        )
+
+    def test_penalty_active_otherwise(self, spec):
+        # the penalty adds weight * r**2, r the run's constraint residual
+        init = InitialData(S10=1.0, S20=0.0)
+        base = search_objective(init, spec, penalty_weight=0.0)
+        penalized = search_objective(init, spec, penalty_weight=1.0)
+        r = eigenvalue(integrate(spec, init)).constraint_residual
+        assert penalized > base
+        assert penalized == pytest.approx(base + r * r, rel=1e-12)
+
+    def test_blow_up_maps_to_penalty(self, monkeypatch):
+        # the guess's run dies at t_last = 1.413 of T = 1.5, so the merit
+        # the simplex minimises is the penalty ramped by how early it died
+        spec = OscillatorSpec(T=1.5)
+        init = InitialData(S10=1.0, S20=t0_to_S20(-0.157, spec))
+        with pytest.raises(BlowUpError) as exc:
+            search_objective(init, spec, active=("S10", "S20"))
+        assert exc.value.t_last == pytest.approx(1.413, abs=1e-9)
+        calls = []
+
+        def unwind(fun, x0, **kwargs):
+            calls.append((fun, np.array(x0)))
+            raise Unwound
+
+        monkeypatch.setattr(extremize, "minimize", unwind)
+        with pytest.raises(Unwound):
+            optimize(spec, init, active=("S10", "S20"), max_iter=5, restarts=1)
+        (merit, start), = calls
+        assert start.tolist() == [init.S20]
+        assert merit(start) == BLOWUP_PENALTY * (1.0 + (1.5 - exc.value.t_last) / 1.5)
+
+    def test_adaptive_route_agrees(self, spec):
+        init = InitialData(S10=1.0, S20=0.2, sigma10=0.1, sigma20=0.4)
+        s = replace(spec, hbar_tilde=0.3)
+        a = search_objective(init, s, step=1e-3)
+        b = eigenvalue(integrate(s, init, step=1e-2, method="rk4_adaptive")).lam
+        assert b == pytest.approx(a, abs=1e-8)
+
+    @pytest.mark.parametrize("run, sigma20, active", [
+        ("propagator", 0.4, ("S10", "sigma10")),
+        ("tangent", 0.0, None),
+        ("taped", 0.4, None),
+    ], ids=["propagator", "tangent", "taped"])
+    def test_value_is_a_plain_runs(self, spec, monkeypatch, run, sigma20, active):
+        # each kind of run the search makes gives, bit for bit, the value
+        # of lam + weight * r**2 from a plain run of the same step
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run other than the " + run + " one")
+
+        for name in {"propagator", "tangent", "taped"} - {run}:
+            monkeypatch.setattr(extremize, name, refuse)
+        s = replace(spec, hbar_tilde=0.3)
+        init = InitialData(S10=1.0, S20=0.2, sigma10=0.1, sigma20=sigma20)
+        for weight in (0.0, 0.5):
+            want = plain_objective(init, s, weight, 1e-2)
+            assert search_objective(init, s, weight, 1e-2, active) == want, weight
 
 
 class TestOptimizeClassical:
