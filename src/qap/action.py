@@ -65,7 +65,7 @@ def json_17g(obj) -> str:
 def _require_complete(grid: SolutionGrid) -> None:
     if not grid.complete:
         raise IncompleteGridError(
-            f"grid ends at t = {grid._times[-1]:.6g} < T = {grid.spec.T:.6g}"
+            f"grid ends at t = {grid.times[-1]:.6g} < T = {grid.spec.T:.6g}"
         )
 
 

@@ -76,10 +76,9 @@ smooth runs that such a step resolves.
 
 A kept trajectory is a ``SolutionGrid`` of the loop's rows. It builds the
 state rows (S1, S2, sigma1, sigma2, qS, qSigma, qCon, qIntS2) only when
-they are read: all of them for ``_rows``, ``data`` and the CSV, one for
-``row``, which the end-row readers use; and numpy arrays only for
-``times``, ``data`` or a column, so the commands that never search run
-without numpy.
+they are read: all of them for ``rows`` and the CSV, one for ``row``,
+which the end-row readers use. Times and rows are Python floats, and
+nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -155,31 +154,26 @@ class SolutionGrid:
     """Time-ordered coefficient states from one integration run.
 
     Each state row holds S1, S2, sigma1, sigma2, qS, qSigma, qCon, qIntS2
-    at one time point. The grid keeps its times as Python floats and the
-    rows the stepping loop built; with ``widen`` those are kernel rows,
-    and ``widen`` maps one to its state row, on first access: all rows
-    for ``_rows``, ``data`` and the CSV writer, one for ``row``. ``times``,
-    ``data`` and the column properties are read-only numpy arrays built on
-    first access, and only they import numpy. A grid is ``complete`` when
-    it reaches t = T; partial grids only occur inside ``BlowUpError``.
-    Immutable: setting an attribute raises ``FrozenInstanceError``.
+    at one time point. ``times`` is a tuple of Python floats; the grid
+    keeps the rows the stepping loop built, and ``widen`` maps one to its
+    state row on first access: all rows for ``rows`` and the CSV writer,
+    one for ``row``. Every value read is a Python float. A grid is
+    ``complete`` when it reaches t = T; partial grids only occur inside
+    ``BlowUpError``. Immutable: setting an attribute raises
+    ``FrozenInstanceError``.
     """
 
-    __slots__ = ("spec", "method", "step", "_times", "_source", "_widen", "_state", "_arrays")
+    __slots__ = ("spec", "method", "step", "times", "_source", "_widen", "_state")
 
-    def __init__(self, spec: OscillatorSpec, times, data, method: str, step: float,
-                 widen=None):
+    def __init__(self, spec: OscillatorSpec, times, data, method: str, step: float, widen):
         put = object.__setattr__
         put(self, "spec", spec)
         put(self, "method", method)
         put(self, "step", step)
-        put(self, "_times", tuple(map(float, times)))
-        if widen is None:
-            data = tuple(r if type(r) is tuple else tuple(map(float, r)) for r in data)
+        put(self, "times", tuple(times))
         put(self, "_source", data)
         put(self, "_widen", widen)
-        put(self, "_state", data if widen is None else None)
-        put(self, "_arrays", None)
+        put(self, "_state", None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -188,7 +182,7 @@ class SolutionGrid:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
-    def _rows(self):
+    def rows(self):
         """Every state row, as tuples of Python floats."""
         if self._state is None:
             object.__setattr__(self, "_state", tuple(map(self._widen, self._source)))
@@ -200,63 +194,12 @@ class SolutionGrid:
             return self._widen(self._source[i])
         return self._state[i]
 
-    def _array_pair(self):
-        if self._arrays is None:
-            import numpy as np
-
-            times = np.array(self._times, dtype=float)
-            data = np.array(self._rows, dtype=float)
-            times.setflags(write=False)
-            data.setflags(write=False)
-            object.__setattr__(self, "_arrays", (times, data))
-        return self._arrays
-
-    @property
-    def times(self):
-        return self._array_pair()[0]
-
-    @property
-    def data(self):
-        return self._array_pair()[1]
-
-    @property
-    def s1(self):
-        return self.data[:, 0]
-
-    @property
-    def s2(self):
-        return self.data[:, 1]
-
-    @property
-    def sigma1(self):
-        return self.data[:, 2]
-
-    @property
-    def sigma2(self):
-        return self.data[:, 3]
-
-    @property
-    def qS(self):
-        return self.data[:, 4]
-
-    @property
-    def qSigma(self):
-        return self.data[:, 5]
-
-    @property
-    def qCon(self):
-        return self.data[:, 6]
-
-    @property
-    def qIntS2(self):
-        return self.data[:, 7]
-
     @property
     def complete(self) -> bool:
-        return self._times[-1] == self.spec.T
+        return self.times[-1] == self.spec.T
 
     def __len__(self) -> int:
-        return len(self._times)
+        return len(self.times)
 
     def write_csv(self, out: TextIO, footer: str | None = None) -> None:
         """Emit the grid as CSV: '#' metadata lines, header, 17-digit rows."""
@@ -270,7 +213,7 @@ class SolutionGrid:
         out.write(f"# method={self.method} step={_g17(self.step)} points={len(self)}\n")
         out.write(",".join(CSV_COLUMNS) + "\n")
         row = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
-        out.write("".join([row % (t, *y[:7]) for t, y in zip(self._times, self._rows)]))
+        out.write("".join([row % (t, *y[:7]) for t, y in zip(self.times, self.rows)]))
         if footer:
             out.write(f"# {footer}\n")
 
@@ -756,7 +699,8 @@ def _run(spec, init, step, keep, method, end="state", along="SG"):
     """
     first, m_inv, k, hh, step, T = _start(spec, init, step)
     if not all(-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT for v in first):
-        _blow_up(spec, 0.0, [0.0], [first] if keep else None, None, method, step)
+        # the start row is a state row already; ``tuple`` passes it through
+        _blow_up(spec, 0.0, [0.0], [first] if keep else None, tuple, method, step)
     K = _coefficients(m_inv, k, hh, first[3])
     S20 = first[1]
     row = (1.0, S20, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)

@@ -321,7 +321,12 @@ def cmd_extremize(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
-    """Integrator-order check on one classical and one quantum run."""
+    """Integrator-order check on one classical and one quantum run.
+
+    The probe always steps fixed-step rk4 (``convergence_order``), so the
+    configured method is not read: ``rk4_adaptive`` prints the same
+    output as ``rk4``.
+    """
     classical_spec = replace(cfg.spec, hbar_tilde=0.0)
     classical_init = InitialData(S10=1.0)
     hb = cfg.spec.hbar_tilde if cfg.spec.hbar_tilde > 0 else 0.5

@@ -107,7 +107,7 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import mul
 
 import numpy as np
@@ -163,11 +163,7 @@ class HessianSignature:
     near_zero: int
 
     def to_dict(self) -> dict:
-        return {
-            "positive": self.positive,
-            "negative": self.negative,
-            "near_zero": self.near_zero,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

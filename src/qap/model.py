@@ -11,7 +11,6 @@ every integration call it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -38,13 +37,6 @@ class OscillatorSpec:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OscillatorSpec":
-        return cls(**{f: float(d[f]) for f in d})
-
 
 @dataclass(frozen=True)
 class InitialData:
@@ -58,13 +50,6 @@ class InitialData:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InitialData":
-        return cls(**{f: float(d[f]) for f in d})
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.S10, self.S20, self.sigma10, self.sigma20)
 
@@ -72,7 +57,7 @@ class InitialData:
 def parse_active(active) -> tuple[bool, bool, bool, bool]:
     """Normalize an active-coordinate selection to a 4-tuple of flags.
 
-    Accepts None (all four), a 4-sequence of bools, an iterable of
+    Accepts None (all four), a 4-sequence of Python bools, an iterable of
     coordinate names, or a comma-separated name string.
     """
     if active is None:
@@ -81,12 +66,8 @@ def parse_active(active) -> tuple[bool, bool, bool, bool]:
         items = [s.strip() for s in active.split(",") if s.strip()]
     else:
         items = list(active)
-    # a numpy boolean mask yields numpy bools: boolean dtype, no numpy import
-    if len(items) == 4 and all(
-        isinstance(b, bool) or getattr(getattr(b, "dtype", None), "kind", None) == "b"
-        for b in items
-    ):
-        mask = tuple(bool(b) for b in items)
+    if len(items) == 4 and all(isinstance(b, bool) for b in items):
+        mask = tuple(items)
     else:
         names = [str(s) for s in items]
         unknown = [n for n in names if n not in COORD_NAMES]

@@ -1,7 +1,7 @@
 """Composite Simpson quadrature: an oracle for the in-state accumulators.
 
 Recomputing the accumulated integrals qS, qSigma and qCon by Simpson's
-rule from a kept grid's stored coefficient columns gives a quadrature
+rule from a kept grid's times and state rows gives a quadrature
 independent of the integrator's own accumulation. Only the tests read it.
 """
 
@@ -34,15 +34,15 @@ def composite_simpson(values, times) -> float:
     return total
 
 
-def simpson_accumulators(grid) -> dict[str, float]:
-    """Recompute the three accumulated integrals by Simpson on the grid.
+def simpson_accumulators(times, rows) -> dict[str, float]:
+    """Recompute the three accumulated integrals by Simpson on a grid's
+    times and state rows.
 
     Independent of the in-state accumulators; the oracle for qS, qSigma
     and qCon at t = T.
     """
-    t = grid.times
     return {
-        "qS": composite_simpson(grid.s1**2, t),
-        "qSigma": composite_simpson(grid.sigma1**2 + grid.sigma2, t),
-        "qCon": composite_simpson(grid.sigma1 * grid.s1 + 2.0 * grid.s2, t),
+        "qS": composite_simpson([r[0] ** 2 for r in rows], times),
+        "qSigma": composite_simpson([r[2] ** 2 + r[3] for r in rows], times),
+        "qCon": composite_simpson([r[2] * r[0] + 2.0 * r[1] for r in rows], times),
     }

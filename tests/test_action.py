@@ -64,12 +64,14 @@ class TestEigenvalue:
 
     def test_incomplete_grid_rejected(self, spec):
         grid = integrate(spec, InitialData(S10=1.0), step=1e-2)
+        # state rows are kept as they are: ``tuple`` passes each through
         truncated = SolutionGrid(
             spec=spec,
-            times=np.array(grid.times[:-5]),
-            data=np.array(grid.data[:-5]),
+            times=grid.times[:-5],
+            data=grid.rows[:-5],
             method="rk4",
             step=1e-2,
+            widen=tuple,
         )
         with pytest.raises(IncompleteGridError):
             eigenvalue(truncated)
@@ -87,7 +89,8 @@ class TestEigenvalue:
         s = replace(spec, hbar_tilde=0.3)
         init = InitialData(0.7, -0.2, 0.4, 0.9)
         grid = integrate(s, init, step=1e-2)
-        direct = endpoint_report(s, grid.data[0], grid.data[-1])
+        data = np.asarray(grid.rows)
+        direct = endpoint_report(s, data[0], data[-1])
         assert direct == eigenvalue(grid)
 
 
@@ -109,10 +112,11 @@ class TestConstraintResidual:
     def test_accumulator_agrees_with_simpson_oracle(self, spec):
         s = replace(spec, hbar_tilde=0.5)
         grid = integrate(s, InitialData(1.0, 0.2, 0.3, 0.8), step=1e-3)
-        recomputed = simpson_accumulators(grid)
-        assert recomputed["qS"] == pytest.approx(float(grid.qS[-1]), abs=1e-9)
-        assert recomputed["qSigma"] == pytest.approx(float(grid.qSigma[-1]), abs=1e-9)
-        assert recomputed["qCon"] == pytest.approx(float(grid.qCon[-1]), abs=1e-9)
+        recomputed = simpson_accumulators(grid.times, grid.rows)
+        end = grid.row(-1)
+        assert recomputed["qS"] == pytest.approx(end[4], abs=1e-9)
+        assert recomputed["qSigma"] == pytest.approx(end[5], abs=1e-9)
+        assert recomputed["qCon"] == pytest.approx(end[6], abs=1e-9)
 
 
 class TestQuadratureConsistency:
@@ -148,9 +152,9 @@ class TestSignFlipEffect:
         assert rb.kinetic_term == ra.kinetic_term
         assert rb.boundary_term == ra.boundary_term
         # qSigma shifts by -2*int(sigma2): sigma1^2 is even, sigma2 odd
-        shift = float(b.qSigma[-1] - a.qSigma[-1])
+        shift = b.row(-1)[5] - a.row(-1)[5]
         assert shift == pytest.approx(
-            -2.0 * composite_simpson(a.sigma2, a.times), abs=1e-8
+            -2.0 * composite_simpson([row[3] for row in a.rows], a.times), abs=1e-8
         )
         assert rb.lam != ra.lam
 

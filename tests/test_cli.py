@@ -660,6 +660,16 @@ class TestConvergenceCommand:
         path = write_config(tmp_path, "[init]\nS10 = 0.0\n")
         assert main(["convergence", "--config", path, "--out", str(tmp_path)]) == 0
 
+    def test_probe_ignores_the_method(self, tmp_path, capsys):
+        # the probe steps fixed-step rk4 whatever the method
+        config = str(ROOT / "configs" / "quantum_sweep.ini")
+        printed = []
+        for method in METHODS:
+            argv = ["convergence", "--config", config, "--out", str(tmp_path), "--method", method]
+            assert main(argv) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and "PASS" in printed[0]
+
 
 class TestOverridesAndLogging:
     def test_h_override_changes_grid(self, config_path, tmp_path):
@@ -718,6 +728,36 @@ class TestOverridesAndLogging:
         monkeypatch.delenv("QAP_LOG", raising=False)
         main(["integrate", "--config", config_path, "--out", str(tmp_path)])
         assert capsys.readouterr().err == ""
+
+
+def test_reading_a_run_loads_no_numpy():
+    # a fresh interpreter, so no module of the test session is loaded; each
+    # grid is read one row at a time before all its rows are built
+    configs = ROOT / "configs"
+    code = (
+        "import io, sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}]\n"
+        "from qap import BlowUpError, eigenvalue, integrate\n"
+        "from qap.config import load_config\n"
+        "def read(grid):\n"
+        "    grid.times, grid.row(-1), len(grid), grid.rows\n"
+        "    grid.write_csv(io.StringIO())\n"
+        f"classical = load_config({str(configs / 'classical.ini')!r})\n"
+        f"caustic = load_config({str(configs / 'caustic.ini')!r})\n"
+        "for method in ('rk4', 'rk4_adaptive'):\n"
+        "    grid = integrate(classical.spec, classical.init, classical.step, method)\n"
+        "    eigenvalue(grid)\n"
+        "    read(grid)\n"
+        "    try:\n"
+        "        integrate(caustic.spec, caustic.init, caustic.step, method)\n"
+        "    except BlowUpError as err:\n"
+        "        read(err.partial)\n"
+        "    else:\n"
+        "        raise AssertionError(f'caustic.ini did not blow up with {method}')\n"
+        "assert 'numpy' not in sys.modules, 'reading a run loaded numpy'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_only_a_search_loads_scipy(tmp_path, search_config):

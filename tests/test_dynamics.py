@@ -119,11 +119,11 @@ def row_rhs(K):
 class TestIntegrate:
     def test_matches_closed_form_tangent_flow(self, spec, classical_init):
         # oracle: S2(t) = -tan(t), S1(t) = 1/cos(t) for t0 = 0, S10 = 1
-        grid = integrate(spec, classical_init, step=1e-3)
-        assert float(grid.s2[500]) == pytest.approx(-math.tan(0.5), abs=1e-8)
-        assert float(grid.s1[500]) == pytest.approx(1.0 / math.cos(0.5), abs=1e-8)
-        assert float(grid.s2[500]) == pytest.approx(-0.5463024898437905, abs=1e-8)
-        assert float(grid.s1[500]) == pytest.approx(1.139493927324549, abs=1e-8)
+        s1, s2 = integrate(spec, classical_init, step=1e-3).row(500)[:2]
+        assert s2 == pytest.approx(-math.tan(0.5), abs=1e-8)
+        assert s1 == pytest.approx(1.0 / math.cos(0.5), abs=1e-8)
+        assert s2 == pytest.approx(-0.5463024898437905, abs=1e-8)
+        assert s1 == pytest.approx(1.139493927324549, abs=1e-8)
 
     def test_grid_structure(self, spec, classical_init):
         grid = integrate(spec, classical_init, step=0.3)
@@ -132,60 +132,61 @@ class TestIntegrate:
         assert len(grid) == 5  # ceil(1/0.3) = 4 steps
         assert np.all(np.diff(grid.times) > 0)
         assert grid.complete
-        # read-only float arrays, built once; the grid itself is immutable
-        assert grid.data.shape == (5, 8) and grid.times is grid.times
-        for column in (grid.times, grid.data, grid.s2):
-            assert column.dtype == float and not column.flags.writeable
+        # tuples of Python floats, the rows built once; the grid itself is immutable
+        assert np.asarray(grid.rows).shape == (5, 8) and grid.rows is grid.rows
+        assert type(grid.times) is tuple and type(grid.rows) is tuple
+        assert all(type(v) is float for v in grid.times)
+        assert all(type(v) is float for row in grid.rows for v in row)
         with pytest.raises(FrozenInstanceError):
             grid.step = 0.1
 
     def test_accumulators_start_at_zero(self, spec, classical_init):
         grid = integrate(spec, classical_init, step=0.1)
-        assert (grid.qS[0], grid.qSigma[0], grid.qCon[0]) == (0.0, 0.0, 0.0)
+        assert grid.row(0)[4:7] == (0.0, 0.0, 0.0)
 
     def test_qS_non_decreasing(self, spec):
         grid = integrate(spec, InitialData(S10=1.0, S20=0.5, sigma10=0.2, sigma20=0.4),
                          step=1e-3)
-        assert np.all(np.diff(grid.qS) >= 0)
+        assert np.all(np.diff(np.asarray(grid.rows)[:, 4]) >= 0)
 
     def test_silent_amplitude_sector_stays_exactly_zero(self, spec, classical_init):
-        grid = integrate(replace(spec, hbar_tilde=0.7), classical_init, step=1e-2)
-        assert np.all(grid.sigma1 == 0.0)
-        assert np.all(grid.sigma2 == 0.0)
+        data = np.asarray(integrate(replace(spec, hbar_tilde=0.7), classical_init, step=1e-2).rows)
+        assert np.all(data[:, 2] == 0.0)
+        assert np.all(data[:, 3] == 0.0)
 
     def test_sigma2_exponential_identity(self, spec):
         # sigma2(t) = sigma20 * exp(-int S2 / m), any hbar
         s = replace(spec, hbar_tilde=0.5, m=1.7)
-        grid = integrate(s, InitialData(1.0, 0.2, 0.3, 0.8), step=1e-3)
-        predicted = 0.8 * np.exp(-grid.qIntS2 / s.m)
-        assert np.max(np.abs(grid.sigma2 - predicted)) < 1e-8
+        data = np.asarray(integrate(s, InitialData(1.0, 0.2, 0.3, 0.8), step=1e-3).rows)
+        predicted = 0.8 * np.exp(-data[:, 7] / s.m)
+        assert np.max(np.abs(data[:, 3] - predicted)) < 1e-8
 
     def test_sigma2_never_changes_sign(self, spec):
         s = replace(spec, hbar_tilde=0.3)
         grid = integrate(s, InitialData(0.5, -0.4, 0.1, -0.6), step=1e-3)
-        assert np.all(grid.sigma2 < 0)
+        assert np.all(np.asarray(grid.rows)[:, 3] < 0)
 
     def test_amplitude_sign_flip_leaves_phase_untouched(self, spec):
         s = replace(spec, hbar_tilde=0.8)
-        a = integrate(s, InitialData(1.0, 0.3, 0.4, 0.6), step=1e-3)
-        b = integrate(s, InitialData(1.0, 0.3, -0.4, -0.6), step=1e-3)
-        assert np.max(np.abs(a.s1 - b.s1)) <= 1e-12
-        assert np.max(np.abs(a.s2 - b.s2)) <= 1e-12
-        assert np.array_equal(a.sigma1, -b.sigma1)
-        assert np.array_equal(a.sigma2, -b.sigma2)
+        a = np.asarray(integrate(s, InitialData(1.0, 0.3, 0.4, 0.6), step=1e-3).rows)
+        b = np.asarray(integrate(s, InitialData(1.0, 0.3, -0.4, -0.6), step=1e-3).rows)
+        assert np.max(np.abs(a[:, 0] - b[:, 0])) <= 1e-12
+        assert np.max(np.abs(a[:, 1] - b[:, 1])) <= 1e-12
+        assert np.array_equal(a[:, 2], -b[:, 2])
+        assert np.array_equal(a[:, 3], -b[:, 3])
 
     def test_classical_phase_decouples_from_amplitude(self, spec):
-        a = integrate(spec, InitialData(1.0, 0.3, 0.0, 0.0), step=1e-3)
-        b = integrate(spec, InitialData(1.0, 0.3, 0.9, -1.1), step=1e-3)
-        assert np.max(np.abs(a.s1 - b.s1)) <= 1e-12
-        assert np.max(np.abs(a.s2 - b.s2)) <= 1e-12
+        a = np.asarray(integrate(spec, InitialData(1.0, 0.3, 0.0, 0.0), step=1e-3).rows)
+        b = np.asarray(integrate(spec, InitialData(1.0, 0.3, 0.9, -1.1), step=1e-3).rows)
+        assert np.max(np.abs(a[:, 0] - b[:, 0])) <= 1e-12
+        assert np.max(np.abs(a[:, 1] - b[:, 1])) <= 1e-12
 
     def test_halving_step_cuts_error_sixteenfold(self, spec, classical_init):
         # asymptotic-regime steps: at h <= 1e-3 truncation sits below roundoff
         def max_error(h):
             grid = integrate(spec, classical_init, step=h)
-            exact = -np.tan(grid.times)
-            return float(np.max(np.abs(grid.s2 - exact)))
+            exact = -np.tan(np.asarray(grid.times))
+            return float(np.max(np.abs(np.asarray(grid.rows)[:, 1] - exact)))
 
         ratio = max_error(0.02) / max_error(0.01)
         assert 16.0 * 0.7 <= ratio <= 16.0 * 1.3
@@ -262,7 +263,7 @@ class TestFloatEntry:
         assert fast == final_state(spec, self.INIT, step)
         for method in METHODS:
             grid = integrate(np_spec, np_init, np.float64(step), method)
-            assert np.array_equal(grid.data, integrate(spec, self.INIT, step, method).data)
+            assert grid.rows == integrate(spec, self.INIT, step, method).rows
 
 
 class TestBlowUp:
@@ -277,8 +278,8 @@ class TestBlowUp:
         partial = exc.value.partial
         assert partial is not None
         assert not partial.complete
-        assert float(partial.times[-1]) == exc.value.t_last
-        assert np.all(np.isfinite(partial.data))
+        assert partial.times[-1] == exc.value.t_last
+        assert np.all(np.isfinite(np.asarray(partial.rows)))
 
     def test_final_state_fast_path_blows_up_identically(self):
         spec = OscillatorSpec(T=1.5)
@@ -302,7 +303,7 @@ def fixed_run(s, i):
 
 
 def adaptive_run(s, i):
-    return integrate(s, i, step=0.25, method="rk4_adaptive").data[-1]
+    return integrate(s, i, step=0.25, method="rk4_adaptive").row(-1)
 
 
 def propagator_run(s, i):
@@ -968,10 +969,10 @@ def outcome(run, *args):
     try:
         result = run(*args)
     except BlowUpError as err:
-        partial = err.partial and (err.partial._times, err.partial._rows)
+        partial = err.partial and (err.partial.times, err.partial.rows)
         return repr(("blowup", err.t_last, partial))
     if isinstance(result, dynamics.SolutionGrid):
-        return repr((result._times, result._rows))
+        return repr((result.times, result.rows))
     return repr(result)
 
 
@@ -1018,7 +1019,7 @@ class TestFinalStateFastPath:
                 s = replace(spec, hbar_tilde=hbar)
                 grid = integrate(s, init, step=step)
                 fast = final_state(s, init, step=step)
-                assert tuple(float(v) for v in grid.data[-1]) == fast, (step, hbar)
+                assert grid.rows[-1] == fast, (step, hbar)
 
 
 def caustic_time(m, k, S20):
@@ -1113,17 +1114,17 @@ class TestAdaptive:
         fixed = integrate(spec, classical_init, step=1e-3)
         adaptive = integrate(spec, classical_init, step=1e-2, method="rk4_adaptive")
         assert adaptive.complete
-        assert float(adaptive.times[0]) == 0.0
+        assert adaptive.times[0] == 0.0
         assert np.all(np.diff(adaptive.times) > 0)
-        assert float(adaptive.s2[-1]) == pytest.approx(float(fixed.s2[-1]), abs=1e-8)
+        assert adaptive.row(-1)[1] == pytest.approx(fixed.row(-1)[1], abs=1e-8)
 
     def test_quantum_run(self, spec):
         s = replace(spec, hbar_tilde=0.5)
         init = InitialData(1.0, 0.0, 0.3, 0.7)
         fixed = integrate(s, init, step=5e-4)
         adaptive = integrate(s, init, step=1e-2, method="rk4_adaptive")
-        assert float(adaptive.s2[-1]) == pytest.approx(float(fixed.s2[-1]), abs=1e-8)
-        assert float(adaptive.qSigma[-1]) == pytest.approx(float(fixed.qSigma[-1]), abs=1e-8)
+        assert adaptive.row(-1)[1] == pytest.approx(fixed.row(-1)[1], abs=1e-8)
+        assert adaptive.row(-1)[5] == pytest.approx(fixed.row(-1)[5], abs=1e-8)
 
     def test_blow_up_detected(self):
         spec = OscillatorSpec(T=1.5)
@@ -1159,8 +1160,8 @@ class TestAdaptive:
         init = InitialData(1.0, 0.2, 0.3, 0.8)
         grid = integrate(spec, init, step=1e-13, method="rk4_adaptive")
         assert grid.complete
-        assert grid._times[1] >= 1e-12
-        assert grid._rows[-1] == integrate(spec, init, step=1e-12, method="rk4_adaptive")._rows[-1]
+        assert grid.times[1] >= 1e-12
+        assert grid.rows[-1] == integrate(spec, init, step=1e-12, method="rk4_adaptive").rows[-1]
 
 
 def reference_ratio(coarse, fine):
@@ -1276,7 +1277,7 @@ class TestCsvExport:
         assert len(rows) == len(grid)
         assert rows[0] == "0,1,0,0,0,0,0,0"
         # 17 significant digits round-trip exactly
-        for token, expected in zip(rows[-1].split(","), [1.0, *grid.data[-1][:7]]):
+        for token, expected in zip(rows[-1].split(","), [1.0, *grid.rows[-1][:7]]):
             assert float(token) == float(expected)
 
     def test_footer_comment(self, spec, classical_init, tmp_path):

@@ -61,7 +61,9 @@ class TestParseActive:
 
     def test_bool_tuple(self):
         assert parse_active((True, False, True, False)) == (True, False, True, False)
-        assert parse_active(np.array([True, False, True, False])) == (True, False, True, False)
+        # a numpy mask holds numpy bools, which are neither bools nor names
+        with pytest.raises(ValueError, match="unknown coordinate names"):
+            parse_active(np.array([True, False, True, False]))
 
     def test_rejects_unknown_and_empty(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Every import in ``src/``, ``tests/`` and ``scripts/`` is used.
+"""Every import in ``src/``, ``tests/``, ``scripts/`` and ``perfbench/`` is used.
 
 No linter runs on this repository, so this scan stands in for one. An
 import counts as used when the name it binds is read anywhere in the
@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py"))
+FILES = sorted(
+    p for d in ("src", "tests", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")
+)
 
 
 def unused_imports(tree: ast.Module) -> list[str]:

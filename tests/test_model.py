@@ -1,4 +1,3 @@
-import json
 import math
 import sys
 
@@ -126,16 +125,7 @@ class TestPhaseOffsetMap:
         assert t0_to_S20(0.8, s) == pytest.approx(2.0 * math.tan(0.4), rel=1e-14)
 
 
-class TestSerialization:
-    def test_spec_json_round_trip(self, spec):
-        loaded = OscillatorSpec.from_dict(json.loads(spec.to_json()))
-        assert loaded == spec
-
-    def test_init_json_round_trip(self):
-        init = InitialData(S10=1.25, S20=-0.5, sigma10=0.3, sigma20=0.7)
-        loaded = InitialData.from_dict(json.loads(init.to_json()))
-        assert loaded == init
-
+class TestInitialData:
     def test_init_as_tuple_order(self):
         init = InitialData(1.0, 2.0, 3.0, 4.0)
         assert init.as_tuple() == (1.0, 2.0, 3.0, 4.0)
