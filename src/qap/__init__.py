@@ -32,13 +32,11 @@ from .errors import (
     ResonanceError,
     SingularityError,
     ValidationError,
-    ZeroFrequencyError,
     ZeroStiffnessError,
 )
 from .model import (
     InitialData,
     OscillatorSpec,
-    S20_to_t0,
     omega0,
     resonant,
     t0_to_S20,
@@ -59,12 +57,10 @@ __all__ = [
     "OscillatorSpec",
     "QapError",
     "ResonanceError",
-    "S20_to_t0",
     "SingularityError",
     "SolutionGrid",
     "StationarityReport",
     "ValidationError",
-    "ZeroFrequencyError",
     "ZeroStiffnessError",
     "convergence_order",
     "eigenvalue",

@@ -28,29 +28,30 @@ of C^2, C*St and St^2 over u^2, and I2, the integral of sigma2
 models). One kernel steps the row (u, p, C, St, Jcc, Jcs, Jss, I2), which
 does not depend on (S10, sigma10), for ``final_state``, ``propagator``
 and ``integrate`` (both methods); with sigma20 = 0, C = 1 and the other
-three are 0, and ``_zero_amplitude_step`` steps only (u, p, Jcc).
-``_render`` writes both from one table; ``_stage`` is the reference the
-tests pin them against. Two runs give the derivatives of the discrete
-map along S20 and sigma20, from kernels rendered on first use, so the
-commands that never search pay nothing for them:
+three are 0, and the zero-amplitude kernel steps only (u, p, Jcc).
+Every kernel is rendered on first use by one cached function,
+``_kernel``, from one table (``_render``; ``_stage`` is the reference
+the tests pin them against), so a command renders only the kernels it
+runs. Two runs give the derivatives of the discrete map along S20 and
+sigma20:
 
 - ``tangent`` steps the row with its variational equations along the
   searched coordinates, S20, sigma20 or both, and, by the product rule
   once more, their second-order lines along each pair: forward mode, the
   first and second derivatives of every component. A kernel per searched
-  set (``_tangent_kernels``) steps 24 components along one coordinate
-  and 48 along both; along S20 alone at sigma20 = 0 it steps only the 7
-  that are not 0 there (``_ZERO_AMPLITUDE_TABLE``);
-- ``taped`` steps the row with ``_row_step``'s taped twin
-  (``_taped_kernels``), which keeps r, a and b at each RK4 stage, and
-  returns a pullback: for a seed, a covector on the end row, one
-  backward sweep of the adjoint of (u, p, C, St) over the tape
-  (``_sweep``), the transposed product rule on the row's table, gives
-  the derivatives of seed . row along S20 and sigma20. That is reverse
-  mode (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008,
-  ch. 3-4), at about two thirds of the time of a 24-component
-  first-order tangent run at h = 1e-2 (CPython 3.11). Its tape grows
-  with the run, so it refuses more than ``TAPE_STEPS`` steps.
+  set steps 24 components along one coordinate and 48 along both; along
+  S20 alone at sigma20 = 0 it steps only the 7 that are not 0 there
+  (``_ZERO_AMPLITUDE_TABLE``);
+- ``taped`` steps the row with the row kernel's taped twin, which keeps
+  r, a and b at each RK4 stage, and returns a pullback: for a seed, a
+  covector on the end row, one backward sweep of the adjoint of (u, p,
+  C, St) over the tape (``_sweep``), the transposed product rule on the
+  row's table, gives the derivatives of seed . row along S20 and
+  sigma20. That is reverse mode (Griewank & Walther, *Evaluating
+  Derivatives*, 2nd ed., 2008, ch. 3-4), at about two thirds of the time
+  of a 24-component first-order tangent run at h = 1e-2 (CPython 3.11).
+  Its tape grows with the run, so it refuses more than ``TAPE_STEPS``
+  steps.
 
 ``extremize._centre`` picks one of the two for each search point and
 reads either through one cotangent formula: the seed's sweep, or its
@@ -87,6 +88,7 @@ import linecache
 import math
 from dataclasses import FrozenInstanceError, replace
 from functools import cache, partial
+from itertools import chain
 from typing import TextIO
 
 from .errors import BlowUpError, DegenerateProbeError
@@ -125,6 +127,9 @@ ADAPTIVE_RTOL = 1e-10
 METHODS = ("rk4", "rk4_adaptive")
 
 CSV_COLUMNS = ("t", "S1", "S2", "sigma1", "sigma2", "qS", "qSigma", "qCon")
+
+#: most CSV rows formatted by one ``%``
+CSV_BLOCK = 1024
 
 
 def _coefficients(m_inv, k, hh, sigma20):
@@ -213,7 +218,11 @@ class SolutionGrid:
         out.write(f"# method={self.method} step={_g17(self.step)} points={len(self)}\n")
         out.write(",".join(CSV_COLUMNS) + "\n")
         row = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
-        out.write("".join([row % (t, *y[:7]) for t, y in zip(self.times, self.rows)]))
+        # one % per block of rows, not per row; the bytes are the same
+        values = [(t, *y[:7]) for t, y in zip(self.times, self.rows)]
+        for i in range(0, len(values), CSV_BLOCK):
+            block = values[i:i + CSV_BLOCK]
+            out.write(row * len(block) % tuple(chain.from_iterable(block)))
         if footer:
             out.write(f"# {footer}\n")
 
@@ -226,7 +235,7 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _render(name, shared, flows, integrals, guards, bounded=None, tape=()):
+def _render(name, shared, flows, integrals, guards, bounded, tape=()):
     """Source of ``name(y, h, K)``, one unrolled RK4 step of the row
     ``flows + integrals`` with the coefficients K of ``_coefficients``.
 
@@ -241,12 +250,11 @@ def _render(name, shared, flows, integrals, guards, bounded=None, tape=()):
     w6*(d1 + 2*(d2 + d3) + d4). The step is not taken, and None
     returned, unless each of ``guards`` holds on y; the new row is
     returned if it has u > 0 and every component named in ``bounded``
-    (all of them by default) lies in [-BLOWUP_LIMIT, BLOWUP_LIMIT], which
-    NaN does not, else None; None too when a point has u = 0.0. With
-    ``tape``, K has one more entry, a callable, and a step that its
-    guards let through passes it one tuple before the new row's tests:
-    h, then the shared values named in ``tape`` at y, y2, y3 and
-    y4. Unrolled scalar code: a tuple-of-stages RK4 costs about 3x here,
+    lies in [-BLOWUP_LIMIT, BLOWUP_LIMIT], which NaN does not, else None;
+    None too when a point has u = 0.0. With ``tape``, K has one more
+    entry, a callable, and a step that its guards let through passes it
+    one tuple before the new row's tests: h, then the shared values named
+    in ``tape`` at y, y2, y3 and y4. Unrolled scalar code: a tuple-of-stages RK4 costs about 3x here,
     in the hot loop of every solve.
     """
     row = ", ".join(n for n, _ in flows + integrals)
@@ -274,8 +282,6 @@ def _render(name, shared, flows, integrals, guards, bounded=None, tape=()):
     if tape:
         kept = [point + n for point in ("", "y2", "y3", "y4") for n in tape]
         body.append(f"push((h, {', '.join(kept)}))")
-    if bounded is None:
-        bounded = [n for n, _ in flows + integrals]
     test = " and ".join(["0.0 < u", *(f"-L <= {n} <= L" for n in bounded)])
     body += ["L = BLOWUP_LIMIT", f"if {test}:", f"    return {row}", "return None"]
     # u = 0.0 at a point raises in 1.0 / u; that step fails too
@@ -284,40 +290,13 @@ def _render(name, shared, flows, integrals, guards, bounded=None, tape=()):
     return f"def {name}(y, h, K):\n" + "".join(f"    {line}\n" for line in body)
 
 
-# The row's table; each line reads as its line of ``_stage``. The
-# zero-amplitude row keeps u, p and Jcc, with the terms that vanish at
-# sigma20 = 0 (C = 1, St = 0, c = 0) dropped, and no bounce guard.
+# The row's table; each line reads as its line of ``_stage``.
 _ROW_SHARED = (("r", "1.0 / {u}"), ("a", "{r} * {C}"), ("b", "{r} * {St}"))
 _ROW_FLOWS = (("u", "m_inv * {p}"), ("p", "c * {r} - k * {u}"), ("C", "hs * {b}"),
               ("St", "ms * {a}"))
 _ROW_INTEGRALS = (("Jcc", "{a} * {a}"), ("Jcs", "{a} * {b}"), ("Jss", "{b} * {b}"),
                   ("I2", "s * {r}"))
 _ROW_GUARDS = ("-h * p <= G * u", "h * h * W <= u * u")
-_ZERO_AMPLITUDE_ROW = ((("r", "1.0 / {u}"),), (("u", "m_inv * {p}"), ("p", "-k * {u}")),
-                       (("Jcc", "{r} * {r}"),))
-_KERNEL_FILE = "<qap.dynamics kernels>"
-_KERNEL_SOURCE = _render(
-    "_row_step", _ROW_SHARED, _ROW_FLOWS, _ROW_INTEGRALS, _ROW_GUARDS,
-) + _render("_zero_amplitude_step", *_ZERO_AMPLITUDE_ROW, ())
-
-
-def _compile(source, filename):
-    """The functions ``source`` defines, by name, compiled as ``filename``.
-
-    The source is registered so that tracebacks, ``inspect.getsource``
-    and profilers show kernel lines.
-    """
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    kernels = {}
-    exec(compile(source, filename, "exec"), globals(), kernels)
-    return kernels
-
-
-_kernels = _compile(_KERNEL_SOURCE, _KERNEL_FILE)
-#: one RK4 step of the row (u, p, C, St, Jcc, Jcs, Jss, I2)
-_row_step = _kernels["_row_step"]
-#: one RK4 step of (u, p, Jcc), the live components of a run with sigma20 = 0
-_zero_amplitude_step = _kernels["_zero_amplitude_step"]
 
 # The row's derivative along X, S20 (S) or sigma20 (G), by the product rule
 # on each line of the row's table: rX = -r^2*uX, aX and bX the derivatives
@@ -346,12 +325,14 @@ _CURVATURE_INTEGRALS = (("JccXY", "2.0 * ({aX} * {aY} + {a} * {aXY})"),
                         ("JcsXY", "{aXY} * {b} + {aX} * {bY} + {aY} * {bX} + {a} * {bXY}"),
                         ("JssXY", "2.0 * ({bX} * {bY} + {b} * {bXY})"), ("I2XY", "s * {rXY}"))
 
-# The zero-amplitude row's lines along S20 alone, by order: at sigma20 = 0,
-# c = 0, C = 1 and St = Jcs = Jss = I2 = 0, and the lines above that stay 0
-# are dropped. (u, p) is linear in S20, so uSS = 0, rSS = 2*rS^2/r and
-# JccSS' = 6*rS^2. A run along sigma20 at sigma20 = 0 steps the full table.
+# The zero-amplitude row and its lines along S20 alone, by order: at
+# sigma20 = 0, c = 0, C = 1 and St = Jcs = Jss = I2 = 0, and the lines
+# above that stay 0 are dropped. The row keeps u, p and Jcc; (u, p) is
+# linear in S20, so uSS = 0, rSS = 2*rS^2/r and JccSS' = 6*rS^2. A run
+# along sigma20 at sigma20 = 0 steps the full table.
 _ZERO_AMPLITUDE_TABLE = {
-    "": _ZERO_AMPLITUDE_ROW,
+    "": ((("r", "1.0 / {u}"),), (("u", "m_inv * {p}"), ("p", "-k * {u}")),
+         (("Jcc", "{r} * {r}"),)),
     "S": ((("rS", "-{r} * {r} * {uS}"),), (("uS", "m_inv * {pS}"), ("pS", "-k * {uS}")),
           (("JccS", "2.0 * {r} * {rS}"),)),
     "SS": ((), (), (("JccSS", "6.0 * {rS} * {rS}"),)),
@@ -393,11 +374,12 @@ def _levels(along):
 
 
 @cache
-def _tangent_table(along, zero_amplitude):
-    """The (shared, flows, integrals) lines of the tangent run along
-    ``along`` (S, G or SG): the row's, its first-order lines and its
-    second-order lines, level by level (``_levels``); with
-    ``zero_amplitude`` (along S alone), those of ``_ZERO_AMPLITUDE_TABLE``."""
+def _table(along, zero_amplitude):
+    """The (shared, flows, integrals) lines of a run along ``along``: ""
+    for the row alone, or S, G or SG for a tangent run, whose table holds
+    the row's, its first-order lines and its second-order lines, level by
+    level (``_levels``); with ``zero_amplitude`` (along "" or S), those of
+    ``_ZERO_AMPLITUDE_TABLE``."""
     parts = []
     for level in _levels(along):
         if zero_amplitude:
@@ -414,38 +396,34 @@ def _tangent_table(along, zero_amplitude):
 
 
 @cache
-def _tangent_kernels(along, zero_amplitude):
-    """The tangent run's kernel along ``along`` (S, G or SG), by name,
-    rendered and compiled on first use for each searched set, so that the
-    commands that never search pay nothing for them.
+def _kernel(along, zero_amplitude, taped=False):
+    """The RK4 step of the table ``_table(along, zero_amplitude)``,
+    rendered by ``_render`` and compiled on first use, once per argument
+    tuple, so that a command renders only the kernels it runs. ``_run``
+    passes all three arguments, positionally; the cache keys on them as
+    passed.
 
-    ``_tangent_step`` steps the row with its first- and second-order lines
-    (``_tangent_table``); ``_zero_amplitude_tangent_step``, with
-    ``zero_amplitude``, along S20 alone, those that are not 0 at sigma20 =
-    0: 7 components, against 24 for the full table. Both bound-check only the
-    row, so a tangent run blows up exactly where ``propagator`` does; a
-    non-finite tangent is the caller's to catch.
+    ``along`` is "" for the row, or S, G or SG for a tangent run's row and
+    its first- and second-order lines; ``zero_amplitude`` takes the
+    zero-amplitude table, which steps the components that are not 0 at
+    sigma20 = 0 and needs no bounce guard. Each kernel bound-checks only
+    the row, so a tangent run blows up exactly where the row's run does; a
+    non-finite tangent is the caller's to catch. With ``taped`` (the row
+    alone), each step its guards let through also passes the tape, the
+    last entry of its K, (h, r, a, b, then r, a and b at y2, y3 and y4):
+    what ``_sweep`` reads of the step. The source is registered so that
+    tracebacks, ``inspect.getsource`` and profilers show kernel lines.
     """
-    shared, flows, integrals = _tangent_table(along, zero_amplitude)
-    name = "_zero_amplitude_tangent_step" if zero_amplitude else "_tangent_step"
-    source = _render(name, shared, flows, integrals, () if zero_amplitude else _ROW_GUARDS,
-                     [n for n, _ in flows + integrals if n in _ROW_NAMES])
-    kind = "zero-amplitude tangent" if zero_amplitude else "tangent"
-    return _compile(source, f"<qap.dynamics {kind} kernel along {along}>")
-
-
-@cache
-def _taped_kernels():
-    """The taped run's kernel by name, rendered and compiled on first use.
-
-    ``_taped_row_step`` is ``_row_step`` from the same table, which also
-    passes the tape, the last entry of its K, (h, r, a, b, then r, a and b
-    at y2, y3 and y4) for each step its guards let through: what
-    ``_sweep`` reads of the step.
-    """
-    source = _render("_taped_row_step", _ROW_SHARED, _ROW_FLOWS, _ROW_INTEGRALS, _ROW_GUARDS,
-                     tape=("r", "a", "b"))
-    return _compile(source, "<qap.dynamics taped kernels>")
+    shared, flows, integrals = _table(along, zero_amplitude)
+    source = _render("_rk4_step", shared, flows, integrals,
+                     () if zero_amplitude else _ROW_GUARDS,
+                     [n for n, _ in flows + integrals if n in _ROW_NAMES],
+                     ("r", "a", "b") if taped else ())
+    filename = f"<qap.dynamics kernel {along=} {zero_amplitude=} {taped=}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["_rk4_step"]
 
 
 def _sweep(tape, K, seed):
@@ -524,7 +502,7 @@ def _tangent_rows(along, zero_amplitude, y):
     one per coordinate, and its second-order rows, one per pair, in the
     order of ``_levels``. A component the kernel does not step is 0, but
     the row's C, 1, at sigma20 = 0."""
-    _, flows, integrals = _tangent_table(along, zero_amplitude)
+    _, flows, integrals = _table(along, zero_amplitude)
     at = dict(zip([n for n, _ in flows + integrals], y))
     rows = [tuple(at.get(n + level, 1.0 if n + level == "C" else 0.0) for n in _ROW_NAMES)
             for level in _levels(along)]
@@ -682,7 +660,7 @@ def _start(spec, init, step):
     return (y, *flow_coefficients(spec), step, T)
 
 
-def _run(spec, init, step, keep, method, end="state", along="SG"):
+def _run(spec, init, step, keep, method, end="state", along=""):
     """``_start``, then the kernel for the start state, its start row and
     coefficients, the map from its rows to what the run returns, the
     step and T.
@@ -694,36 +672,32 @@ def _run(spec, init, step, keep, method, end="state", along="SG"):
     step's stage values to a tape, and ``_sweep`` reads it back. A start
     state beyond ``BLOWUP_LIMIT`` blows up at t = 0. sigma20 = 0 takes a
     zero-amplitude kernel, except in a taped run and in a tangent run
-    along sigma20. The kernels are looked up at call, as module globals
-    or in the caches of rendered kernels, so a test can swap one.
+    along sigma20. The kernel is looked up at call, as ``_kernel``, so a
+    test can swap one.
     """
     first, m_inv, k, hh, step, T = _start(spec, init, step)
     if not all(-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT for v in first):
         # the start row is a state row already; ``tuple`` passes it through
         _blow_up(spec, 0.0, [0.0], [first] if keep else None, tuple, method, step)
     K = _coefficients(m_inv, k, hh, first[3])
-    S20 = first[1]
-    row = (1.0, S20, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    if end == "taped":
+    taped = end == "taped"
+    zero = first[3] == 0.0 and along in ("", "S") and not taped
+    # the row starts at (1, S20, 1, 0, ...), and a tangent run's lines at
+    # dp = 1 along S20, and at 0 along sigma20 and at second order
+    start = {"u": 1.0, "p": first[1], "C": 1.0, "pS": 1.0}
+    _, flows, integrals = _table(along, zero)
+    y = tuple([start.get(n, 0.0) for n, _ in flows + integrals])
+    kernel = _kernel(along, zero, taped)
+    if taped:
         tape = []
-        kernel = _taped_kernels()["_taped_row_step"]
-        return kernel, row, K + (tape.append,), lambda y: (y, partial(_sweep, tape, K)), step, T
-    if end == "tangent":
-        zero = first[3] == 0.0 and along == "S"
+        return kernel, y, K + (tape.append,), lambda y: (y, partial(_sweep, tape, K)), step, T
+    if along:
         widen = partial(_tangent_rows, along, zero)
-        # the lines start from dp = 1 along S20, and from 0 along sigma20 and at second order
-        start = {"u": 1.0, "p": S20, "C": 1.0, "pS": 1.0}
-        _, flows, integrals = _tangent_table(along, zero)
-        y = tuple(start.get(n, 0.0) for n, _ in flows + integrals)
-        name = "_zero_amplitude_tangent_step" if zero else "_tangent_step"
-        return _tangent_kernels(along, zero)[name], y, K, widen, step, T
-    if end == "row":
+    elif end == "row":
         widen = _u_row
     else:
         widen = partial(_state_row, first, float(spec.m), hh / m_inv)
-    if first[3] == 0.0:
-        return _zero_amplitude_step, (1.0, S20, 0.0), K, widen, step, T
-    return _row_step, row, K, widen, step, T
+    return kernel, y, K, widen, step, T
 
 
 def _check_step_count(T, step):
@@ -740,7 +714,7 @@ def _n_steps(T, step):
     return n
 
 
-def _fixed(spec, init, step, keep, end="state", along="SG"):
+def _fixed(spec, init, step, keep, end="state", along=""):
     """Fixed-step RK4 from 0 to T: the grid if ``keep``, else what the run
     returns at its end row, by ``end`` and ``along`` (see ``_run``).
 
@@ -829,7 +803,7 @@ def taped(spec: OscillatorSpec, init: InitialData, step: float = DEFAULT_STEP):
     over the run's tape (``_sweep``): the derivatives of ``tangent``, up to
     roundoff, for about the cost of one more row run, where ``tangent``
     steps 24 components. The row is ``propagator``'s, bit for bit (the
-    taped kernel is ``_row_step`` rendered from the same table), and the
+    taped kernel is the row's kernel rendered from the same table), and the
     run blows up exactly where ``propagator``'s does; only the pullback's
     values may come out non-finite. The tape holds 13 floats a step, so a
     run of more than ``TAPE_STEPS`` steps raises ``ValueError``; a

@@ -39,10 +39,6 @@ class SingularityError(QapError):
         super().__init__(f"singular denominator: {factor}")
 
 
-class ZeroFrequencyError(QapError):
-    """Inverse phase-offset map requested at omega0 = 0."""
-
-
 class ZeroStiffnessError(QapError):
     """Classical closed forms are undefined at k = 0; use the ODE path."""
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .action import eigenvalue, json_17g
+from .action import EigenvalueReport, eigenvalue, endpoint_report, json_17g
 from .classical import ClassicalParams, lambda_classical, lambda_star, s10_star
 from .config import ExperimentConfig
-from .dynamics import _check_step_count, _g17, convergence_order, integrate
+from .dynamics import _check_step_count, _g17, _start, convergence_order, final_state, integrate
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -131,6 +131,20 @@ def _require_hbar_grid(cfg: ExperimentConfig, command: str) -> None:
             raise ConfigError(f"hbar_grid entry {hb!r} gives {'; '.join(errors)}")
 
 
+def _report(spec, init, cfg: ExperimentConfig) -> EigenvalueReport:
+    """The eigenvalue report of one run from ``init`` at ``cfg``'s step
+    and method.
+
+    Under rk4 it reads ``final_state``'s end row and the run's own start
+    state (``_start``, where -0.0 becomes +0.0), so no trajectory is
+    kept; the report is ``eigenvalue`` of the kept grid, bit for bit.
+    """
+    if cfg.method == "rk4":
+        end = final_state(spec, init, cfg.step)
+        return endpoint_report(spec, _start(spec, init, cfg.step)[0], end)
+    return eigenvalue(integrate(spec, init, step=cfg.step, method=cfg.method))
+
+
 def cmd_integrate(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Integrate once and write the solution grid CSV."""
     path = out_dir / "solution.csv"
@@ -152,8 +166,7 @@ def cmd_integrate(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_eigenvalue(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Integrate once and report the eigenvalue decomposition."""
-    grid = integrate(cfg.spec, cfg.init, step=cfg.step, method=cfg.method)
-    report = eigenvalue(grid)
+    report = _report(cfg.spec, cfg.init, cfg)
     path = out_dir / "eigenvalue.json"
     path.write_text(report.to_json() + "\n")
     print(f"lambda = {report.lam:.12g}")
@@ -210,8 +223,7 @@ def cmd_scan_t0(cfg: ExperimentConfig, out_dir: Path) -> int:
             s10 = s10_star(t0, cfg.spec)
             lam_closed = lambda_classical(ClassicalParams(s10, t0), cfg.spec)
             init = InitialData(S10=s10, S20=t0_to_S20(t0, cfg.spec))
-            grid = integrate(cfg.spec, init, step=cfg.step, method=cfg.method)
-            report = eigenvalue(grid)
+            report = _report(cfg.spec, init, cfg)
             table.add(float(t0), s10, lam_closed, report.lam, report.constraint_residual, "ok")
             ok_values.append(report.lam)
         except BlowUpError as err:
@@ -233,8 +245,7 @@ def cmd_sweep_hbar(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Sweep the quantum scale at fixed initial data; fit the correction power."""
     init = cfg.init
     base = replace(cfg.spec, hbar_tilde=0.0)
-    grid0 = integrate(base, init, step=cfg.step, method=cfg.method)
-    lam0 = eigenvalue(grid0).lam
+    lam0 = _report(base, init, cfg).lam
 
     table = SweepTable(
         parameter="hbar_tilde",
@@ -246,7 +257,7 @@ def cmd_sweep_hbar(cfg: ExperimentConfig, out_dir: Path) -> int:
     for hb in cfg.hbar_grid:
         spec_h = replace(cfg.spec, hbar_tilde=float(hb))
         try:
-            report = eigenvalue(integrate(spec_h, init, step=cfg.step, method=cfg.method))
+            report = _report(spec_h, init, cfg)
             delta = abs(report.lam - lam0)
             table.add(float(hb), report.lam, delta, report.constraint_residual, "ok")
             if hb > 0 and delta > 0:

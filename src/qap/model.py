@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import SingularityError, ValidationError, ZeroFrequencyError
+from .errors import SingularityError, ValidationError
 
 #: |cos| or |sin| below this is treated as a vanishing denominator.
 SINGULARITY_TOL = 1e-12
@@ -148,16 +148,3 @@ def t0_to_S20(t0: float, spec: OscillatorSpec) -> float:
         raise SingularityError("cos(omega0*t0)")
     return math.sqrt(spec.m * spec.k) * math.tan(w * t0)
 
-
-def S20_to_t0(S20: float, spec: OscillatorSpec) -> float:
-    """Invert ``t0_to_S20`` on the principal branch.
-
-    Returns arctan(S20/sqrt(m*k))/omega0, the phase offset of the
-    paper's classical closed form S2(t) = -sqrt(m*k)*tan(omega0*(t - t0))
-    at t = 0; requires omega0 > 0. No computation of the package calls
-    it; it is public as the inverse of that closed form's map.
-    """
-    w = omega0(spec)
-    if w == 0.0:
-        raise ZeroFrequencyError("phase offset is undefined at omega0 = 0")
-    return math.atan(S20 / math.sqrt(spec.m * spec.k)) / w

@@ -612,6 +612,43 @@ class TestSweepHbarCommand:
         assert len(lams) == 1  # textual identity: quantum sector inert
 
 
+CAUSTIC_INI = "[spec]\nT = 1.5\n[init]\nS10 = 1.0\nt0 = -0.157\n[grid]\nh = 1e-3\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("eigenvalue", BASE_INI),
+    ("eigenvalue", QUANTUM_INI.replace("hbar_tilde = 0.0", "hbar_tilde = 0.4")),
+    ("eigenvalue", CAUSTIC_INI),
+    ("scan-t0", BASE_INI),
+    ("scan-t0", "[spec]\nT = 1.5\n[sweep]\nt0_grid = -0.2,0.2,0.4,0.6\n[grid]\nh = 1e-3\n"),
+    ("sweep-hbar", QUANTUM_INI),
+    ("sweep-hbar", CAUSTIC_INI + "[sweep]\nhbar_grid = 0.1,0.2\n"),
+], ids=["classical", "quantum", "caustic", "scan", "scan-caustic", "sweep", "sweep-caustic"])
+def test_reports_keep_no_trajectory_under_rk4(tmp_path, capsys, monkeypatch, command, text):
+    # each rk4 report reads final_state's end row; the report of the kept
+    # grid is the oracle, byte for byte
+    import qap.experiments as experiments
+    from qap.action import eigenvalue
+
+    path = write_config(tmp_path, text)
+
+    def run(name):
+        out = tmp_path / name
+        code = main([command, "--config", path, "--out", str(out)])
+        files = {f.name: re.sub(rb', "timestamp": "[^"]*"', b"", f.read_bytes())
+                 for f in sorted(out.iterdir())} if out.is_dir() else {}
+        return code, capsys.readouterr().out.replace(str(out), "<OUT>"), files
+
+    calls = []
+    integrate = experiments.integrate
+    monkeypatch.setattr(experiments, "integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    got = run("final_state")
+    assert calls == []
+    monkeypatch.setattr(experiments, "_report", lambda spec, init, cfg: eigenvalue(
+        integrate(spec, init, step=cfg.step, method=cfg.method)))
+    assert run("grid") == got
+
+
 class TestExtremizeCommand:
     def test_writes_extremum_json(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -763,50 +800,56 @@ def test_reading_a_run_loads_no_numpy():
 def test_only_a_search_loads_scipy(tmp_path, search_config):
     # a fresh interpreter, so no module of the test session is loaded
     configs = ROOT / "configs"
-    runs = [[cmd, "--config", str(configs / "classical.ini")] for cmd in
-            ("integrate", "eigenvalue", "scan-t0", "convergence")]
-    runs.append(["sweep-hbar", "--config", str(configs / "quantum_sweep.ini")])
+    # each kernel by the key (along, zero_amplitude, taped) a run asks
+    # ``dynamics._kernel`` for; each run adds only the kernels it runs, and
+    # the commands that never search only the row's and the zero-amplitude
+    # row's: the classical config has sigma20 = 0, the quantum probe of
+    # ``convergence`` does not
+    row, zero = ("", False, False), ("", True, False)
+    runs = [([cmd, "--config", str(configs / "classical.ini")], added) for cmd, added in
+            (("integrate", [zero]), ("eigenvalue", []), ("scan-t0", []), ("convergence", [row]))]
+    runs.append((["sweep-hbar", "--config", str(configs / "quantum_sweep.ini")], []))
     # the same search from in front of the caustic wall descends on the
     # coarse map and polishes at h with no Nelder-Mead
     front = tmp_path / "front.json"
     config = json.loads(Path(search_config).read_text())
     config["init"].update(S10=1.0, S20=0.5)
     front.write_text(json.dumps(config))
-    # each search: its argv, the tangent kernel it runs, the tangent and
-    # taped kernels rendered after it, and whether scipy.optimize is loaded
+    # each search: its argv, the kernels it adds, and whether
+    # scipy.optimize is loaded. The classical check runs the zero-amplitude
+    # tangent kernel along S20 alone (sigma20 = 0), the quantum search
+    # taped runs and, for its certificate, the tangent kernel along (S20,
+    # sigma20)
     searches = [(["classical-check", "--config", str(configs / "classical.ini")],
-                 ("S", True), 1, 0, False),
-                (["extremize", "--config", str(front)], ("SG", False), 2, 1, False),
-                (["extremize", "--config", search_config], ("SG", False), 2, 1, True)]
+                 [("S", True, False)], False),
+                (["extremize", "--config", str(front)], [("", False, True), ("SG", False, False)],
+                 False),
+                (["extremize", "--config", search_config], [], True)]
     code = (
         "import sys\n"
         f"sys.path[:0] = [{str(ROOT / 'src')!r}]\n"
         "import qap.cli\n"
-        # the tangent and taped runs' kernels are rendered and compiled by the
-        # first search that runs them, one tangent kernel per searched set:
-        # the classical check runs the zero-amplitude one along S20 alone
-        # (sigma20 = 0), the quantum search taped runs and, for its
-        # certificate, the full one along (S20, sigma20)
-        "dynamics = sys.modules['qap.dynamics']\n"
-        "tangent_kernels = dynamics._tangent_kernels.cache_info\n"
-        "taped_kernels = dynamics._taped_kernels.cache_info\n"
+        "kernel = sys.modules['qap.dynamics']._kernel\n"
+        "rendered = []\n"
+        "def check(added, what):\n"
+        "    # the cache holds exactly the kernels rendered so far: as many, each a hit\n"
+        "    rendered.extend(added)\n"
+        "    info = kernel.cache_info()\n"
+        "    assert info.currsize == len(rendered), f'{info.currsize} kernels after {what}'\n"
+        "    for key in rendered:\n"
+        "        kernel(*key)\n"
+        "    assert kernel.cache_info().hits == info.hits + len(rendered), f'{what} rendered others'\n"
         "assert 'numpy' not in sys.modules, 'import qap.cli loaded numpy'\n"
-        "assert tangent_kernels().currsize == 0, 'import qap.cli rendered the tangent tables'\n"
-        "assert taped_kernels().currsize == 0, 'import qap.cli rendered the taped kernel'\n"
-        f"for i, argv in enumerate({runs!r}):\n"
+        "check([], 'import qap.cli')\n"
+        f"for i, (argv, added) in enumerate({runs!r}):\n"
         f"    assert qap.cli.main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}']) == 0, argv\n"
         "    assert 'numpy' not in sys.modules, f'{argv[0]} loaded numpy'\n"
-        "    assert tangent_kernels().currsize == 0, f'{argv[0]} rendered the tangent tables'\n"
-        "    assert taped_kernels().currsize == 0, f'{argv[0]} rendered the taped kernel'\n"
+        "    check(added, argv)\n"
         "assert 'scipy' not in sys.modules, 'scipy loaded before any search'\n"
-        f"for i, (argv, rendered, tangents, tapes, scipy) in enumerate({searches!r}):\n"
+        f"for i, (argv, added, scipy) in enumerate({searches!r}):\n"
         f"    assert qap.cli.main(argv + ['--out', {str(tmp_path)!r} + f'/s{{i}}']) == 0, argv\n"
         "    assert 'numpy' in sys.modules, f'{argv[0]} did not load numpy'\n"
-        "    assert tangent_kernels().currsize == tangents, f'tangent kernels after {argv}'\n"
-        "    hits = tangent_kernels().hits\n"
-        "    dynamics._tangent_kernels(*rendered)\n"
-        "    assert tangent_kernels().hits == hits + 1, f'{argv} rendered another kernel'\n"
-        "    assert taped_kernels().currsize == tapes, f'taped kernel after {argv}'\n"
+        "    check(added, argv)\n"
         "    assert ('scipy.optimize' in sys.modules) == scipy, f'scipy.optimize after {argv}'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -32,7 +32,6 @@ from qap.dynamics import (
     METHODS,
     _coefficients,
     _error_ratio,
-    _row_step,
     _stage,
     _start,
     _state_cotangent,
@@ -80,16 +79,34 @@ class TestRhs:
     def test_unrolled_step_matches_stage_reference(self, row, hbar, sigma20):
         # the rendered RK4 body must equal a generic RK4 over _stage, bit for bit
         K = coefficients(OscillatorSpec(m=1.3, k=0.8, hbar_tilde=hbar), sigma20)
-        assert _row_step(row, 0.01, K) == generic_rk4(row_rhs(K), row, 0.01)
+        assert ROW_STEP(row, 0.01, K) == generic_rk4(row_rhs(K), row, 0.01)
 
     def test_rendered_kernels_show_their_source(self):
-        sets = [dynamics._kernels, dynamics._taped_kernels()]
-        sets += [dynamics._tangent_kernels(along, False) for along in ALONG]
-        sets.append(dynamics._tangent_kernels("S", True))
-        kernels = [item for found in sets for item in found.items()]
+        keys = [ROW_KERNEL, ZERO_KERNEL, ("", False, True), ("S", True, False)]
+        keys += [(along, False, False) for along in ALONG]
+        kernels = {dynamics._kernel(*key) for key in keys}
         assert len(kernels) == 7
-        for name, kernel in kernels:
-            assert inspect.getsource(kernel).startswith(f"def {name}(")
+        for kernel in kernels:
+            assert inspect.getsource(kernel).startswith(f"def {kernel.__name__}(")
+
+
+#: the keys (along, zero_amplitude, taped) of the row's kernel and of the
+#: zero-amplitude row's, as ``_run`` asks ``_kernel`` for them
+ROW_KERNEL, ZERO_KERNEL = ("", False, False), ("", True, False)
+
+#: the row's kernel
+ROW_STEP = dynamics._kernel(*ROW_KERNEL)
+
+
+def swap_kernel(patch, key, make):
+    """Patch ``dynamics._kernel`` with ``patch`` (a ``MonkeyPatch``) so that
+    the kernel a run asks for by ``key`` is ``make`` of the real one."""
+    real = dynamics._kernel
+
+    def kernel(*args):
+        return make(real(*args)) if args == key else real(*args)
+
+    patch.setattr(dynamics, "_kernel", kernel)
 
 
 def coefficients(spec, sigma20):
@@ -222,8 +239,7 @@ class TestStepCount:
         def fail(*args):
             raise AssertionError("stepped")
 
-        for name in ("_row_step", "_zero_amplitude_step"):
-            monkeypatch.setattr(dynamics, name, fail)
+        monkeypatch.setattr(dynamics, "_kernel", lambda *key: fail)
         runs = [lambda: final_state(spec, classical_init, step),
                 lambda: propagator(spec, classical_init, step)]
         runs += [lambda m=m: integrate(spec, classical_init, step, m) for m in METHODS]
@@ -314,16 +330,16 @@ def propagator_run(s, i):
 #: run that returns the kernel row, where each component of the kernel's
 #: row lands in it
 KERNELS = [
-    ("_row_step", fixed_run, QUANTUM, None),
-    ("_row_step", adaptive_run, QUANTUM, None),
-    ("_row_step", propagator_run, QUANTUM, range(8)),
-    ("_zero_amplitude_step", fixed_run, SILENT, None),
-    ("_zero_amplitude_step", adaptive_run, SILENT, None),
-    ("_zero_amplitude_step", propagator_run, SILENT, ZERO_AT),
+    (ROW_KERNEL, fixed_run, QUANTUM, None),
+    (ROW_KERNEL, adaptive_run, QUANTUM, None),
+    (ROW_KERNEL, propagator_run, QUANTUM, range(8)),
+    (ZERO_KERNEL, fixed_run, SILENT, None),
+    (ZERO_KERNEL, adaptive_run, SILENT, None),
+    (ZERO_KERNEL, propagator_run, SILENT, ZERO_AT),
     # the row does not depend on sigma10
-    ("_zero_amplitude_step", propagator_run, replace(SILENT, sigma10=0.3), ZERO_AT),
+    (ZERO_KERNEL, propagator_run, replace(SILENT, sigma10=0.3), ZERO_AT),
 ]
-WIDTH = {"_row_step": 8, "_zero_amplitude_step": 3}
+WIDTH = {ROW_KERNEL: 8, ZERO_KERNEL: 3}
 PAST_LIMIT = [math.nan, math.inf, -math.inf, math.nextafter(BLOWUP_LIMIT, math.inf),
               -math.nextafter(BLOWUP_LIMIT, math.inf)]
 
@@ -343,14 +359,15 @@ class TestBoundCheck:
 
     @staticmethod
     def inject(monkeypatch, kernel, component, value):
-        inner = getattr(dynamics, kernel)
+        def make(inner):
+            def stepped(y, h, *args):
+                y = list(y)
+                y[component] = value
+                return inner(tuple(y), 0.0, *args)
 
-        def stepped(y, h, *args):
-            y = list(y)
-            y[component] = value
-            return inner(tuple(y), 0.0, *args)
+            return stepped
 
-        monkeypatch.setattr(dynamics, kernel, stepped)
+        swap_kernel(monkeypatch, kernel, make)
 
     @pytest.mark.parametrize("value", PAST_LIMIT)
     def test_past_limit_blows_up(self, monkeypatch, spec, kernel, run, init, at, value):
@@ -523,7 +540,7 @@ def tangent_rhs(K, along):
     coordinate, where along sigma20 the coefficients move too, and those of
     second order along each pair, in the kernel's order."""
     m_inv, k, c, hs, ms, s, _, _, dc, dhs, ddc = K
-    _, flows, integrals = dynamics._tangent_table(along, False)
+    _, flows, integrals = dynamics._table(along, False)
     names = [n for n, _ in flows + integrals]
 
     def rhs(y):
@@ -599,7 +616,7 @@ def base_row(spec, init, step):
 
 def kernel_names(along, zero_amplitude):
     """The components of a tangent kernel row, in its order."""
-    _, flows, integrals = dynamics._tangent_table(along, zero_amplitude)
+    _, flows, integrals = dynamics._table(along, zero_amplitude)
     return [n for n, _ in flows + integrals]
 
 
@@ -618,7 +635,7 @@ class TestTangent:
     def test_step_matches_generic_reference(self, row, hbar, sigma20, along):
         K = coefficients(OscillatorSpec(m=1.3, k=0.8, hbar_tilde=hbar), sigma20)
         row = row[:len(kernel_names(along, False))]
-        step = dynamics._tangent_kernels(along, False)["_tangent_step"]
+        step = dynamics._kernel(along, False)
         assert step(row, 0.01, K) == generic_rk4(tangent_rhs(K, along), row, 0.01)
 
     def test_base_row_is_propagators(self, spec):
@@ -664,16 +681,16 @@ class TestTangent:
         # as it is. At sigma20 = 0 only a run along S20 alone takes the
         # zero-amplitude table
         zero = init.sigma20 == 0.0 and along == "S"
-        name = "_zero_amplitude_tangent_step" if zero else "_tangent_step"
-        kernels = dynamics._tangent_kernels(along, zero)
-        inner = kernels[name]
         for component, n in enumerate(kernel_names(along, zero)):
-            def stepped(y, h, K, component=component):
-                y = list(y)
-                y[component] = math.inf
-                return inner(tuple(y), 0.0, K)
+            def make(inner, component=component):
+                def stepped(y, h, K):
+                    y = list(y)
+                    y[component] = math.inf
+                    return inner(tuple(y), 0.0, K)
 
-            monkeypatch.setitem(kernels, name, stepped)
+                return stepped
+
+            swap_kernel(monkeypatch, (along, zero, False), make)
             if n in ROW:
                 with pytest.raises(BlowUpError) as err:
                     tangent(spec, init, 0.25, ALONG_NAMES[along])
@@ -692,8 +709,7 @@ class TestTangent:
         # steps within roundoff (the zero-amplitude table's JccSS' = 6*rS^2
         # is 2*rS^2 + 2*r*rSS there)
         along = "S"
-        kernels = dynamics._tangent_kernels(along, True)
-        full = dynamics._tangent_kernels(along, False)["_tangent_step"]
+        full = dynamics._kernel(along, False)
         names, wide_names = kernel_names(along, True), kernel_names(along, False)
         at = [wide_names.index(n) for n in names]
         rest = [i for i in range(len(wide_names)) if i not in at]
@@ -723,7 +739,7 @@ class TestTangent:
         for spec, init, step in zero_amplitude_cases():
             got = run(spec, init, step)
             with monkeypatch.context() as patch:
-                patch.setitem(kernels, "_zero_amplitude_tangent_step", widened)
+                swap_kernel(patch, (along, True, False), lambda inner: widened)
                 want = run(spec, init, step)
             assert got[0] == want[0], (spec, init, step)
             blowups += got[1] is None
@@ -827,17 +843,17 @@ def seeded_steps():
 
 
 class TestTaped:
-    """``taped`` runs the row with a taped twin of ``_row_step`` and returns
+    """``taped`` runs the row with a taped twin of the row's kernel and returns
     its end row, ``propagator``'s, with a pullback: one backward sweep
     gives the derivatives along S20 and sigma20 of a seed times the row."""
 
     def test_step_equals_row_step_bit_for_bit(self):
-        step = dynamics._taped_kernels()["_taped_row_step"]
+        step = dynamics._kernel("", False, True)
         outcomes = Counter()
         for y, h, K in seeded_steps():
             tape = []
             got = step(y, h, K + (tape.append,))
-            assert repr(got) == repr(_row_step(y, h, K)), (y, h, K)
+            assert repr(got) == repr(ROW_STEP(y, h, K)), (y, h, K)
             if tape:
                 # h, then r, a and b at the four stages
                 assert len(tape) == 1 and len(tape[0]) == 13 and tape[0][0] == h
@@ -932,7 +948,7 @@ class TestTaped:
 def general_kernel(y, h, K):
     """The full row's step of a zero-amplitude row; C = 1 and St = Jcs =
     Jss = I2 = 0 must hold after every step."""
-    row = dynamics._row_step(dynamics._u_row(y), h, K)
+    row = ROW_STEP(dynamics._u_row(y), h, K)
     if row is None:
         return None
     assert repr(row[2:4] + row[5:]) == repr((1.0, 0.0, 0.0, 0.0, 0.0)), row
@@ -990,7 +1006,7 @@ class TestZeroAmplitude:
         K = coefficients(OscillatorSpec(m=1.3, k=0.8, hbar_tilde=hbar), 0.0)
         rhs = row_rhs(K)
         want = generic_rk4(lambda z: tuple(rhs(dynamics._u_row(z))[i] for i in ZERO_AT), vals, 0.01)
-        assert dynamics._zero_amplitude_step(vals, 0.01, K) == want
+        assert dynamics._kernel(*ZERO_KERNEL)(vals, 0.01, K) == want
 
     def test_runs_equal_the_general_kernels_bit_for_bit(self, monkeypatch):
         runs = {
@@ -1003,7 +1019,7 @@ class TestZeroAmplitude:
         for spec, init, step in zero_amplitude_cases():
             got = {name: outcome(run, spec, init, step) for name, run in runs.items()}
             with monkeypatch.context() as patch:
-                patch.setattr(dynamics, "_zero_amplitude_step", general_kernel)
+                swap_kernel(patch, ZERO_KERNEL, lambda inner: general_kernel)
                 want = {name: outcome(run, spec, init, step) for name, run in runs.items()}
             assert got == want, (spec, init, step)
             blowups += got["rk4"].startswith("('blowup'")
@@ -1138,15 +1154,17 @@ class TestAdaptive:
         # and cut, and the shorter steps close in on the pole. The input has
         # zero amplitude, so the zero-amplitude kernel takes the steps.
         rejected = []
-        rk4_step = dynamics._zero_amplitude_step
 
-        def counted(y, *args):
-            row = rk4_step(y, *args)
-            if row is None:
-                rejected.append(y)
-            return row
+        def count(rk4_step):
+            def counted(y, *args):
+                row = rk4_step(y, *args)
+                if row is None:
+                    rejected.append(y)
+                return row
 
-        monkeypatch.setattr(dynamics, "_zero_amplitude_step", counted)
+            return counted
+
+        swap_kernel(monkeypatch, ZERO_KERNEL, count)
         with pytest.raises(BlowUpError) as exc:
             integrate(OscillatorSpec(T=1.5), InitialData(S10=1.0, S20=-5.0), step=0.5,
                       method="rk4_adaptive")
@@ -1286,3 +1304,25 @@ class TestCsvExport:
         grid.to_csv(path, footer="BLOWUP last_good_t=0.5")
         assert path.read_text().rstrip().endswith("# BLOWUP last_good_t=0.5")
         assert "\r" not in path.read_text()
+
+    def test_blocks_equal_the_per_row_formula(self):
+        # grids of 1 row (a start past BLOWUP_LIMIT), of CSV_BLOCK rows and
+        # one more, and a partial caustic grid of more than one block
+        spec, init = OscillatorSpec(hbar_tilde=0.4), InitialData(1.0, 0.2, 0.3, 0.8)
+        with pytest.raises(BlowUpError) as one:
+            integrate(spec, InitialData(S10=2e12), 0.25)
+        caustic = OscillatorSpec(T=1.5)
+        with pytest.raises(BlowUpError) as cut:
+            integrate(caustic, InitialData(S10=1.0, S20=t0_to_S20(-0.157, caustic)), 1e-3)
+        grids = [one.value.partial, integrate(spec, init, 1.0 / (dynamics.CSV_BLOCK - 1)),
+                 integrate(spec, init, 1.0 / dynamics.CSV_BLOCK), cut.value.partial]
+        assert [len(g) for g in grids[:3]] == [1, dynamics.CSV_BLOCK, dynamics.CSV_BLOCK + 1]
+        assert len(grids[3]) > dynamics.CSV_BLOCK and not grids[3].complete
+        row = ",".join(["%.17g"] * 8) + "\n"
+        for grid in grids:
+            buf = StringIO()
+            grid.write_csv(buf, footer="end")
+            lines = buf.getvalue().splitlines(True)
+            # the oracle: one % per row
+            want = [row % (t, *y[:7]) for t, y in zip(grid.times, grid.rows)]
+            assert lines[4:] == want + ["# end\n"], len(grid)
